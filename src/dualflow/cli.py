@@ -13,6 +13,7 @@ machine-readable failure.json).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -23,14 +24,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curvfn, diagnostics
+from . import curvfn
 from .diagnostics import CSV_FIELDS, compute_record, compute_record_dual, pinching_epsilon
-from .dualmap import DualityBrokenError, CausalityError, dual_to_primal, gauss_dual, verify_duality
+from .dualmap import (
+    CausalityError,
+    DeSitterGraph,
+    DualityBrokenError,
+    dual_to_primal,
+    gauss_dual,
+    verify_duality,
+)
 from .flow import (
     ConvexityError,
     FlowConfig,
     StiffnessError,
-    estimate_Tstar_dual,
     make_initial,
     run_dual_flow,
     run_flow,
@@ -184,24 +191,32 @@ def serialize_manifest(man: RunManifest) -> str:
 # output writers
 # ----------------------------------------------------------------------
 
-def _json_value(x) -> str:
-    if x is None:
-        return "null"
-    if isinstance(x, str):
-        return '"' + x + '"'
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json_value(v) for v in x) + "]"
-    return _fmt(x)
+def _plain(x):
+    """x as plain JSON data; non-finite numbers become None, i.e. null."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        return [v if math.isfinite(v) else None for v in x.tolist()]
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(_plain(obj), fh, allow_nan=False)
+        fh.write("\n")
 
 
 def write_outputs(out_dir: Path, grid, records: list, snapshots: list) -> None:
     """diagnostics.csv, snapshots.json and plot.dat under out_dir.
 
     records are DiagnosticsRecord rows; snapshots are (t, u, u_star)
-    triples with u or u_star possibly None.  All numbers carry 17
-    significant digits so binary64 values survive the round trip.
+    triples with u or u_star possibly None.  CSV numbers carry 17
+    significant digits and JSON numbers their shortest round-trip form,
+    so binary64 values survive; JSON writes NaN and infinities as null.
     """
     csv_path = out_dir / "diagnostics.csv"
     with open(csv_path, "w") as fh:
@@ -209,16 +224,13 @@ def write_outputs(out_dir: Path, grid, records: list, snapshots: list) -> None:
         for rec in records:
             fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
 
-    kind = "circle" if grid.n == 1 else "axisym"
-    with open(out_dir / "snapshots.json", "w") as fh:
-        fh.write('{"n":%d,"m":%d,"grid":"%s",\n' % (grid.n, grid.m, kind))
-        fh.write('"theta":%s,\n"records":[\n' % _json_value(grid.theta))
-        rows = []
-        for t, u, u_star in snapshots:
-            rows.append('{"t":%s,"u":%s,"u_star":%s}' % (
-                _fmt(t), _json_value(u), _json_value(u_star)))
-        fh.write(",\n".join(rows))
-        fh.write("\n]}\n")
+    _write_json(out_dir / "snapshots.json", {
+        "n": grid.n,
+        "m": grid.m,
+        "grid": "circle" if grid.n == 1 else "axisym",
+        "theta": grid.theta,
+        "records": [{"t": t, "u": u, "u_star": u_star} for t, u, u_star in snapshots],
+    })
 
     with open(out_dir / "plot.dat", "w") as fh:
         fh.write("# tau  osc_u_tilde\n")
@@ -229,9 +241,8 @@ def write_outputs(out_dir: Path, grid, records: list, snapshots: list) -> None:
 
 
 def _write_failure(out_dir: Path, kind: str, message: str, t: float, steps: int) -> None:
-    with open(out_dir / "failure.json", "w") as fh:
-        fh.write('{"error":"%s","message":%s,"t":%s,"steps":%d}\n' % (
-            kind, _json_value(message), _fmt(t), steps))
+    _write_json(out_dir / "failure.json",
+                {"error": kind, "message": message, "t": t, "steps": steps})
 
 
 _FAILURE_NAMES = {
@@ -254,56 +265,45 @@ def _theta_of(t: float, T_star) -> float:
 def _execute_run(man: RunManifest, out_dir: Path) -> int:
     cfg = man.config
     grid = make_grid(cfg.n, cfg.m)
-    F = curvfn.make_function(cfg.F, cfg.n)
-
+    traj = dtraj = None
     if man.mode == "dual":
+        F_dual = curvfn.invert(curvfn.make_function(cfg.F, cfg.n))
         u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
-        d0 = gauss_dual(HyperbolicGraph(grid, u0)).dual
-        dtraj = run_dual_flow(cfg, d0)
-        T_star = None
-        if dtraj.failure is None and sum(-s.u_star.min() < 0.1 for s in dtraj.states) >= 3:
-            T_star = estimate_Tstar_dual(dtraj).value
-        F_dual = curvfn.invert(F)
+        dtraj = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(grid, u0)).dual)
         records = [
-            compute_record_dual(s.t, type(d0)(grid, s.u_star), F_dual,
-                                Theta=_theta_of(s.t, T_star), sigma=man.sigma)
+            compute_record_dual(s.t, DeSitterGraph(grid, s.u_star), F_dual,
+                                Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma)
             for s in dtraj.states
         ]
         snaps = [(s.t, None, s.u_star) for s in dtraj.states]
-        write_outputs(out_dir, grid, records, snaps)
-        if dtraj.failure is not None:
-            last = dtraj.states[-1]
-            _write_failure(out_dir, _FAILURE_NAMES[dtraj.failure],
-                           f"dual run aborted: {dtraj.failure}", last.t, dtraj.steps_taken)
-            return 3
-        return 0
-
-    traj = run_flow(cfg)
-    eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
-    duals = [None] * len(traj.states)
-    if man.mode == "both":
-        d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
-        times = [s.t for s in traj.states[1:]]
-        dtraj = run_dual_flow(cfg, d0, t_targets=times)
-        by_t = {round(s.t, 12): s for s in dtraj.states}
-        duals[0] = d0
-        for i, s in enumerate(traj.states[1:], start=1):
-            match = by_t.get(round(s.t, 12))
-            if match is not None:
-                duals[i] = type(d0)(grid, match.u_star)
-    records = [
-        compute_record(s, duals[i], Theta=_theta_of(s.t, traj.T_star_estimate),
-                       epsilon=eps, sigma=man.sigma, grid=grid)
-        for i, s in enumerate(traj.states)
-    ]
-    snaps = [(s.t, s.u, None if duals[i] is None else duals[i].u_star)
-             for i, s in enumerate(traj.states)]
+    else:
+        traj = run_flow(cfg)
+        eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
+        duals = [None] * len(traj.states)
+        if man.mode == "both":
+            d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+            times = [s.t for s in traj.states[1:]]
+            dtraj = run_dual_flow(cfg, d0, t_targets=times)
+            by_t = {round(s.t, 12): s for s in dtraj.states}
+            duals[0] = d0
+            for i, s in enumerate(traj.states[1:], start=1):
+                match = by_t.get(round(s.t, 12))
+                if match is not None:
+                    duals[i] = DeSitterGraph(grid, match.u_star)
+        records = [
+            compute_record(s, duals[i], Theta=_theta_of(s.t, traj.T_star_estimate),
+                           epsilon=eps, sigma=man.sigma, grid=grid)
+            for i, s in enumerate(traj.states)
+        ]
+        snaps = [(s.t, s.u, None if duals[i] is None else duals[i].u_star)
+                 for i, s in enumerate(traj.states)]
     write_outputs(out_dir, grid, records, snaps)
-    if traj.failure is not None:
-        last = traj.states[-1]
-        _write_failure(out_dir, _FAILURE_NAMES[traj.failure],
-                       f"run aborted: {traj.failure}", last.t, traj.steps_taken)
-        return 3
+    # the primal abort comes first; a dual abort is reported on its own
+    for tr, label in ((traj, "run"), (dtraj, "dual run")):
+        if tr is not None and tr.failure is not None:
+            _write_failure(out_dir, _FAILURE_NAMES[tr.failure], f"{label} aborted: {tr.failure}",
+                           tr.states[-1].t, tr.steps_taken)
+            return 3
     return 0
 
 
@@ -339,14 +339,15 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
         verdict = curvfn.CONCAVE_DEGENERATE
     else:
         verdict = curvfn.STRICTLY_CONCAVE
-    with open(out_dir / "verify.json", "w") as fh:
-        fh.write(
-            '{"duality_err":%s,"kappa_product_err":%s,"h_mismatch":%s,'
-            '"relation_err":%s,"graph_involution_err":%s,'
-            '"inverse_involution_err":%s,"concavity":"%s"}\n' % (
-                _fmt(rep.worst()), _fmt(rep.max_kappa_product_error),
-                _fmt(rep.max_h_mismatch), _fmt(rep.relation_u_ustar_error),
-                _fmt(inv_err), _fmt(invol_err), verdict))
+    _write_json(out_dir / "verify.json", {
+        "duality_err": rep.worst(),
+        "kappa_product_err": rep.max_kappa_product_error,
+        "h_mismatch": rep.max_h_mismatch,
+        "relation_err": rep.relation_u_ustar_error,
+        "graph_involution_err": inv_err,
+        "inverse_involution_err": invol_err,
+        "concavity": verdict,
+    })
     return 0
 
 

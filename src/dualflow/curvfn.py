@@ -28,16 +28,12 @@ with derivative axes appended on the right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DomainError",
     "ConstructionError",
     "ConsistencyError",
-    "PrincipalCurvatures",
-    "EvalResult",
     "CurvatureFunction",
     "make_function",
     "invert",
@@ -67,34 +63,6 @@ CONCAVE_DEGENERATE = "concave_degenerate"
 NOT_CONCAVE = "not_concave"
 
 
-@dataclass(frozen=True)
-class PrincipalCurvatures:
-    """A point of the positive cone, kappa_i > 0 for all i."""
-
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        k = np.atleast_1d(np.asarray(self.kappa, dtype=float))
-        if k.ndim != 1 or k.size < 1:
-            raise DomainError("principal curvatures must form a 1d vector")
-        if not np.all(np.isfinite(k)) or not np.all(k > 0.0):
-            raise DomainError("principal curvatures must be finite and positive")
-        object.__setattr__(self, "kappa", k)
-
-    @property
-    def n(self) -> int:
-        return self.kappa.size
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Value, gradient and Hessian of a curvature function at one point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
 # ----------------------------------------------------------------------
 # elementary and complete symmetric polynomials
 # ----------------------------------------------------------------------
@@ -121,7 +89,7 @@ def _esp_table(kappa: np.ndarray) -> np.ndarray:
 
 def elementary_symmetric(kappa, k: int) -> np.ndarray | float:
     """H_k(kappa); H_0 = 1.  Vectorized over leading axes."""
-    arr = np.asarray(getattr(kappa, "kappa", kappa), dtype=float)
+    arr = np.asarray(kappa, dtype=float)
     n = arr.shape[-1]
     if not 0 <= k <= n:
         raise ConstructionError(f"elementary symmetric degree {k} needs 0 <= k <= {n}")
@@ -207,7 +175,7 @@ class CurvatureFunction:
 
     # -- public evaluation --------------------------------------------------
     def _check(self, kappa) -> np.ndarray:
-        k = np.asarray(getattr(kappa, "kappa", kappa), dtype=float)
+        k = np.asarray(kappa, dtype=float)
         if k.ndim == 0 or k.shape[-1] != self.n:
             raise DomainError(f"{self.name} expects {self.n} curvatures, got shape {k.shape}")
         if not np.all(np.isfinite(k)) or not np.all(k > 0.0):
@@ -227,19 +195,6 @@ class CurvatureFunction:
     def sum_gradient(self, kappa):
         """sum_i dF/dkappa_i, the diffusion scale entering time-step control."""
         return self.gradient(kappa).sum(axis=-1)
-
-    def eval(self, kappa) -> EvalResult:
-        k = self._check(kappa)
-        if k.ndim != 1:
-            raise DomainError("eval takes a single curvature vector")
-        return EvalResult(
-            value=float(self.value(k)),
-            gradient=self.gradient(k),
-            hessian=self.hessian(k),
-        )
-
-    def invert(self) -> "CurvatureFunction":
-        return InverseOf(self)
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, n={self.n})"
@@ -609,7 +564,7 @@ def check_strict_concavity(F: CurvatureFunction, kappa, tol: float | None = None
     not_concave if any eigenvalue exceeds +tol, concave_degenerate
     otherwise.
     """
-    k = np.asarray(getattr(kappa, "kappa", kappa), dtype=float)
+    k = np.asarray(kappa, dtype=float)
     H = F.hessian(k)
     scale = float(np.abs(H).max())
     if tol is None:

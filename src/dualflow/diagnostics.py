@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvfn import CurvatureFunction
-from .dualmap import DeSitterGraph, desitter_geometry, gauss_dual, verify_duality
-from .hgeom import GraphGeometry, HyperbolicGraph, inradius_circumradius
+from .dualmap import DeSitterGraph, gauss_dual, verify_duality
+from .hgeom import GraphGeometry, HyperbolicGraph, geometry_of, inradius_circumradius
 from .sphere_grid import SphereGrid
 
 __all__ = [
@@ -171,7 +171,7 @@ def compute_record_dual(t: float, d: DeSitterGraph, F_dual, Theta: float = math.
     inverse speed; the hyperbolic-only fields (horoconvexity, pinching
     tensor, inball radii, duality error) stay NaN.
     """
-    geo = desitter_geometry(d, F_dual)
+    geo = geometry_of(d, F_dual)
     k_min = geo.kappa.min(axis=1)
     k_max = geo.kappa.max(axis=1)
     gap, f_sig = _f_sigma(geo, sigma)

@@ -3,10 +3,12 @@
 The exterior unit normals of a strictly convex hypersurface in
 hyperbolic space sweep out a spacelike hypersurface in de Sitter space.
 We store its time-reflected copy: eigentime is negated at construction
-(one light-cone switch, recorded in LIGHT_CONE_SWITCHED), so duals of
-convex bodies around the chart center are graphs u* < 0 over the
-sphere, rising toward the equatorial slice {tau = 0} as the primal
-shrinks.
+(one light-cone switch), so duals of convex bodies around the chart
+center are graphs u* < 0 over the sphere, rising toward the equatorial
+slice {tau = 0} as the primal shrinks.  In these variables the map and
+its inverse are one formula with a sign eps: hgeom._unit_normal with
+eps = +1 sends a hyperbolic graph to its dual and with eps = -1 sends
+a stored dual back.
 
 Principal curvatures invert under the map and the second fundamental
 forms agree nodewise; verify_duality measures both statements, plus the
@@ -23,33 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hgeom import GraphGeometry, HyperbolicGraph, embed_arrays, geometry_of
-from .sphere_grid import (
-    CircleGrid,
-    SphereGrid,
-    make_grid,
-    refine_extremum,
-    resample_monotone,
-)
+from .hgeom import HyperbolicGraph, _curvatures, _unit_normal, geometry_of
+from .sphere_grid import CircleGrid, SphereGrid, refine_extremum, resample_monotone
 
 __all__ = [
     "DualityBrokenError",
     "CausalityError",
-    "LIGHT_CONE_SWITCHED",
     "DeSitterGraph",
     "DualPair",
     "gauss_dual",
-    "desitter_geometry",
     "dual_to_primal",
     "DualityReport",
     "verify_duality",
 ]
-
-# The one global sign convention: stored de Sitter graphs have their
-# eigentime negated relative to the raw Gauss image.  Downstream code
-# (dual flow speeds, recovered primals) must consult this flag rather
-# than re-deriving signs.
-LIGHT_CONE_SWITCHED = True
 
 
 class DualityBrokenError(RuntimeError):
@@ -102,14 +90,19 @@ class DualPair:
     u_star_nodes: np.ndarray
 
 
-def _dual_angles(g: HyperbolicGraph, nu: np.ndarray) -> np.ndarray:
-    """Direction angle of each normal's spatial part, unwrapped."""
-    sin_part = nu[:, 1]
-    axis_part = nu[:, -1]
-    ang = np.arctan2(sin_part, axis_part)
-    if isinstance(g.grid, CircleGrid):
+def _gauss_image(grid: SphereGrid, u: np.ndarray, geo, eps: float):
+    """Time component of each node's unit normal and the direction angle
+    of its spatial part (unwrapped on the circle), which must increase."""
+    nu0, nu_sin, nu_axis = _unit_normal(u, geo.slope, geo.v, grid.theta, eps)
+    ang = np.arctan2(nu_sin, nu_axis)
+    if isinstance(grid, CircleGrid):
         ang = np.unwrap(ang)
-    return ang
+    if not np.all(np.diff(ang) > 0.0):
+        j = int(np.argmin(np.diff(ang)))
+        raise DualityBrokenError(
+            f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
+        )
+    return nu0, ang
 
 
 def _even_extend(x: np.ndarray, y: np.ndarray):
@@ -136,6 +129,25 @@ def _even_extend(x: np.ndarray, y: np.ndarray):
     return xx, yy
 
 
+def _resample(grid: SphereGrid, ang: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values y sampled at the increasing angles ang, resampled onto the grid.
+
+    On the circle whole periods of samples are wrapped onto both ends,
+    as many as it takes to leave three beyond each end of [0, 2 pi):
+    the Gauss image of a node can move by several grid spacings.  On a
+    meridian grid the samples are mirrored about both poles.
+    """
+    if isinstance(grid, CircleGrid):
+        per = 2.0 * math.pi
+        lo = 3 + int(np.count_nonzero(ang - per >= grid.theta[0]))
+        hi = 3 + int(np.count_nonzero(ang + per <= grid.theta[-1]))
+        x = np.concatenate([ang[-lo:] - per, ang, ang[:hi] + per])
+        y = np.concatenate([y[-lo:], y, y[:hi]])
+    else:
+        x, y = _even_extend(ang, y)
+    return resample_monotone(x, y, grid.theta)
+
+
 def gauss_dual(g: HyperbolicGraph) -> DualPair:
     """Dual spacelike graph swept by the exterior normals.
 
@@ -147,78 +159,10 @@ def gauss_dual(g: HyperbolicGraph) -> DualPair:
     geo = geometry_of(g)
     if not geo.convex:
         raise DualityBrokenError("primal graph is not strictly convex")
-    X, nu = embed_arrays(g)
-    u_star = -np.arcsinh(nu[:, 0])
-    ang = _dual_angles(g, nu)
-    if not np.all(np.diff(ang) > 0.0):
-        j = int(np.argmin(np.diff(ang)))
-        raise DualityBrokenError(
-            f"dual angles fail to increase at node {j} (grid too coarse or convexity lost)"
-        )
-    grid = g.grid
-    if isinstance(grid, CircleGrid):
-        per = 2.0 * math.pi
-        x = np.concatenate([ang[-3:] - per, ang, ang[:3] + per])
-        y = np.concatenate([u_star[-3:], u_star, u_star[:3]])
-    else:
-        x, y = _even_extend(ang, u_star)
-    u_star_grid = resample_monotone(x, y, grid.theta)
-    dual = DeSitterGraph(make_grid(g.n, grid.m), u_star_grid)
+    nu0, ang = _gauss_image(g.grid, g.u, geo, 1.0)
+    u_star = -np.arcsinh(nu0)
+    dual = DeSitterGraph(g.grid, _resample(g.grid, ang, u_star))
     return DualPair(primal=g, dual=dual, matching=ang, u_star_nodes=u_star)
-
-
-def desitter_geometry(d: DeSitterGraph, F=None) -> GraphGeometry:
-    """Metric factor and principal curvatures of a stored spacelike graph.
-
-    With psi' = u*'/cosh u* the graph factor is v~^2 = 1 - psi'^2 and
-    the shape operator diagonal (past-directed normal, switched
-    convention) reads
-
-        kappa_profile = -(psi''/v~^2 + sinh u*) / (v~ cosh u*),
-        kappa_angular = -(sinh u* + cot(theta) psi') / (v~ cosh u*).
-
-    The GraphGeometry container is reused with u = u_star, v = v~ and
-    chi = v~/cosh u*.
-    """
-    grid = d.grid
-    t = d.u_star
-    st, ct = np.sinh(t), np.cosh(t)
-    t_th = grid.d1(t)
-    t_thth = grid.d2(t)
-    psi_th = t_th / ct
-    if np.abs(psi_th).max() >= 1.0:
-        j = int(np.argmax(np.abs(psi_th)))
-        raise CausalityError(f"spacelike bound violated at node {j}")
-    psi_thth = t_thth / ct - t_th * t_th * st / (ct * ct)
-    v = np.sqrt(1.0 - psi_th * psi_th)
-    k_prof = -(psi_thth / (v * v) + st) / (v * ct)
-    if d.n == 1:
-        kappa = k_prof[:, None]
-    else:
-        cot = np.cos(grid.theta) / np.sin(grid.theta)
-        k_ang = -(st + cot * psi_th) / (v * ct)
-        kappa = np.concatenate(
-            [k_prof[:, None], np.repeat(k_ang[:, None], d.n - 1, axis=1)], axis=1
-        )
-    H = kappa.sum(axis=1)
-    normA2 = (kappa * kappa).sum(axis=1)
-    convex = bool(np.all(kappa > 0.0))
-    F_value = None
-    if F is not None and convex:
-        F_value = np.asarray(F.value(kappa))
-    return GraphGeometry(
-        u=t,
-        u_th=t_th,
-        phi_th=psi_th,
-        v=v,
-        kappa=kappa,
-        H=H,
-        normA2=normA2,
-        chi=v / ct,
-        convex=convex,
-        horoconvex=bool(np.all(kappa >= 1.0)),
-        F_value=F_value,
-    )
 
 
 def dual_to_primal(d: DeSitterGraph) -> HyperbolicGraph:
@@ -228,30 +172,9 @@ def dual_to_primal(d: DeSitterGraph) -> HyperbolicGraph:
     cone switched back, is a point of H^{n+1}; reading those points as
     a radial graph undoes the Gauss map.
     """
-    grid = d.grid
-    t = d.u_star
-    t_th = grid.d1(t)
-    psi_th = t_th / np.cosh(t)
-    v = np.sqrt(1.0 - psi_th * psi_th)
-    st, ct = np.sin(grid.theta), np.cos(grid.theta)
-    P0 = np.cosh(t) / v
-    P_sin = -(np.sinh(t) * st + psi_th * ct) / v
-    P_axis = -(np.sinh(t) * ct - psi_th * st) / v
-    u = np.arccosh(np.clip(P0, 1.0, None))
-    ang = np.arctan2(P_sin, P_axis)
-    if isinstance(grid, CircleGrid):
-        ang = np.unwrap(ang)
-    if not np.all(np.diff(ang) > 0.0):
-        j = int(np.argmin(np.diff(ang)))
-        raise DualityBrokenError(f"recovered angles fail to increase at node {j}")
-    if isinstance(grid, CircleGrid):
-        per = 2.0 * math.pi
-        x = np.concatenate([ang[-3:] - per, ang, ang[:3] + per])
-        y = np.concatenate([u[-3:], u, u[:3]])
-    else:
-        x, y = _even_extend(ang, u)
-    u_grid = resample_monotone(x, y, grid.theta)
-    return HyperbolicGraph(make_grid(d.n, grid.m), u_grid)
+    nu0, ang = _gauss_image(d.grid, d.u_star, geometry_of(d), -1.0)
+    u = np.arccosh(np.clip(nu0, 1.0, None))
+    return HyperbolicGraph(d.grid, _resample(d.grid, ang, u))
 
 
 @dataclass(frozen=True)
@@ -289,23 +212,17 @@ def verify_duality(pair: DualPair) -> DualityReport:
     a = 1.0 + grid.d1(w, parity=-1)
     a_th = grid.d2(w, parity=-1)
     us_th = grid.d1(us)
-    us_thth = grid.d2(us)
     dus = us_th / a
-    ddus = (us_thth * a - us_th * a_th) / (a * a * a)
-    st_us, ct_us = np.sinh(us), np.cosh(us)
-    psi = dus / ct_us
-    psi_d = ddus / ct_us - dus * dus * st_us / (ct_us * ct_us)
-    vt2 = 1.0 - psi * psi
-    vt = np.sqrt(vt2)
-    kt_prof = -(psi_d / vt2 + st_us) / (vt * ct_us)
+    ddus = (grid.d2(us) * a - us_th * a_th) / (a * a * a)
+    cot_t = None if g.n == 1 else np.cos(pair.matching) / np.sin(pair.matching)
+    _, vt, kt_prof, kt_ang = _curvatures(us, dus, ddus, cot_t, -1.0)
+    ct_us = np.cosh(us)
     su, v = np.sinh(g.u), geo.v
     prod_err = np.abs(kt_prof * geo.kappa[:, 0] - 1.0)
     h_mis = np.abs(
-        geo.kappa[:, 0] * v * v * su * su - kt_prof * vt2 * ct_us * ct_us * a * a
+        geo.kappa[:, 0] * v * v * su * su - kt_prof * vt * vt * ct_us * ct_us * a * a
     )
-    if g.n >= 2:
-        cot_t = np.cos(pair.matching) / np.sin(pair.matching)
-        kt_ang = -(st_us + cot_t * psi) / (vt * ct_us)
+    if kt_ang is not None:
         prod_err = np.maximum(prod_err, np.abs(kt_ang * geo.kappa[:, 1] - 1.0))
         h_ang_mis = np.abs(
             geo.kappa[:, 1] * su * su * np.sin(grid.theta) ** 2

@@ -3,22 +3,23 @@
 The primal evolution moves a convex hypersurface along its exterior
 normal with speed F(kappa); in graph form du/dt = -F v.  The dual
 surface of normals expands, in the switched convention du*/dt =
-+v~ / F~(kappa~), rising toward the equatorial slice.  Both flows share
-one explicit RK4 stepper with a parabolic step-size bound; geodesic
-spheres solve the primal flow in closed form and serve as the exact
-reference and as extinction-time barriers.
++v~ / F~(kappa~), rising toward the equatorial slice.  Both flows run
+through one driver and one explicit RK4 body with a parabolic step-size
+bound, parametrized by the sign eps (+1 primal, -1 dual) of
+hgeom._curvatures; geodesic spheres solve the primal flow in closed
+form and serve as the exact reference and as extinction-time barriers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import curvfn
 from .curvfn import CurvatureFunction, make_function
-from .dualmap import CausalityError, DeSitterGraph, desitter_geometry
+from .dualmap import CausalityError, DeSitterGraph
 from .hgeom import GraphGeometry, HyperbolicGraph, geometry_of
 from .sphere_grid import CircleGrid, SphereGrid, make_grid, resample_monotone
 
@@ -28,23 +29,22 @@ __all__ = [
     "FlowConfig",
     "FlowState",
     "FlowTrajectory",
-    "SphericalSolution",
     "spherical_theta",
     "spherical_T_star",
     "make_initial",
-    "scalar_rhs",
     "step",
     "run_flow",
-    "dual_scalar_rhs",
     "dual_step",
-    "DualFlowState",
     "run_dual_flow",
     "TstarEstimate",
     "estimate_Tstar",
-    "estimate_Tstar_dual",
     "RescaledRecord",
     "rescale",
 ]
+
+# smallest admissible time step; a smaller parabolic bound means the
+# surface is too close to extinction to continue
+DT_MIN = 1e-12
 
 
 class ConvexityError(RuntimeError):
@@ -52,7 +52,7 @@ class ConvexityError(RuntimeError):
 
 
 class StiffnessError(RuntimeError):
-    """Step-size control fell below dt_min (surface near extinction)."""
+    """Step-size control fell below DT_MIN (surface near extinction)."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class FlowConfig:
     initial_params: tuple = ()
     cfl: float = 0.2
     u_stop: float = 0.02
-    dt_min: float = 1e-12
     record_every: int = 10
     seed: int = 0
 
@@ -82,10 +81,21 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
+    """One state of either flow.
+
+    u is the stored profile: the radius u > 0 of a primal state, the
+    eigentime u* < 0 of a dual one.  geometry carries the speed values.
+    """
+
     t: float
     u: np.ndarray
     geometry: GraphGeometry
     dt_last: float
+
+    @property
+    def u_star(self) -> np.ndarray:
+        """The stored profile under its dual-side name."""
+        return self.u
 
 
 @dataclass
@@ -132,19 +142,6 @@ def spherical_theta(t, r0: float):
         raise ValueError(f"time outside [0, T*) with T* = {T!r}")
     out = np.arccosh(np.cosh(r0) * np.exp(-t_arr))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class SphericalSolution:
-    r0: float
-    T_star: float
-
-    @classmethod
-    def from_r0(cls, r0: float) -> "SphericalSolution":
-        return cls(r0=float(r0), T_star=spherical_T_star(r0))
-
-    def theta(self, t):
-        return spherical_theta(t, self.r0)
 
 
 # ----------------------------------------------------------------------
@@ -225,71 +222,108 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
 
 
 # ----------------------------------------------------------------------
-# primal flow
+# the two flows: one RK4 body and one driver, signed by eps
 # ----------------------------------------------------------------------
 
-def scalar_rhs(g: HyperbolicGraph, F: CurvatureFunction) -> np.ndarray:
-    """Graph form of the normal speed: du/dt = -F(kappa) v."""
-    geo = geometry_of(g)
-    return -np.asarray(F.value(geo.kappa)) * geo.v
+_ABORTS = {StiffnessError: "stiffness", ConvexityError: "convexity", CausalityError: "causality"}
 
 
-def _rhs_or_raise(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction) -> np.ndarray:
-    if u.min() <= 0.0:
-        raise ConvexityError(f"radius collapsed at node {int(np.argmin(u))}")
-    geo = geometry_of(HyperbolicGraph(grid, u))
+def _graph(grid: SphereGrid, u: np.ndarray, eps: float):
+    """The stored profile as a graph; a primal radius must stay positive
+    and a dual must stay below the equatorial slice."""
+    if eps > 0:
+        if u.min() <= 0.0:
+            raise ConvexityError(f"radius collapsed at node {int(np.argmin(u))}")
+        return HyperbolicGraph(grid, u)
+    if u.max() >= 0.0:
+        raise CausalityError("dual graph crossed the equatorial slice")
+    return DeSitterGraph(grid, u)
+
+
+def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float) -> GraphGeometry:
+    """Geometry with the speed attached, of a state the flow can continue from."""
+    geo = geometry_of(_graph(grid, u, eps), F)
     if not geo.convex:
         j = int(np.argmin(geo.kappa.min(axis=1)))
         raise ConvexityError(f"convexity lost at node {j}")
-    return -np.asarray(F.value(geo.kappa)) * geo.v
+    return geo
 
 
-def step(state: FlowState, F: CurvatureFunction, cfl: float,
-         grid: SphereGrid, dt_min: float = 1e-12, dt_cap: float | None = None) -> FlowState:
-    """One RK4 update with the parabolic step bound.
+def _velocity(geo: GraphGeometry, eps: float) -> np.ndarray:
+    """Graph form of the normal speed: du/dt = -F v contracting the primal,
+    du*/dt = +v~ / F~ expanding the dual toward the equatorial slice (on
+    slices this reproduces d(-Theta)/dt = +coth Theta)."""
+    return -geo.F_value * geo.v if eps > 0 else geo.v / geo.F_value
 
-    dt = cfl (h sinh u_min)^2 / max_nodes(sum_i F_i), optionally capped
-    (used to land exactly on requested output times).
+
+def _parabolic_dt(state: FlowState, F: CurvatureFunction, cfl: float,
+                  grid: SphereGrid, eps: float) -> float:
+    """Explicit step bound from the linearized diffusion coefficient.
+
+    Primal: dt = cfl (h sinh u_min)^2 / max_nodes(sum_i F_i).  Dual: the
+    coefficient is sum_i F~_i / (F~^2 v~^2 cosh^2 u*), hence
+    dt = cfl (h min(v~ cosh u*))^2 / max(sum_i F~_i / F~^2).
     """
     geo = state.geometry
-    S = np.asarray(F.gradient(geo.kappa)).sum(axis=-1).max()
-    dt = cfl * (grid.h * math.sinh(state.u.min())) ** 2 / S
-    if dt < dt_min:
-        raise StiffnessError(f"dt = {dt:.3e} below dt_min = {dt_min:.3e}")
+    grad = np.asarray(F.gradient(geo.kappa)).sum(axis=-1)
+    if eps > 0:
+        return cfl * (grid.h * math.sinh(state.u.min())) ** 2 / grad.max()
+    S = (grad / (geo.F_value * geo.F_value)).max()
+    return cfl * (grid.h * (geo.v * np.cosh(state.u)).min()) ** 2 / S
+
+
+def _rk4(state: FlowState, F: CurvatureFunction, cfl: float, grid: SphereGrid,
+         dt_cap: float | None, eps: float) -> FlowState:
+    """One RK4 update with the parabolic step bound, optionally capped
+    (used to land exactly on requested output times).  k1 comes from the
+    state's own geometry; a new state that cannot be continued from
+    raises here, in the step that produced it."""
+    dt = _parabolic_dt(state, F, cfl, grid, eps)
+    if dt < DT_MIN:
+        raise StiffnessError(f"dt = {dt:.3e} below {DT_MIN:.0e}")
     # snap onto the cap so requested output times are landed exactly; a
-    # cap below dt_min is a landing, not stiffness
+    # cap below DT_MIN is a landing, not stiffness
     if dt_cap is not None and dt > dt_cap - 1e-13:
         dt = dt_cap
+
+    def rhs(u):
+        return _velocity(_geometry(grid, u, F, eps), eps)
+
     u = state.u
-    k1 = _rhs_or_raise(grid, u, F)
-    k2 = _rhs_or_raise(grid, u + 0.5 * dt * k1, F)
-    k3 = _rhs_or_raise(grid, u + 0.5 * dt * k2, F)
-    k4 = _rhs_or_raise(grid, u + dt * k3, F)
+    k1 = _velocity(state.geometry, eps)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
     u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if u_new.min() <= 0.0:
-        raise ConvexityError(f"radius collapsed at node {int(np.argmin(u_new))}")
-    geo_new = geometry_of(HyperbolicGraph(grid, u_new), F)
-    if not geo_new.convex:
-        j = int(np.argmin(geo_new.kappa.min(axis=1)))
-        raise ConvexityError(f"convexity lost at node {j}")
-    return FlowState(t=state.t + dt, u=u_new, geometry=geo_new, dt_last=dt)
+    return FlowState(t=state.t + dt, u=u_new, geometry=_geometry(grid, u_new, F, eps), dt_last=dt)
 
 
-def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None) -> FlowTrajectory:
-    """Integrate until u_max < u_stop, recording along the way.
+def step(state: FlowState, F: CurvatureFunction, cfl: float, grid: SphereGrid,
+         dt_cap: float | None = None) -> FlowState:
+    """One RK4 step of the contracting primal flow."""
+    return _rk4(state, F, cfl, grid, dt_cap, 1.0)
+
+
+def dual_step(state: FlowState, F_dual: CurvatureFunction, cfl: float, grid: SphereGrid,
+              dt_cap: float | None = None) -> FlowState:
+    """One RK4 step of the expanding dual flow under the inverse speed."""
+    return _rk4(state, F_dual, cfl, grid, dt_cap, -1.0)
+
+
+def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.ndarray,
+           eps: float, t_targets, t_stop: float | None) -> FlowTrajectory:
+    """Integrate either flow until max |u| < u_stop, recording along the way.
 
     t_targets are landed on exactly (dt is clipped, never enlarged) and
     their states are always recorded, on top of the every-record_every
     cadence and the final state.  t_stop ends the run early at that
     flow time (it is landed on exactly too).  A surface extinguishing
     away from the origin can never shrink inside the stop ball; once
-    u_min falls below a quarter of u_stop with u_max still above it the
-    run aborts with failure "convexity" instead of stalling.
+    min |u| falls below a quarter of u_stop with max |u| still above it
+    the run aborts with failure "convexity" instead of stalling.
     """
-    grid = make_grid(config.n, config.m)
-    F = make_function(config.F, config.n)
-    u0 = make_initial(config.initial, config.initial_params, grid, config.seed)
-    geo0 = geometry_of(HyperbolicGraph(grid, u0), F)
+    advance = step if eps > 0 else dual_step
+    geo0 = geometry_of(_graph(grid, u0, eps), F)
     if not geo0.convex:
         raise ConvexityError("initial datum is not strictly convex")
     state = FlowState(t=0.0, u=u0, geometry=geo0, dt_last=0.0)
@@ -300,7 +334,7 @@ def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None) -> F
         targets.sort()
     k_target = 0
     steps = 0
-    while state.u.max() >= config.u_stop:
+    while np.abs(state.u).max() >= config.u_stop:
         if t_stop is not None and state.t >= t_stop - 1e-13:
             break
         cap = None
@@ -309,18 +343,16 @@ def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None) -> F
         if k_target < len(targets):
             cap = targets[k_target] - state.t
         try:
-            state = step(state, F, config.cfl, grid, config.dt_min, cap)
-        except StiffnessError:
-            traj.failure = "stiffness"
-            break
-        except ConvexityError:
-            traj.failure = "convexity"
+            state = advance(state, F, config.cfl, grid, cap)
+        except tuple(_ABORTS) as exc:
+            traj.failure = _ABORTS[type(exc)]
             break
         steps += 1
         hit_target = k_target < len(targets) and abs(state.t - targets[k_target]) < 1e-13
         if steps % config.record_every == 0 or hit_target:
             traj.states.append(state)
-        if state.u.min() < 0.25 * config.u_stop <= state.u.max():
+        r = np.abs(state.u)
+        if r.min() < 0.25 * config.u_stop <= r.max():
             # extinction point sits away from the origin (e.g. a k=1 mode
             # in the initial datum): the near-side radius collapses while
             # the far side stays above u_stop, so the loop could only
@@ -332,120 +364,31 @@ def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None) -> F
     traj.steps_taken = steps
     if traj.states[-1] is not state and traj.failure is None:
         traj.states.append(state)
-    if traj.failure is None and sum(s.u.max() < 0.1 for s in traj.states) >= 3:
+    if traj.failure is None and sum(np.abs(s.u).max() < 0.1 for s in traj.states) >= 3:
         est = estimate_Tstar(traj)
         traj.T_star_estimate = est.value
         traj.Tstar_warn = est.warn
     return traj
 
 
-# ----------------------------------------------------------------------
-# dual flow
-# ----------------------------------------------------------------------
-
-def dual_scalar_rhs(d: DeSitterGraph, F_dual: CurvatureFunction):
-    """Expanding speed of the stored dual graph: du*/dt = +v~ / F~(kappa~).
-
-    In the switched light-cone convention the dual surfaces rise toward
-    the equatorial slice, so the sign is positive; on slices this
-    reproduces d(-Theta)/dt = +coth Theta, mirroring the primal
-    spherical solution.
-    """
-    geo = desitter_geometry(d)
-    if not geo.convex:
-        j = int(np.argmin(geo.kappa.min(axis=1)))
-        raise ConvexityError(f"dual convexity lost at node {j}")
-    return geo.v / np.asarray(F_dual.value(geo.kappa)), geo
-
-
-def dual_step(t: float, d: DeSitterGraph, F_dual: CurvatureFunction, cfl: float,
-              dt_min: float = 1e-12, dt_cap: float | None = None):
-    """RK4 update of the dual graph with its own parabolic bound.
-
-    The linearized diffusion coefficient is sum_i F~_i / (F~^2 v~^2
-    cosh^2 u*), hence dt = cfl (h min(v~ cosh u*))^2 / max(sum F~_i / F~^2).
-    """
-    grid = d.grid
-    rhs0, geo0 = dual_scalar_rhs(d, F_dual)
-    Fv = np.asarray(F_dual.value(geo0.kappa))
-    S = (np.asarray(F_dual.gradient(geo0.kappa)).sum(axis=-1) / (Fv * Fv)).max()
-    scale = (geo0.v * np.cosh(d.u_star)).min()
-    dt = cfl * (grid.h * scale) ** 2 / S
-    if dt < dt_min:
-        raise StiffnessError(f"dual dt = {dt:.3e} below dt_min = {dt_min:.3e}")
-    if dt_cap is not None and dt > dt_cap - 1e-13:
-        dt = dt_cap
-
-    def rhs(us):
-        if us.max() >= 0.0:
-            raise CausalityError("dual graph crossed the equatorial slice mid-step")
-        r, _ = dual_scalar_rhs(DeSitterGraph(grid, us), F_dual)
-        return r
-
-    us = d.u_star
-    k1 = rhs0
-    k2 = rhs(us + 0.5 * dt * k1)
-    k3 = rhs(us + 0.5 * dt * k2)
-    k4 = rhs(us + dt * k3)
-    us_new = us + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return t + dt, DeSitterGraph(grid, us_new), dt
-
-
-@dataclass(frozen=True)
-class DualFlowState:
-    t: float
-    u_star: np.ndarray
-    geometry: GraphGeometry
-    dt_last: float
+def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None) -> FlowTrajectory:
+    """Integrate the contracting primal from the configured initial datum
+    (see _drive for targets, stopping and aborts)."""
+    grid = make_grid(config.n, config.m)
+    F = make_function(config.F, config.n)
+    u0 = make_initial(config.initial, config.initial_params, grid, config.seed)
+    return _drive(config, F, grid, u0, 1.0, t_targets, t_stop)
 
 
 def run_dual_flow(config: FlowConfig, initial: DeSitterGraph, t_targets=(),
                   t_stop: float | None = None) -> FlowTrajectory:
-    """Integrate the expanding dual until |u*|_max < u_stop.
+    """Integrate the expanding dual from a stored de Sitter graph.
 
     config.F names the PRIMAL speed; the dual runs under its inverse.
-    The trajectory's states hold DualFlowState records.
+    The states hold u* (also readable as state.u_star).
     """
     F_dual = curvfn.invert(make_function(config.F, config.n))
-    d = initial
-    t = 0.0
-    traj = FlowTrajectory(config=config,
-                          states=[DualFlowState(0.0, d.u_star, desitter_geometry(d), 0.0)])
-    targets = sorted(float(x) for x in t_targets)
-    if t_stop is not None:
-        targets.append(float(t_stop))
-        targets.sort()
-    k_target = 0
-    steps = 0
-    recorded = True
-    while (-d.u_star.min()) >= config.u_stop:
-        if t_stop is not None and t >= t_stop - 1e-13:
-            break
-        cap = None
-        while k_target < len(targets) and targets[k_target] <= t + 1e-15:
-            k_target += 1
-        if k_target < len(targets):
-            cap = targets[k_target] - t
-        try:
-            t, d, dt = dual_step(t, d, F_dual, config.cfl, config.dt_min, cap)
-        except StiffnessError:
-            traj.failure = "stiffness"
-            break
-        except (CausalityError, ValueError):
-            traj.failure = "causality"
-            break
-        except ConvexityError:
-            traj.failure = "convexity"
-            break
-        steps += 1
-        hit_target = k_target < len(targets) and abs(t - targets[k_target]) < 1e-13
-        recorded = steps % config.record_every == 0 or hit_target
-        if recorded:
-            traj.states.append(DualFlowState(t, d.u_star, desitter_geometry(d), dt))
-    traj.steps_taken = steps
-    if not recorded and traj.failure is None:
-        traj.states.append(DualFlowState(t, d.u_star, desitter_geometry(d), dt))
-    return traj
+    return _drive(config, F_dual, initial.grid, initial.u_star, -1.0, t_targets, t_stop)
 
 
 # ----------------------------------------------------------------------
@@ -462,54 +405,32 @@ class TstarEstimate:
         return self.value
 
 
-def _sphere_mean(grid: SphereGrid, f: np.ndarray) -> float:
-    return grid.integrate(f) / grid.integrate(np.ones_like(f))
-
-
-def _aitken_tail(a: np.ndarray) -> TstarEstimate:
-    acc = a
-    d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
-    if np.all(np.abs(d2) > 1e-14):
-        acc = a[2:] - (a[2:] - a[1:-1]) ** 2 / d2
-    value = float(acc[-1])
-    spread = float(a[-3:].max() - a[-3:].min())
-    return TstarEstimate(value=value, spread=spread, warn=bool(spread > 1e-3))
-
-
 def estimate_Tstar(traj: FlowTrajectory) -> TstarEstimate:
-    """Extrapolate T* from t + ln cosh(mean radius) on the late records.
+    """Extrapolate T* from t + ln cosh(mean |u|) on the late records.
 
-    On spheres the expression is exact at every time.  In general the
-    last few records (u_max < 0.1) give a sequence converging fast
+    On spheres the expression is exact at every time; |u| makes a dual
+    run (|u*| plays the role of u) estimate the same T*.  In general the
+    last few records (max |u| < 0.1) give a sequence converging fast
     enough for one Aitken acceleration; its spread over the tail is
     returned, with a warning flag above 1e-3.
     """
     grid = traj.grid
-    tail = [s for s in traj.states if s.u.max() < 0.1][-8:]
+    tail = [s for s in traj.states if np.abs(s.u).max() < 0.1][-8:]
     if len(tail) < 3:
-        raise ValueError("trajectory never reached u_max < 0.1 on enough records")
-    a = np.array([s.t + math.log(math.cosh(_sphere_mean(grid, s.u))) for s in tail])
-    return _aitken_tail(a)
-
-
-def estimate_Tstar_dual(traj: FlowTrajectory) -> TstarEstimate:
-    """Extinction estimate from a dual run: |u*| plays the role of u."""
-    grid = traj.grid
-    tail = [s for s in traj.states if -s.u_star.min() < 0.1][-8:]
-    if len(tail) < 3:
-        raise ValueError("dual trajectory never reached |u*|_max < 0.1 on enough records")
-    a = np.array([s.t + math.log(math.cosh(_sphere_mean(grid, -s.u_star))) for s in tail])
-    return _aitken_tail(a)
+        raise ValueError("trajectory never reached max |u| < 0.1 on enough records")
+    area = grid.integrate(np.ones(grid.m))
+    a = np.array([s.t + math.log(math.cosh(grid.integrate(np.abs(s.u)) / area)) for s in tail])
+    acc = a
+    d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
+    if np.all(np.abs(d2) > 1e-14):
+        acc = a[2:] - (a[2:] - a[1:-1]) ** 2 / d2
+    spread = float(a[-3:].max() - a[-3:].min())
+    return TstarEstimate(value=float(acc[-1]), spread=spread, warn=bool(spread > 1e-3))
 
 
 @dataclass(frozen=True)
 class RescaledRecord:
-    """One record in barrier-normalized variables.
-
-    norm_h1/norm_h2 are discrete Sobolev-style seminorms of u~ (surface
-    integrals of squared first/second parameter derivatives); they are
-    reported, not asserted against any bound.
-    """
+    """One record in barrier-normalized variables."""
 
     t: float
     tau: float
@@ -518,8 +439,6 @@ class RescaledRecord:
     kappa_scaled: np.ndarray
     F_tilde: np.ndarray | None
     w: np.ndarray | None
-    norm_h1: float
-    norm_h2: float
 
 
 def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
@@ -532,14 +451,10 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
     last_t = traj.states[-1].t
     if T_star <= last_t:
         raise ValueError(f"T_star = {T_star!r} must exceed the last recorded t = {last_t!r}")
-    grid = traj.grid
     r0_eff = math.acosh(math.exp(T_star))
     out = []
     for i, s in enumerate(traj.states):
         Theta = spherical_theta(s.t, r0_eff)
-        u_t = s.u / Theta
-        du = grid.d1(u_t)
-        ddu = grid.d2(u_t)
         w = None
         if duals is not None and duals[i] is not None:
             w = duals[i].u_star / Theta
@@ -548,12 +463,10 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
                 t=s.t,
                 tau=-math.log(Theta),
                 Theta=Theta,
-                u_tilde=u_t,
+                u_tilde=s.u / Theta,
                 kappa_scaled=s.geometry.kappa * Theta,
                 F_tilde=None if s.geometry.F_value is None else s.geometry.F_value * Theta,
                 w=w,
-                norm_h1=math.sqrt(max(grid.integrate(du * du), 0.0)),
-                norm_h2=math.sqrt(max(grid.integrate(ddu * ddu), 0.0)),
             )
         )
     return out

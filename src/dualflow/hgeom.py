@@ -7,6 +7,10 @@ the warped metric cosh-sinh factors make the shape operator diagonal
 in the (theta, angular) frame, so principal curvatures are read off
 without any eigen-decomposition.
 
+The same kernel, with sinh and cosh trading places under a sign eps,
+gives the curvatures and the unit normal of a stored de Sitter graph,
+so both sides of the Gauss-map duality share one copy of each formula.
+
 Computations run on the profile's grid; the Minkowski embedding into
 R^{n+1,1} (time coordinate first, rotation axis last among the spatial
 slots) is exposed both for cross-validation and as the carrier of the
@@ -88,122 +92,113 @@ class HyperbolicGraph:
 
 @dataclass(frozen=True)
 class GraphGeometry:
-    """Pointwise first/second fundamental data of a hyperbolic graph.
+    """Pointwise first/second fundamental data of a warped radial graph.
 
     kappa holds one row per node: column 0 the profile curvature, the
-    remaining n-1 columns the (repeated) angular curvature.  chi is the
-    gradient-to-radius ratio v/sinh u, kept as a diagnostic field.
+    remaining n-1 columns the (repeated) angular curvature.  slope is
+    the graph slope u'/S and v the graph factor (see _curvatures).
     """
 
-    u: np.ndarray
-    u_th: np.ndarray
-    phi_th: np.ndarray
+    slope: np.ndarray
     v: np.ndarray
     kappa: np.ndarray
     H: np.ndarray
     normA2: np.ndarray
-    chi: np.ndarray
     convex: bool
     horoconvex: bool
     F_value: np.ndarray | None = None
 
-    @property
-    def kappa_min(self) -> np.ndarray:
-        return self.kappa.min(axis=1)
 
-    @property
-    def kappa_max(self) -> np.ndarray:
-        return self.kappa.max(axis=1)
+def _warp(u, eps: float):
+    """Warping factor S and its derivative C: (sinh u, cosh u) for eps = +1,
+    (cosh u*, sinh u*) for eps = -1."""
+    return (np.sinh(u), np.cosh(u)) if eps > 0 else (np.cosh(u), np.sinh(u))
 
 
-def geometry_of(g: HyperbolicGraph, F=None) -> GraphGeometry:
-    """Metric factor, principal curvatures and curvature invariants.
+def _curvatures(u, u_th, u_thth, cot, eps: float):
+    """Slope, graph factor and principal curvatures of a warped radial graph.
 
-    With the warped radial metric the graph slope is phi' = u'/sinh u
-    and v^2 = 1 + phi'^2; the diagonal shape operator entries are
+    eps = +1 is a radial graph u in H^{n+1}; eps = -1 a stored spacelike
+    graph u* < 0 in de Sitter space (switched light cone, past-directed
+    normal), where sinh and cosh trade places and the graph factor turns
+    Lorentzian.  With (S, C) from _warp, slope = u'/S and
+    v^2 = 1 + eps slope^2, the diagonal shape operator reads
 
-        kappa_profile = (cosh u - phi''/v^2) / (v sinh u),
-        kappa_angular = (cosh u - cot(theta) phi') / (v sinh u).
+        kappa_profile = (eps C - slope'/v^2) / (v S),
+        kappa_angular = (eps C - cot(theta) slope) / (v S).
 
+    Returns (slope, v, kappa_profile, kappa_angular); the angular entry
+    is None when cot is None (curves, n = 1).
+    """
+    S, C = _warp(u, eps)
+    slope = u_th / S
+    slope_th = u_thth / S - u_th * u_th * C / (S * S)
+    v = np.sqrt(1.0 + eps * slope * slope)
+    k_prof = (eps * C - slope_th / (v * v)) / (v * S)
+    k_ang = None if cot is None else (eps * C - cot * slope) / (v * S)
+    return slope, v, k_prof, k_ang
+
+
+def _unit_normal(u, slope, v, theta, eps: float):
+    """Time, sin-slot and axis-slot components of a warped graph's unit normal.
+
+    nu = (S, eps C omega - slope omega') / v with omega = (sin, .., cos):
+    the exterior normal of a hyperbolic graph (a point of de Sitter
+    space) for eps = +1, and for a stored de Sitter graph (eps = -1) the
+    normal with the light cone switched back, a point of H^{n+1}.  The
+    remaining slots are zero.
+    """
+    S, C = _warp(u, eps)
+    c = eps * C
+    st, ct = np.sin(theta), np.cos(theta)
+    return S / v, (c * st - slope * ct) / v, (c * ct + slope * st) / v
+
+
+def geometry_of(g, F=None) -> GraphGeometry:
+    """Graph factor, principal curvatures and curvature invariants.
+
+    g is a HyperbolicGraph (eps = +1) or a stored de Sitter graph
+    (eps = -1, read from g.u_star); both go through _curvatures.
     Non-convex output is legal: callers read the convex flag.  When a
     curvature function F is supplied its nodewise values are attached
     (F is only evaluated if the graph is strictly convex).
     """
     grid = g.grid
-    u = g.u
-    su, cu = np.sinh(u), np.cosh(u)
-    u_th = grid.d1(u)
-    u_thth = grid.d2(u)
-    phi_th = u_th / su
-    phi_thth = u_thth / su - u_th * u_th * cu / (su * su)
-    v = np.sqrt(1.0 + phi_th * phi_th)
-    k_prof = (cu - phi_thth / (v * v)) / (v * su)
-    if g.n == 1:
+    eps, u = (1.0, g.u) if isinstance(g, HyperbolicGraph) else (-1.0, g.u_star)
+    cot = None if g.n == 1 else np.cos(grid.theta) / np.sin(grid.theta)
+    slope, v, k_prof, k_ang = _curvatures(u, grid.d1(u), grid.d2(u), cot, eps)
+    if k_ang is None:
         kappa = k_prof[:, None]
     else:
-        cot = np.cos(grid.theta) / np.sin(grid.theta)
-        k_ang = (cu - cot * phi_th) / (v * su)
         kappa = np.concatenate(
             [k_prof[:, None], np.repeat(k_ang[:, None], g.n - 1, axis=1)], axis=1
         )
-    H = kappa.sum(axis=1)
-    normA2 = (kappa * kappa).sum(axis=1)
     convex = bool(np.all(kappa > 0.0))
-    horoconvex = bool(np.all(kappa >= 1.0))
-    F_value = None
-    if F is not None and convex:
-        F_value = np.asarray(F.value(kappa))
     return GraphGeometry(
-        u=u,
-        u_th=u_th,
-        phi_th=phi_th,
+        slope=slope,
         v=v,
         kappa=kappa,
-        H=H,
-        normA2=normA2,
-        chi=v / su,
+        H=kappa.sum(axis=1),
+        normA2=(kappa * kappa).sum(axis=1),
         convex=convex,
-        horoconvex=horoconvex,
-        F_value=F_value,
+        horoconvex=bool(np.all(kappa >= 1.0)),
+        F_value=np.asarray(F.value(kappa)) if F is not None and convex else None,
     )
-
-
-def _omega(theta: np.ndarray, n: int) -> np.ndarray:
-    """Unit direction on S^n, meridian plane in slots (0, last)."""
-    theta = np.asarray(theta, dtype=float)
-    w = np.zeros(theta.shape + (n + 1,))
-    w[..., 0] = np.sin(theta)
-    w[..., -1] = np.cos(theta)
-    return w
-
-
-def _omega_prime(theta: np.ndarray, n: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    w = np.zeros(theta.shape + (n + 1,))
-    w[..., 0] = np.cos(theta)
-    w[..., -1] = -np.sin(theta)
-    return w
 
 
 def embed_arrays(g: HyperbolicGraph):
     """All node positions and exterior unit normals as (m, n+2) arrays.
 
-    X = (cosh u, sinh u * omega); the normal is the unit combination of
-    the radial frame vector and the meridian tangent orthogonal to the
-    graph, nu = (E_rho - phi' E_theta)/v, which has time component
-    sinh(u)/v.
+    X = (cosh u, sinh u * omega) with omega = (sin theta, 0.., cos theta)
+    the unit direction on S^n; the normal comes from _unit_normal.  The
+    meridian plane sits in the sin slot 1 and the axis slot n+1.
     """
     geo = geometry_of(g)
-    u, v, phi_th = g.u, geo.v, geo.phi_th
-    m, n = g.grid.m, g.n
-    om = _omega(g.grid.theta, n)
-    omp = _omega_prime(g.grid.theta, n)
-    X = np.empty((m, n + 2))
-    X[:, 0] = np.cosh(u)
-    X[:, 1:] = np.sinh(u)[:, None] * om
-    nu = np.empty((m, n + 2))
-    nu[:, 0] = np.sinh(u) / v
-    nu[:, 1:] = (np.cosh(u)[:, None] * om - phi_th[:, None] * omp) / v[:, None]
+    theta, su = g.grid.theta, np.sinh(g.u)
+    X = np.zeros((g.grid.m, g.n + 2))
+    nu = np.zeros((g.grid.m, g.n + 2))
+    X[:, 0], X[:, 1], X[:, -1] = np.cosh(g.u), su * np.sin(theta), su * np.cos(theta)
+    nu[:, 0], nu[:, 1], nu[:, -1] = _unit_normal(g.u, geo.slope, geo.v, theta, 1.0)
     return X, nu
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dualflow import cli
 from dualflow.cli import (
     ConfigError,
     RunManifest,
@@ -281,3 +282,42 @@ def test_sweep_directory(tmp_path, capsys, monkeypatch):
     assert out[0].endswith("exit 0")
     assert out[1].endswith("exit 3")
     assert main(["sweep", str(tmp_path / "empty")]) == 2
+
+
+def test_json_outputs_escape_strings_and_write_nan_as_null(tmp_path):
+    message = 'bad "quote" and back\\slash'
+    cli._write_failure(tmp_path, "X", message, math.nan, 3)
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert failure == {"error": "X", "message": message, "t": None, "steps": 3}
+    grid = make_grid(2, 16)
+    u = np.ones(16)
+    u[3] = math.nan
+    write_outputs(tmp_path, grid, [], [(0.5, u, None)])
+    snaps = json.loads((tmp_path / "snapshots.json").read_text())
+    assert snaps["records"] == [{"t": 0.5, "u": [1.0] * 3 + [None] + [1.0] * 12,
+                                 "u_star": None}]
+
+
+def test_run_both_mode_reports_dual_abort(tmp_path, monkeypatch):
+    real_run_dual_flow = cli.run_dual_flow
+    dual_runs = []
+
+    def aborting(*args, **kwargs):
+        dtraj = real_run_dual_flow(*args, **kwargs)
+        dtraj.failure = "causality"
+        dual_runs.append(dtraj)
+        return dtraj
+
+    monkeypatch.setattr(cli, "run_dual_flow", aborting)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "b.cfg",
+        f'F="mean" n=2 m=32 initial="sphere" initial.params=[1.0] '
+        f'u_stop=0.5 record_every=20 mode="both" out="{out}"',
+    )
+    assert main(["run", cfg]) == 3
+    (dtraj,) = dual_runs
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": "CausalityError", "message": "dual run aborted: causality",
+                       "t": dtraj.states[-1].t, "steps": dtraj.steps_taken}
+    assert (out / "diagnostics.csv").exists()

@@ -4,23 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualflow.dualmap import (
     CausalityError,
     DeSitterGraph,
-    LIGHT_CONE_SWITCHED,
-    desitter_geometry,
     dual_to_primal,
     gauss_dual,
     verify_duality,
 )
-from dualflow.hgeom import HyperbolicGraph
+from dualflow.flow import make_initial
+from dualflow.hgeom import HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid, refine_extremum
 from oracles import oracle_dual_point, oracle_ds_geometry
 
 
 def test_convention_flag():
-    assert LIGHT_CONE_SWITCHED is True
+    # one light-cone switch: the normal of a sphere of radius r has
+    # eigentime +r and is stored as the slice u* = -r, below the equator;
+    # switching back recovers the sphere
+    grid = make_grid(2, 32)
+    dual = gauss_dual(HyperbolicGraph(grid, np.full(32, 0.6))).dual
+    assert np.all(dual.u_star < 0.0)
+    assert np.abs(dual.u_star + 0.6).max() < 1e-12
+    assert np.abs(dual_to_primal(dual).u - 0.6).max() < 1e-12
 
 
 def test_sphere_dual_is_negated_slice():
@@ -57,7 +65,7 @@ def test_perturbed_sphere_dual_relations():
 
 def test_slice_dual_curvatures():
     grid = make_grid(2, 64)
-    geo = desitter_geometry(DeSitterGraph(grid, np.full(64, -0.7)))
+    geo = geometry_of(DeSitterGraph(grid, np.full(64, -0.7)))
     assert np.abs(geo.kappa - math.tanh(0.7)).max() < 1e-12
     ref = oracle_ds_geometry(lambda t: np.full_like(np.asarray(t, float), -0.7), [0.9])
     assert ref["kappa_prof"][0] == pytest.approx(math.tanh(0.7), abs=1e-9)
@@ -67,7 +75,7 @@ def test_near_equator_slice_is_almost_flat():
     # the limiting slice tau = 0 is totally geodesic; kappa ~ tanh(eps)
     grid = make_grid(2, 48)
     for eps in (1e-4, 1e-7):
-        geo = desitter_geometry(DeSitterGraph(grid, np.full(48, -eps)))
+        geo = geometry_of(DeSitterGraph(grid, np.full(48, -eps)))
         assert np.abs(geo.kappa).max() < 2.0 * eps
 
 
@@ -101,7 +109,7 @@ def test_horoconvex_dual_has_small_curvature():
     grid = make_grid(2, 96)
     u = 1.2 + 0.05 * np.cos(2 * grid.theta)
     pair = gauss_dual(HyperbolicGraph(grid, u))
-    geo = desitter_geometry(pair.dual)
+    geo = geometry_of(pair.dual)
     assert geo.kappa.max() <= 1.0 + 1e-10
 
 
@@ -144,3 +152,31 @@ def test_dual_of_offcenter_sphere():
     _, umax = refine_extremum(grid, u, "max")
     _, usmin = refine_extremum(grid, pair.dual.u_star, "min")
     assert abs(umax + usmin) < 1e-8
+
+
+@pytest.mark.parametrize("seed", [8, 18])
+def test_circle_gauss_map_on_fine_grid(seed):
+    # on these draws the normal angle at theta = 0 moves by more than
+    # three grid spacings, so wrapping three samples across the period
+    # left theta = 0 outside the resampled interval
+    grid = make_grid(1, 256)
+    u = make_initial("random_fourier", (1.0, 0.05, 4), grid, seed=seed)
+    pair = gauss_dual(HyperbolicGraph(grid, u))
+    assert abs(pair.matching[0]) > 3.0 * grid.h
+    h4 = grid.h**4
+    assert np.abs(dual_to_primal(pair.dual).u - u).max() <= 0.1 * h4
+    assert verify_duality(pair).worst() <= 20.0 * h4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.sampled_from([1, 2]), m=st.sampled_from([64, 128, 256]))
+def test_gauss_image_is_an_involution_at_fourth_order(seed, n, m):
+    # any convex random_fourier profile: the dual map and its inverse
+    # agree with the primal, and the duality identities hold, at O(h^4)
+    grid = make_grid(n, m)
+    u = make_initial("random_fourier", (1.0, 0.05, 4), grid, seed=seed)
+    pair = gauss_dual(HyperbolicGraph(grid, u))
+    h4 = grid.h**4
+    assert np.abs(dual_to_primal(pair.dual).u - u).max() <= 0.1 * h4
+    assert verify_duality(pair).worst() <= 20.0 * h4

@@ -11,14 +11,12 @@ from dualflow.flow import (
     ConvexityError,
     FlowConfig,
     FlowState,
-    SphericalSolution,
+    _velocity,
     estimate_Tstar,
-    estimate_Tstar_dual,
     make_initial,
     rescale,
     run_dual_flow,
     run_flow,
-    scalar_rhs,
     spherical_T_star,
     spherical_theta,
     step,
@@ -31,12 +29,20 @@ T_STAR_1 = 0.4337808304830271  # ln cosh 1
 T_STAR_HALF = 0.12011450695827745  # ln cosh 0.5
 
 
+def _rhs(g, F, eps=1.0):
+    return _velocity(geometry_of(g, F), eps)
+
+
 def test_slice_rhs_mean():
     grid = make_grid(2, 48)
     F = curvfn.make_function("mean", 2)
+    F_dual = curvfn.invert(F)
     for r in (0.5, 1.3):
-        rhs = scalar_rhs(HyperbolicGraph(grid, np.full(48, r)), F)
+        rhs = _rhs(HyperbolicGraph(grid, np.full(48, r)), F)
         assert np.abs(rhs + 1.0 / math.tanh(r)).max() < 1e-12
+        # the dual slice u* = -r rises at the same rate
+        rhs = _rhs(DeSitterGraph(grid, np.full(48, -r)), F_dual, -1.0)
+        assert np.abs(rhs - 1.0 / math.tanh(r)).max() < 1e-12
 
 
 def test_slice_rhs_any_normalized_speed():
@@ -44,7 +50,7 @@ def test_slice_rhs_any_normalized_speed():
     grid = make_grid(2, 48)
     for name in curvfn.builtin_battery(2):
         F = curvfn.make_function(name, 2)
-        rhs = scalar_rhs(HyperbolicGraph(grid, np.full(48, 0.9)), F)
+        rhs = _rhs(HyperbolicGraph(grid, np.full(48, 0.9)), F)
         assert np.abs(rhs + 1.0 / math.tanh(0.9)).max() < 1e-11
 
 
@@ -53,7 +59,7 @@ def test_rhs_against_embedding_flow_oracle():
     grid = make_grid(2, 128)
     u = 1.0 + 0.1 * np.cos(grid.theta)
     F = curvfn.make_function("sigma_k:2", 2)
-    rhs = scalar_rhs(HyperbolicGraph(grid, u), F)
+    rhs = _rhs(HyperbolicGraph(grid, u), F)
     eps = 1e-5
     inner = (grid.theta > 0.2) & (grid.theta < math.pi - 0.2)
     u_eps = oracle_flow_step(
@@ -155,8 +161,6 @@ def test_spherical_theta_values():
         spherical_theta(T_STAR_1, 1.0)
     with pytest.raises(ValueError):
         spherical_theta(-0.1, 1.0)
-    sol = SphericalSolution.from_r0(1.0)
-    assert sol.T_star == pytest.approx(T_STAR_1, abs=1e-14)
 
 
 def test_estimate_Tstar_spherical():
@@ -230,8 +234,9 @@ def test_dual_slice_run_matches_primal_solution():
     tops = [s.u_star.max() for s in dtraj.states]
     assert all(b >= a for a, b in zip(tops, tops[1:]))
     assert -dtraj.states[-1].u_star.min() < cfg.u_stop + 1e-12
-    est = estimate_Tstar_dual(dtraj)
+    est = estimate_Tstar(dtraj)
     assert abs(est.value - T_STAR_1) < 1e-6
+    assert dtraj.T_star_estimate == est.value
 
 
 def test_flows_commute_with_duality():
@@ -298,10 +303,13 @@ def test_run_flow_off_center_extinction_aborts():
     cfg = FlowConfig(F="power_mean:0.5", n=2, m=48, initial="random_fourier",
                      initial_params=(1.0, 0.05, 4), seed=3, u_stop=0.04)
     traj = run_flow(cfg)
-    assert traj.failure == "convexity"
-    last = traj.states[-1]
-    assert last.u.min() < 0.25 * cfg.u_stop
-    assert last.u.max() >= cfg.u_stop
+    d0 = gauss_dual(HyperbolicGraph(traj.grid, traj.states[0].u)).dual
+    # the dual extinguishes off-centre too and aborts the same way
+    for tr in (traj, run_dual_flow(cfg, d0)):
+        assert tr.failure == "convexity"
+        last = np.abs(tr.states[-1].u)
+        assert last.min() < 0.25 * cfg.u_stop
+        assert last.max() >= cfg.u_stop
 
 
 def test_flow_config_validation():
