@@ -19,7 +19,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -282,14 +282,13 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
         duals = [None] * len(traj.states)
         if man.mode == "both":
             d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+            # the dual lands the primal record times in order, so records pair
+            # by index; a dual that aborts or dies out first leaves the tail bare
             times = [s.t for s in traj.states[1:]]
             dtraj = run_dual_flow(cfg, d0, t_targets=times)
-            by_t = {round(s.t, 12): s for s in dtraj.states}
             duals[0] = d0
-            for i, s in enumerate(traj.states[1:], start=1):
-                match = by_t.get(round(s.t, 12))
-                if match is not None:
-                    duals[i] = DeSitterGraph(grid, match.u_star)
+            for i, j in enumerate(dtraj.landed, start=1):
+                duals[i] = DeSitterGraph(grid, dtraj.states[j].u_star)
         records = [
             compute_record(s, duals[i], Theta=_theta_of(s.t, traj.T_star_estimate),
                            epsilon=eps, sigma=man.sigma, grid=grid)
@@ -381,23 +380,13 @@ def _load_manifest(path: str) -> RunManifest:
 
 
 def _cmd_run(args) -> int:
+    """The run and verify subcommands; verify overrides the config's mode."""
     try:
         man = _load_manifest(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return execute(man)
-
-
-def _cmd_verify(args) -> int:
-    try:
-        man = _load_manifest(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    man = RunManifest(config=man.config, sigma=man.sigma, mode="verify",
-                      out=man.out, seed=man.seed)
-    return execute(man)
+    return execute(replace(man, mode="verify") if args.command == "verify" else man)
 
 
 def _cmd_spherical(args) -> int:
@@ -450,7 +439,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
     p_ver = sub.add_parser("verify", help="static duality checks, no time stepping")
     p_ver.add_argument("config")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=_cmd_run)
     p_sph = sub.add_parser("spherical", help="closed-form sphere table")
     p_sph.add_argument("--r0", type=float, required=True)
     p_sph.set_defaults(func=_cmd_spherical)

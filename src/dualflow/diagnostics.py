@@ -269,7 +269,8 @@ def decay_check(traj, c0: float | None = None, delta: float | None = None) -> De
             c_fit = 1.0 if c0 is None else c0
         else:
             fitted = True
-            slope = np.polyfit(np.log(F[pos]), np.log(gap[pos]), 1)[0]
+            cov = np.cov(np.log(F[pos]), np.log(gap[pos]))
+            slope = cov[0, 1] / cov[0, 0]
             d_fit = 2.0 - slope if delta is None else delta
             c_fit = float(np.exp(np.max(np.log(gap[pos]) - (2.0 - d_fit) * np.log(F[pos]))))
             c_fit *= 1.01 if c0 is None else 1.0

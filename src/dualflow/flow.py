@@ -102,9 +102,10 @@ class FlowState:
 class FlowTrajectory:
     """Recorded states of one run plus the extinction-time estimate.
 
-    failure is None for a clean stop at u_stop, otherwise the name of
-    the abort ("convexity", "stiffness", "causality") and the states
-    hold the partial run.
+    failure is None for a clean stop, otherwise the name of the abort
+    ("convexity", "stiffness", "causality") and the states hold the
+    partial run.  landed holds the indices into states of the states
+    that landed on a target time, in time order.
     """
 
     config: FlowConfig
@@ -113,6 +114,7 @@ class FlowTrajectory:
     Tstar_warn: bool = False
     failure: str | None = None
     steps_taken: int = 0
+    landed: list = field(default_factory=list)
 
     @property
     def grid(self) -> SphereGrid:
@@ -316,8 +318,10 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
 
     t_targets are landed on exactly (dt is clipped, never enlarged) and
     their states are always recorded, on top of the every-record_every
-    cadence and the final state.  t_stop ends the run early at that
-    flow time (it is landed on exactly too).  A surface extinguishing
+    cadence and the final state; past u_stop the run goes on only to the
+    last target, if that is the one left, and an abort on the way there
+    ends it cleanly.  t_stop ends the run early at that flow time (it is
+    landed on exactly too).  A surface extinguishing
     away from the origin can never shrink inside the stop ball; once
     min |u| falls below a quarter of u_stop with max |u| still above it
     the run aborts with failure "convexity" instead of stalling.
@@ -329,26 +333,28 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     state = FlowState(t=0.0, u=u0, geometry=geo0, dt_last=0.0)
     traj = FlowTrajectory(config=config, states=[state])
     targets = sorted(float(t) for t in t_targets)
+    last = targets[-1] if targets else None
     if t_stop is not None:
-        targets.append(float(t_stop))
-        targets.sort()
+        targets = sorted(targets + [float(t_stop)])
     k_target = 0
     steps = 0
-    while np.abs(state.u).max() >= config.u_stop:
-        if t_stop is not None and state.t >= t_stop - 1e-13:
-            break
-        cap = None
+    while t_stop is None or state.t < t_stop - 1e-13:
         while k_target < len(targets) and targets[k_target] <= state.t + 1e-15:
             k_target += 1
-        if k_target < len(targets):
-            cap = targets[k_target] - state.t
+        cap = targets[k_target] - state.t if k_target < len(targets) else None
+        overrun = np.abs(state.u).max() < config.u_stop
+        if overrun and (cap is None or targets[k_target] != last):
+            break
         try:
             state = advance(state, F, config.cfl, grid, cap)
         except tuple(_ABORTS) as exc:
-            traj.failure = _ABORTS[type(exc)]
+            if not overrun:
+                traj.failure = _ABORTS[type(exc)]
             break
         steps += 1
         hit_target = k_target < len(targets) and abs(state.t - targets[k_target]) < 1e-13
+        if hit_target:
+            traj.landed.append(len(traj.states))
         if steps % config.record_every == 0 or hit_target:
             traj.states.append(state)
         r = np.abs(state.u)

@@ -267,7 +267,8 @@ def euclidean_compare(g: HyperbolicGraph) -> EuclideanComparison:
 
 @dataclass(frozen=True)
 class InballResult:
-    """Axis-centered inball and circumball radii and the inball offset."""
+    """Axis-centered inball and circumball radii, the inball offset, and
+    whether an offset scan that was not unimodal forced the dense scan."""
 
     rho_minus: float
     rho_plus: float
@@ -275,78 +276,56 @@ class InballResult:
     dense_fallback: bool = False
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points per scan of the axis offset, and per dense scan once a coarse scan
+# is not unimodal; the zoom ends when the offset bracket is below _TOL
+_SCAN, _DENSE, _TOL = 41, 2001, 1e-9
 
 
-def _golden_opt(f, lo: float, hi: float, sign: float, tol: float = 1e-9):
-    """Golden-section optimizer; sign +1 maximizes, -1 minimizes."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = sign * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _distance_profile(g: HyperbolicGraph, s: float) -> np.ndarray:
-    """Geodesic distance from the axis point at offset s to every node."""
-    u = g.u
-    ct = np.cos(g.grid.theta)
-    coshd = np.cosh(u) * math.cosh(s) - np.sinh(u) * ct * math.sinh(s)
+def _distance_profile(g: HyperbolicGraph, s) -> np.ndarray:
+    """Geodesic distances (S, m) from the axis points at offsets s (S,) to every node."""
+    s = np.asarray(s, dtype=float)[:, None]
+    coshd = np.cosh(g.u) * np.cosh(s) - np.sinh(g.u) * np.cos(g.grid.theta) * np.sinh(s)
     return np.arccosh(np.clip(coshd, 1.0, None))
 
 
 def inradius_circumradius(g: HyperbolicGraph) -> InballResult:
     """Largest inscribed and smallest enclosing balls centered on the axis.
 
-    Searches the axis offset with golden sections inside the interval
-    cut out by the surface's two axis crossings; the extreme distance
-    over nodes is refined below grid resolution by local interpolation.
-    A non-unimodal search (detected against a coarse scan) falls back
-    to a dense scan and flags the result.
+    The inradius maximizes over the axis offset the least distance to the
+    nodes, the circumradius minimizes the largest; each distance is
+    refined below grid resolution by local interpolation.  One _SCAN-point
+    scan of the offsets between the surface's two axis crossings serves
+    both sides; then each side zooms in, one batched scan of the bracket
+    around its best point per round, until the bracket is below _TOL.
+    dense_fallback flags that a side's coarse scan was not unimodal; a
+    _DENSE-point scan then picks the basins before the zoom.
     """
     grid = g.grid
-    if isinstance(grid, CircleGrid):
-        j_pi = int(np.argmin(np.abs(grid.theta - math.pi)))
-        lo, hi = -float(g.u[j_pi]), float(g.u[0])
-    else:
-        lo, hi = -float(g.u[-1]), float(g.u[0])
-    lo += 1e-9
-    hi -= 1e-9
+    j_pi = int(np.argmin(np.abs(grid.theta - math.pi))) if isinstance(grid, CircleGrid) else -1
+    lo, hi = 1e-9 - float(g.u[j_pi]), float(g.u[0]) - 1e-9
 
-    def rho_in(s):
-        return refine_extremum(grid, _distance_profile(g, s), "min")[1]
+    def score(s):
+        # least distance (row 0) and minus the largest (row 1) from the
+        # offsets s (2, S), both to be maximized, in one refine call
+        d = _distance_profile(g, s.ravel()).reshape(2, s.shape[1], grid.m)
+        d[1] *= -1.0
+        return refine_extremum(grid, d.reshape(-1, grid.m), "min")[1].reshape(2, -1)
 
-    def rho_out(s):
-        return refine_extremum(grid, _distance_profile(g, s), "max")[1]
-
-    s_in, r_in = _golden_opt(rho_in, lo, hi, +1.0)
-    s_out, r_out = _golden_opt(rho_out, lo, hi, -1.0)
-
-    # guard against multimodal offset profiles
-    scan = np.linspace(lo, hi, 41)
-    best_in = max(rho_in(s) for s in scan)
-    best_out = min(rho_out(s) for s in scan)
-    fallback = best_in > r_in + 1e-7 or best_out < r_out - 1e-7
+    s = np.linspace(lo, hi, _SCAN) + np.zeros((2, 1))
+    f = score(s)
+    rise = np.diff(f, axis=1)
+    fallback = not np.where(np.arange(_SCAN - 1) < np.argmax(f, axis=1)[:, None],
+                            rise >= -1e-7, rise <= 1e-7).all()
     if fallback:
-        scan = np.linspace(lo, hi, 2001)
-        vals_in = np.array([rho_in(s) for s in scan])
-        vals_out = np.array([rho_out(s) for s in scan])
-        i, j = int(np.argmax(vals_in)), int(np.argmin(vals_out))
-        s_in, r_in = float(scan[i]), float(vals_in[i])
-        r_out = float(vals_out[j])
-    return InballResult(
-        rho_minus=float(r_in),
-        rho_plus=float(r_out),
-        center_offset=float(s_in),
-        dense_fallback=bool(fallback),
-    )
+        s = np.linspace(lo, hi, _DENSE) + np.zeros((2, 1))
+        f = score(s)
+    sides = np.arange(2)
+    while True:
+        k = np.argmax(f, axis=1)
+        a, b = s[sides, np.maximum(k - 1, 0)], s[sides, np.minimum(k + 1, s.shape[1] - 1)]
+        if (b - a).max() <= _TOL:
+            break
+        s = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, _SCAN)
+        f = score(s)
+    return InballResult(rho_minus=float(f[0, k[0]]), rho_plus=float(-f[1, k[1]]),
+                        center_offset=float(s[0, k[0]]), dense_fallback=fallback)

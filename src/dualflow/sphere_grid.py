@@ -248,46 +248,70 @@ def resample_monotone(x, y, xq) -> np.ndarray:
             + t * t * (t - 1.0) * dx[j] * d[j + 1])
 
 
-def _quartic_stationary(vals5: np.ndarray, want: float):
-    """Best stationary point of the quartic through five samples.
+# 24 times the inverse Vandermonde matrix of the offsets (-2, -1, 0, 1, 2):
+# maps five samples to the rising-power coefficients of their quartic
+_QUARTIC_24 = np.array([[0, 0, 24, 0, 0], [2, -16, 0, 16, -2], [-1, 16, -30, 16, -1],
+                        [-2, 4, 0, -4, 2], [1, -4, 6, -4, 1]], dtype=float)
 
-    vals5 sits at local offsets (-2, -1, 0, 1, 2); want is +1 to seek a
-    maximum, -1 a minimum.  Candidates are the real stationary points
-    within 1.2 spacings of the center plus the center itself; returns
-    (offset, value) of the best one, so flat or monotone windows fall
-    back to the central sample.
+
+def _quartic_extremum(win: np.ndarray, want: float):
+    """Best stationary point of the quartic through each row of five samples.
+
+    Rows sit at the offsets (-2, -1, 0, 1, 2); want is +1 to seek a
+    maximum, -1 a minimum.  The candidates are the center and the real
+    stationary points within 1.2 spacings of it; a derivative below
+    1e-13 (max |sample| + 1) is flat and leaves the center alone.
+    Returns the offsets and values of the best candidates.
     """
-    d = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    coef = np.polyfit(d, vals5, 4)
-    scale = float(np.abs(vals5).max()) + 1.0
-    cand = [0.0]
-    der = np.polyder(coef)
-    if np.abs(der).max() > 1e-13 * scale:
-        roots = np.roots(der)
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        cand += [float(r) for r in real if abs(r) <= 1.2]
-    vals = [float(np.polyval(coef, c)) for c in cand]
-    i = int(np.argmax([want * v for v in vals]))
-    return cand[i], vals[i]
+    coef = (win[:, None, :] * _QUARTIC_24).sum(axis=-1) / 24.0
+    der = coef[:, :0:-1] * np.array([4.0, 3.0, 2.0, 1.0])
+    live = np.abs(der).max(axis=1) > 1e-13 * (np.abs(win).max(axis=1) + 1.0)
+    der[~live] = 0.0
+    # the stationary points are companion-matrix eigenvalues, as numpy's
+    # roots finds them; each exact leading zero of der shrinks the companion block
+    # by one, and the freed slots hold the root 8, outside any window
+    j = np.arange(3)
+    lead = (der == 0.0).cumprod(axis=1).sum(axis=1)
+    comp = np.zeros((len(win), 3, 3))
+    comp[:, j, j] = np.where(j < lead[:, None], 8.0, 0.0)
+    comp[:, j[1:], j[:-1]] = j[:-1] >= lead[:, None]
+    r = np.flatnonzero(lead < 3)
+    o = lead[r]
+    comp[r, o, :] = np.where(j >= o[:, None], -der[r, 1:] / der[r, o][:, None], 0.0)
+    roots = np.concatenate([np.zeros((len(win), 1)), np.linalg.eigvals(comp)], axis=1)
+    ok = (np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.2)
+    cand = roots.real
+    vals = np.zeros_like(cand)
+    for c in coef[:, ::-1].T:
+        vals = vals * cand + c[:, None]
+    best = np.argmax(np.where(ok, want * vals, -np.inf), axis=1)[:, None]
+    return np.take_along_axis(cand, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]
 
 
 def refine_extremum(grid: SphereGrid, values, mode: str, parity: int = 1):
     """Sub-grid extremum of a profile by local quartic interpolation.
 
-    mode is "max" or "min".  Returns (theta, value) where theta may
-    fall between nodes or on a pole.  The discrete extremum alone is
-    only second order accurate in h; the refined one tracks the smooth
-    extremum to the interpolation order.
+    mode is "max" or "min".  One profile (m,) gives (theta, value), where
+    theta may fall between nodes or on a pole; a batch (S, m) gives the
+    two arrays, row by row.  The discrete extremum alone is only second
+    order accurate in h; the refined one tracks the smooth extremum to
+    the interpolation order.  Every discrete local extremum is refined,
+    because two lobes can rank otherwise once refined; the best refined
+    one wins, the first on ties.
     """
     v = grid._check(np.asarray(values, dtype=float))
-    if v.ndim != 1:
-        raise ValueError("refine_extremum takes a single profile")
-    if mode == "max":
-        i, want = int(np.argmax(v)), 1.0
-    elif mode == "min":
-        i, want = int(np.argmin(v)), -1.0
-    else:
+    if v.ndim not in (1, 2):
+        raise ValueError("refine_extremum takes one profile or an (S, m) batch")
+    want = {"max": 1.0, "min": -1.0}.get(mode)
+    if want is None:
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-    p = grid.pad(v, parity)
-    off, val = _quartic_stationary(p[i : i + 5], want)
-    return float(grid.theta[i] + off * grid.h), val
+    w = want * grid.pad(np.atleast_2d(v), parity)
+    c = w[:, 2:-2]
+    peak = (c >= w[:, 1:-3]) & (c >= w[:, 3:-1])
+    peak[np.arange(len(c)), np.argmax(c, axis=1)] = True
+    r, i = np.nonzero(peak)
+    off, val = _quartic_extremum(want * w[r[:, None], i[:, None] + np.arange(5)], want)
+    k = np.lexsort((-want * val, r))
+    k = k[np.r_[True, r[k][1:] != r[k][:-1]]]
+    theta = grid.theta[i[k]] + off[k] * grid.h
+    return (float(theta[0]), float(val[k][0])) if v.ndim == 1 else (theta, val[k])

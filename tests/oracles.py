@@ -254,16 +254,45 @@ def fd_hessian(fval, kappa, h=1e-4):
 
 
 # ----------------------------------------------------------------------
+# sub-grid extremum: the quartic window, one at a time
+# ----------------------------------------------------------------------
+
+def quartic_stationary(vals5, want):
+    """Best stationary point of the quartic through five samples, one
+    window at a time through np.polyfit and np.roots.
+
+    vals5 sits at local offsets (-2, -1, 0, 1, 2); want is +1 to seek a
+    maximum, -1 a minimum.  Candidates are the real stationary points
+    within 1.2 spacings of the center plus the center itself; returns
+    (offset, value) of the best one, so flat or monotone windows fall
+    back to the central sample.
+    """
+    d = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    coef = np.polyfit(d, vals5, 4)
+    scale = float(np.abs(vals5).max()) + 1.0
+    cand = [0.0]
+    der = np.polyder(coef)
+    if np.abs(der).max() > 1e-13 * scale:
+        roots = np.roots(der)
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        cand += [float(r) for r in real if abs(r) <= 1.2]
+    vals = [float(np.polyval(coef, c)) for c in cand]
+    i = int(np.argmax([want * v for v in vals]))
+    return cand[i], vals[i]
+
+
+# ----------------------------------------------------------------------
 # dense scans
 # ----------------------------------------------------------------------
 
-def dense_inradius_scan(u_func, n_theta=2000, n_s=3001, circle=False):
+def dense_inradius_scan(u_func, n_theta=2000, n_s=3001, circle=False, s_range=None):
     """Axis-centered in/circumradius by brute force over (s, theta).
 
     Candidate centers (cosh s, 0, .., sinh s) restricted to the inside
-    of the body, i.e. s between the two axis crossings -u(pi), u(0);
-    distance cosh d = -<P, C>.  Returns (rho_minus, s_minus, rho_plus,
-    s_plus).
+    of the body, i.e. s between the two axis crossings -u(pi), u(0),
+    or to s_range = (lo, hi) when given (to rescan around an earlier
+    optimum); distance cosh d = -<P, C>.  Returns (rho_minus, s_minus,
+    rho_plus, s_plus).
     """
     top = 2.0 * math.pi if circle else math.pi
     th = np.linspace(0.0, top, n_theta)
@@ -272,6 +301,8 @@ def dense_inradius_scan(u_func, n_theta=2000, n_s=3001, circle=False):
     Pz = np.sinh(u) * np.cos(th)
     lo = -float(u_func(np.array([math.pi]))[0])
     hi = float(u_func(np.array([0.0]))[0])
+    if s_range is not None:
+        lo, hi = s_range
     s = np.linspace(lo + 1e-9, hi - 1e-9, n_s)
     # -<P, C> = P0 cosh s - Pz sinh s  (transverse part orthogonal to axis)
     coshd = P0[None, :] * np.cosh(s)[:, None] - Pz[None, :] * np.sinh(s)[:, None]

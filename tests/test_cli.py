@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualflow import cli
+from dualflow import cli, curvfn
 from dualflow.cli import (
     ConfigError,
     RunManifest,
@@ -17,7 +19,8 @@ from dualflow.cli import (
     write_outputs,
 )
 from dualflow.diagnostics import CSV_FIELDS
-from dualflow.flow import spherical_theta
+from dualflow.dualmap import DeSitterGraph
+from dualflow.flow import FlowConfig, spherical_theta
 from dualflow.sphere_grid import make_grid
 
 EXAMPLE = (
@@ -58,6 +61,34 @@ def test_manifest_round_trip():
     man = parse_config(EXAMPLE)
     again = parse_config(serialize_manifest(man))
     assert again == man
+
+
+@st.composite
+def _manifests(draw):
+    n = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**31))
+    config = FlowConfig(
+        F=draw(st.sampled_from(curvfn.builtin_battery(n))), n=n,
+        m=draw(st.integers(16, 1024)),
+        initial=draw(st.sampled_from(["sphere", "perturbed_sphere", "ellipsoid",
+                                      "random_fourier"])),
+        initial_params=tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                           max_size=4))),
+        cfl=draw(st.floats(0.0, 0.5, exclude_min=True)),
+        u_stop=draw(st.floats(1e-6, 10.0)),
+        record_every=draw(st.integers(1, 10**6)),
+        seed=seed,
+    )
+    return RunManifest(config=config, sigma=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                           exclude_max=True)),
+                       mode=draw(st.sampled_from(cli.MODES)),
+                       out=draw(st.text("abz019_-./ ", min_size=1, max_size=12)), seed=seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(man=_manifests())
+def test_generated_manifest_round_trip(man):
+    assert parse_config(serialize_manifest(man)) == man
 
 
 @pytest.mark.parametrize(
@@ -134,6 +165,23 @@ def test_run_both_mode_pairs_dual(tmp_path):
     snaps = json.loads((out / "snapshots.json").read_text())
     assert all(r["u_star"] is not None for r in snaps["records"])
     assert snaps["records"][0]["u_star"] == [-1.0] * 32
+
+
+def test_run_both_mode_pairs_last_record(tmp_path):
+    # the dual's own u_stop test would end it just before the primal's last
+    # record; it has to land that record time too
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "b.cfg",
+        f'F="mean" n=2 m=32 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
+        f'record_every=20 mode="both" out="{out}"',
+    )
+    assert main(["run", cfg]) == 0
+    rows = _read_csv(out / "diagnostics.csv")
+    assert all(math.isfinite(row["duality_err"]) for row in rows)
+    snaps = json.loads((out / "snapshots.json").read_text())
+    assert len(snaps["records"]) == len(rows)
+    assert all(r["u_star"] is not None for r in snaps["records"])
 
 
 def test_run_dual_mode(tmp_path):
@@ -321,3 +369,34 @@ def test_run_both_mode_reports_dual_abort(tmp_path, monkeypatch):
     assert failure == {"error": "CausalityError", "message": "dual run aborted: causality",
                        "t": dtraj.states[-1].t, "steps": dtraj.steps_taken}
     assert (out / "diagnostics.csv").exists()
+
+
+def test_run_both_mode_dual_dying_first_exits_clean(tmp_path, monkeypatch):
+    # the dual of a smaller sphere dies out about 0.04 before the primal's
+    # last record; stepping on past u_stop towards that record ends the dual
+    # in an abort, which must leave the row unpaired, not fail the run
+    real_run_dual_flow = cli.run_dual_flow
+    dual_runs = []
+
+    def shrunk(cfg, d0, **kwargs):
+        dtraj = real_run_dual_flow(cfg, DeSitterGraph(d0.grid, 0.95 * d0.u_star), **kwargs)
+        dual_runs.append(dtraj)
+        return dtraj
+
+    monkeypatch.setattr(cli, "run_dual_flow", shrunk)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "b.cfg",
+        f'F="mean" n=2 m=16 initial="sphere" initial.params=[1.0] '
+        f'record_every=1000000000 mode="both" out="{out}"',
+    )
+    assert main(["run", cfg]) == 0
+    assert not (out / "failure.json").exists()
+    (dtraj,) = dual_runs
+    assert dtraj.failure is None and dtraj.landed == []
+    rows = _read_csv(out / "diagnostics.csv")
+    assert len(rows) == 2
+    assert dtraj.states[-1].t < rows[-1]["t"] - 0.03
+    assert math.isfinite(rows[0]["duality_err"]) and math.isnan(rows[1]["duality_err"])
+    snaps = json.loads((out / "snapshots.json").read_text())
+    assert snaps["records"][1]["u_star"] is None

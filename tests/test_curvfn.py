@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualflow import curvfn
 from dualflow.curvfn import (
@@ -94,6 +96,33 @@ def test_euler_relation():
             for k in pts:
                 lhs = float(np.asarray(F.gradient(k)) @ k)
                 assert lhs == pytest.approx(float(F.value(k)), rel=1e-11, abs=1e-13)
+
+
+# random positive principal curvatures, log-uniform over [e^-3, e^3], n in {1, 2, 3};
+# the wider range than the fixed points above is checked to rel 1e-10
+KAPPA = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+).map(lambda logs: np.exp(np.array(logs)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=KAPPA)
+def test_double_inverse_is_identity_random_kappa(k):
+    n = k.size
+    for name in curvfn.builtin_battery(n):
+        F = make_function(name, n)
+        Fdd = invert(invert(F))
+        assert float(Fdd.value(k)) == pytest.approx(float(F.value(k)), rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k=KAPPA)
+def test_euler_relation_random_kappa(k):
+    n = k.size
+    for name in curvfn.builtin_battery(n):
+        F = make_function(name, n)
+        lhs = float(np.asarray(F.gradient(k)) @ k)
+        assert lhs == pytest.approx(float(F.value(k)), rel=1e-10)
 
 
 def test_gradient_against_finite_differences():

@@ -128,6 +128,7 @@ def test_inball_sphere():
     assert res.rho_minus == pytest.approx(0.8, abs=1e-8)
     assert res.rho_plus == pytest.approx(0.8, abs=1e-8)
     assert abs(res.center_offset) < 1e-6
+    assert not res.dense_fallback
 
 
 def test_inball_perturbed_sphere_vs_dense_scan():
@@ -139,6 +140,7 @@ def test_inball_perturbed_sphere_vs_dense_scan():
     assert res.rho_plus == pytest.approx(rp, abs=1e-6)
     assert res.rho_plus >= res.rho_minus
     assert 0.9 < res.rho_minus <= res.rho_plus < 1.1
+    assert not res.dense_fallback
 
 
 def test_inball_translated_sphere():
@@ -153,6 +155,28 @@ def test_inball_translated_sphere():
     assert res.rho_minus == pytest.approx(R, abs=1e-4)
     assert res.rho_plus == pytest.approx(R, abs=1e-4)
     assert res.center_offset == pytest.approx(s, abs=1e-4)
+    assert not res.dense_fallback
+
+
+def test_inball_two_lobes_takes_dense_scan():
+    # a non-convex body whose inball offset function peaks twice, at
+    # s = +-0.306: the coarse scan is not unimodal
+    def prof(t):
+        t = np.asarray(t)
+        return 1.0 + 0.2 * np.cos(2 * t) - 0.35 * np.cos(4 * t)
+
+    grid = make_grid(2, 128)
+    res = inradius_circumradius(HyperbolicGraph(grid, prof(grid.theta)))
+    # the whole-range scan is off by about 5e-5 at its s spacing of 5.7e-4,
+    # so each side is rescanned within 1e-3 of its scan optimum; that
+    # rescan is itself good to about 7e-7
+    _, s_in, _, s_out = dense_inradius_scan(prof)
+    rm = dense_inradius_scan(prof, 8000, 1001, s_range=(s_in - 1e-3, s_in + 1e-3))[0]
+    rp = dense_inradius_scan(prof, 8000, 1001, s_range=(s_out - 1e-3, s_out + 1e-3))[2]
+    assert res.dense_fallback
+    assert res.rho_minus == pytest.approx(rm, abs=2e-6)
+    assert res.rho_plus == pytest.approx(rp, abs=2e-6)
+    assert abs(res.center_offset) == pytest.approx(abs(s_in), abs=1e-3)
 
 
 def test_nonconvex_flagged():
