@@ -53,7 +53,7 @@ __all__ = ["ConfigError", "RunManifest", "parse_config", "serialize_manifest",
 MODES = ("primal", "dual", "both", "verify")
 
 _REQUIRED_KEYS = ("F", "n", "m", "initial")
-_ALL_KEYS = ("F", "n", "m", "initial", "initial.params", "cfl", "u_stop",
+_ALL_KEYS = ("F", "n", "m", "initial", "initial.params", "u_stop",
              "mode", "record_every", "sigma", "out", "seed")
 
 
@@ -150,7 +150,6 @@ def parse_config(text: str) -> RunManifest:
         config = FlowConfig(
             F=F_name, n=n, m=m,
             initial=initial, initial_params=params,
-            cfl=float(seen.get("cfl", 0.2)),
             u_stop=float(seen.get("u_stop", 0.02)),
             record_every=int(seen.get("record_every", 10)),
             seed=seed,
@@ -176,7 +175,6 @@ def serialize_manifest(man: RunManifest) -> str:
         f"m={cfg.m}",
         f'initial="{cfg.initial}"',
         "initial.params=[" + ",".join(_fmt(p) for p in cfg.initial_params) + "]",
-        f"cfl={_fmt(cfg.cfl)}",
         f"u_stop={_fmt(cfg.u_stop)}",
         f"record_every={cfg.record_every}",
         f"sigma={_fmt(man.sigma)}",
@@ -262,13 +260,21 @@ def _theta_of(t: float, T_star) -> float:
     return spherical_theta(t, math.acosh(math.exp(T_star)))
 
 
+def _initial_profile(cfg: FlowConfig, grid) -> np.ndarray:
+    """The configured initial datum; parameters it rejects are a setup error."""
+    try:
+        return make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _execute_run(man: RunManifest, out_dir: Path) -> int:
     cfg = man.config
     grid = make_grid(cfg.n, cfg.m)
+    u0 = _initial_profile(cfg, grid)
     traj = dtraj = None
     if man.mode == "dual":
         F_dual = curvfn.invert(curvfn.make_function(cfg.F, cfg.n))
-        u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
         dtraj = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(grid, u0)).dual)
         records = [
             compute_record_dual(s.t, DeSitterGraph(grid, s.u_star), F_dual,
@@ -277,7 +283,7 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
         ]
         snaps = [(s.t, None, s.u_star) for s in dtraj.states]
     else:
-        traj = run_flow(cfg)
+        traj = run_flow(cfg, u0=u0)
         eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
         duals = [None] * len(traj.states)
         if man.mode == "both":
@@ -312,7 +318,7 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
     cfg = man.config
     grid = make_grid(cfg.n, cfg.m)
     F = curvfn.make_function(cfg.F, cfg.n)
-    u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
+    u0 = _initial_profile(cfg, grid)
     g = HyperbolicGraph(grid, u0)
     if not geometry_of(g).convex:
         _write_failure(out_dir, "ConvexityError", "initial datum is not strictly convex", 0.0, 0)
@@ -366,7 +372,7 @@ def execute(man: RunManifest) -> int:
             ReparametrizationError, curvfn.DomainError) as exc:
         _write_failure(out_dir, type(exc).__name__, str(exc), 0.0, 0)
         return 3
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"invalid run setup: {exc}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,14 @@ The primal evolution moves a convex hypersurface along its exterior
 normal with speed F(kappa); in graph form du/dt = -F v.  The dual
 surface of normals expands, in the switched convention du*/dt =
 +v~ / F~(kappa~), rising toward the equatorial slice.  Both flows run
-through one driver and one explicit RK4 body with a parabolic step-size
-bound, parametrized by the sign eps (+1 primal, -1 dual) of
-hgeom._curvatures; geodesic spheres solve the primal flow in closed
-form and serve as the exact reference and as extinction-time barriers.
+through one driver and one implicit Radau IIA integrator (three stages,
+order five, adaptive steps), parametrized by the sign eps (+1 primal,
+-1 dual) of hgeom._curvatures.  The discretized flows are stiff: an
+explicit step is bounded by the grid spacing squared, an implicit one
+by accuracy alone, so the step count does not grow with m.  The Newton
+matrices are pentadiagonal, like the stencils, and are factored in
+O(m).  Geodesic spheres solve the primal flow in closed form and serve
+as the exact reference and as extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "spherical_theta",
     "spherical_T_star",
     "make_initial",
+    "RadauIIA",
     "step",
     "run_flow",
     "dual_step",
@@ -42,8 +47,8 @@ __all__ = [
     "rescale",
 ]
 
-# smallest admissible time step; a smaller parabolic bound means the
-# surface is too close to extinction to continue
+# smallest admissible time step; a smaller step means the surface is too
+# close to extinction to continue
 DT_MIN = 1e-12
 
 
@@ -57,21 +62,18 @@ class StiffnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """One experiment: speed function, grid, initial datum, stepping knobs."""
+    """One experiment: speed function, grid, initial datum, stop and record cadence."""
 
     F: str
     n: int
     m: int
     initial: str
     initial_params: tuple = ()
-    cfl: float = 0.2
     u_stop: float = 0.02
     record_every: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 0.5:
-            raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
         if self.u_stop <= 0.0:
             raise ValueError("u_stop must be positive")
         if self.record_every < 1:
@@ -105,7 +107,8 @@ class FlowTrajectory:
     failure is None for a clean stop, otherwise the name of the abort
     ("convexity", "stiffness", "causality") and the states hold the
     partial run.  landed holds the indices into states of the states
-    that landed on a target time, in time order.
+    that landed on a target time, in time order.  rhs_evals, jac_evals
+    and factorizations count the integrator's work (see RadauIIA).
     """
 
     config: FlowConfig
@@ -115,6 +118,9 @@ class FlowTrajectory:
     failure: str | None = None
     steps_taken: int = 0
     landed: list = field(default_factory=list)
+    rhs_evals: int = 0
+    jac_evals: int = 0
+    factorizations: int = 0
 
     @property
     def grid(self) -> SphereGrid:
@@ -224,10 +230,14 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
 
 
 # ----------------------------------------------------------------------
-# the two flows: one RK4 body and one driver, signed by eps
+# the two flows: one Radau IIA integrator and one driver, signed by eps
 # ----------------------------------------------------------------------
 
 _ABORTS = {StiffnessError: "stiffness", ConvexityError: "convexity", CausalityError: "causality"}
+
+# step-size control tolerances, far below the h^4 error of the stencils
+RTOL = 1e-10
+ATOL = 1e-12
 
 
 def _graph(grid: SphereGrid, u: np.ndarray, eps: float):
@@ -258,65 +268,296 @@ def _velocity(geo: GraphGeometry, eps: float) -> np.ndarray:
     return -geo.F_value * geo.v if eps > 0 else geo.v / geo.F_value
 
 
-def _parabolic_dt(state: FlowState, F: CurvatureFunction, cfl: float,
-                  grid: SphereGrid, eps: float) -> float:
-    """Explicit step bound from the linearized diffusion coefficient.
+# Radau IIA, three stages, order five (Hairer & Wanner, Solving ODEs II,
+# IV.8).  The collocation system is solved in the eigenbasis of the Butcher
+# matrix, A^-1 = T diag(MU_REAL, MU_COMPLEX) T^-1 up to the complex pair's
+# real 2x2 block, so a Newton iteration takes one real and one complex
+# solve of size m.
+_S6 = math.sqrt(6.0)
+_C = np.array([(4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0])
+_E = np.array([-13.0 - 7.0 * _S6, -13.0 + 7.0 * _S6, -1.0]) / 3.0
+_MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
+_MU_COMPLEX = (3.0 + 0.5 * (3.0 ** (1.0 / 3.0) - 3.0 ** (2.0 / 3.0))
+               - 0.5j * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0)))
+_T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1.0, 1.0, 0.0]])
+_TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+_TI_COMPLEX = _TI[1] + 1j * _TI[2]
+# a step's collocation polynomial in powers of (t - t_old)/h, from its stages
+_P = np.array([
+    [13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6],
+    [13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6],
+    [1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0]])
+_NEWTON_MAXITER = 6
+_NEWTON_TOL = max(10.0 * np.finfo(float).eps / RTOL, min(0.03, math.sqrt(RTOL)))
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 
-    Primal: dt = cfl (h sinh u_min)^2 / max_nodes(sum_i F_i).  Dual: the
-    coefficient is sum_i F~_i / (F~^2 v~^2 cosh^2 u*), hence
-    dt = cfl (h min(v~ cosh u*))^2 / max(sum_i F~_i / F~^2).
+
+def _rms(x: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(x * x)))
+
+
+class _BandLU:
+    """LU factors of a pentadiagonal matrix, real or complex, no pivoting.
+
+    bands[k, i] holds A[i, i + k - 2].  A cyclic matrix (column indices
+    mod m) also carries its corner entries there, in bands[:2, :2] and
+    bands[3:, -2:]; they are split off as A = B + U K U^T, U the columns
+    {0, 1, m-2, m-1} of the identity, and folded back in by the Woodbury
+    identity.  The elimination runs in plain Python over the rows: O(m)
+    work and no m x m array.  Without pivoting it needs nonzero leading
+    pivots, which a shifted Newton matrix mu/h - J of the parabolic flow
+    has.
     """
-    geo = state.geometry
-    grad = np.asarray(F.gradient(geo.kappa)).sum(axis=-1)
-    if eps > 0:
-        return cfl * (grid.h * math.sinh(state.u.min())) ** 2 / grad.max()
-    S = (grad / (geo.F_value * geo.F_value)).max()
-    return cfl * (grid.h * (geo.v * np.cosh(state.u)).min()) ** 2 / S
+
+    def __init__(self, bands: np.ndarray, cyclic: bool):
+        bands = np.array(bands)
+        m = bands.shape[1]
+        K = np.zeros((4, 4), dtype=bands.dtype)
+        K[0, 2], K[0, 3], K[1, 3] = bands[0, 0], bands[1, 0], bands[0, 1]
+        K[2, 0], K[3, 0], K[3, 1] = bands[4, m - 2], bands[3, m - 1], bands[4, m - 1]
+        bands[0, :2] = bands[1, 0] = bands[3, m - 1] = bands[4, m - 2:] = 0.0
+        lower, upper = [], []
+        u1_2 = e_2 = inv_2 = u1_1 = e_1 = inv_1 = 0.0  # rows i-2 and i-1 of U
+        for a, b, c, d, e in zip(*(row.tolist() for row in bands)):
+            l2 = a * inv_2
+            l1 = (b - l2 * u1_2) * inv_1
+            u1 = d - l1 * e_1
+            inv = 1.0 / (c - l2 * e_2 - l1 * u1_1)
+            lower.append((l1, l2))
+            upper.append((u1, e, inv))
+            u1_2, e_2, inv_2, u1_1, e_1, inv_1 = u1_1, e_1, inv_1, u1, e, inv
+        self._lower, self._upper = lower, upper[::-1]
+        self._woodbury = None
+        if cyclic:
+            idx = [0, 1, m - 2, m - 1]
+            Z = np.stack([self._band_solve(np.eye(1, m, j)[0]) for j in idx], axis=1)
+            G = np.linalg.solve(np.eye(4) + K @ Z[idx], K)
+            self._woodbury = (idx, Z, G)
+
+    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = []
+        y1 = y2 = 0.0
+        for r, (l1, l2) in zip(rhs.tolist(), self._lower):
+            y2, y1 = y1, r - l1 * y1 - l2 * y2
+            y.append(y1)
+        x = []
+        x1 = x2 = 0.0
+        for r, (u1, e, inv) in zip(reversed(y), self._upper):
+            x2, x1 = x1, (r - u1 * x1 - e * x2) * inv
+            x.append(x1)
+        return np.array(x[::-1])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs."""
+        x = self._band_solve(rhs)
+        if self._woodbury is not None:
+            idx, Z, G = self._woodbury
+            x = x - Z @ (G @ x[idx])
+        return x
 
 
-def _rk4(state: FlowState, F: CurvatureFunction, cfl: float, grid: SphereGrid,
-         dt_cap: float | None, eps: float) -> FlowState:
-    """One RK4 update with the parabolic step bound, optionally capped
-    (used to land exactly on requested output times).  k1 comes from the
-    state's own geometry; a new state that cannot be continued from
-    raises here, in the step that produced it."""
-    dt = _parabolic_dt(state, F, cfl, grid, eps)
-    if dt < DT_MIN:
-        raise StiffnessError(f"dt = {dt:.3e} below {DT_MIN:.0e}")
-    # snap onto the cap so requested output times are landed exactly; a
-    # cap below DT_MIN is a landing, not stiffness
-    if dt_cap is not None and dt > dt_cap - 1e-13:
-        dt = dt_cap
+class RadauIIA:
+    """The Radau IIA integrator of one run of either flow.
 
-    def rhs(u):
-        return _velocity(_geometry(grid, u, F, eps), eps)
+    It keeps what carries over from one accepted step to the next: the
+    proposed step size, the banded Jacobian, the factored Newton matrices
+    and the last step's collocation polynomial, which predicts the next
+    stages.  It counts rhs evaluations, Jacobian evaluations and Newton
+    matrix factorizations (a real and a complex one each).
 
-    u = state.u
-    k1 = _velocity(state.geometry, eps)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return FlowState(t=state.t + dt, u=u_new, geometry=_geometry(grid, u_new, F, eps), dt_last=dt)
+    The Jacobian of the rhs is pentadiagonal: the stencils have five
+    points, the pole reflections stay inside the band and a circle wraps
+    around it.  It is taken by forward differences, perturbing every
+    column of one colour at once; columns five apart share no row, so five
+    rhs calls give the band.  On a circle whose m is not a multiple of 5
+    the last m % 5 columns get colours of their own.
+    """
+
+    def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
+        self.grid, self.F, self.eps = grid, F, eps
+        self.cyclic = isinstance(grid, CircleGrid)
+        m = grid.m
+        cols = np.arange(m)[None, :] + np.arange(-2, 3)[:, None]
+        inside = (cols >= 0) & (cols < m)
+        colour = np.arange(m) % 5
+        if self.cyclic:
+            cols, inside = cols % m, np.ones_like(inside)
+            colour[m - m % 5:] += 5
+        self._cols = np.where(inside, cols, 0)
+        self._colours = [(colour == c, inside & (colour[self._cols] == c))
+                         for c in range(colour.max() + 1)]
+        self.rhs_evals = self.jac_evals = self.factorizations = 0
+        self._state = None  # the state the carried data belong to
+
+    def _rhs(self, u: np.ndarray) -> np.ndarray:
+        """du/dt, or NaN at a trial iterate the flow cannot continue from
+        (not convex, or across u* = 0); the step is then retried smaller."""
+        self.rhs_evals += 1
+        try:
+            return _velocity(_geometry(self.grid, u, self.F, self.eps), self.eps)
+        except (ConvexityError, CausalityError):
+            return np.full_like(u, np.nan)
+
+    def _jacobian(self, u: np.ndarray, f: np.ndarray) -> None:
+        self.jac_evals += 1
+        delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(u), 1.0)
+        band = np.zeros((5, u.size))
+        for cols, rows in self._colours:
+            df = self._rhs(u + np.where(cols, delta, 0.0)) - f
+            band[rows] = (df / delta[self._cols])[rows]
+        self._jac, self._jac_current, self._lu_h, self._u_jac = band, True, None, u
+
+    def _factor(self, h: float) -> None:
+        self.factorizations += 1
+        shifted = -self._jac
+        shifted[2] += _MU_REAL / h
+        self._lu_real = _BandLU(shifted, self.cyclic)
+        shifted = -self._jac.astype(complex)
+        shifted[2] += _MU_COMPLEX / h
+        self._lu_complex = _BandLU(shifted, self.cyclic)
+        self._lu_h = h
+
+    def _newton(self, y: np.ndarray, h: float, Z: np.ndarray, scale: np.ndarray):
+        """Simplified Newton iteration on the stage increments Z, (3, m).
+
+        Returns (converged, iterations, Z, contraction rate)."""
+        W = _TI @ Z
+        mu_real, mu_complex = _MU_REAL / h, _MU_COMPLEX / h
+        norm_old = rate = None
+        for k in range(_NEWTON_MAXITER):
+            F = np.array([self._rhs(y + z) for z in Z])
+            if not np.all(np.isfinite(F)):
+                break
+            dW_real = self._lu_real.solve(_TI[0] @ F - mu_real * W[0])
+            dW_complex = self._lu_complex.solve(
+                _TI_COMPLEX @ F - mu_complex * (W[1] + 1j * W[2]))
+            dW = np.array([dW_real, dW_complex.real, dW_complex.imag])
+            dW_norm = _rms(dW / scale)
+            if not math.isfinite(dW_norm):
+                break
+            if norm_old is not None:
+                rate = dW_norm / norm_old
+                # diverging, or too slow to converge within the iteration cap
+                if (rate >= 1.0
+                        or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dW_norm > _NEWTON_TOL):
+                    break
+            W += dW
+            Z = _T @ W
+            if dW_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dW_norm < _NEWTON_TOL:
+                return True, k + 1, Z, rate
+            norm_old = dW_norm
+        return False, k + 1, Z, rate
+
+    def _factor_of(self, h: float, err: float) -> float:
+        """Step-size factor from an error norm, with Gustafsson's predictive
+        control once an accepted step is known."""
+        err = max(err, 1e-16)
+        trend = 1.0 if self._err_old is None else h / self._h_old * (self._err_old / err) ** 0.25
+        return min(1.0, trend) * err ** -0.25
+
+    def _restart(self, state: FlowState, f: np.ndarray) -> None:
+        """Jacobian and first step size at a state not reached by this
+        integrator (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+        y = state.u
+        self._jacobian(y, f)
+        self._Z = self._h_old = self._err_old = None
+        scale = ATOL + RTOL * np.abs(y)
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
+        d2 = _rms((self._rhs(y + h0 * f) - f) / scale) / h0
+        self.h = min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.25)
+
+    def advance(self, state: FlowState, t_cap: float | None) -> FlowState:
+        """One accepted step from state; a step that would reach t_cap lands
+        on it exactly.  A step below DT_MIN raises StiffnessError, and an
+        accepted state the flow cannot continue from raises
+        ConvexityError or CausalityError."""
+        t, y = state.t, state.u
+        f = _velocity(state.geometry, self.eps)
+        if state is not self._state:
+            self._restart(state, f)
+        h, rejected = self.h, False
+        while True:
+            if h < DT_MIN:
+                raise StiffnessError(f"dt = {h:.3e} below {DT_MIN:.0e}")
+            # DT_MIN bounds the controller's step: a short landing is not stiffness
+            landing = t_cap is not None and h > t_cap - t - 1e-13
+            h_try = t_cap - t if landing else h
+            if self._Z is None:
+                Z0 = np.zeros((3, y.size))
+            else:
+                x = 1.0 + (h_try / self._h_old) * _C
+                Z0 = (x[:, None] ** np.arange(1, 4)) @ (_P.T @ self._Z) - self._Z[-1]
+            scale = ATOL + RTOL * np.abs(y)
+            while True:
+                if self._lu_h != h_try:
+                    self._factor(h_try)
+                converged, n_iter, Z, rate = self._newton(y, h_try, Z0, scale)
+                if converged or self._jac_current:
+                    break
+                self._jacobian(y, f)
+            if not converged:
+                h = 0.5 * h_try
+                continue
+            y_new = y + Z[-1]
+            ZE = (_E @ Z) / h_try
+            error = self._lu_real.solve(f + ZE)
+            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(error / scale)
+            if rejected and err > 1.0:
+                error = self._lu_real.solve(self._rhs(y + error) + ZE)
+                err = _rms(error / scale)
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            if err <= 1.0:
+                break
+            shrink = safety * self._factor_of(h_try, err) if math.isfinite(err) else 0.0
+            h, rejected = h_try * max(_MIN_FACTOR, shrink), True
+        self.rhs_evals += 1
+        geo = _geometry(self.grid, y_new, self.F, self.eps)
+        # the stiff eigenvalues scale like 1/u^2; with a Jacobian from a
+        # profile a tenth away, Newton contracts the stiff modes slowly, and
+        # the rate test, led by the smooth modes, misses that while they sit
+        # at rounding level: they would grow from step to step
+        recompute_jac = (n_iter > 2 and rate > 1e-3
+                         or np.abs(y_new - self._u_jac).max() > 0.1 * np.abs(y_new).min())
+        factor = min(_MAX_FACTOR, safety * self._factor_of(h_try, err))
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0
+        self._h_old, self._err_old, self._Z = h_try, err, Z
+        # a landing cut the step short; the controller's proposal still holds
+        self.h = max(h_try * factor, h) if landing else h_try * factor
+        if recompute_jac:
+            self._jacobian(y_new, _velocity(geo, self.eps))
+        else:
+            self._jac_current = False
+        self._state = FlowState(t=t_cap if landing else t + h_try, u=y_new, geometry=geo,
+                                dt_last=h_try)
+        return self._state
 
 
-def step(state: FlowState, F: CurvatureFunction, cfl: float, grid: SphereGrid,
-         dt_cap: float | None = None) -> FlowState:
-    """One RK4 step of the contracting primal flow."""
-    return _rk4(state, F, cfl, grid, dt_cap, 1.0)
+def step(solver: RadauIIA, state: FlowState, t_cap: float | None = None) -> FlowState:
+    """One accepted Radau IIA step of the contracting primal flow (see
+    RadauIIA.advance)."""
+    return solver.advance(state, t_cap)
 
 
-def dual_step(state: FlowState, F_dual: CurvatureFunction, cfl: float, grid: SphereGrid,
-              dt_cap: float | None = None) -> FlowState:
-    """One RK4 step of the expanding dual flow under the inverse speed."""
-    return _rk4(state, F_dual, cfl, grid, dt_cap, -1.0)
+def dual_step(solver: RadauIIA, state: FlowState, t_cap: float | None = None) -> FlowState:
+    """One accepted Radau IIA step of the expanding dual flow under the
+    inverse speed (see RadauIIA.advance)."""
+    return solver.advance(state, t_cap)
 
 
 def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.ndarray,
            eps: float, t_targets, t_stop: float | None) -> FlowTrajectory:
     """Integrate either flow until max |u| < u_stop, recording along the way.
 
-    t_targets are landed on exactly (dt is clipped, never enlarged) and
+    t_targets are landed on exactly (a step is clipped, never enlarged) and
     their states are always recorded, on top of the every-record_every
     cadence and the final state; past u_stop the run goes on only to the
     last target, if that is the one left, and an abort on the way there
@@ -327,6 +568,7 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     the run aborts with failure "convexity" instead of stalling.
     """
     advance = step if eps > 0 else dual_step
+    solver = RadauIIA(grid, F, eps)
     geo0 = geometry_of(_graph(grid, u0, eps), F)
     if not geo0.convex:
         raise ConvexityError("initial datum is not strictly convex")
@@ -341,12 +583,12 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     while t_stop is None or state.t < t_stop - 1e-13:
         while k_target < len(targets) and targets[k_target] <= state.t + 1e-15:
             k_target += 1
-        cap = targets[k_target] - state.t if k_target < len(targets) else None
+        t_cap = targets[k_target] if k_target < len(targets) else None
         overrun = np.abs(state.u).max() < config.u_stop
-        if overrun and (cap is None or targets[k_target] != last):
+        if overrun and (t_cap is None or t_cap != last):
             break
         try:
-            state = advance(state, F, config.cfl, grid, cap)
+            state = advance(solver, state, t_cap)
         except tuple(_ABORTS) as exc:
             if not overrun:
                 traj.failure = _ABORTS[type(exc)]
@@ -368,6 +610,8 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
             traj.failure = "convexity"
             break
     traj.steps_taken = steps
+    traj.rhs_evals, traj.jac_evals = solver.rhs_evals, solver.jac_evals
+    traj.factorizations = solver.factorizations
     if traj.states[-1] is not state and traj.failure is None:
         traj.states.append(state)
     if traj.failure is None and sum(np.abs(s.u).max() < 0.1 for s in traj.states) >= 3:
@@ -377,12 +621,14 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     return traj
 
 
-def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None) -> FlowTrajectory:
-    """Integrate the contracting primal from the configured initial datum
-    (see _drive for targets, stopping and aborts)."""
+def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None,
+             u0: np.ndarray | None = None) -> FlowTrajectory:
+    """Integrate the contracting primal from the profile u0, by default the
+    configured initial datum (see _drive for targets, stopping and aborts)."""
     grid = make_grid(config.n, config.m)
     F = make_function(config.F, config.n)
-    u0 = make_initial(config.initial, config.initial_params, grid, config.seed)
+    if u0 is None:
+        u0 = make_initial(config.initial, config.initial_params, grid, config.seed)
     return _drive(config, F, grid, u0, 1.0, t_targets, t_stop)
 
 

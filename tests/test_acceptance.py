@@ -96,15 +96,12 @@ def _square_mismatch(name, m, targets, t_stop):
     traj = run_flow(cfg, t_targets=targets, t_stop=t_stop)
     d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
     dtraj = run_dual_flow(cfg, d0, t_targets=targets, t_stop=t_stop)
-    prim = {round(s.t, 12): s for s in traj.states}
-    dual = {round(s.t, 12): s for s in dtraj.states}
+    if not len(traj.landed) == len(dtraj.landed) == len(targets):
+        return math.inf
     worst = 0.0
-    for tt in targets:
-        key = round(tt, 12)
-        if key not in prim or key not in dual:
-            return math.inf
-        u_star = gauss_dual(HyperbolicGraph(grid, prim[key].u)).dual.u_star
-        worst = max(worst, float(np.abs(u_star - dual[key].u_star).max()))
+    for i, j in zip(traj.landed, dtraj.landed):
+        u_star = gauss_dual(HyperbolicGraph(grid, traj.states[i].u)).dual.u_star
+        worst = max(worst, float(np.abs(u_star - dtraj.states[j].u_star).max()))
     return worst
 
 
@@ -156,12 +153,11 @@ def _rescaled_series(name):
     traj = run_flow(cfg)
     grid = make_grid(2, 64)
     d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+    # the dual lands the primal record times in order: records pair by index
     dtraj = run_dual_flow(cfg, d0, t_targets=[s.t for s in traj.states[1:]])
-    by_t = {round(s.t, 12): s for s in dtraj.states}
-    duals = [d0]
-    for s in traj.states[1:]:
-        match = by_t.get(round(s.t, 12))
-        duals.append(None if match is None else DeSitterGraph(grid, match.u_star))
+    duals = [d0] + [None] * (len(traj.states) - 1)
+    for i, j in enumerate(dtraj.landed, start=1):
+        duals[i] = DeSitterGraph(grid, dtraj.states[j].u_star)
     return rescale(traj, estimate_Tstar(traj).value, duals=duals)
 
 

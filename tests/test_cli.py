@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +43,6 @@ def test_parse_example_config():
     assert cfg.initial_params == (1.0, 0.1, 2.0)
     assert man.mode == "both"
     # defaults fill the omitted keys
-    assert cfg.cfl == 0.2
     assert cfg.u_stop == 0.02
     assert cfg.record_every == 10
     assert man.sigma == 0.1
@@ -51,9 +54,9 @@ def test_parse_comments_and_newlines():
     man = parse_config(
         '# contraction by the root of the scalar curvature\n'
         'F="sigma_k:2"  # speed\nn=2\nm=64\ninitial="sphere"\n'
-        'initial.params=[1.0]\ncfl=0.15\nseed=7\n'
+        'initial.params=[1.0]\nu_stop=0.15\nseed=7\n'
     )
-    assert man.config.cfl == 0.15
+    assert man.config.u_stop == 0.15
     assert man.seed == 7
 
 
@@ -74,7 +77,6 @@ def _manifests(draw):
                                       "random_fourier"])),
         initial_params=tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                            max_size=4))),
-        cfl=draw(st.floats(0.0, 0.5, exclude_min=True)),
         u_stop=draw(st.floats(1e-6, 10.0)),
         record_every=draw(st.integers(1, 10**6)),
         seed=seed,
@@ -101,7 +103,7 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" mode="sideways"', "mode must be"),
         ('F="mean" n=2 m=64 initial="sphere" sigma=1.5', "sigma out of range"),
         ('F="mean" n=2 m=7 initial="sphere"', "grid parameters"),
-        ('F="mean" n=2 m=64 initial="sphere" cfl=0.9', "parameter out of range"),
+        ('F="mean" n=2 m=64 initial="sphere" u_stop=-1.0', "parameter out of range"),
         ('F=mean n=2 m=64 initial="sphere"', "quoted"),
         ('F="mean" n=2 m=64 initial="sphere" ~!garbage', "unparseable"),
     ],
@@ -135,7 +137,7 @@ def test_run_sphere_primal(tmp_path):
     assert rows[0]["t"] == 0.0
     assert rows[-1]["u_min"] <= 0.02 + 1e-12
     for row in rows:
-        assert row["pinch_ratio"] == 1.0
+        assert abs(row["pinch_ratio"] - 1.0) < 1e-12
         assert abs(row["u_min"] - spherical_theta(row["t"], 1.0)) < 1e-6
         assert abs(row["u_max"] - row["u_min"]) < 1e-12
     snaps = json.loads((out / "snapshots.json").read_text())
@@ -221,6 +223,51 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_bad_initial_datum_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "p.cfg",
+        f'F="mean" n=2 m=32 initial="perturbed_sphere" initial.params=[0.1,0.2,2] '
+        f'out="{out}"',
+    )
+    assert main(["run", cfg]) == 2
+    assert "perturbation exceeds the radius" in capsys.readouterr().err
+
+
+def test_value_error_after_setup_propagates(tmp_path, monkeypatch):
+    # only a bad initial datum is a setup error; a ValueError from the
+    # solver or the diagnostics is a defect and must surface as one
+    def broken(*args, **kwargs):
+        raise ValueError("defect in the diagnostics")
+
+    monkeypatch.setattr(cli, "compute_record", broken)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "s.cfg",
+        f'F="mean" n=2 m=16 initial="sphere" initial.params=[1.0] out="{out}"',
+    )
+    with pytest.raises(ValueError, match="defect in the diagnostics"):
+        main(["run", cfg])
+
+
+def test_run_does_not_import_scipy(tmp_path):
+    # scipy is a test dependency only; importing it would add about
+    # 50 MiB to a run's resident set and to its start-up time
+    script = (
+        "import sys\n"
+        "from dualflow import cli\n"
+        "man = cli.parse_config('F=\"mean\" n=2 m=16 initial=\"sphere\" "
+        "initial.params=[1.0] mode=\"both\" out=\"' + sys.argv[1] + '\"')\n"
+        "assert cli.execute(man) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_sphere(tmp_path):

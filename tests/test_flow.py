@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualflow import curvfn
 from dualflow.dualmap import DeSitterGraph, gauss_dual
@@ -11,6 +13,8 @@ from dualflow.flow import (
     ConvexityError,
     FlowConfig,
     FlowState,
+    RadauIIA,
+    _BandLU,
     _velocity,
     estimate_Tstar,
     make_initial,
@@ -19,11 +23,10 @@ from dualflow.flow import (
     run_flow,
     spherical_T_star,
     spherical_theta,
-    step,
 )
 from dualflow.hgeom import HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
-from oracles import oracle_flow_step, spherical_theta_ref
+from oracles import oracle_flow_step, rk4_profiles, rk4_step, spherical_theta_ref
 
 T_STAR_1 = 0.4337808304830271  # ln cosh 1
 T_STAR_HALF = 0.12011450695827745  # ln cosh 0.5
@@ -79,7 +82,7 @@ def test_one_step_sphere_matches_closed_form():
     for dt in (5e-3, 2.5e-3):
         u0 = np.full(32, 1.0)
         st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F), 0.0)
-        st2 = step(st, F, 0.5, grid, dt_cap=dt)
+        st2 = rk4_step(st, F, 0.5, grid, dt_cap=dt)
         assert st2.t == pytest.approx(dt, abs=1e-15)
         errs.append(np.abs(st2.u - float(spherical_theta_ref(dt, 1.0))).max())
     assert errs[0] < 1e-12
@@ -94,7 +97,7 @@ def test_step_dt_refinement_fourth_order():
         u0 = 1.0 + 0.1 * np.cos(grid.theta)
         st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F), 0.0)
         for _ in range(nsteps):
-            st = step(st, F, 0.5, grid, dt_cap=dt)
+            st = rk4_step(st, F, 0.5, grid, dt_cap=dt)
         return st.u
 
     ref = integrate(2.5e-4, 64)
@@ -109,8 +112,91 @@ def test_step_preserves_spherical_symmetry():
     F = curvfn.make_function("mean", 2)
     u0 = np.full(32, 1.0)
     st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F), 0.0)
-    st2 = step(st, F, 0.2, grid)
+    st2 = rk4_step(st, F, 0.2, grid)
     assert st2.u.max() - st2.u.min() <= 1e-12
+
+
+@pytest.mark.parametrize("n, F_name, params, cfl", [
+    (2, "sigma_k:2", (1.0, 0.1, 2), 0.2),
+    # m = 64 is not a multiple of 5, so the circle needs the extra colours;
+    # RK4's own time error at cfl 0.2 is 5e-10 there
+    (1, "mean", (1.0, 0.1, 3), 0.05),
+])
+def test_flows_match_rk4_oracle(n, F_name, params, cfl):
+    grid = make_grid(n, 64)
+    targets = (0.04, 0.08, 0.12, 0.16, 0.2)
+    cfg = FlowConfig(F=F_name, n=n, m=64, initial="perturbed_sphere", initial_params=params,
+                     record_every=10**9)
+    traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
+    d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+    dtraj = run_dual_flow(cfg, d0, t_targets=targets, t_stop=0.2)
+    F = curvfn.make_function(F_name, n)
+    for tr, F_side, u0, eps in ((traj, F, traj.states[0].u, 1.0),
+                                (dtraj, curvfn.invert(F), d0.u_star, -1.0)):
+        assert tr.failure is None
+        assert [tr.states[i].t for i in tr.landed] == list(targets)
+        ref = rk4_profiles(grid, F_side, u0, targets, eps=eps, cfl=cfl)
+        for i, u_ref in zip(tr.landed, ref):
+            assert np.abs(tr.states[i].u - u_ref).max() < 1e-10
+
+
+def test_trajectory_counts_solver_work():
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=32, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2), record_every=10**9)
+    traj = run_flow(cfg, t_stop=0.1)
+    assert traj.steps_taken > 0
+    assert traj.rhs_evals > traj.steps_taken
+    assert traj.jac_evals > 0 and traj.factorizations > 0
+
+
+@pytest.mark.parametrize("n, m", [(2, 32), (1, 64), (1, 65)])
+def test_coloured_jacobian_matches_dense_differences(n, m):
+    # on the circle the band wraps around; m = 64 needs the extra colours
+    grid = make_grid(n, m)
+    F = curvfn.make_function("mean", n)
+    u = 1.0 + 0.1 * np.cos(grid.theta) + 0.05 * np.cos(3 * grid.theta)
+    solver = RadauIIA(grid, F, 1.0)
+    f = solver._rhs(u)
+    solver._jacobian(u, f)
+    delta = 1e-7
+    dense = np.array([(solver._rhs(u + delta * np.eye(m)[j]) - f) / delta for j in range(m)]).T
+    banded = np.zeros((m, m))
+    for k in range(5):
+        for i in range(m):
+            j = i + k - 2
+            if n == 1 or 0 <= j < m:
+                banded[i, j % m] = solver._jac[k, i]
+    assert np.abs(banded - dense).max() < 1e-5 * np.abs(dense).max()
+
+
+@st.composite
+def _band_systems(draw):
+    m = draw(st.integers(16, 40))
+    cyclic = draw(st.booleans())
+    imag = 1j if draw(st.booleans()) else 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bands = rng.uniform(-1.0, 1.0, (5, m)) + imag * rng.uniform(-1.0, 1.0, (5, m))
+    # diagonally dominant, so elimination without pivoting is stable
+    bands[2] = np.abs(bands).sum(axis=0) + rng.uniform(0.1, 2.0, m)
+    rhs = rng.uniform(-1.0, 1.0, m) + imag * rng.uniform(-1.0, 1.0, m)
+    return bands, cyclic, rhs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=_band_systems())
+def test_band_lu_matches_dense_solve(system):
+    bands, cyclic, rhs = system
+    m = bands.shape[1]
+    A = np.zeros((m, m), dtype=bands.dtype)
+    for k in range(5):
+        for i in range(m):
+            j = i + k - 2
+            if cyclic:
+                A[i, j % m] += bands[k, i]
+            elif 0 <= j < m:
+                A[i, j] = bands[k, i]
+    x = _BandLU(bands, cyclic).solve(rhs)
+    assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-12 * (1.0 + np.abs(x).max())
 
 
 def test_run_flow_sphere_tracks_closed_form():
@@ -313,8 +399,6 @@ def test_run_flow_off_center_extinction_aborts():
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(F="mean", n=2, m=32, initial="sphere", cfl=0.7)
     with pytest.raises(ValueError):
         FlowConfig(F="mean", n=2, m=32, initial="sphere", u_stop=-1.0)
     with pytest.raises(ValueError):
