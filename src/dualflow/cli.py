@@ -126,11 +126,11 @@ def parse_config(text: str) -> RunManifest:
         raise ConfigError("F must be a quoted curvature-function name")
     try:
         curvfn.make_function(F_name, n)
-    except Exception as exc:
+    except curvfn.ConstructionError as exc:
         raise ConfigError(f"malformed curvature-function string {F_name!r}: {exc}")
     try:
         make_grid(n, m)
-    except Exception as exc:
+    except ValueError as exc:
         raise ConfigError(f"grid parameters out of range: {exc}")
 
     mode = seen.get("mode", "primal")

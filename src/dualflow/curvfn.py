@@ -8,9 +8,9 @@ so that F(1, ..., 1) = 1.
 
 Built-in families (names as accepted by ``make_function``):
 
-    mean            arithmetic mean of the kappa_i
+    mean            arithmetic mean of the kappa_i, i.e. power_mean:1
     power_mean:r    ((1/n) sum_i kappa_i^r)^(1/r) for |r| <= 1; r = 0 is
-                    the geometric mean
+                    the geometric mean H_n^(1/n), i.e. sigma_k:n
     sigma_k:k       H_k^(1/k), H_k the k-th elementary symmetric
                     polynomial, 1 <= k <= n
     quotient:k:l    (H_k / H_l)^(1/(k-l)) for 0 <= l < k <= n
@@ -21,12 +21,20 @@ Built-in families (names as accepted by ``make_function``):
     norm_A          euclidean norm (sum_i kappa_i^2)^(1/2)
     inverse:<name>  the dual speed  F~(kappa) = 1 / F(1/kappa)
 
+The product in geom telescopes, so sigma_k:k, quotient:k:l and
+power_mean:0 are geom members: weights 1/(k-l) on the ratios
+l < j <= k give (H_k / H_l)^(1/(k-l)), with l = 0 for sigma_k and
+k = n, l = 0 for the geometric mean.  One class evaluates them all,
+each under its own name.
+
 Values, gradients and Hessians are evaluated in eigenvalue coordinates.
 All evaluation routines are vectorized: kappa may have shape (..., n),
 with derivative axes appended on the right.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -149,13 +157,17 @@ def _chs_table(kappa: np.ndarray, k: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class CurvatureFunction:
-    """Base class; subclasses provide unnormalized value/gradient/Hessian."""
+    """Base class; subclasses provide unnormalized value/gradient/Hessian.
 
-    def __init__(self, n: int):
+    name is the canonical registry name (see make_function).
+    """
+
+    def __init__(self, n: int, name: str):
         n = int(n)
         if n < 1:
             raise ConstructionError("need at least one principal curvature")
         self.n = n
+        self.name = name
         self._scale = 1.0
         self._scale = 1.0 / float(self._raw_value(np.ones(n)))
 
@@ -167,10 +179,6 @@ class CurvatureFunction:
         raise NotImplementedError
 
     def _raw_hessian(self, kappa):
-        raise NotImplementedError
-
-    @property
-    def name(self) -> str:
         raise NotImplementedError
 
     # -- public evaluation --------------------------------------------------
@@ -192,157 +200,43 @@ class CurvatureFunction:
     def hessian(self, kappa):
         return self._scale * self._raw_hessian(self._check(kappa))
 
-    def sum_gradient(self, kappa):
-        """sum_i dF/dkappa_i, the diffusion scale entering time-step control."""
-        return self.gradient(kappa).sum(axis=-1)
-
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, n={self.n})"
 
 
-class Mean(CurvatureFunction):
-    """Arithmetic mean, the linear member of the scale."""
-
-    @property
-    def name(self):
-        return "mean"
-
-    def _raw_value(self, kappa):
-        return kappa.mean(axis=-1)
-
-    def _raw_gradient(self, kappa):
-        return np.full(kappa.shape, 1.0 / self.n)
-
-    def _raw_hessian(self, kappa):
-        return np.zeros(kappa.shape + (self.n,))
-
-
 class PowerMean(CurvatureFunction):
-    """((1/n) sum kappa_i^r)^(1/r), |r| <= 1, with r = 0 the geometric mean.
+    """((1/n) sum kappa_i^r)^(1/r) for 0 < |r| <= 1; r = 1 is the mean.
 
-    For r != 0 the derivatives are
+    The geometric mean r = 0 is sigma_k:n (see make_function).  The
+    derivatives are
 
         F_i  = n^(-1/r) S^(1/r - 1) kappa_i^(r-1),          S = sum kappa_l^r,
         F_ij = n^(-1/r) (1 - r) S^(1/r - 2) kappa_i^(r-2)
                (kappa_i kappa_j^(r-1) - S delta_ij).
     """
 
-    def __init__(self, n: int, r: float):
+    def __init__(self, n: int, r: float, name: str | None = None):
         r = float(r)
-        if not -1.0 <= r <= 1.0:
-            raise ConstructionError(f"power mean exponent must satisfy |r| <= 1, got {r}")
+        if not (-1.0 <= r <= 1.0 and r != 0.0):
+            raise ConstructionError(f"power mean exponent must satisfy 0 < |r| <= 1, got {r}")
         self.r = r
-        super().__init__(n)
-
-    @property
-    def name(self):
-        return f"power_mean:{self.r!r}"
+        super().__init__(n, name or f"power_mean:{r!r}")
 
     def _raw_value(self, kappa):
-        if self.r == 0.0:
-            return np.exp(np.log(kappa).mean(axis=-1))
         return ((kappa ** self.r).mean(axis=-1)) ** (1.0 / self.r)
 
     def _raw_gradient(self, kappa):
         n, r = self.n, self.r
-        if r == 0.0:
-            g = self._raw_value(kappa)
-            return g[..., None] / (n * kappa)
         s = (kappa ** r).sum(axis=-1)
         return n ** (-1.0 / r) * s[..., None] ** (1.0 / r - 1.0) * kappa ** (r - 1.0)
 
     def _raw_hessian(self, kappa):
         n, r = self.n, self.r
-        eye = np.eye(n)
-        if r == 0.0:
-            g = self._raw_value(kappa)[..., None, None]
-            inv = 1.0 / kappa
-            outer = inv[..., :, None] * inv[..., None, :]
-            return g * (outer / n ** 2 - eye * outer / n)
         s = ((kappa ** r).sum(axis=-1))[..., None, None]
         ki = kappa[..., :, None]
         kj = kappa[..., None, :]
-        core = ki * kj ** (r - 1.0) - s * eye
+        core = ki * kj ** (r - 1.0) - s * np.eye(n)
         return n ** (-1.0 / r) * (1.0 - r) * s ** (1.0 / r - 2.0) * ki ** (r - 2.0) * core
-
-
-class SigmaK(CurvatureFunction):
-    """H_k^(1/k) normalized by the binomial count."""
-
-    def __init__(self, n: int, k: int):
-        k = int(k)
-        if not 1 <= k <= n:
-            raise ConstructionError(f"sigma_k needs 1 <= k <= n, got k={k}, n={n}")
-        self.k = k
-        super().__init__(n)
-
-    @property
-    def name(self):
-        return f"sigma_k:{self.k}"
-
-    def _p(self, kappa):
-        return _esp_table(kappa)[..., self.k]
-
-    def _raw_value(self, kappa):
-        return self._p(kappa) ** (1.0 / self.k)
-
-    def _raw_gradient(self, kappa):
-        a = 1.0 / self.k
-        p = self._p(kappa)
-        return a * p[..., None] ** (a - 1.0) * _esp_gradient(kappa, self.k)
-
-    def _raw_hessian(self, kappa):
-        a = 1.0 / self.k
-        p = self._p(kappa)[..., None, None]
-        pi = _esp_gradient(kappa, self.k)
-        pij = _esp_hessian(kappa, self.k)
-        outer = pi[..., :, None] * pi[..., None, :]
-        return a * (a - 1.0) * p ** (a - 2.0) * outer + a * p ** (a - 1.0) * pij
-
-
-class QuotientKL(CurvatureFunction):
-    """(H_k / H_l)^(1/(k-l)) for 0 <= l < k <= n."""
-
-    def __init__(self, n: int, k: int, l: int):
-        k, l = int(k), int(l)
-        if not 0 <= l < k <= n:
-            raise ConstructionError(f"quotient needs 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-        self.k, self.l = k, l
-        super().__init__(n)
-
-    @property
-    def name(self):
-        return f"quotient:{self.k}:{self.l}"
-
-    def _raw_value(self, kappa):
-        e = _esp_table(kappa)
-        return (e[..., self.k] / e[..., self.l]) ** (1.0 / (self.k - self.l))
-
-    def _log_derivs(self, kappa):
-        e = _esp_table(kappa)
-        a = 1.0 / (self.k - self.l)
-        # L = a (log H_k - log H_l); gradient and Hessian of L
-        terms = []
-        for deg, sign in ((self.k, a), (self.l, -a)):
-            p = e[..., deg][..., None]
-            pi = _esp_gradient(kappa, deg)
-            pij = _esp_hessian(kappa, deg)
-            li = pi / p
-            lij = pij / p[..., None] - li[..., :, None] * li[..., None, :]
-            terms.append((sign, li, lij))
-        gi = sum(s * li for s, li, _ in terms)
-        gij = sum(s * lij for s, _, lij in terms)
-        return gi, gij
-
-    def _raw_gradient(self, kappa):
-        g = self._raw_value(kappa)
-        gi, _ = self._log_derivs(kappa)
-        return g[..., None] * gi
-
-    def _raw_hessian(self, kappa):
-        g = self._raw_value(kappa)[..., None, None]
-        gi, gij = self._log_derivs(kappa)
-        return g * (gi[..., :, None] * gi[..., None, :] + gij)
 
 
 class WeightedGeometric(CurvatureFunction):
@@ -352,27 +246,23 @@ class WeightedGeometric(CurvatureFunction):
     derivatives then combine the H_k tables directly.
     """
 
-    def __init__(self, n: int, weights):
+    def __init__(self, n: int, weights, name: str | None = None):
         w = tuple(float(a) for a in weights)
         if len(w) != n:
             raise ConstructionError(f"geometric weights need length n={n}, got {len(w)}")
-        if any(a < 0.0 for a in w):
-            raise ConstructionError("geometric weights must be nonnegative")
+        if not all(0.0 <= a < math.inf for a in w):
+            raise ConstructionError(f"geometric weights must be finite and nonnegative, got {w!r}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ConstructionError(f"geometric weights must sum to one, got {sum(w)!r}")
         self.weights = w
         self._beta = tuple(
             w[k] - (w[k + 1] if k + 1 < n else 0.0) for k in range(n)
         )  # exponent of H_{k+1}
-        super().__init__(n)
-
-    @property
-    def name(self):
-        return "geom:" + ",".join(repr(a) for a in self.weights)
+        super().__init__(n, name or "geom:" + ",".join(repr(a) for a in w))
 
     def _raw_value(self, kappa):
         e = _esp_table(kappa)
-        out = np.ones(kappa.shape[:-1])
+        out = 1.0
         for k, b in enumerate(self._beta, start=1):
             if b != 0.0:
                 out = out * e[..., k] ** b
@@ -416,11 +306,7 @@ class CompleteSymmetric(CurvatureFunction):
         if not 1 <= k <= n:
             raise ConstructionError(f"complete symmetric degree needs 1 <= k <= n, got k={k}")
         self.k = k
-        super().__init__(n)
-
-    @property
-    def name(self):
-        return f"complete:{self.k}"
+        super().__init__(n, f"complete:{k}")
 
     def _raw_value(self, kappa):
         return _chs_table(kappa, self.k)[..., self.k] ** (1.0 / self.k)
@@ -462,10 +348,6 @@ class CompleteSymmetric(CurvatureFunction):
 class NormA(CurvatureFunction):
     """Euclidean norm of the curvature vector (convex)."""
 
-    @property
-    def name(self):
-        return "norm_A"
-
     def _raw_value(self, kappa):
         return np.sqrt((kappa * kappa).sum(axis=-1))
 
@@ -486,11 +368,7 @@ class InverseOf(CurvatureFunction):
         if not isinstance(inner, CurvatureFunction):
             raise ConstructionError("inverse needs a curvature function to wrap")
         self.inner = inner
-        super().__init__(inner.n)
-
-    @property
-    def name(self):
-        return f"inverse:{self.inner.name}"
+        super().__init__(inner.n, f"inverse:{inner.name}")
 
     def _raw_value(self, kappa):
         return 1.0 / self.inner.value(1.0 / kappa)
@@ -521,13 +399,20 @@ class InverseOf(CurvatureFunction):
 # construction, inversion, classification
 # ----------------------------------------------------------------------
 
+def _ratio_weights(n: int, k: int, l: int) -> list[float]:
+    """geom weights of (H_k / H_l)^(1/(k-l)): 1/(k-l) on the ratios l < j <= k."""
+    if not 0 <= l < k <= n:
+        raise ConstructionError(f"needs 0 <= l < k <= n, got k={k}, l={l}, n={n}")
+    return [1.0 / (k - l) if l < j <= k else 0.0 for j in range(1, n + 1)]
+
+
 def make_function(name: str, n: int) -> CurvatureFunction:
     """Build a normalized curvature function from its registry name."""
     name = str(name).strip()
     if name == "mean":
-        return Mean(n)
+        return PowerMean(n, 1.0, "mean")
     if name == "norm_A":
-        return NormA(n)
+        return NormA(n, "norm_A")
     head, _, rest = name.partition(":")
     if head == "inverse":
         if not rest:
@@ -535,12 +420,17 @@ def make_function(name: str, n: int) -> CurvatureFunction:
         return InverseOf(make_function(rest, n))
     try:
         if head == "power_mean":
-            return PowerMean(n, float(rest))
+            r = float(rest)
+            if r == 0.0:
+                return WeightedGeometric(n, _ratio_weights(n, n, 0), f"power_mean:{r!r}")
+            return PowerMean(n, r)
         if head == "sigma_k":
-            return SigmaK(n, int(rest))
+            k = int(rest)
+            return WeightedGeometric(n, _ratio_weights(n, k, 0), f"sigma_k:{k}")
         if head == "quotient":
             k_str, _, l_str = rest.partition(":")
-            return QuotientKL(n, int(k_str), int(l_str))
+            k, l = int(k_str), int(l_str)
+            return WeightedGeometric(n, _ratio_weights(n, k, l), f"quotient:{k}:{l}")
         if head == "geom":
             return WeightedGeometric(n, tuple(float(w) for w in rest.split(",")))
         if head == "complete":

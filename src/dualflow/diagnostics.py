@@ -292,7 +292,7 @@ def kn_term_gap(F: CurvatureFunction, kappa):
     on horoconvex samples, which a scan calibrates.
     """
     kappa = np.asarray(kappa, dtype=float)
-    S = np.asarray(F.sum_gradient(kappa))
+    S = np.asarray(F.gradient(kappa)).sum(axis=-1)
     Fv = np.asarray(F.value(kappa))
     A2 = (kappa * kappa).sum(axis=-1)
     H = kappa.sum(axis=-1)

@@ -28,11 +28,9 @@ from .sphere_grid import CircleGrid, SphereGrid, refine_extremum
 
 __all__ = [
     "minkowski_inner",
-    "MinkowskiPoint",
     "HyperbolicGraph",
     "GraphGeometry",
     "geometry_of",
-    "embed",
     "embed_arrays",
     "EuclideanComparison",
     "euclidean_compare",
@@ -46,28 +44,6 @@ def minkowski_inner(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return -x[..., 0] * y[..., 0] + (x[..., 1:] * y[..., 1:]).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class MinkowskiPoint:
-    """A point of H^{n+1} (<x,x> = -1) or of de Sitter space (<x,x> = +1)."""
-
-    coords: np.ndarray
-    causal_type: str
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1 or c.size < 3:
-            raise ValueError("need a flat coordinate vector in R^{n+1,1}")
-        object.__setattr__(self, "coords", c)
-        target = {"hyperbolic": -1.0, "desitter": 1.0}.get(self.causal_type)
-        if target is None:
-            raise ValueError(f"unknown causal type {self.causal_type!r}")
-        q = float(minkowski_inner(c, c))
-        if abs(q - target) > 1e-10:
-            raise ValueError(
-                f"{self.causal_type} point has <x,x> = {q!r}, off by {abs(q - target):.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -200,18 +176,6 @@ def embed_arrays(g: HyperbolicGraph):
     X[:, 0], X[:, 1], X[:, -1] = np.cosh(g.u), su * np.sin(theta), su * np.cos(theta)
     nu[:, 0], nu[:, 1], nu[:, -1] = _unit_normal(g.u, geo.slope, geo.v, theta, 1.0)
     return X, nu
-
-
-def embed(g: HyperbolicGraph, j: int):
-    """Embedding of node j: (position in H^{n+1}, normal in de Sitter space)."""
-    X, nu = embed_arrays(g)
-    j = int(j)
-    if not 0 <= j < g.grid.m:
-        raise IndexError(f"node {j} outside grid of {g.grid.m} nodes")
-    return (
-        MinkowskiPoint(X[j], "hyperbolic"),
-        MinkowskiPoint(nu[j], "desitter"),
-    )
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,7 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" colour=3', "unknown config key"),
         ('F="mean" n=2 n=3 m=64 initial="sphere"', "duplicate config key"),
         ('F="power_mean:1.5" n=2 m=64 initial="sphere"', "malformed curvature-function"),
+        ('F="geom:nan,nan" n=2 m=64 initial="sphere"', "malformed curvature-function"),
         ('F="mean" n=2 m=64 initial="sphere" mode="sideways"', "mode must be"),
         ('F="mean" n=2 m=64 initial="sphere" sigma=1.5', "sigma out of range"),
         ('F="mean" n=2 m=7 initial="sphere"', "grid parameters"),
@@ -111,6 +112,17 @@ def test_generated_manifest_round_trip(man):
 def test_parse_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_parse_lets_unexpected_errors_through(monkeypatch):
+    # only construction errors become ConfigError; a bug in the speed
+    # registry must surface as itself
+    def broken(name, n):
+        raise RuntimeError("registry bug")
+
+    monkeypatch.setattr(curvfn, "make_function", broken)
+    with pytest.raises(RuntimeError, match="registry bug"):
+        parse_config('F="mean" n=2 m=64 initial="sphere"')
 
 
 def _write_cfg(tmp_path, name, text):

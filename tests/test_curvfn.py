@@ -141,11 +141,54 @@ def test_hessian_against_finite_differences():
     rng = np.random.default_rng(23)
     for n in (2, 3):
         k = np.exp(rng.uniform(-0.5, 0.5, size=n))
-        for name in ("sigma_k:2", "power_mean:-0.5", "norm_A", "quotient:2:1"):
+        extra = ["power_mean:0.0", f"quotient:{n}:1"]
+        for name in dict.fromkeys(curvfn.builtin_battery(n) + extra):
             F = make_function(name, n)
             ref = fd_hessian(lambda x: float(F.value(x)), k)
             got = np.asarray(F.hessian(k))
             assert np.abs(got - ref).max() < 5e-6
+
+
+@st.composite
+def _quotient_cases(draw):
+    """(n, k, l) with 0 <= l < k <= n <= 4, and a log-uniform kappa of length n."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    l = draw(st.integers(0, k - 1))
+    logs = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    return n, k, l, np.exp(np.array(logs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_quotient_cases())
+def test_quotient_matches_brute_esp(case):
+    n, k, l, kappa = case
+    ones = np.ones(n)
+    raw = brute_esp(kappa, k) / brute_esp(kappa, l)
+    norm = brute_esp(ones, k) / brute_esp(ones, l)
+    ref = (raw / norm) ** (1.0 / (k - l))
+    assert float(make_function(f"quotient:{k}:{l}", n).value(kappa)) == pytest.approx(
+        ref, rel=1e-12)
+
+
+def test_names_keep_canonical_form():
+    cases = {
+        "mean": "mean",
+        "sigma_k:02": "sigma_k:2",
+        "quotient:03:1": "quotient:3:1",
+        "power_mean:0": "power_mean:0.0",
+        "power_mean:1": "power_mean:1.0",
+        "power_mean:-.5": "power_mean:-0.5",
+        "geom:0.50,0.25,.25": "geom:0.5,0.25,0.25",
+        "complete:02": "complete:2",
+        "norm_A": "norm_A",
+        " inverse:sigma_k:03": "inverse:sigma_k:3",
+    }
+    for name, canonical in cases.items():
+        assert make_function(name, 3).name == canonical
+    for n in (1, 2, 3, 4):
+        for name in curvfn.builtin_battery(n):
+            assert make_function(name, n).name == name
 
 
 def test_mean_concavity_degenerate():

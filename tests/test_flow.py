@@ -334,13 +334,11 @@ def test_flows_commute_with_duality():
     traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
     d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
     dtraj = run_dual_flow(cfg, d0, t_targets=targets, t_stop=0.2)
-    prim = {round(s.t, 12): s for s in traj.states}
-    dual = {round(s.t, 12): s for s in dtraj.states}
-    for tt in targets:
-        key = round(tt, 12)
-        assert key in prim and key in dual
-        us = gauss_dual(HyperbolicGraph(grid, prim[key].u)).dual.u_star
-        assert np.abs(us - dual[key].u_star).max() < 5e-6
+    assert len(traj.landed) == len(dtraj.landed) == len(targets)
+    for tt, i, j in zip(targets, traj.landed, dtraj.landed):
+        assert abs(traj.states[i].t - tt) < 1e-13 and abs(dtraj.states[j].t - tt) < 1e-13
+        us = gauss_dual(HyperbolicGraph(grid, traj.states[i].u)).dual.u_star
+        assert np.abs(us - dtraj.states[j].u_star).max() < 5e-6
 
 
 def test_run_flow_lands_targets():

@@ -7,8 +7,6 @@ import pytest
 
 from dualflow.hgeom import (
     HyperbolicGraph,
-    MinkowskiPoint,
-    embed,
     embed_arrays,
     euclidean_compare,
     geometry_of,
@@ -87,17 +85,6 @@ def test_embedding_constraints_random_graph():
     assert np.abs(minkowski_inner(X, X) + 1.0).max() < 1e-10
     assert np.abs(minkowski_inner(nu, nu) - 1.0).max() < 1e-10
     assert np.abs(minkowski_inner(nu, X)).max() < 1e-10
-    p, q = embed(g, 5)
-    assert isinstance(p, MinkowskiPoint) and p.causal_type == "hyperbolic"
-    assert isinstance(q, MinkowskiPoint) and q.causal_type == "desitter"
-
-
-def test_minkowski_point_validates():
-    with pytest.raises(ValueError):
-        MinkowskiPoint(np.array([0.0, 1.0, 0.0, 0.0]), "hyperbolic")  # spacelike vector
-    with pytest.raises(ValueError):
-        MinkowskiPoint(np.array([math.cosh(0.3), 0.0, 0.0, math.sinh(0.3)]), "desitter")
-    MinkowskiPoint(np.array([math.cosh(0.3), 0.0, 0.0, math.sinh(0.3)]), "hyperbolic")
 
 
 def test_euclidean_compare_slice():
