@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import curvfn
-from .diagnostics import CSV_FIELDS, compute_record, compute_record_dual, pinching_epsilon
+from .diagnostics import CSV_FIELDS, compute_record, pinching_epsilon
 from .dualmap import (
     CausalityError,
-    DeSitterGraph,
     DualityBrokenError,
     dual_to_primal,
     gauss_dual,
@@ -78,12 +77,10 @@ _TOKEN = re.compile(
 def _parse_value(raw: str):
     if raw.startswith('"'):
         return raw[1:-1]
-    if raw.startswith("["):
-        body = raw[1:-1].strip()
-        if not body:
-            return ()
-        return tuple(float(p) for p in body.split(","))
     try:
+        if raw.startswith("["):
+            body = raw[1:-1].strip()
+            return tuple(float(p) for p in body.split(",")) if body else ()
         if re.fullmatch(r"[+-]?\d+", raw):
             return int(raw)
         return float(raw)
@@ -133,16 +130,21 @@ def parse_config(text: str) -> RunManifest:
     except ValueError as exc:
         raise ConfigError(f"grid parameters out of range: {exc}")
 
+    for key, kinds in (("sigma", (int, float)), ("u_stop", (int, float)), ("seed", int),
+                       ("record_every", int), ("initial.params", (int, float, tuple))):
+        if not isinstance(seen.get(key, 0), kinds):
+            kind = "an integer" if kinds is int else "numeric"
+            raise ConfigError(f"{key} must be {kind}, got {seen[key]!r}")
     mode = seen.get("mode", "primal")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     sigma = float(seen.get("sigma", 0.1))
     if not 0.0 < sigma < 1.0:
         raise ConfigError(f"sigma out of range (0, 1): {sigma}")
-    seed = int(seen.get("seed", 0))
+    seed = seen.get("seed", 0)
     params = seen.get("initial.params", ())
     if not isinstance(params, tuple):
-        params = (float(params),)
+        params = (params,)
     initial = seen["initial"]
     if not isinstance(initial, str):
         raise ConfigError("initial must be a quoted name")
@@ -151,7 +153,7 @@ def parse_config(text: str) -> RunManifest:
             F=F_name, n=n, m=m,
             initial=initial, initial_params=params,
             u_stop=float(seen.get("u_stop", 0.02)),
-            record_every=int(seen.get("record_every", 10)),
+            record_every=seen.get("record_every", 10),
             seed=seed,
         )
     except ValueError as exc:
@@ -274,11 +276,10 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
     u0 = _initial_profile(cfg, grid)
     traj = dtraj = None
     if man.mode == "dual":
-        F_dual = curvfn.invert(curvfn.make_function(cfg.F, cfg.n))
         dtraj = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(grid, u0)).dual)
         records = [
-            compute_record_dual(s.t, DeSitterGraph(grid, s.u_star), F_dual,
-                                Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma)
+            compute_record(s, Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma,
+                           grid=grid)
             for s in dtraj.states
         ]
         snaps = [(s.t, None, s.u_star) for s in dtraj.states]
@@ -292,9 +293,8 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
             # by index; a dual that aborts or dies out first leaves the tail bare
             times = [s.t for s in traj.states[1:]]
             dtraj = run_dual_flow(cfg, d0, t_targets=times)
-            duals[0] = d0
-            for i, j in enumerate(dtraj.landed, start=1):
-                duals[i] = DeSitterGraph(grid, dtraj.states[j].u_star)
+            for i, j in enumerate([0] + dtraj.landed):
+                duals[i] = dtraj.states[j]
         records = [
             compute_record(s, duals[i], Theta=_theta_of(s.t, traj.T_star_estimate),
                            epsilon=eps, sigma=man.sigma, grid=grid)
@@ -333,10 +333,7 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
     inv_err = float(np.abs(back.u - u0).max())
     rng = np.random.default_rng(man.seed)
     kappa = np.exp(rng.uniform(-1.0, 1.0, size=(64, cfg.n)))
-    F_dd = curvfn.invert(curvfn.invert(F))
-    invol_err = max(
-        abs(float(F_dd.value(k)) - float(F.value(k))) for k in kappa
-    )
+    invol_err = float(np.abs(curvfn.invert(curvfn.invert(F)).value(kappa) - F.value(kappa)).max())
     verdicts = {curvfn.check_strict_concavity(F, k) for k in kappa}
     if curvfn.NOT_CONCAVE in verdicts:
         verdict = curvfn.NOT_CONCAVE

@@ -1,11 +1,13 @@
 """Per-state monitors: preserved inequalities, decay functionals, rate fits.
 
-Every recorded flow state is condensed into one DiagnosticsRecord whose
-fields track the quantities the theory keeps under control: the
-curvature pinch ratio, the horoconvexity margin, the pinching-tensor
-minimum, the oscillation of the rescaled speed, the roundness
-functional f_sigma, inradius and circumradius, the duality identity
-error, and the rescaled dual support w.  Exponential rates are fitted
+Every recorded flow state, primal or dual, is condensed by one function,
+compute_record, into one DiagnosticsRecord whose fields track the
+quantities the theory keeps under control: the curvature pinch ratio,
+the horoconvexity margin, the pinching-tensor minimum, the oscillation
+of the rescaled speed, the roundness functional f_sigma, inradius and
+circumradius, the duality identity error, and the rescaled dual support
+w.  A dual state reads its own de Sitter geometry and leaves the
+hyperbolic-only fields NaN.  Exponential rates are fitted
 on (tau, log y) by least squares and only their signs are asserted
 anywhere; the continuum statements carry no numeric constants.
 """
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvfn import CurvatureFunction
-from .dualmap import DeSitterGraph, gauss_dual, verify_duality
-from .hgeom import GraphGeometry, HyperbolicGraph, geometry_of, inradius_circumradius
+from .dualmap import gauss_dual, verify_duality
+from .hgeom import GraphGeometry, HyperbolicGraph, inradius_circumradius
 from .sphere_grid import SphereGrid
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "DiagnosticsRecord",
     "pinching_epsilon",
     "compute_record",
-    "compute_record_dual",
     "RateFit",
     "fit_exponential",
     "DecayReport",
@@ -106,17 +107,21 @@ def _f_sigma(geo: GraphGeometry, sigma: float):
     return gap, geo.F_value ** (-(2.0 - sigma)) * gap
 
 
-def compute_record(state, dual: DeSitterGraph | None = None, Theta: float = math.nan,
+def compute_record(state, dual=None, Theta: float = math.nan,
                    epsilon: float = 0.0, sigma: float = 0.1,
                    grid: SphereGrid | None = None) -> DiagnosticsRecord:
-    """Condense one primal flow state into a DiagnosticsRecord.
+    """Condense one flow state of either side into a DiagnosticsRecord.
 
-    Theta is the barrier radius at the state's time (NaN when no
-    extinction estimate exists yet); epsilon is the run-constant
-    pinching weight from pinching_epsilon at t = 0.  The duality error
-    and w fields are populated only when the matched de Sitter graph is
-    supplied; the duality error is the worst of the three dual-map
-    identities re-verified at this instant.
+    The side is the sign of the stored profile: u > 0 primal, u* < 0
+    dual.  The curvature monitors read the state's own geometry.  Theta
+    is the barrier radius at the state's time (NaN when no extinction
+    estimate exists yet); epsilon is the run-constant pinching weight
+    from pinching_epsilon at t = 0.  dual is the primal state's matched
+    dual (anything with u_star): with it the duality error, the worst of
+    the three dual-map identities re-verified at this instant, and w =
+    u*/Theta are populated.  A dual state is its own w; its
+    hyperbolic-only fields (horoconvexity, pinching tensor, inball
+    radii, duality error, f_sigma norms) stay NaN.
     """
     if grid is None:
         raise ValueError("compute_record needs the grid of the run")
@@ -128,71 +133,43 @@ def compute_record(state, dual: DeSitterGraph | None = None, Theta: float = math
     k_max = geo.kappa.max(axis=1)
     gap, f_sig = _f_sigma(geo, sigma)
     F_tilde = geo.F_value * Theta
-    inball = inradius_circumradius(HyperbolicGraph(grid, state.u))
+    primal = bool(state.u[0] > 0.0)
+    dual = dual if primal else state
+    horo = pinching_T = rho_minus = rho_plus = duality_err = l2 = l8 = w_min = w_max = math.nan
     if dual is not None:
-        pair = gauss_dual(HyperbolicGraph(grid, state.u))
-        duality_err = verify_duality(pair).worst()
         w = dual.u_star / Theta
         w_min, w_max = float(w.min()), float(w.max())
-    else:
-        duality_err = math.nan
-        w_min = w_max = math.nan
-    # weight for surface integrals of the graph: v sinh^n(u) against the
-    # grid's sin^(n-1) measure
-    area_w = geo.v * np.sinh(state.u) ** n
-    l2 = grid.integrate(f_sig**2 * area_w)
-    l8 = grid.integrate(f_sig**8 * area_w)
+    if primal:
+        horo = float(k_min.min() - 1.0)
+        pinching_T = float((k_min - 1.0 - epsilon * (geo.H - n)).min())
+        g = HyperbolicGraph(grid, state.u)
+        inball = inradius_circumradius(g)
+        rho_minus, rho_plus = inball.rho_minus, inball.rho_plus
+        if dual is not None:
+            duality_err = verify_duality(gauss_dual(g)).worst()
+        # weight for surface integrals of the graph: v sinh^n(u) against the
+        # grid's sin^(n-1) measure
+        area_w = geo.v * np.sinh(state.u) ** n
+        l2 = float(max(grid.integrate(f_sig**2 * area_w), 0.0) ** 0.5)
+        l8 = float(max(grid.integrate(f_sig**8 * area_w), 0.0) ** 0.125)
     return DiagnosticsRecord(
         t=float(state.t),
         tau=float(-math.log(Theta)) if Theta > 0.0 else math.nan,
         u_min=float(state.u.min()),
         u_max=float(state.u.max()),
         pinch_ratio=float((k_min / k_max).min()),
-        horoconvex_margin=float(k_min.min() - 1.0),
-        pinching_T=float((k_min - 1.0 - epsilon * (geo.H - n)).min()),
+        horoconvex_margin=horo,
+        pinching_T=pinching_T,
         osc_F_tilde=float(F_tilde.max() - F_tilde.min()),
         f_sigma_max=float(f_sig.max()),
         A2_minus_nF2_max=float(gap.max()),
-        rho_minus=inball.rho_minus,
-        rho_plus=inball.rho_plus,
+        rho_minus=rho_minus,
+        rho_plus=rho_plus,
         duality_err=duality_err,
         w_min=w_min,
         w_max=w_max,
-        f_sigma_L2=float(max(l2, 0.0) ** 0.5),
-        f_sigma_L8=float(max(l8, 0.0) ** 0.125),
-    )
-
-
-def compute_record_dual(t: float, d: DeSitterGraph, F_dual, Theta: float = math.nan,
-                        sigma: float = 0.1) -> DiagnosticsRecord:
-    """Dual-side record for runs that never construct the primal.
-
-    Curvature monitors come from the de Sitter geometry under the
-    inverse speed; the hyperbolic-only fields (horoconvexity, pinching
-    tensor, inball radii, duality error) stay NaN.
-    """
-    geo = geometry_of(d, F_dual)
-    k_min = geo.kappa.min(axis=1)
-    k_max = geo.kappa.max(axis=1)
-    gap, f_sig = _f_sigma(geo, sigma)
-    F_tilde = geo.F_value * Theta
-    w = d.u_star / Theta if Theta > 0.0 else np.full_like(d.u_star, math.nan)
-    return DiagnosticsRecord(
-        t=float(t),
-        tau=float(-math.log(Theta)) if Theta > 0.0 else math.nan,
-        u_min=float(d.u_star.min()),
-        u_max=float(d.u_star.max()),
-        pinch_ratio=float((k_min / k_max).min()),
-        horoconvex_margin=math.nan,
-        pinching_T=math.nan,
-        osc_F_tilde=float(F_tilde.max() - F_tilde.min()),
-        f_sigma_max=float(f_sig.max()),
-        A2_minus_nF2_max=float(gap.max()),
-        rho_minus=math.nan,
-        rho_plus=math.nan,
-        duality_err=math.nan,
-        w_min=float(w.min()),
-        w_max=float(w.max()),
+        f_sigma_L2=l2,
+        f_sigma_L8=l8,
     )
 
 

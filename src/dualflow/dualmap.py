@@ -215,18 +215,17 @@ def verify_duality(pair: DualPair) -> DualityReport:
     dus = us_th / a
     ddus = (grid.d2(us) * a - us_th * a_th) / (a * a * a)
     cot_t = None if g.n == 1 else np.cos(pair.matching) / np.sin(pair.matching)
-    _, vt, kt_prof, kt_ang = _curvatures(us, dus, ddus, cot_t, -1.0)
+    _, vt, kt = _curvatures(us, dus, ddus, cot_t, -1.0, g.n)
     ct_us = np.cosh(us)
     su, v = np.sinh(g.u), geo.v
-    prod_err = np.abs(kt_prof * geo.kappa[:, 0] - 1.0)
+    prod_err = np.abs(kt * geo.kappa - 1.0)
     h_mis = np.abs(
-        geo.kappa[:, 0] * v * v * su * su - kt_prof * vt * vt * ct_us * ct_us * a * a
+        geo.kappa[:, 0] * v * v * su * su - kt[:, 0] * vt * vt * ct_us * ct_us * a * a
     )
-    if kt_ang is not None:
-        prod_err = np.maximum(prod_err, np.abs(kt_ang * geo.kappa[:, 1] - 1.0))
+    if g.n > 1:
         h_ang_mis = np.abs(
             geo.kappa[:, 1] * su * su * np.sin(grid.theta) ** 2
-            - kt_ang * ct_us * ct_us * np.sin(pair.matching) ** 2
+            - kt[:, 1] * ct_us * ct_us * np.sin(pair.matching) ** 2
         )
         h_mis = np.maximum(h_mis, h_ang_mis)
     _, u_max = refine_extremum(grid, g.u, "max")

@@ -6,12 +6,15 @@ surface of normals expands, in the switched convention du*/dt =
 +v~ / F~(kappa~), rising toward the equatorial slice.  Both flows run
 through one driver and one implicit Radau IIA integrator (three stages,
 order five, adaptive steps), parametrized by the sign eps (+1 primal,
--1 dual) of hgeom._curvatures.  The discretized flows are stiff: an
+-1 dual) of hgeom._kappa.  The discretized flows are stiff: an
 explicit step is bounded by the grid spacing squared, an implicit one
 by accuracy alone, so the step count does not grow with m.  The Newton
 matrices are pentadiagonal, like the stencils, and are factored in
-O(m).  Geodesic spheres solve the primal flow in closed form and serve
-as the exact reference and as extinction-time barriers.
+O(m).  Each Newton iteration and each Jacobian is one rhs call on a
+stack of trial profiles; a trial row reports failure by NaN, and only
+accepted states are checked, once.  Geodesic spheres solve the primal
+flow in closed form and serve as the exact reference and as
+extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import curvfn
 from .curvfn import CurvatureFunction, make_function
 from .dualmap import CausalityError, DeSitterGraph
-from .hgeom import GraphGeometry, HyperbolicGraph, geometry_of
+from .hgeom import GraphGeometry, HyperbolicGraph, _kappa, geometry_of
 from .sphere_grid import CircleGrid, SphereGrid, make_grid, resample_monotone
 
 __all__ = [
@@ -74,11 +77,14 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.u_stop <= 0.0:
-            raise ValueError("u_stop must be positive")
+        if not 0.0 < self.u_stop < math.inf:  # false for NaN too
+            raise ValueError("u_stop must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        object.__setattr__(self, "initial_params", tuple(float(p) for p in self.initial_params))
+        params = tuple(float(p) for p in self.initial_params)
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError(f"initial parameters must be finite, got {params!r}")
+        object.__setattr__(self, "initial_params", params)
 
 
 @dataclass(frozen=True)
@@ -240,32 +246,26 @@ RTOL = 1e-10
 ATOL = 1e-12
 
 
-def _graph(grid: SphereGrid, u: np.ndarray, eps: float):
-    """The stored profile as a graph; a primal radius must stay positive
-    and a dual must stay below the equatorial slice."""
-    if eps > 0:
-        if u.min() <= 0.0:
-            raise ConvexityError(f"radius collapsed at node {int(np.argmin(u))}")
-        return HyperbolicGraph(grid, u)
-    if u.max() >= 0.0:
-        raise CausalityError("dual graph crossed the equatorial slice")
-    return DeSitterGraph(grid, u)
-
-
 def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float) -> GraphGeometry:
-    """Geometry with the speed attached, of a state the flow can continue from."""
-    geo = geometry_of(_graph(grid, u, eps), F)
+    """Geometry with the speed attached, of a state the flow can continue
+    from: a primal radius stays positive, a dual stays spacelike below the
+    equatorial slice, and either is strictly convex."""
+    if eps > 0 and u.min() <= 0.0:
+        raise ConvexityError(f"radius collapsed at node {int(np.argmin(u))}")
+    if eps < 0 and u.max() >= 0.0:
+        raise CausalityError("dual graph crossed the equatorial slice")
+    geo = geometry_of(HyperbolicGraph(grid, u) if eps > 0 else DeSitterGraph(grid, u), F)
     if not geo.convex:
         j = int(np.argmin(geo.kappa.min(axis=1)))
-        raise ConvexityError(f"convexity lost at node {j}")
+        raise ConvexityError(f"not strictly convex at node {j}")
     return geo
 
 
-def _velocity(geo: GraphGeometry, eps: float) -> np.ndarray:
+def _velocity(F_value: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     """Graph form of the normal speed: du/dt = -F v contracting the primal,
     du*/dt = +v~ / F~ expanding the dual toward the equatorial slice (on
     slices this reproduces d(-Theta)/dt = +coth Theta)."""
-    return -geo.F_value * geo.v if eps > 0 else geo.v / geo.F_value
+    return -F_value * v if eps > 0 else v / F_value
 
 
 # Radau IIA, three stages, order five (Hairer & Wanner, Solving ODEs II,
@@ -374,9 +374,10 @@ class RadauIIA:
     The Jacobian of the rhs is pentadiagonal: the stencils have five
     points, the pole reflections stay inside the band and a circle wraps
     around it.  It is taken by forward differences, perturbing every
-    column of one colour at once; columns five apart share no row, so five
-    rhs calls give the band.  On a circle whose m is not a multiple of 5
-    the last m % 5 columns get colours of their own.
+    column of one colour at once; columns five apart share no row, so one
+    rhs call on a stack of five perturbed profiles gives the band.  On a
+    circle whose m is not a multiple of 5 the last m % 5 columns get
+    colours of their own.
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
@@ -389,28 +390,32 @@ class RadauIIA:
         if self.cyclic:
             cols, inside = cols % m, np.ones_like(inside)
             colour[m - m % 5:] += 5
-        self._cols = np.where(inside, cols, 0)
-        self._colours = [(colour == c, inside & (colour[self._cols] == c))
-                         for c in range(colour.max() + 1)]
+        self._cols, self._inside = np.where(inside, cols, 0), inside
+        # row c perturbs the columns of colour c; entry (k, i) reads its column's row
+        self._perturb = colour == np.arange(colour.max() + 1)[:, None]
+        self._band_rows = colour[self._cols]
         self.rhs_evals = self.jac_evals = self.factorizations = 0
         self._state = None  # the state the carried data belong to
 
     def _rhs(self, u: np.ndarray) -> np.ndarray:
-        """du/dt, or NaN at a trial iterate the flow cannot continue from
-        (not convex, or across u* = 0); the step is then retried smaller."""
-        self.rhs_evals += 1
-        try:
-            return _velocity(_geometry(self.grid, u, self.F, self.eps), self.eps)
-        except (ConvexityError, CausalityError):
-            return np.full_like(u, np.nan)
+        """du/dt of one profile (m,) or of each row of a stack (..., m); a row
+        with a node across u = 0 or a curvature that is not finite and
+        positive (not convex, or a dual not spacelike) comes back NaN, and
+        the step is then retried smaller.  rhs_evals counts profiles."""
+        self.rhs_evals += u.size // self.grid.m
+        with np.errstate(all="ignore"):
+            _, v, kappa = _kappa(self.grid, u, self.eps)
+            ok = ((self.eps * u > 0.0).all(axis=-1)
+                  & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
+            F_value = self.F.value(np.where(ok[..., None, None], kappa, 1.0))
+            return np.where(ok[..., None], _velocity(F_value, v, self.eps), np.nan)
 
     def _jacobian(self, u: np.ndarray, f: np.ndarray) -> None:
         self.jac_evals += 1
         delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(u), 1.0)
-        band = np.zeros((5, u.size))
-        for cols, rows in self._colours:
-            df = self._rhs(u + np.where(cols, delta, 0.0)) - f
-            band[rows] = (df / delta[self._cols])[rows]
+        df = self._rhs(u + np.where(self._perturb, delta, 0.0)) - f
+        band = np.where(self._inside,
+                        df[self._band_rows, np.arange(u.size)] / delta[self._cols], 0.0)
         self._jac, self._jac_current, self._lu_h, self._u_jac = band, True, None, u
 
     def _factor(self, h: float) -> None:
@@ -431,7 +436,7 @@ class RadauIIA:
         mu_real, mu_complex = _MU_REAL / h, _MU_COMPLEX / h
         norm_old = rate = None
         for k in range(_NEWTON_MAXITER):
-            F = np.array([self._rhs(y + z) for z in Z])
+            F = self._rhs(y + Z)
             if not np.all(np.isfinite(F)):
                 break
             dW_real = self._lu_real.solve(_TI[0] @ F - mu_real * W[0])
@@ -479,7 +484,7 @@ class RadauIIA:
         accepted state the flow cannot continue from raises
         ConvexityError or CausalityError."""
         t, y = state.t, state.u
-        f = _velocity(state.geometry, self.eps)
+        f = _velocity(state.geometry.F_value, state.geometry.v, self.eps)
         if state is not self._state:
             self._restart(state, f)
         h, rejected = self.h, False
@@ -533,7 +538,7 @@ class RadauIIA:
         # a landing cut the step short; the controller's proposal still holds
         self.h = max(h_try * factor, h) if landing else h_try * factor
         if recompute_jac:
-            self._jacobian(y_new, _velocity(geo, self.eps))
+            self._jacobian(y_new, _velocity(geo.F_value, geo.v, self.eps))
         else:
             self._jac_current = False
         self._state = FlowState(t=t_cap if landing else t + h_try, u=y_new, geometry=geo,
@@ -569,10 +574,7 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     """
     advance = step if eps > 0 else dual_step
     solver = RadauIIA(grid, F, eps)
-    geo0 = geometry_of(_graph(grid, u0, eps), F)
-    if not geo0.convex:
-        raise ConvexityError("initial datum is not strictly convex")
-    state = FlowState(t=0.0, u=u0, geometry=geo0, dt_last=0.0)
+    state = FlowState(t=0.0, u=u0, geometry=_geometry(grid, u0, F, eps), dt_last=0.0)
     traj = FlowTrajectory(config=config, states=[state])
     targets = sorted(float(t) for t in t_targets)
     last = targets[-1] if targets else None

@@ -91,7 +91,7 @@ def _warp(u, eps: float):
     return (np.sinh(u), np.cosh(u)) if eps > 0 else (np.cosh(u), np.sinh(u))
 
 
-def _curvatures(u, u_th, u_thth, cot, eps: float):
+def _curvatures(u, u_th, u_thth, cot, eps: float, n: int):
     """Slope, graph factor and principal curvatures of a warped radial graph.
 
     eps = +1 is a radial graph u in H^{n+1}; eps = -1 a stored spacelike
@@ -103,16 +103,25 @@ def _curvatures(u, u_th, u_thth, cot, eps: float):
         kappa_profile = (eps C - slope'/v^2) / (v S),
         kappa_angular = (eps C - cot(theta) slope) / (v S).
 
-    Returns (slope, v, kappa_profile, kappa_angular); the angular entry
-    is None when cot is None (curves, n = 1).
+    Returns (slope, v, kappa), kappa of shape u.shape + (n,): column 0
+    the profile curvature, the other n-1 the angular one (cot is unused
+    for curves, n = 1).  Nothing is checked; the caller reads kappa.
     """
     S, C = _warp(u, eps)
     slope = u_th / S
     slope_th = u_thth / S - u_th * u_th * C / (S * S)
     v = np.sqrt(1.0 + eps * slope * slope)
-    k_prof = (eps * C - slope_th / (v * v)) / (v * S)
-    k_ang = None if cot is None else (eps * C - cot * slope) / (v * S)
-    return slope, v, k_prof, k_ang
+    kappa = np.empty(np.shape(u) + (n,))
+    kappa[..., 0] = (eps * C - slope_th / (v * v)) / (v * S)
+    if n > 1:
+        kappa[..., 1:] = ((eps * C - cot * slope) / (v * S))[..., None]
+    return slope, v, kappa
+
+
+def _kappa(grid: SphereGrid, u: np.ndarray, eps: float):
+    """_curvatures of one profile (m,) or of a stack (..., m) on the grid."""
+    cot = None if grid.n == 1 else np.cos(grid.theta) / np.sin(grid.theta)
+    return _curvatures(u, grid.d1(u), grid.d2(u), cot, eps, grid.n)
 
 
 def _unit_normal(u, slope, v, theta, eps: float):
@@ -134,21 +143,13 @@ def geometry_of(g, F=None) -> GraphGeometry:
     """Graph factor, principal curvatures and curvature invariants.
 
     g is a HyperbolicGraph (eps = +1) or a stored de Sitter graph
-    (eps = -1, read from g.u_star); both go through _curvatures.
+    (eps = -1, read from g.u_star); both go through _kappa.
     Non-convex output is legal: callers read the convex flag.  When a
     curvature function F is supplied its nodewise values are attached
     (F is only evaluated if the graph is strictly convex).
     """
-    grid = g.grid
     eps, u = (1.0, g.u) if isinstance(g, HyperbolicGraph) else (-1.0, g.u_star)
-    cot = None if g.n == 1 else np.cos(grid.theta) / np.sin(grid.theta)
-    slope, v, k_prof, k_ang = _curvatures(u, grid.d1(u), grid.d2(u), cot, eps)
-    if k_ang is None:
-        kappa = k_prof[:, None]
-    else:
-        kappa = np.concatenate(
-            [k_prof[:, None], np.repeat(k_ang[:, None], g.n - 1, axis=1)], axis=1
-        )
+    slope, v, kappa = _kappa(g.grid, u, eps)
     convex = bool(np.all(kappa > 0.0))
     return GraphGeometry(
         slope=slope,

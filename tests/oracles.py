@@ -377,11 +377,14 @@ def rk4_step(state, F, cfl, grid, dt_cap=None, eps=1.0):
     if dt_cap is not None and dt > dt_cap - 1e-13:
         dt = dt_cap
 
+    def velocity(geo):
+        return _velocity(geo.F_value, geo.v, eps)
+
     def rhs(u):
-        return _velocity(_geometry(grid, u, F, eps), eps)
+        return velocity(_geometry(grid, u, F, eps))
 
     u = state.u
-    k1 = _velocity(state.geometry, eps)
+    k1 = velocity(state.geometry)
     k2 = rhs(u + 0.5 * dt * k1)
     k3 = rhs(u + 0.5 * dt * k2)
     k4 = rhs(u + dt * k3)

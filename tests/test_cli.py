@@ -107,6 +107,19 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" u_stop=-1.0', "parameter out of range"),
         ('F=mean n=2 m=64 initial="sphere"', "quoted"),
         ('F="mean" n=2 m=64 initial="sphere" ~!garbage', "unparseable"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[1,x]', "cannot parse value"),
+        ('F="mean" n=2 m=64 initial="sphere" sigma="abc"', "sigma must be numeric"),
+        ('F="mean" n=2 m=64 initial="sphere" sigma=[0.5]', "sigma must be numeric"),
+        ('F="mean" n=2 m=64 initial="sphere" seed="abc"', "seed must be an integer"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params="abc"',
+         "initial.params must be numeric"),
+        ('F="mean" n=2 m=64 initial="sphere" seed=1.5', "seed must be an integer"),
+        ('F="mean" n=2 m=64 initial="sphere" record_every=2.5',
+         "record_every must be an integer"),
+        ('F="mean" n=2 m=64 initial="sphere" u_stop=nan', "parameter out of range"),
+        ('F="mean" n=2 m=64 initial="sphere" u_stop=inf', "parameter out of range"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[nan]', "parameter out of range"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[inf]', "parameter out of range"),
     ],
 )
 def test_parse_rejections(text, fragment):

@@ -10,7 +10,6 @@ from dualflow.diagnostics import (
     C_GRID,
     CSV_FIELDS,
     compute_record,
-    compute_record_dual,
     decay_check,
     fit_exponential,
     kn_term_gap,
@@ -98,15 +97,16 @@ def test_pinching_weight_feasible_at_start():
 def test_dual_record_slice():
     grid = make_grid(2, 48)
     F_dual = curvfn.invert(curvfn.make_function("mean", 2))
-    d = DeSitterGraph(grid, np.full(48, -0.8))
-    rec = compute_record_dual(0.0, d, F_dual, Theta=0.8)
+    u_star = np.full(48, -0.8)
+    st = FlowState(0.0, u_star, geometry_of(DeSitterGraph(grid, u_star), F_dual), 0.0)
+    rec = compute_record(st, Theta=0.8, grid=grid)
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == -0.8
     assert rec.w_min == pytest.approx(-1.0, abs=1e-12)
     assert rec.w_max == pytest.approx(-1.0, abs=1e-12)
     assert abs(rec.A2_minus_nF2_max) < 1e-10
     for name in ("horoconvex_margin", "pinching_T", "rho_minus", "rho_plus",
-                 "duality_err"):
+                 "duality_err", "f_sigma_L2", "f_sigma_L8"):
         assert math.isnan(getattr(rec, name))
 
 

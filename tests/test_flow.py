@@ -1,6 +1,7 @@
 """Time stepping: primal contraction, dual expansion, rescaling, extinction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualflow import curvfn
-from dualflow.dualmap import DeSitterGraph, gauss_dual
+from dualflow.dualmap import CausalityError, DeSitterGraph, gauss_dual
 from dualflow.flow import (
     ConvexityError,
     FlowConfig,
     FlowState,
     RadauIIA,
     _BandLU,
+    _geometry,
     _velocity,
     estimate_Tstar,
     make_initial,
@@ -33,7 +35,8 @@ T_STAR_HALF = 0.12011450695827745  # ln cosh 0.5
 
 
 def _rhs(g, F, eps=1.0):
-    return _velocity(geometry_of(g, F), eps)
+    geo = geometry_of(g, F)
+    return _velocity(geo.F_value, geo.v, eps)
 
 
 def test_slice_rhs_mean():
@@ -167,6 +170,78 @@ def test_coloured_jacobian_matches_dense_differences(n, m):
             if n == 1 or 0 <= j < m:
                 banded[i, j % m] = solver._jac[k, i]
     assert np.abs(banded - dense).max() < 1e-5 * np.abs(dense).max()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2]), eps=st.sampled_from([1.0, -1.0]),
+       seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+       amp=st.floats(0.0, 0.08))
+def test_rhs_stack_equals_rows(n, eps, seeds, amp):
+    # one stacked evaluation gives each row's rhs bit for bit, and each row
+    # the velocity of the geometry an accepted state carries
+    grid = make_grid(n, 48)
+    F = curvfn.make_function("sigma_k:2" if n == 2 else "power_mean:0.5", n)
+    rows = [make_initial("random_fourier", (1.0, amp, 4), grid, seed=s) for s in seeds]
+    if eps < 0:
+        F = curvfn.invert(F)
+        rows = [gauss_dual(HyperbolicGraph(grid, u)).dual.u_star for u in rows]
+    solver = RadauIIA(grid, F, eps)
+    stack = np.array(rows)
+    out = solver._rhs(stack)
+    assert solver.rhs_evals == len(rows)
+    for u, f in zip(rows, out):
+        assert np.array_equal(f, solver._rhs(u))
+        geo = _geometry(grid, u, F, eps)
+        assert np.array_equal(f, _velocity(geo.F_value, geo.v, eps))
+
+
+def test_rhs_masks_inadmissible_rows():
+    # rows the flow cannot continue from come back NaN, silently, and leave
+    # the other rows of the stack untouched
+    grid = make_grid(2, 48)
+    F = curvfn.make_function("mean", 2)
+    good = 1.0 + 0.1 * np.cos(2 * grid.theta)
+    nonconvex = 0.3 + 0.28 * np.cos(6 * grid.theta)
+    assert not geometry_of(HyperbolicGraph(grid, nonconvex)).convex
+    crossed = good.copy()
+    crossed[5] = -0.01
+    d_good = gauss_dual(HyperbolicGraph(grid, good)).dual.u_star
+    d_crossed = d_good.copy()
+    d_crossed[5] = 0.01
+    timelike = -0.2 - 4.5 * np.sin(grid.theta / 2.0) ** 2
+    with pytest.raises(CausalityError):
+        DeSitterGraph(grid, timelike)
+    for eps, F_side, stack, bad in (
+            (1.0, F, [good, nonconvex, crossed, 0.9 * good], [1, 2]),
+            (-1.0, curvfn.invert(F), [d_good, d_crossed, timelike, 0.9 * d_good], [1, 2])):
+        solver = RadauIIA(grid, F_side, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solver._rhs(np.array(stack))
+        for i, u in enumerate(stack):
+            if i in bad:
+                assert np.isnan(out[i]).all()
+            else:
+                assert np.array_equal(out[i], solver._rhs(u))
+
+
+def test_step_makes_at_most_three_rhs_calls(monkeypatch):
+    # the three Newton stages are one call, and so is each Jacobian
+    calls = []
+    rhs = RadauIIA._rhs
+
+    def counted(self, u):
+        calls.append(u.shape)
+        return rhs(self, u)
+
+    monkeypatch.setattr(RadauIIA, "_rhs", counted)
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    traj = run_flow(cfg)
+    assert traj.failure is None
+    assert len(calls) <= 3 * traj.steps_taken
+    # rhs_evals counts profiles, one per row of each call
+    assert traj.rhs_evals == sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
 
 
 @st.composite
