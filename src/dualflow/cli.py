@@ -66,7 +66,6 @@ class RunManifest:
     sigma: float
     mode: str
     out: str
-    seed: int
 
 
 _TOKEN = re.compile(
@@ -141,7 +140,6 @@ def parse_config(text: str) -> RunManifest:
     sigma = float(seen.get("sigma", 0.1))
     if not 0.0 < sigma < 1.0:
         raise ConfigError(f"sigma out of range (0, 1): {sigma}")
-    seed = seen.get("seed", 0)
     params = seen.get("initial.params", ())
     if not isinstance(params, tuple):
         params = (params,)
@@ -154,14 +152,14 @@ def parse_config(text: str) -> RunManifest:
             initial=initial, initial_params=params,
             u_stop=float(seen.get("u_stop", 0.02)),
             record_every=seen.get("record_every", 10),
-            seed=seed,
+            seed=seen.get("seed", 0),
         )
     except ValueError as exc:
         raise ConfigError(f"parameter out of range: {exc}")
     out = seen.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError("out must be a quoted path")
-    return RunManifest(config=config, sigma=sigma, mode=mode, out=out, seed=seed)
+    return RunManifest(config=config, sigma=sigma, mode=mode, out=out)
 
 
 def _fmt(x) -> str:
@@ -182,7 +180,7 @@ def serialize_manifest(man: RunManifest) -> str:
         f"sigma={_fmt(man.sigma)}",
         f'mode="{man.mode}"',
         f'out="{man.out}"',
-        f"seed={man.seed}",
+        f"seed={cfg.seed}",
     ]
     return "\n".join(parts) + "\n"
 
@@ -331,16 +329,9 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
         _write_failure(out_dir, type(exc).__name__, str(exc), 0.0, 0)
         return 2
     inv_err = float(np.abs(back.u - u0).max())
-    rng = np.random.default_rng(man.seed)
+    rng = np.random.default_rng(cfg.seed)
     kappa = np.exp(rng.uniform(-1.0, 1.0, size=(64, cfg.n)))
     invol_err = float(np.abs(curvfn.invert(curvfn.invert(F)).value(kappa) - F.value(kappa)).max())
-    verdicts = {curvfn.check_strict_concavity(F, k) for k in kappa}
-    if curvfn.NOT_CONCAVE in verdicts:
-        verdict = curvfn.NOT_CONCAVE
-    elif curvfn.CONCAVE_DEGENERATE in verdicts:
-        verdict = curvfn.CONCAVE_DEGENERATE
-    else:
-        verdict = curvfn.STRICTLY_CONCAVE
     _write_json(out_dir / "verify.json", {
         "duality_err": rep.worst(),
         "kappa_product_err": rep.max_kappa_product_error,
@@ -348,7 +339,7 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
         "relation_err": rep.relation_u_ustar_error,
         "graph_involution_err": inv_err,
         "inverse_involution_err": invol_err,
-        "concavity": verdict,
+        "concavity": curvfn.check_strict_concavity(F, kappa),
     })
     return 0
 
@@ -378,14 +369,10 @@ def execute(man: RunManifest) -> int:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _load_manifest(path: str) -> RunManifest:
-    return parse_config(Path(path).read_text())
-
-
 def _cmd_run(args) -> int:
     """The run and verify subcommands; verify overrides the config's mode."""
     try:
-        man = _load_manifest(args.config)
+        man = parse_config(Path(args.config).read_text())
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -394,10 +381,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_spherical(args) -> int:
     r0 = args.r0
-    if r0 <= 0.0:
-        print("r0 must be positive", file=sys.stderr)
+    try:
+        T = spherical_T_star(r0)
+    except ValueError as exc:
+        print(f"invalid --r0: {exc}", file=sys.stderr)
         return 2
-    T = spherical_T_star(r0)
     print(f"# r0 = {_fmt(r0)}  T* = ln cosh r0 = {_fmt(T)}")
     print("# t  Theta  coth(Theta)")
     for k in range(21):
@@ -409,7 +397,7 @@ def _cmd_spherical(args) -> int:
 
 def _sweep_one(path: str) -> tuple:
     try:
-        man = _load_manifest(path)
+        man = parse_config(Path(path).read_text())
     except (ConfigError, OSError) as exc:
         return path, 2, str(exc)
     return path, execute(man), ""
@@ -420,10 +408,12 @@ def _cmd_sweep(args) -> int:
     if not paths:
         print(f"no .cfg files under {args.dir!r}", file=sys.stderr)
         return 2
-    cap = os.environ.get("DUALFLOW_THREADS")
-    workers = min(len(paths), int(cap) if cap else (os.cpu_count() or 1))
+    cap = os.environ.get("DUALFLOW_THREADS") or str(os.cpu_count() or 1)
+    if not (cap.isdecimal() and int(cap) >= 1):
+        print(f"DUALFLOW_THREADS must be a positive integer, got {cap!r}", file=sys.stderr)
+        return 2
     worst = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(paths), int(cap))) as pool:
         for path, code, msg in pool.map(_sweep_one, paths):
             suffix = f"  ({msg})" if msg else ""
             print(f"{path}: exit {code}{suffix}")

@@ -445,36 +445,36 @@ def invert(F: CurvatureFunction) -> CurvatureFunction:
     return InverseOf(F)
 
 
-def check_strict_concavity(F: CurvatureFunction, kappa, tol: float | None = None) -> str:
-    """Classify D^2 F at kappa.
+def check_strict_concavity(F: CurvatureFunction, kappa) -> str:
+    """Classify D^2 F over kappa of shape (n,) or (..., n); the worst row wins.
 
     Homogeneity forces a zero eigenvalue along the radial direction
-    kappa itself.  The verdict looks at the remaining spectrum:
-    strictly_concave if all other eigenvalues sit below -tol,
-    not_concave if any eigenvalue exceeds +tol, concave_degenerate
-    otherwise.
+    kappa itself.  A row's verdict looks at the remaining spectrum, with
+    tol = 1e-8 (max |D^2 F| + 1) of that row: strictly_concave if all
+    other eigenvalues sit below -tol, not_concave if any eigenvalue
+    exceeds +tol, concave_degenerate otherwise.  The rows rank in the
+    order not_concave, concave_degenerate, strictly_concave.
     """
-    k = np.asarray(kappa, dtype=float)
-    H = F.hessian(k)
-    scale = float(np.abs(H).max())
-    if tol is None:
-        tol = 1e-8 * (scale + 1.0)
-    asym = float(np.abs(H - H.T).max())
-    if asym > max(tol, 1e-12 * (scale + 1.0)):
-        raise ConsistencyError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
-    Hs = 0.5 * (H + H.T)
+    H = F.hessian(kappa).reshape(-1, F.n, F.n)
+    k = np.asarray(kappa, dtype=float).reshape(-1, F.n)
+    tol = 1e-8 * (np.abs(H).max(axis=(1, 2)) + 1.0)
+    asym = np.abs(H - H.swapaxes(1, 2)).max(axis=(1, 2))
+    if np.any(asym > tol):
+        raise ConsistencyError(f"Hessian asymmetry {asym.max():.3e} exceeds tolerance")
+    Hs = 0.5 * (H + H.swapaxes(1, 2))
     evals, evecs = np.linalg.eigh(Hs)
-    radial = float(np.abs(Hs @ k).max())
-    if radial > tol * max(1.0, float(np.abs(k).max())):
+    radial = np.abs(Hs @ k[:, :, None]).max(axis=(1, 2))
+    if np.any(radial > tol * np.maximum(1.0, np.abs(k).max(axis=1))):
         raise ConsistencyError(
-            f"radial direction fails to annihilate the Hessian (residual {radial:.3e})"
+            f"radial direction fails to annihilate the Hessian (residual {radial.max():.3e})"
         )
-    if np.any(evals > tol):
+    if np.any(evals > tol[:, None]):
         return NOT_CONCAVE
-    khat = k / np.linalg.norm(k)
-    i_rad = int(np.argmax(np.abs(evecs.T @ khat)))
-    others = np.delete(evals, i_rad)
-    if np.all(others < -tol):
+    khat = k / np.linalg.norm(k, axis=1, keepdims=True)
+    i_rad = np.argmax(np.abs((evecs.swapaxes(1, 2) @ khat[:, :, None])[:, :, 0]), axis=1)
+    others = evals < -tol[:, None]
+    others[np.arange(len(k)), i_rad] = True
+    if np.all(others):
         return STRICTLY_CONCAVE
     return CONCAVE_DEGENERATE
 

@@ -228,10 +228,9 @@ def verify_duality(pair: DualPair) -> DualityReport:
             - kt[:, 1] * ct_us * ct_us * np.sin(pair.matching) ** 2
         )
         h_mis = np.maximum(h_mis, h_ang_mis)
-    _, u_max = refine_extremum(grid, g.u, "max")
-    _, u_min = refine_extremum(grid, g.u, "min")
-    _, us_max = refine_extremum(grid, us, "max")
-    _, us_min = refine_extremum(grid, us, "min")
+    both = np.stack([g.u, us])
+    _, (u_max, us_max) = refine_extremum(grid, both, "max")
+    _, (u_min, us_min) = refine_extremum(grid, both, "min")
     rel = max(abs(u_max + us_min), abs(u_min + us_max))
     return DualityReport(
         max_kappa_product_error=float(prod_err.max()),

@@ -20,6 +20,7 @@ extinction-time barriers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,9 @@ __all__ = [
 # smallest admissible time step; a smaller step means the surface is too
 # close to extinction to continue
 DT_MIN = 1e-12
+
+# the radius at which sinh^2 u, formed by the curvature kernel, overflows
+U_MAX = math.asinh(math.sqrt(sys.float_info.max))
 
 
 class ConvexityError(RuntimeError):
@@ -98,7 +102,6 @@ class FlowState:
     t: float
     u: np.ndarray
     geometry: GraphGeometry
-    dt_last: float
 
     @property
     def u_star(self) -> np.ndarray:
@@ -139,9 +142,12 @@ class FlowTrajectory:
 
 def spherical_T_star(r0: float) -> float:
     """Extinction time of the geodesic sphere of radius r0."""
-    if r0 <= 0.0:
-        raise ValueError("sphere radius must be positive")
-    return math.log(math.cosh(r0))
+    if not 0.0 < r0 < math.inf:  # false for NaN too
+        raise ValueError(f"sphere radius must be positive and finite, got {r0!r}")
+    try:
+        return math.log(math.cosh(r0))
+    except OverflowError:
+        raise ValueError(f"cosh of the sphere radius {r0!r} overflows") from None
 
 
 def spherical_theta(t, r0: float):
@@ -192,16 +198,17 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
 
     sphere [r0]; perturbed_sphere [r0, a, k] giving r0 + a cos(k theta)
     (any integer k keeps the right pole parity); ellipsoid [a, b];
-    random_fourier [r0, amp, kmax] with seeded coefficients, resampled
-    until strictly convex.
+    random_fourier [r0, amp, kmax] with seeded coefficients up to the
+    integer frequency kmax <= m // 2, resampled until strictly convex.
+    A profile reaching U_MAX, where sinh^2 u overflows, is rejected.
     """
     params = tuple(float(p) for p in params)
     if name == "sphere":
         (r0,) = params
         if r0 <= 0:
             raise ValueError("sphere radius must be positive")
-        return np.full(grid.m, r0)
-    if name == "perturbed_sphere":
+        u = np.full(grid.m, r0)
+    elif name == "perturbed_sphere":
         r0, a, k = params
         ki = int(round(k))
         if ki != k or ki < 1:
@@ -209,30 +216,33 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
         u = r0 + a * np.cos(ki * grid.theta)
         if u.min() <= 0:
             raise ValueError("perturbation exceeds the radius")
-        return u
-    if name == "ellipsoid":
+    elif name == "ellipsoid":
         a, b = params
-        return _ellipsoid_profile(grid, a, b)
-    if name == "random_fourier":
+        u = _ellipsoid_profile(grid, a, b)
+    elif name == "random_fourier":
         r0, amp, kmax = params
-        kmax = int(kmax)
-        if kmax < 1 or amp < 0 or r0 <= 0:
-            raise ValueError("random_fourier needs r0 > 0, amp >= 0, kmax >= 1")
+        if not (r0 > 0 and amp >= 0 and 1 <= kmax <= grid.m // 2 and kmax == int(kmax)):
+            raise ValueError(f"random_fourier needs r0 > 0, amp >= 0 and an integer kmax "
+                             f"in [1, m // 2 = {grid.m // 2}], got {params!r}")
         rng = np.random.default_rng(seed)
         circle = isinstance(grid, CircleGrid)
         for _ in range(64):
-            coef = rng.normal(size=kmax) / np.arange(1, kmax + 1) ** 2
+            coef = rng.normal(size=int(kmax)) / np.arange(1, kmax + 1) ** 2
             u = r0 + 0.0 * grid.theta
             for k, c in enumerate(coef, start=1):
                 u = u + amp * c * np.cos(k * grid.theta)
                 if circle:
                     u = u + amp * rng.normal() / k**2 * np.sin(k * grid.theta)
-            if u.min() > 0.05:
-                g = HyperbolicGraph(grid, u)
-                if geometry_of(g).convex:
-                    return u
-        raise ValueError("could not draw a convex random profile; lower amp")
-    raise ValueError(f"unknown initial datum {name!r}")
+            if u.max() >= U_MAX or (u.min() > 0.05
+                                    and geometry_of(HyperbolicGraph(grid, u)).convex):
+                break
+        else:
+            raise ValueError("could not draw a convex random profile; lower amp")
+    else:
+        raise ValueError(f"unknown initial datum {name!r}")
+    if u.max() >= U_MAX:
+        raise ValueError(f"initial radius {u.max():.6g} reaches {U_MAX:.6g}, where sinh^2 overflows")
+    return u
 
 
 # ----------------------------------------------------------------------
@@ -541,8 +551,7 @@ class RadauIIA:
             self._jacobian(y_new, _velocity(geo.F_value, geo.v, self.eps))
         else:
             self._jac_current = False
-        self._state = FlowState(t=t_cap if landing else t + h_try, u=y_new, geometry=geo,
-                                dt_last=h_try)
+        self._state = FlowState(t=t_cap if landing else t + h_try, u=y_new, geometry=geo)
         return self._state
 
 
@@ -574,7 +583,7 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     """
     advance = step if eps > 0 else dual_step
     solver = RadauIIA(grid, F, eps)
-    state = FlowState(t=0.0, u=u0, geometry=_geometry(grid, u0, F, eps), dt_last=0.0)
+    state = FlowState(t=0.0, u=u0, geometry=_geometry(grid, u0, F, eps))
     traj = FlowTrajectory(config=config, states=[state])
     targets = sorted(float(t) for t in t_targets)
     last = targets[-1] if targets else None
@@ -690,7 +699,6 @@ class RescaledRecord:
     tau: float
     Theta: float
     u_tilde: np.ndarray
-    kappa_scaled: np.ndarray
     F_tilde: np.ndarray | None
     w: np.ndarray | None
 
@@ -699,7 +707,7 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
     """Normalize recorded states by the spherical barrier with time T_star.
 
     Theta(t) is the sphere radius extinguishing at T_star; tau = -ln
-    Theta, u~ = u/Theta, kappa is scaled by Theta.  When duals (stored
+    Theta, u~ = u/Theta, F~ = F Theta.  When duals (stored
     DeSitterGraph per record, or None entries) are supplied, w = u*/Theta.
     """
     last_t = traj.states[-1].t
@@ -718,7 +726,6 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
                 tau=-math.log(Theta),
                 Theta=Theta,
                 u_tilde=s.u / Theta,
-                kappa_scaled=s.geometry.kappa * Theta,
                 F_tilde=None if s.geometry.F_value is None else s.geometry.F_value * Theta,
                 w=w,
             )

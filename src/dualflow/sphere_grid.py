@@ -61,7 +61,7 @@ class SphereGrid:
         """Append two ghost nodes on each side of the last axis."""
         raise NotImplementedError
 
-    def integrate(self, values: np.ndarray, parity: int = 1) -> float:
+    def integrate(self, values: np.ndarray) -> float:
         raise NotImplementedError
 
     def d1(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
@@ -110,7 +110,7 @@ class CircleGrid(SphereGrid):
         v = self._check(values)
         return np.concatenate([v[..., -2:], v, v[..., :2]], axis=-1)
 
-    def integrate(self, values, parity: int = 1) -> float:
+    def integrate(self, values) -> float:
         v = self._check(values)
         return float(self.h * v.sum(axis=-1))
 
@@ -157,12 +157,12 @@ class AxisymGrid(SphereGrid):
         right = s * v[..., :-3:-1]
         return np.concatenate([left, v, right], axis=-1)
 
-    def integrate(self, values, parity: int = 1) -> float:
+    def integrate(self, values) -> float:
         v = self._check(values)
         if v.ndim != 1:
             raise ValueError("integrate takes a single profile")
-        vp = self.d1(v, parity)
-        vpp = self.d2(v, parity)
+        vp = self.d1(v)
+        vpp = self.d2(v)
         cells = v * self._w0 + vp * self._w1 + 0.5 * vpp * self._w2
         return float(self._shell * cells.sum())
 
@@ -288,7 +288,7 @@ def _quartic_extremum(win: np.ndarray, want: float):
     return np.take_along_axis(cand, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]
 
 
-def refine_extremum(grid: SphereGrid, values, mode: str, parity: int = 1):
+def refine_extremum(grid: SphereGrid, values, mode: str):
     """Sub-grid extremum of a profile by local quartic interpolation.
 
     mode is "max" or "min".  One profile (m,) gives (theta, value), where
@@ -305,7 +305,7 @@ def refine_extremum(grid: SphereGrid, values, mode: str, parity: int = 1):
     want = {"max": 1.0, "min": -1.0}.get(mode)
     if want is None:
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-    w = want * grid.pad(np.atleast_2d(v), parity)
+    w = want * grid.pad(np.atleast_2d(v))
     c = w[:, 2:-2]
     peak = (c >= w[:, 1:-3]) & (c >= w[:, 3:-1])
     peak[np.arange(len(c)), np.argmax(c, axis=1)] = True

@@ -46,7 +46,7 @@ def test_parse_example_config():
     assert cfg.u_stop == 0.02
     assert cfg.record_every == 10
     assert man.sigma == 0.1
-    assert man.seed == 0
+    assert cfg.seed == 0
     assert man.out == "."
 
 
@@ -57,7 +57,7 @@ def test_parse_comments_and_newlines():
         'initial.params=[1.0]\nu_stop=0.15\nseed=7\n'
     )
     assert man.config.u_stop == 0.15
-    assert man.seed == 7
+    assert man.config.seed == 7
 
 
 def test_manifest_round_trip():
@@ -69,7 +69,6 @@ def test_manifest_round_trip():
 @st.composite
 def _manifests(draw):
     n = draw(st.integers(1, 3))
-    seed = draw(st.integers(0, 2**31))
     config = FlowConfig(
         F=draw(st.sampled_from(curvfn.builtin_battery(n))), n=n,
         m=draw(st.integers(16, 1024)),
@@ -79,12 +78,12 @@ def _manifests(draw):
                                            max_size=4))),
         u_stop=draw(st.floats(1e-6, 10.0)),
         record_every=draw(st.integers(1, 10**6)),
-        seed=seed,
+        seed=draw(st.integers(0, 2**31)),
     )
     return RunManifest(config=config, sigma=draw(st.floats(0.0, 1.0, exclude_min=True,
                                                            exclude_max=True)),
                        mode=draw(st.sampled_from(cli.MODES)),
-                       out=draw(st.text("abz019_-./ ", min_size=1, max_size=12)), seed=seed)
+                       out=draw(st.text("abz019_-./ ", min_size=1, max_size=12)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -261,6 +260,20 @@ def test_bad_initial_datum_exit_code(tmp_path, capsys):
     assert "perturbation exceeds the radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r0", ["356.0", "700.0", "800.0"])
+def test_run_rejects_radius_past_sinh_overflow(tmp_path, capsys, r0):
+    # sinh^2 u overflows past about 355.6: stepping such a sphere would run
+    # on overflow warnings into a numerical abort, so it is a setup error
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "big.cfg",
+        f'F="mean" n=2 m=32 initial="sphere" initial.params=[{r0}] out="{out}"',
+    )
+    assert main(["run", cfg]) == 2
+    assert "sinh^2 overflows" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+
+
 def test_value_error_after_setup_propagates(tmp_path, monkeypatch):
     # only a bad initial datum is a setup error; a ValueError from the
     # solver or the diagnostics is a defect and must surface as one
@@ -319,6 +332,26 @@ def test_verify_flags_degenerate_concavity(tmp_path):
     assert main(["verify", cfg]) == 0
     rep = json.loads((out / "verify.json").read_text())
     assert rep["concavity"] == "concave_degenerate"
+
+
+def test_verify_classifies_concavity_in_one_call(tmp_path, monkeypatch):
+    # the whole (64, n) kappa sample goes to the classifier at once
+    shapes = []
+    real = curvfn.check_strict_concavity
+
+    def counted(F, kappa):
+        shapes.append(np.shape(kappa))
+        return real(F, kappa)
+
+    monkeypatch.setattr(curvfn, "check_strict_concavity", counted)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "v4.cfg",
+        f'F="norm_A" n=2 m=64 initial="sphere" initial.params=[0.8] out="{out}"',
+    )
+    assert main(["verify", cfg]) == 0
+    assert shapes == [(64, 2)]
+    assert json.loads((out / "verify.json").read_text())["concavity"] == "not_concave"
 
 
 def test_verify_nonconvex_exit_3(tmp_path):
@@ -384,6 +417,11 @@ def test_spherical_subcommand(capsys):
     assert th0 == pytest.approx(1.0, abs=1e-14)
     assert coth0 == pytest.approx(1.0 / math.tanh(1.0), abs=1e-15)
     assert main(["spherical", "--r0", "-1.0"]) == 2
+    # outside (0, inf), or with cosh r0 past the float range
+    for r0 in ("nan", "inf", "1000"):
+        capsys.readouterr()
+        assert main(["spherical", "--r0", r0]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_sweep_directory(tmp_path, capsys, monkeypatch):
@@ -402,6 +440,15 @@ def test_sweep_directory(tmp_path, capsys, monkeypatch):
     assert out[0].endswith("exit 0")
     assert out[1].endswith("exit 3")
     assert main(["sweep", str(tmp_path / "empty")]) == 2
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool created")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    for cap in ("0", "-1", "abc"):
+        monkeypatch.setenv("DUALFLOW_THREADS", cap)
+        assert main(["sweep", str(tmp_path)]) == 2
+        assert "DUALFLOW_THREADS must be a positive integer" in capsys.readouterr().err
 
 
 def test_json_outputs_escape_strings_and_write_nan_as_null(tmp_path):

@@ -209,6 +209,19 @@ def test_inverse_of_convex_root_not_concave():
     assert check_strict_concavity(make_function("norm_A", 2), [1.0, 3.0]) == NOT_CONCAVE
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), rows=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_verdict_is_worst_row(data, n, rows, seed):
+    F = make_function(data.draw(st.sampled_from(curvfn.builtin_battery(n))), n)
+    kappa = np.exp(np.random.default_rng(seed).uniform(-2.0, 2.0, size=(rows, n)))
+    rank = (NOT_CONCAVE, CONCAVE_DEGENERATE, STRICTLY_CONCAVE)
+    worst = min((check_strict_concavity(F, k) for k in kappa), key=rank.index)
+    assert check_strict_concavity(F, kappa) == worst
+    # leading axes beyond the first are rows too
+    assert check_strict_concavity(F, kappa[None]) == worst
+
+
 def test_elementary_symmetric_brute():
     assert elementary_symmetric([1.0, 2.0, 3.0], 2) == pytest.approx(11.0, abs=1e-13)
     assert elementary_symmetric([0.3, 7.0], 0) == 1.0

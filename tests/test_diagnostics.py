@@ -33,7 +33,7 @@ def test_csv_fields_are_frozen():
 def _sphere_state(grid, r, F):
     u = np.full(grid.m, r)
     geo = geometry_of(HyperbolicGraph(grid, u), F)
-    return FlowState(0.0, u, geo, 0.0)
+    return FlowState(0.0, u, geo)
 
 
 def test_record_on_slice_is_umbilic():
@@ -73,7 +73,7 @@ def test_record_without_dual_has_nan_w():
     assert math.isnan(rec.w_min) and math.isnan(rec.w_max)
     with pytest.raises(ValueError):
         compute_record(st, Theta=1.0)  # grid is mandatory
-    bare = FlowState(0.0, st.u, geometry_of(HyperbolicGraph(grid, st.u)), 0.0)
+    bare = FlowState(0.0, st.u, geometry_of(HyperbolicGraph(grid, st.u)))
     with pytest.raises(ValueError):
         compute_record(bare, Theta=1.0, grid=grid)
 
@@ -98,7 +98,7 @@ def test_dual_record_slice():
     grid = make_grid(2, 48)
     F_dual = curvfn.invert(curvfn.make_function("mean", 2))
     u_star = np.full(48, -0.8)
-    st = FlowState(0.0, u_star, geometry_of(DeSitterGraph(grid, u_star), F_dual), 0.0)
+    st = FlowState(0.0, u_star, geometry_of(DeSitterGraph(grid, u_star), F_dual))
     rec = compute_record(st, Theta=0.8, grid=grid)
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == -0.8

@@ -84,7 +84,7 @@ def test_one_step_sphere_matches_closed_form():
     errs = []
     for dt in (5e-3, 2.5e-3):
         u0 = np.full(32, 1.0)
-        st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F), 0.0)
+        st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F))
         st2 = rk4_step(st, F, 0.5, grid, dt_cap=dt)
         assert st2.t == pytest.approx(dt, abs=1e-15)
         errs.append(np.abs(st2.u - float(spherical_theta_ref(dt, 1.0))).max())
@@ -98,7 +98,7 @@ def test_step_dt_refinement_fourth_order():
 
     def integrate(dt, nsteps):
         u0 = 1.0 + 0.1 * np.cos(grid.theta)
-        st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F), 0.0)
+        st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F))
         for _ in range(nsteps):
             st = rk4_step(st, F, 0.5, grid, dt_cap=dt)
         return st.u
@@ -114,7 +114,7 @@ def test_step_preserves_spherical_symmetry():
     grid = make_grid(2, 32)
     F = curvfn.make_function("mean", 2)
     u0 = np.full(32, 1.0)
-    st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F), 0.0)
+    st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F))
     st2 = rk4_step(st, F, 0.2, grid)
     assert st2.u.max() - st2.u.min() <= 1e-12
 
@@ -445,6 +445,18 @@ def test_make_initial_library():
         make_initial("unknown_shape", (), grid)
     with pytest.raises(ValueError):
         make_initial("perturbed_sphere", (0.3, 0.4, 6), grid)  # dips below 0
+    # kmax is an integer in [1, m // 2]: a fraction is not rounded down,
+    # and 1e9 would ask for 8 GB of coefficients
+    assert make_initial("random_fourier", (1.0, 0.05, 32), grid).shape == (64,)
+    for kmax in (4.7, 0.0, -1.0, 33.0, 1e9, math.nan):
+        with pytest.raises(ValueError, match="kmax"):
+            make_initial("random_fourier", (1.0, 0.05, kmax), grid)
+    # sinh^2 u, which the curvature kernel forms, overflows past u = 355.58
+    assert make_initial("sphere", (355.0,), grid).max() == 355.0
+    for name, params in (("sphere", (356.0,)), ("perturbed_sphere", (355.5, 0.2, 2)),
+                         ("random_fourier", (400.0, 0.05, 4))):
+        with pytest.raises(ValueError, match="sinh\\^2 overflows"):
+            make_initial(name, params, grid)
 
 
 def test_run_flow_rejects_nonconvex_start():
