@@ -191,8 +191,12 @@ class CurvatureFunction:
         return k
 
     def value(self, kappa):
-        out = self._scale * self._raw_value(self._check(kappa))
+        out = self._value(self._check(kappa))
         return float(out) if np.ndim(out) == 0 else out
+
+    def _value(self, kappa: np.ndarray) -> np.ndarray:
+        """value of a kappa block the caller has checked, without _check."""
+        return self._scale * self._raw_value(kappa)
 
     def gradient(self, kappa):
         return self._scale * self._raw_gradient(self._check(kappa))
@@ -371,7 +375,7 @@ class InverseOf(CurvatureFunction):
         super().__init__(inner.n, f"inverse:{inner.name}")
 
     def _raw_value(self, kappa):
-        return 1.0 / self.inner.value(1.0 / kappa)
+        return 1.0 / self.inner._value(1.0 / kappa)
 
     def _raw_gradient(self, kappa):
         rho = 1.0 / kappa

@@ -209,11 +209,11 @@ def verify_duality(pair: DualPair) -> DualityReport:
     geo = geometry_of(g)
     us = pair.u_star_nodes
     w = pair.matching - grid.theta
-    a = 1.0 + grid.d1(w, parity=-1)
-    a_th = grid.d2(w, parity=-1)
-    us_th = grid.d1(us)
+    w_th, a_th = grid.derivatives(w, parity=-1)
+    a = 1.0 + w_th
+    us_th, us_thth = grid.derivatives(us)
     dus = us_th / a
-    ddus = (grid.d2(us) * a - us_th * a_th) / (a * a * a)
+    ddus = (us_thth * a - us_th * a_th) / (a * a * a)
     cot_t = None if g.n == 1 else np.cos(pair.matching) / np.sin(pair.matching)
     _, vt, kt = _curvatures(us, dus, ddus, cot_t, -1.0, g.n)
     ct_us = np.cosh(us)

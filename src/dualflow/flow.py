@@ -10,10 +10,11 @@ order five, adaptive steps), parametrized by the sign eps (+1 primal,
 explicit step is bounded by the grid spacing squared, an implicit one
 by accuracy alone, so the step count does not grow with m.  The Newton
 matrices are pentadiagonal, like the stencils, and are factored in
-O(m).  Each Newton iteration and each Jacobian is one rhs call on a
-stack of trial profiles; a trial row reports failure by NaN, and only
-accepted states are checked, once.  Geodesic spheres solve the primal
-flow in closed form and serve as the exact reference and as
+O(m).  Each Newton iteration and each Jacobian is one call of the
+masked rhs kernel on a stack of trial profiles; a trial row reports
+failure by NaN.  The kernel checks each accepted state once, and its
+GraphGeometry is built only when read.  Geodesic spheres solve the
+primal flow in closed form and serve as the exact reference and as
 extinction-time barriers.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -278,6 +280,31 @@ def _velocity(F_value: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
     return -F_value * v if eps > 0 else v / F_value
 
 
+def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps: float, u: np.ndarray):
+    """The admissibility mask and du/dt of a profile (m,) or of each row of a
+    stack (..., m): a row with a node across u = 0 or a curvature that is not
+    finite and positive (not convex, or a dual not spacelike) fails, du/dt NaN."""
+    with np.errstate(all="ignore"):
+        _, v, kappa = _kappa(grid, u, eps)
+        ok = ((eps * u > 0.0).all(axis=-1)
+              & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
+        F_value = F._value(np.where(ok[..., None, None], kappa, 1.0))
+        return ok, np.where(ok[..., None], _velocity(F_value, v, eps), np.nan)
+
+
+class _AcceptedState(FlowState):
+    """A state RadauIIA accepted; its geometry is built on first read and kept."""
+
+    def __init__(self, t: float, u: np.ndarray, side: tuple):
+        for name, value in (("t", t), ("u", u), ("_side", side)):
+            object.__setattr__(self, name, value)  # side is (grid, F, eps)
+
+    @cached_property
+    def geometry(self) -> GraphGeometry:
+        grid, F, eps = self._side
+        return _geometry(grid, self.u, F, eps)
+
+
 # Radau IIA, three stages, order five (Hairer & Wanner, Solving ODEs II,
 # IV.8).  The collocation system is solved in the eigenbasis of the Butcher
 # matrix, A^-1 = T diag(MU_REAL, MU_COMPLEX) T^-1 up to the complex pair's
@@ -309,7 +336,7 @@ _MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(x * x)))
+    return math.sqrt(np.add.reduce(x * x, axis=None) / x.size)  # np.mean, unwrapped
 
 
 class _BandLU:
@@ -408,17 +435,20 @@ class RadauIIA:
         self._state = None  # the state the carried data belong to
 
     def _rhs(self, u: np.ndarray) -> np.ndarray:
-        """du/dt of one profile (m,) or of each row of a stack (..., m); a row
-        with a node across u = 0 or a curvature that is not finite and
-        positive (not convex, or a dual not spacelike) comes back NaN, and
-        the step is then retried smaller.  rhs_evals counts profiles."""
+        """du/dt by _masked_rhs, NaN on a failed row (the step is then retried
+        smaller); rhs_evals counts profiles."""
         self.rhs_evals += u.size // self.grid.m
-        with np.errstate(all="ignore"):
-            _, v, kappa = _kappa(self.grid, u, self.eps)
-            ok = ((self.eps * u > 0.0).all(axis=-1)
-                  & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
-            F_value = self.F.value(np.where(ok[..., None, None], kappa, 1.0))
-            return np.where(ok[..., None], _velocity(F_value, v, self.eps), np.nan)
+        return _masked_rhs(self.grid, self.F, self.eps, u)[1]
+
+    def _accept(self, t: float, u: np.ndarray) -> FlowState:
+        """The state (t, u) of an accepted step, its du/dt kept in _f; one
+        the flow cannot continue from raises as _geometry does."""
+        self.rhs_evals += 1
+        ok, f = _masked_rhs(self.grid, self.F, self.eps, u)
+        if not ok:
+            _geometry(self.grid, u, self.F, self.eps)  # rejects every row the mask does
+        self._f = f
+        return _AcceptedState(t, u, (self.grid, self.F, self.eps))
 
     def _jacobian(self, u: np.ndarray, f: np.ndarray) -> None:
         self.jac_evals += 1
@@ -447,7 +477,7 @@ class RadauIIA:
         norm_old = rate = None
         for k in range(_NEWTON_MAXITER):
             F = self._rhs(y + Z)
-            if not np.all(np.isfinite(F)):
+            if not np.isfinite(F).all():
                 break
             dW_real = self._lu_real.solve(_TI[0] @ F - mu_real * W[0])
             dW_complex = self._lu_complex.solve(
@@ -476,10 +506,11 @@ class RadauIIA:
         trend = 1.0 if self._err_old is None else h / self._h_old * (self._err_old / err) ** 0.25
         return min(1.0, trend) * err ** -0.25
 
-    def _restart(self, state: FlowState, f: np.ndarray) -> None:
-        """Jacobian and first step size at a state not reached by this
-        integrator (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    def _restart(self, state: FlowState) -> None:
+        """Velocity, Jacobian and first step size at a state not reached by
+        this integrator (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
         y = state.u
+        self._f = f = _velocity(state.geometry.F_value, state.geometry.v, self.eps)
         self._jacobian(y, f)
         self._Z = self._h_old = self._err_old = None
         scale = ATOL + RTOL * np.abs(y)
@@ -493,10 +524,9 @@ class RadauIIA:
         on it exactly.  A step below DT_MIN raises StiffnessError, and an
         accepted state the flow cannot continue from raises
         ConvexityError or CausalityError."""
-        t, y = state.t, state.u
-        f = _velocity(state.geometry.F_value, state.geometry.v, self.eps)
         if state is not self._state:
-            self._restart(state, f)
+            self._restart(state)
+        t, y, f = state.t, state.u, self._f
         h, rejected = self.h, False
         while True:
             if h < DT_MIN:
@@ -533,8 +563,7 @@ class RadauIIA:
                 break
             shrink = safety * self._factor_of(h_try, err) if math.isfinite(err) else 0.0
             h, rejected = h_try * max(_MIN_FACTOR, shrink), True
-        self.rhs_evals += 1
-        geo = _geometry(self.grid, y_new, self.F, self.eps)
+        state = self._state = self._accept(t_cap if landing else t + h_try, y_new)
         # the stiff eigenvalues scale like 1/u^2; with a Jacobian from a
         # profile a tenth away, Newton contracts the stiff modes slowly, and
         # the rate test, led by the smooth modes, misses that while they sit
@@ -544,15 +573,15 @@ class RadauIIA:
         factor = min(_MAX_FACTOR, safety * self._factor_of(h_try, err))
         if not recompute_jac and factor < 1.2:
             factor = 1.0
-        self._h_old, self._err_old, self._Z = h_try, err, Z
+        # the floor of _factor_of: an exact step (err = 0) must not zero the trend
+        self._h_old, self._err_old, self._Z = h_try, max(err, 1e-16), Z
         # a landing cut the step short; the controller's proposal still holds
         self.h = max(h_try * factor, h) if landing else h_try * factor
         if recompute_jac:
-            self._jacobian(y_new, _velocity(geo.F_value, geo.v, self.eps))
+            self._jacobian(y_new, self._f)
         else:
             self._jac_current = False
-        self._state = FlowState(t=t_cap if landing else t + h_try, u=y_new, geometry=geo)
-        return self._state
+        return state
 
 
 def step(solver: RadauIIA, state: FlowState, t_cap: float | None = None) -> FlowState:

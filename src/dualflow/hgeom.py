@@ -111,17 +111,17 @@ def _curvatures(u, u_th, u_thth, cot, eps: float, n: int):
     slope = u_th / S
     slope_th = u_thth / S - u_th * u_th * C / (S * S)
     v = np.sqrt(1.0 + eps * slope * slope)
+    eps_C, v_S = eps * C, v * S
     kappa = np.empty(np.shape(u) + (n,))
-    kappa[..., 0] = (eps * C - slope_th / (v * v)) / (v * S)
+    kappa[..., 0] = (eps_C - slope_th / (v * v)) / v_S
     if n > 1:
-        kappa[..., 1:] = ((eps * C - cot * slope) / (v * S))[..., None]
+        kappa[..., 1:] = ((eps_C - cot * slope) / v_S)[..., None]
     return slope, v, kappa
 
 
 def _kappa(grid: SphereGrid, u: np.ndarray, eps: float):
     """_curvatures of one profile (m,) or of a stack (..., m) on the grid."""
-    cot = None if grid.n == 1 else np.cos(grid.theta) / np.sin(grid.theta)
-    return _curvatures(u, grid.d1(u), grid.d2(u), cot, eps, grid.n)
+    return _curvatures(u, *grid.derivatives(u), grid.cot, eps, grid.n)
 
 
 def _unit_normal(u, slope, v, theta, eps: float):
@@ -208,8 +208,7 @@ def euclidean_compare(g: HyperbolicGraph) -> EuclideanComparison:
     geo = geometry_of(g)
     r = np.tanh(g.u)
     assert np.all(r < 1.0)
-    r_th = grid.d1(r)
-    r_thth = grid.d2(r)
+    r_th, r_thth = grid.derivatives(r)
     pe = r_th / r
     pe_th = r_thth / r - (r_th / r) ** 2
     v_e = np.sqrt(1.0 + pe * pe)
@@ -223,8 +222,7 @@ def euclidean_compare(g: HyperbolicGraph) -> EuclideanComparison:
     if g.n == 1:
         h_ratio = ratio_prof[:, None]
     else:
-        cot = np.cos(grid.theta) / np.sin(grid.theta)
-        ke_ang = (1.0 - cot * pe) / (v_e * r)
+        ke_ang = (1.0 - grid.cot * pe) / (v_e * r)
         ratio_ang = (ke_ang * r * r) / (geo.kappa[:, 1] * np.sinh(g.u) ** 2)
         h_ratio = np.stack([ratio_prof, ratio_ang], axis=1)
     return EuclideanComparison(r=r, v_e=v_e, h_ratio=h_ratio)

@@ -56,33 +56,39 @@ class SphereGrid:
     m: int
     h: float
     theta: np.ndarray
+    cot: np.ndarray | None = None  # cot(theta), on a meridian grid
 
     def pad(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
-        """Append two ghost nodes on each side of the last axis."""
-        raise NotImplementedError
+        """Append two ghost nodes on each side of the last axis: one gather
+        through the grid's _pad_index, times its _odd_sign if parity is -1."""
+        v = self._check(values)
+        if parity not in (1, -1):
+            raise ValueError("parity must be +1 or -1")
+        p = v.take(self._pad_index, axis=-1)
+        if parity < 0:
+            p *= self._odd_sign
+        return p
 
     def integrate(self, values: np.ndarray) -> float:
         raise NotImplementedError
 
-    def d1(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
-        """First theta derivative, centered fourth order.
-
-        Grouped as paired differences so constant fields map to exact
-        zero instead of rounding residue.
-        """
+    def derivatives(self, values: np.ndarray, parity: int = 1):
+        """First and second theta derivatives, centered fourth order, from
+        one padded copy.  The first is grouped as paired differences so
+        constant fields map to exact zero instead of rounding residue."""
         p = self.pad(values, parity)
-        return ((p[..., :-4] - p[..., 4:]) + 8.0 * (p[..., 3:-1] - p[..., 1:-3])) / (
-            12.0 * self.h
-        )
+        d1 = ((p[..., :-4] - p[..., 4:]) + 8.0 * (p[..., 3:-1] - p[..., 1:-3])) / (12.0 * self.h)
+        d2 = (16.0 * (p[..., 1:-3] + p[..., 3:-1]) - (p[..., :-4] + p[..., 4:])
+              - 30.0 * p[..., 2:-2]) / (12.0 * self.h * self.h)
+        return d1, d2
+
+    def d1(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
+        """First theta derivative (see derivatives)."""
+        return self.derivatives(values, parity)[0]
 
     def d2(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
-        """Second theta derivative, centered fourth order."""
-        p = self.pad(values, parity)
-        return (
-            16.0 * (p[..., 1:-3] + p[..., 3:-1])
-            - (p[..., :-4] + p[..., 4:])
-            - 30.0 * p[..., 2:-2]
-        ) / (12.0 * self.h * self.h)
+        """Second theta derivative (see derivatives)."""
+        return self.derivatives(values, parity)[1]
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -105,10 +111,9 @@ class CircleGrid(SphereGrid):
         self.m = m
         self.h = 2.0 * math.pi / m
         self.theta = self.h * np.arange(m)
-
-    def pad(self, values, parity: int = 1):
-        v = self._check(values)
-        return np.concatenate([v[..., -2:], v, v[..., :2]], axis=-1)
+        # the ghosts wrap around, and an odd profile changes no sign
+        self._pad_index = np.arange(-2, m + 2) % m
+        self._odd_sign = np.ones(m + 4)
 
     def integrate(self, values) -> float:
         v = self._check(values)
@@ -139,6 +144,10 @@ class AxisymGrid(SphereGrid):
         self.m = m
         self.h = math.pi / m
         self.theta = self.h * (np.arange(m) + 0.5)
+        self.cot = np.cos(self.theta) / np.sin(self.theta)
+        # the ghosts mirror the nodes nearest each pole, with the parity sign
+        self._pad_index = np.r_[1, 0, np.arange(m), m - 1, m - 2]
+        self._odd_sign = np.r_[-1.0, -1.0, np.ones(m), -1.0, -1.0]
         t = self.theta[:, None] + 0.5 * self.h * _GL_X[None, :]
         w = 0.5 * self.h * _GL_W[None, :]
         s = np.sin(t) ** (n - 1)
@@ -148,21 +157,11 @@ class AxisymGrid(SphereGrid):
         self._w2 = (w * s * d * d).sum(axis=1)
         self._shell = sphere_area(n - 1)
 
-    def pad(self, values, parity: int = 1):
-        v = self._check(values)
-        if parity not in (1, -1):
-            raise ValueError("parity must be +1 or -1")
-        s = float(parity)
-        left = s * v[..., 1::-1]
-        right = s * v[..., :-3:-1]
-        return np.concatenate([left, v, right], axis=-1)
-
     def integrate(self, values) -> float:
         v = self._check(values)
         if v.ndim != 1:
             raise ValueError("integrate takes a single profile")
-        vp = self.d1(v)
-        vpp = self.d2(v)
+        vp, vpp = self.derivatives(v)
         cells = v * self._w0 + vp * self._w1 + 0.5 * vpp * self._w2
         return float(self._shell * cells.sum())
 

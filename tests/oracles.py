@@ -254,6 +254,33 @@ def fd_hessian(fval, kappa, h=1e-4):
 
 
 # ----------------------------------------------------------------------
+# grid stencils: the padded copy by concatenation
+# ----------------------------------------------------------------------
+
+def concatenate_pad(grid, values, parity=1):
+    """Two ghost nodes on each side of the last axis, by concatenation: the
+    circle wraps around (it ignores parity), a meridian grid mirrors the two
+    nodes nearest each pole with the parity sign."""
+    v = np.asarray(values, dtype=float)
+    if grid.n == 1:
+        return np.concatenate([v[..., -2:], v, v[..., :2]], axis=-1)
+    s = float(parity)
+    return np.concatenate([s * v[..., 1::-1], v, s * v[..., :-3:-1]], axis=-1)
+
+
+def padded_stencils(p, h):
+    """Centered fourth order first and second derivatives of a padded copy,
+    as the grids computed them one stencil at a time."""
+    d1 = ((p[..., :-4] - p[..., 4:]) + 8.0 * (p[..., 3:-1] - p[..., 1:-3])) / (12.0 * h)
+    d2 = (
+        16.0 * (p[..., 1:-3] + p[..., 3:-1])
+        - (p[..., :-4] + p[..., 4:])
+        - 30.0 * p[..., 2:-2]
+    ) / (12.0 * h * h)
+    return d1, d2
+
+
+# ----------------------------------------------------------------------
 # sub-grid extremum: the quartic window, one at a time
 # ----------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Time stepping: primal contraction, dual expansion, rescaling, extinction."""
 
+import dataclasses
 import math
 import warnings
 
@@ -26,7 +27,7 @@ from dualflow.flow import (
     spherical_T_star,
     spherical_theta,
 )
-from dualflow.hgeom import HyperbolicGraph, geometry_of
+from dualflow.hgeom import GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
 from oracles import oracle_flow_step, rk4_profiles, rk4_step, spherical_theta_ref
 
@@ -242,6 +243,80 @@ def test_step_makes_at_most_three_rhs_calls(monkeypatch):
     assert len(calls) <= 3 * traj.steps_taken
     # rhs_evals counts profiles, one per row of each call
     assert traj.rhs_evals == sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+
+
+def test_accepted_state_raises_like_geometry():
+    # an accepted state the flow cannot continue from, checked by the rhs
+    # kernel, raises the type and message of the full geometry check
+    grid = make_grid(2, 48)
+    F = curvfn.make_function("mean", 2)
+    good = 1.0 + 0.1 * np.cos(2 * grid.theta)
+    crossed = good.copy()
+    crossed[5] = -0.01
+    d_good = gauss_dual(HyperbolicGraph(grid, good)).dual.u_star
+    d_crossed = d_good.copy()
+    d_crossed[5] = 0.01
+    cases = (
+        (1.0, 0.3 + 0.28 * np.cos(6 * grid.theta), ConvexityError, "not strictly convex at node 8"),
+        (1.0, crossed, ConvexityError, "radius collapsed at node 5"),
+        (-1.0, d_crossed, CausalityError, "dual graph crossed the equatorial slice"),
+        (-1.0, -0.2 - 4.5 * np.sin(grid.theta / 2.0) ** 2, CausalityError,
+         "graph is not spacelike: |D u_star| = 1.144059 at node 11"),
+    )
+    for eps, u, error, message in cases:
+        solver = RadauIIA(grid, F if eps > 0 else curvfn.invert(F), eps)
+        with pytest.raises(error) as info:
+            solver._accept(0.1, u)
+        assert str(info.value) == message
+        assert solver.rhs_evals == 1
+    for eps, u, F_side in ((1.0, good, F), (-1.0, d_good, curvfn.invert(F))):
+        solver = RadauIIA(grid, F_side, eps)
+        state = solver._accept(0.1, u)
+        geo = _geometry(grid, u, F_side, eps)
+        assert np.array_equal(solver._f, _velocity(geo.F_value, geo.v, eps))
+        assert state.t == 0.1 and state.u is u
+
+
+def test_accepted_states_build_geometry_when_read(monkeypatch):
+    # stepping builds no GraphGeometry past the initial state's; a recorded
+    # state builds its own on first read, once, equal to geometry_of's
+    builds = []
+    init = GraphGeometry.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphGeometry, "__init__", counted)
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    traj = run_flow(cfg)
+    assert traj.failure is None
+    assert len(builds) <= len(traj.states) + 1  # the parent builds 666
+    F = curvfn.make_function(cfg.F, cfg.n)
+    dual = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(traj.grid, traj.states[0].u)).dual,
+                         t_stop=0.05)
+    assert dual.failure is None
+    for states, graph, F_side in ((traj.states, HyperbolicGraph, F),
+                                  (dual.states, DeSitterGraph, curvfn.invert(F))):
+        for s in states:
+            geo = s.geometry
+            assert s.geometry is geo
+            ref = geometry_of(graph(traj.grid, s.u), F_side)
+            for f in dataclasses.fields(GraphGeometry):
+                assert np.array_equal(getattr(geo, f.name), getattr(ref, f.name)), f.name
+
+
+@pytest.mark.parametrize("r0", [80.0, 350.0])
+def test_large_sphere_runs_to_extinction(r0):
+    # coth u rounds to 1 there, so du/dt = -1 exactly and a step can be exact
+    # (error norm 0); the step-size trend must not then zero the next step
+    cfg = FlowConfig(F="mean", n=2, m=32, initial="sphere", initial_params=(r0,))
+    traj = run_flow(cfg)
+    assert traj.failure is None
+    worst = max(np.abs(s.u - spherical_theta_ref(s.t, r0)).max() for s in traj.states)
+    assert worst < 1e-6  # criterion 1
+    assert abs(traj.T_star_estimate - spherical_T_star(r0)) < 1e-5
 
 
 @st.composite

@@ -17,7 +17,7 @@ from dualflow.sphere_grid import (
     resample_monotone,
     sphere_area,
 )
-from oracles import quartic_stationary
+from oracles import concatenate_pad, padded_stencils, quartic_stationary
 
 
 def test_make_grid_dispatch():
@@ -253,3 +253,31 @@ def test_refine_extremum_batch_rows_equal_single_calls(grid):
         refine_extremum(grid, rows[None], "max")
     with pytest.raises(ValueError):
         refine_extremum(grid, rows[:, :-1], "max")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 3]), m=st.integers(16, 40), parity=st.sampled_from([1, -1]),
+       rows=st.sampled_from([(), (1,), (3,), (2, 5)]), seed=st.integers(0, 2**32 - 1))
+def test_gather_pad_and_stencils_match_concatenation(n, m, parity, rows, seed):
+    # the gathered padded copy, d1, d2 and the derivative pair equal the
+    # concatenated copy and its stencils bit for bit, on profiles and stacks
+    g = make_grid(n, m)
+    v = np.random.default_rng(seed).normal(size=rows + (m,))
+    v[..., 0] = -0.0 if seed % 2 else v[..., 0]  # the sign of zero survives the gather
+    p = concatenate_pad(g, v, parity)
+    d1, d2 = padded_stencils(p, g.h)
+    assert _same_bits(g.pad(v, parity), p)
+    assert _same_bits(g.d1(v, parity), d1)
+    assert _same_bits(g.d2(v, parity), d2)
+    pair = g.derivatives(v, parity)
+    assert _same_bits(pair[0], d1) and _same_bits(pair[1], d2)
+
+
+def test_pad_rejects_parity():
+    for g in (make_grid(1, 16), make_grid(2, 16)):
+        with pytest.raises(ValueError):
+            g.pad(np.ones(16), 0)
