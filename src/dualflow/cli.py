@@ -276,8 +276,7 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
     if man.mode == "dual":
         dtraj = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(grid, u0)).dual)
         records = [
-            compute_record(s, Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma,
-                           grid=grid)
+            compute_record(s, Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma)
             for s in dtraj.states
         ]
         snaps = [(s.t, None, s.u_star) for s in dtraj.states]
@@ -295,7 +294,7 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
                 duals[i] = dtraj.states[j]
         records = [
             compute_record(s, duals[i], Theta=_theta_of(s.t, traj.T_star_estimate),
-                           epsilon=eps, sigma=man.sigma, grid=grid)
+                           epsilon=eps, sigma=man.sigma)
             for i, s in enumerate(traj.states)
         ]
         snaps = [(s.t, s.u, None if duals[i] is None else duals[i].u_star)

@@ -6,23 +6,23 @@ quantities the theory keeps under control: the curvature pinch ratio,
 the horoconvexity margin, the pinching-tensor minimum, the oscillation
 of the rescaled speed, the roundness functional f_sigma, inradius and
 circumradius, the duality identity error, and the rescaled dual support
-w.  A dual state reads its own de Sitter geometry and leaves the
-hyperbolic-only fields NaN.  Exponential rates are fitted
-on (tau, log y) by least squares and only their signs are asserted
-anywhere; the continuum statements carry no numeric constants.
+w.  A state brings its own grid and side; a dual state reads its own
+de Sitter geometry and leaves the hyperbolic-only fields NaN.
+Exponential rates are fitted on (tau, log y) by least squares and only
+their signs are asserted anywhere; the continuum statements carry no
+numeric constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .curvfn import CurvatureFunction
 from .dualmap import gauss_dual, verify_duality
 from .hgeom import GraphGeometry, HyperbolicGraph, inradius_circumradius
-from .sphere_grid import SphereGrid
 
 __all__ = [
     "CSV_FIELDS",
@@ -36,25 +36,6 @@ __all__ = [
     "decay_check",
     "kn_term_gap",
 ]
-
-# column order is frozen; downstream CSV consumers index by name
-CSV_FIELDS = (
-    "t",
-    "tau",
-    "u_min",
-    "u_max",
-    "pinch_ratio",
-    "horoconvex_margin",
-    "pinching_T",
-    "osc_F_tilde",
-    "f_sigma_max",
-    "A2_minus_nF2_max",
-    "rho_minus",
-    "rho_plus",
-    "duality_err",
-    "w_min",
-    "w_max",
-)
 
 # discrete slack multiplier for preserved-sign inequalities: continuum
 # statements are exact, stencil noise scales with h^2
@@ -87,6 +68,11 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_FIELDS]
 
 
+# the CSV columns are the record fields without a default, in order; the
+# column order is frozen, downstream CSV consumers index by name
+CSV_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord) if f.default is MISSING)
+
+
 def pinching_epsilon(geo: GraphGeometry, n: int) -> float:
     """Pinching-tensor weight fixed from the initial state.
 
@@ -108,12 +94,11 @@ def _f_sigma(geo: GraphGeometry, sigma: float):
 
 
 def compute_record(state, dual=None, Theta: float = math.nan,
-                   epsilon: float = 0.0, sigma: float = 0.1,
-                   grid: SphereGrid | None = None) -> DiagnosticsRecord:
-    """Condense one flow state of either side into a DiagnosticsRecord.
+                   epsilon: float = 0.0, sigma: float = 0.1) -> DiagnosticsRecord:
+    """Condense one FlowState of either side into a DiagnosticsRecord.
 
-    The side is the sign of the stored profile: u > 0 primal, u* < 0
-    dual.  The curvature monitors read the state's own geometry.  Theta
+    The side is the state's eps: +1 primal, -1 dual.  The curvature
+    monitors read the state's own geometry, on its own grid.  Theta
     is the barrier radius at the state's time (NaN when no extinction
     estimate exists yet); epsilon is the run-constant pinching weight
     from pinching_epsilon at t = 0.  dual is the primal state's matched
@@ -123,17 +108,13 @@ def compute_record(state, dual=None, Theta: float = math.nan,
     hyperbolic-only fields (horoconvexity, pinching tensor, inball
     radii, duality error, f_sigma norms) stay NaN.
     """
-    if grid is None:
-        raise ValueError("compute_record needs the grid of the run")
-    geo = state.geometry
-    if geo.F_value is None:
-        raise ValueError("state geometry lacks the speed values; run with F attached")
+    geo, grid = state.geometry, state.grid
     n = geo.kappa.shape[1]
     k_min = geo.kappa.min(axis=1)
     k_max = geo.kappa.max(axis=1)
     gap, f_sig = _f_sigma(geo, sigma)
     F_tilde = geo.F_value * Theta
-    primal = bool(state.u[0] > 0.0)
+    primal = state.eps > 0
     dual = dual if primal else state
     horo = pinching_T = rho_minus = rho_plus = duality_err = l2 = l8 = w_min = w_max = math.nan
     if dual is not None:
@@ -220,19 +201,20 @@ class DecayReport:
 def decay_check(traj, c0: float | None = None, delta: float | None = None) -> DecayReport:
     """Check |A|^2 - nF^2 <= c0 F^(2-delta) nodewise over a whole run.
 
-    With (c0, delta) given, just verifies.  Otherwise delta comes from
-    the log-log regression of the gap against F over all nodes with a
-    positive gap, and c0 is the smallest constant covering every node
+    With (c0, delta) given, just verifies.  With neither, delta comes
+    from the log-log regression of the gap against F over all nodes with
+    a positive gap, and c0 is the smallest constant covering every node
     (with 1% headroom); the report carries the worst margin
     c0 F^(2-delta) - gap.  Runs with an identically zero gap (spheres)
-    are feasible for any positive pair and reported as such.
+    are feasible for any positive pair and reported as such.  One
+    constant without the other raises ValueError.
     """
+    if (c0 is None) != (delta is None):
+        raise ValueError("decay_check takes c0 and delta together, or neither")
     gaps = []
     Fs = []
     for s in traj.states:
         geo = s.geometry
-        if geo.F_value is None:
-            raise ValueError("trajectory states lack speed values")
         nn = geo.kappa.shape[1]
         gaps.append(geo.normA2 - nn * geo.F_value**2)
         Fs.append(geo.F_value)
@@ -240,20 +222,14 @@ def decay_check(traj, c0: float | None = None, delta: float | None = None) -> De
     F = np.concatenate(Fs)
     pos = gap > 1e-14 * np.maximum(F * F, 1.0)
     fitted = False
-    if c0 is None or delta is None:
+    if c0 is None:
         if pos.sum() < 5:
-            d_fit = 1.0 if delta is None else delta
-            c_fit = 1.0 if c0 is None else c0
+            c0, delta = 1.0, 1.0
         else:
             fitted = True
             cov = np.cov(np.log(F[pos]), np.log(gap[pos]))
-            slope = cov[0, 1] / cov[0, 0]
-            d_fit = 2.0 - slope if delta is None else delta
-            c_fit = float(np.exp(np.max(np.log(gap[pos]) - (2.0 - d_fit) * np.log(F[pos]))))
-            c_fit *= 1.01 if c0 is None else 1.0
-            if c0 is not None:
-                c_fit = c0
-        c0, delta = c_fit, d_fit
+            delta = 2.0 - cov[0, 1] / cov[0, 0]
+            c0 = float(np.exp(np.max(np.log(gap[pos]) - (2.0 - delta) * np.log(F[pos])))) * 1.01
     bound = c0 * F ** (2.0 - delta)
     margin = float((bound - gap).min())
     return DecayReport(ok=bool(margin >= 0.0 and delta > 0.0), c0=float(c0),

@@ -12,10 +12,10 @@ by accuracy alone, so the step count does not grow with m.  The Newton
 matrices are pentadiagonal, like the stencils, and are factored in
 O(m).  Each Newton iteration and each Jacobian is one call of the
 masked rhs kernel on a stack of trial profiles; a trial row reports
-failure by NaN.  The kernel checks each accepted state once, and its
-GraphGeometry is built only when read.  Geodesic spheres solve the
-primal flow in closed form and serve as the exact reference and as
-extinction-time barriers.
+failure by NaN.  Every state of either flow is a FlowState that carries
+its side and builds its GraphGeometry on first read.  Geodesic spheres
+solve the primal flow in closed form and serve as the exact reference
+and as extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -95,15 +95,24 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One state of either flow.
+    """One state of either flow and the side it was integrated on.
 
     u is the stored profile: the radius u > 0 of a primal state, the
-    eigentime u* < 0 of a dual one.  geometry carries the speed values.
+    eigentime u* < 0 of a dual one.  The side is the grid, the speed F
+    (the inverse speed on the dual side) and eps (+1 primal, -1 dual).
+    geometry, with the speed values, is built on first read and kept; it
+    raises as _geometry does for a profile the flow cannot continue from.
     """
 
     t: float
     u: np.ndarray
-    geometry: GraphGeometry
+    grid: SphereGrid
+    F: CurvatureFunction
+    eps: float
+
+    @cached_property
+    def geometry(self) -> GraphGeometry:
+        return _geometry(self.grid, self.u, self.F, self.eps)
 
     @property
     def u_star(self) -> np.ndarray:
@@ -135,7 +144,7 @@ class FlowTrajectory:
 
     @property
     def grid(self) -> SphereGrid:
-        return make_grid(self.config.n, self.config.m)
+        return self.states[0].grid
 
 
 # ----------------------------------------------------------------------
@@ -143,17 +152,22 @@ class FlowTrajectory:
 # ----------------------------------------------------------------------
 
 def spherical_T_star(r0: float) -> float:
-    """Extinction time of the geodesic sphere of radius r0."""
+    """Extinction time ln cosh r0 = log1p(2 sinh^2(r0/2)) of the geodesic
+    sphere of radius r0; the second form keeps its digits for small r0."""
     if not 0.0 < r0 < math.inf:  # false for NaN too
         raise ValueError(f"sphere radius must be positive and finite, got {r0!r}")
     try:
-        return math.log(math.cosh(r0))
+        T = math.log1p(math.sinh(r0) * math.tanh(0.5 * r0))  # 2 sinh^2(r0/2)
     except OverflowError:
         raise ValueError(f"cosh of the sphere radius {r0!r} overflows") from None
+    if T < sys.float_info.min:
+        raise ValueError(f"the extinction time of the sphere radius {r0!r} underflows")
+    return T
 
 
 def spherical_theta(t, r0: float):
-    """Radius of the shrinking geodesic sphere, cosh T = cosh(r0) e^{-t}.
+    """Radius of the shrinking geodesic sphere, cosh Theta = cosh(r0) e^{-t},
+    as 2 asinh(sqrt(expm1(T* - t) / 2)), which keeps its digits for small r0.
 
     Any normalized speed gives the same spherical evolution: on an
     umbilic sphere F(coth r, ..) = coth r by homogeneity.
@@ -162,7 +176,7 @@ def spherical_theta(t, r0: float):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr >= T):
         raise ValueError(f"time outside [0, T*) with T* = {T!r}")
-    out = np.arccosh(np.cosh(r0) * np.exp(-t_arr))
+    out = 2.0 * np.arcsinh(np.sqrt(0.5 * np.expm1(T - t_arr)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -290,19 +304,6 @@ def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps: float, u: np.ndarra
               & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
         F_value = F._value(np.where(ok[..., None, None], kappa, 1.0))
         return ok, np.where(ok[..., None], _velocity(F_value, v, eps), np.nan)
-
-
-class _AcceptedState(FlowState):
-    """A state RadauIIA accepted; its geometry is built on first read and kept."""
-
-    def __init__(self, t: float, u: np.ndarray, side: tuple):
-        for name, value in (("t", t), ("u", u), ("_side", side)):
-            object.__setattr__(self, name, value)  # side is (grid, F, eps)
-
-    @cached_property
-    def geometry(self) -> GraphGeometry:
-        grid, F, eps = self._side
-        return _geometry(grid, self.u, F, eps)
 
 
 # Radau IIA, three stages, order five (Hairer & Wanner, Solving ODEs II,
@@ -442,13 +443,14 @@ class RadauIIA:
 
     def _accept(self, t: float, u: np.ndarray) -> FlowState:
         """The state (t, u) of an accepted step, its du/dt kept in _f; one
-        the flow cannot continue from raises as _geometry does."""
+        the flow cannot continue from raises as its geometry does."""
         self.rhs_evals += 1
         ok, f = _masked_rhs(self.grid, self.F, self.eps, u)
+        state = FlowState(t, u, self.grid, self.F, self.eps)
         if not ok:
-            _geometry(self.grid, u, self.F, self.eps)  # rejects every row the mask does
+            state.geometry  # rejects every row the mask does
         self._f = f
-        return _AcceptedState(t, u, (self.grid, self.F, self.eps))
+        return state
 
     def _jacobian(self, u: np.ndarray, f: np.ndarray) -> None:
         self.jac_evals += 1
@@ -612,7 +614,8 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     """
     advance = step if eps > 0 else dual_step
     solver = RadauIIA(grid, F, eps)
-    state = FlowState(t=0.0, u=u0, geometry=_geometry(grid, u0, F, eps))
+    state = FlowState(0.0, u0, grid, F, eps)
+    state.geometry  # an initial datum the flow cannot continue from raises here
     traj = FlowTrajectory(config=config, states=[state])
     targets = sorted(float(t) for t in t_targets)
     last = targets[-1] if targets else None
@@ -728,7 +731,7 @@ class RescaledRecord:
     tau: float
     Theta: float
     u_tilde: np.ndarray
-    F_tilde: np.ndarray | None
+    F_tilde: np.ndarray
     w: np.ndarray | None
 
 
@@ -755,7 +758,7 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
                 tau=-math.log(Theta),
                 Theta=Theta,
                 u_tilde=s.u / Theta,
-                F_tilde=None if s.geometry.F_value is None else s.geometry.F_value * Theta,
+                F_tilde=s.geometry.F_value * Theta,
                 w=w,
             )
         )

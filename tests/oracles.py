@@ -416,15 +416,15 @@ def rk4_step(state, F, cfl, grid, dt_cap=None, eps=1.0):
     k3 = rhs(u + 0.5 * dt * k2)
     k4 = rhs(u + dt * k3)
     u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return FlowState(t=state.t + dt, u=u_new, geometry=_geometry(grid, u_new, F, eps))
+    return FlowState(state.t + dt, u_new, grid, F, eps)
 
 
 def rk4_profiles(grid, F, u0, targets, eps=1.0, cfl=0.2):
     """Profiles at the sorted target times, integrated from u0 at t = 0 by
     rk4_step."""
-    from dualflow.flow import FlowState, _geometry
+    from dualflow.flow import FlowState
 
-    state = FlowState(0.0, u0, _geometry(grid, u0, F, eps))
+    state = FlowState(0.0, u0, grid, F, eps)
     out = []
     for tt in targets:
         while state.t < tt - 1e-13:

@@ -418,10 +418,17 @@ def test_spherical_subcommand(capsys):
     assert coth0 == pytest.approx(1.0 / math.tanh(1.0), abs=1e-15)
     assert main(["spherical", "--r0", "-1.0"]) == 2
     # outside (0, inf), or with cosh r0 past the float range
-    for r0 in ("nan", "inf", "1000"):
+    for r0 in ("nan", "inf", "1000", "1e-200"):  # 1e-200: T* underflows
         capsys.readouterr()
         assert main(["spherical", "--r0", r0]) == 2
         assert capsys.readouterr().out == ""
+    # where cosh r0 rounds toward 1 the table still follows the flat limit
+    for r0 in (1e-9, 2e-8, 1e-7):
+        assert main(["spherical", "--r0", repr(r0)]) == 0
+        rows = [tuple(map(float, ln.split())) for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert len(rows) == 21
+        for t, th, coth in rows:
+            assert th == pytest.approx(math.sqrt(r0 * r0 - 2.0 * t), rel=1e-12)
 
 
 def test_sweep_directory(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ from dualflow.diagnostics import (
     kn_term_gap,
     pinching_epsilon,
 )
-from dualflow.dualmap import DeSitterGraph, gauss_dual
+from dualflow.dualmap import gauss_dual
 from dualflow.flow import FlowConfig, FlowState, run_flow
 from dualflow.hgeom import HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
@@ -31,9 +31,7 @@ def test_csv_fields_are_frozen():
 
 
 def _sphere_state(grid, r, F):
-    u = np.full(grid.m, r)
-    geo = geometry_of(HyperbolicGraph(grid, u), F)
-    return FlowState(0.0, u, geo)
+    return FlowState(0.0, np.full(grid.m, r), grid, F, 1.0)
 
 
 def test_record_on_slice_is_umbilic():
@@ -42,7 +40,7 @@ def test_record_on_slice_is_umbilic():
     st = _sphere_state(grid, 0.8, F)
     eps = pinching_epsilon(st.geometry, 2)
     dual = gauss_dual(HyperbolicGraph(grid, st.u)).dual
-    rec = compute_record(st, dual=dual, Theta=0.8, epsilon=eps, sigma=0.1, grid=grid)
+    rec = compute_record(st, dual=dual, Theta=0.8, epsilon=eps, sigma=0.1)
     coth = 1.0 / math.tanh(0.8)
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == 0.8
@@ -68,14 +66,9 @@ def test_record_without_dual_has_nan_w():
     grid = make_grid(2, 32)
     F = curvfn.make_function("mean", 2)
     st = _sphere_state(grid, 1.0, F)
-    rec = compute_record(st, Theta=1.0, grid=grid)
+    rec = compute_record(st, Theta=1.0)
     assert math.isnan(rec.duality_err)
     assert math.isnan(rec.w_min) and math.isnan(rec.w_max)
-    with pytest.raises(ValueError):
-        compute_record(st, Theta=1.0)  # grid is mandatory
-    bare = FlowState(0.0, st.u, geometry_of(HyperbolicGraph(grid, st.u)))
-    with pytest.raises(ValueError):
-        compute_record(bare, Theta=1.0, grid=grid)
 
 
 def test_pinching_weight_feasible_at_start():
@@ -98,8 +91,8 @@ def test_dual_record_slice():
     grid = make_grid(2, 48)
     F_dual = curvfn.invert(curvfn.make_function("mean", 2))
     u_star = np.full(48, -0.8)
-    st = FlowState(0.0, u_star, geometry_of(DeSitterGraph(grid, u_star), F_dual))
-    rec = compute_record(st, Theta=0.8, grid=grid)
+    st = FlowState(0.0, u_star, grid, F_dual, -1.0)
+    rec = compute_record(st, Theta=0.8)
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == -0.8
     assert rec.w_min == pytest.approx(-1.0, abs=1e-12)
@@ -192,3 +185,7 @@ def test_decay_check_verifies_given_constants():
     assert loose.ok and not loose.fitted
     absurd = decay_check(traj, c0=1e-12, delta=fitted.delta)
     assert not absurd.ok
+    # the constants come together or not at all
+    for one in ({"c0": fitted.c0}, {"delta": fitted.delta}):
+        with pytest.raises(ValueError):
+            decay_check(traj, **one)

@@ -85,7 +85,7 @@ def test_one_step_sphere_matches_closed_form():
     errs = []
     for dt in (5e-3, 2.5e-3):
         u0 = np.full(32, 1.0)
-        st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F))
+        st = FlowState(0.0, u0, grid, F, 1.0)
         st2 = rk4_step(st, F, 0.5, grid, dt_cap=dt)
         assert st2.t == pytest.approx(dt, abs=1e-15)
         errs.append(np.abs(st2.u - float(spherical_theta_ref(dt, 1.0))).max())
@@ -99,7 +99,7 @@ def test_step_dt_refinement_fourth_order():
 
     def integrate(dt, nsteps):
         u0 = 1.0 + 0.1 * np.cos(grid.theta)
-        st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F))
+        st = FlowState(0.0, u0, grid, F, 1.0)
         for _ in range(nsteps):
             st = rk4_step(st, F, 0.5, grid, dt_cap=dt)
         return st.u
@@ -115,7 +115,7 @@ def test_step_preserves_spherical_symmetry():
     grid = make_grid(2, 32)
     F = curvfn.make_function("mean", 2)
     u0 = np.full(32, 1.0)
-    st = FlowState(0.0, u0, geometry_of(HyperbolicGraph(grid, u0), F))
+    st = FlowState(0.0, u0, grid, F, 1.0)
     st2 = rk4_step(st, F, 0.2, grid)
     assert st2.u.max() - st2.u.min() <= 1e-12
 
@@ -264,11 +264,16 @@ def test_accepted_state_raises_like_geometry():
          "graph is not spacelike: |D u_star| = 1.144059 at node 11"),
     )
     for eps, u, error, message in cases:
-        solver = RadauIIA(grid, F if eps > 0 else curvfn.invert(F), eps)
+        F_side = F if eps > 0 else curvfn.invert(F)
+        solver = RadauIIA(grid, F_side, eps)
         with pytest.raises(error) as info:
             solver._accept(0.1, u)
         assert str(info.value) == message
         assert solver.rhs_evals == 1
+        # a state of its side built directly raises the same on first read
+        with pytest.raises(error) as info:
+            FlowState(0.1, u, grid, F_side, eps).geometry
+        assert str(info.value) == message
     for eps, u, F_side in ((1.0, good, F), (-1.0, d_good, curvfn.invert(F))):
         solver = RadauIIA(grid, F_side, eps)
         state = solver._accept(0.1, u)
@@ -293,6 +298,7 @@ def test_accepted_states_build_geometry_when_read(monkeypatch):
     traj = run_flow(cfg)
     assert traj.failure is None
     assert len(builds) <= len(traj.states) + 1  # the parent builds 666
+    assert traj.grid is traj.states[0].grid
     F = curvfn.make_function(cfg.F, cfg.n)
     dual = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(traj.grid, traj.states[0].u)).dual,
                          t_stop=0.05)
