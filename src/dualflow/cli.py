@@ -37,6 +37,7 @@ from .flow import (
     ConvexityError,
     FlowConfig,
     StiffnessError,
+    _sphere_theta,
     make_initial,
     run_dual_flow,
     run_flow,
@@ -257,7 +258,7 @@ _FAILURE_NAMES = {
 def _theta_of(t: float, T_star) -> float:
     if T_star is None or t >= T_star:
         return math.nan
-    return spherical_theta(t, math.acosh(math.exp(T_star)))
+    return _sphere_theta(t, T_star)
 
 
 def _initial_profile(cfg: FlowConfig, grid) -> np.ndarray:

@@ -9,8 +9,9 @@ order five, adaptive steps), parametrized by the sign eps (+1 primal,
 -1 dual) of hgeom._kappa.  The discretized flows are stiff: an
 explicit step is bounded by the grid spacing squared, an implicit one
 by accuracy alone, so the step count does not grow with m.  The Newton
-matrices are pentadiagonal, like the stencils, and are factored in
-O(m).  Each Newton iteration and each Jacobian is one call of the
+matrices are pentadiagonal, like the stencils.  Up to m = 64 they are
+inverted outright; above that they are factored in O(m), with no m x m
+array.  Each Newton iteration and each Jacobian is one call of the
 masked rhs kernel on a stack of trial profiles; a trial row reports
 failure by NaN.  Every state of either flow is a FlowState that carries
 its side and builds its GraphGeometry on first read.  Geodesic spheres
@@ -172,11 +173,16 @@ def spherical_theta(t, r0: float):
     Any normalized speed gives the same spherical evolution: on an
     umbilic sphere F(coth r, ..) = coth r by homogeneity.
     """
-    T = spherical_T_star(r0)
+    return _sphere_theta(t, spherical_T_star(r0))
+
+
+def _sphere_theta(t, T_star: float):
+    """Radius 2 asinh(sqrt(expm1(T* - t) / 2)) at time t of the geodesic
+    sphere that becomes extinct at T*, keyed by T* rather than a radius."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr >= T):
-        raise ValueError(f"time outside [0, T*) with T* = {T!r}")
-    out = 2.0 * np.arcsinh(np.sqrt(0.5 * np.expm1(T - t_arr)))
+    if np.any(t_arr < 0.0) or np.any(t_arr >= T_star):
+        raise ValueError(f"time outside [0, T*) with T* = {T_star!r}")
+    out = 2.0 * np.arcsinh(np.sqrt(0.5 * np.expm1(T_star - t_arr)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -348,9 +354,9 @@ class _BandLU:
     bands[3:, -2:]; they are split off as A = B + U K U^T, U the columns
     {0, 1, m-2, m-1} of the identity, and folded back in by the Woodbury
     identity.  The elimination runs in plain Python over the rows: O(m)
-    work and no m x m array.  Without pivoting it needs nonzero leading
-    pivots, which a shifted Newton matrix mu/h - J of the parabolic flow
-    has.
+    work and no m x m array, which pays above _DENSE_MAX_M.  Without
+    pivoting it needs nonzero leading pivots, which a shifted Newton
+    matrix mu/h - J of the parabolic flow has.
     """
 
     def __init__(self, bands: np.ndarray, cyclic: bool):
@@ -400,6 +406,31 @@ class _BandLU:
         return x
 
 
+# the largest m whose Newton matrices are inverted outright: one matrix
+# product per solve then beats the band LU's Python row loop, and a step's
+# solves repay the O(m^3) inverses (README, "Time stepping")
+_DENSE_MAX_M = 64
+
+
+class _DenseInverse:
+    """The matrix of _BandLU's bands, corners included, kept as its
+    explicit inverse: a solve is one matrix-vector product.  A NaN entry
+    gives a NaN solve, as in _BandLU."""
+
+    def __init__(self, bands: np.ndarray, cyclic: bool):
+        m = bands.shape[1]
+        rows = np.broadcast_to(np.arange(m), bands.shape)
+        cols = rows + np.arange(-2, 3)[:, None]
+        keep = cyclic | (cols >= 0) & (cols < m)
+        A = np.zeros((m, m), dtype=bands.dtype)
+        A[rows[keep], cols[keep] % m] = bands[keep]
+        self._inv = np.linalg.inv(A)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs."""
+        return self._inv @ rhs
+
+
 class RadauIIA:
     """The Radau IIA integrator of one run of either flow.
 
@@ -422,6 +453,7 @@ class RadauIIA:
         self.grid, self.F, self.eps = grid, F, eps
         self.cyclic = isinstance(grid, CircleGrid)
         m = grid.m
+        self._solver = _DenseInverse if m <= _DENSE_MAX_M else _BandLU
         cols = np.arange(m)[None, :] + np.arange(-2, 3)[:, None]
         inside = (cols >= 0) & (cols < m)
         colour = np.arange(m) % 5
@@ -464,10 +496,10 @@ class RadauIIA:
         self.factorizations += 1
         shifted = -self._jac
         shifted[2] += _MU_REAL / h
-        self._lu_real = _BandLU(shifted, self.cyclic)
+        self._lu_real = self._solver(shifted, self.cyclic)
         shifted = -self._jac.astype(complex)
         shifted[2] += _MU_COMPLEX / h
-        self._lu_complex = _BandLU(shifted, self.cyclic)
+        self._lu_complex = self._solver(shifted, self.cyclic)
         self._lu_h = h
 
     def _newton(self, y: np.ndarray, h: float, Z: np.ndarray, scale: np.ndarray):
@@ -745,10 +777,9 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
     last_t = traj.states[-1].t
     if T_star <= last_t:
         raise ValueError(f"T_star = {T_star!r} must exceed the last recorded t = {last_t!r}")
-    r0_eff = math.acosh(math.exp(T_star))
     out = []
     for i, s in enumerate(traj.states):
-        Theta = spherical_theta(s.t, r0_eff)
+        Theta = _sphere_theta(s.t, T_star)
         w = None
         if duals is not None and duals[i] is not None:
             w = duals[i].u_star / Theta

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualflow import curvfn
+from dualflow import curvfn, flow
+from dualflow.cli import _theta_of
 from dualflow.dualmap import CausalityError, DeSitterGraph, gauss_dual
 from dualflow.flow import (
     ConvexityError,
     FlowConfig,
     FlowState,
+    FlowTrajectory,
     RadauIIA,
     _BandLU,
+    _DenseInverse,
     _geometry,
     _velocity,
     estimate_Tstar,
@@ -351,8 +354,47 @@ def test_band_lu_matches_dense_solve(system):
                 A[i, j % m] += bands[k, i]
             elif 0 <= j < m:
                 A[i, j] = bands[k, i]
-    x = _BandLU(bands, cyclic).solve(rhs)
-    assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-12 * (1.0 + np.abs(x).max())
+    for solver in (_BandLU, _DenseInverse):
+        x = solver(bands, cyclic).solve(rhs)
+        assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-12 * (1.0 + np.abs(x).max())
+
+
+@pytest.mark.parametrize("solver", [_BandLU, _DenseInverse])
+def test_band_solvers_pass_nan_through(solver):
+    # a finite-difference Jacobian near the admissibility edge can hold NaN;
+    # the solve must come back non-finite, so that the step retries smaller
+    bands = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 32))
+    bands[2] += 5.0
+    bands[0, 17] = np.nan
+    for cyclic in (False, True):
+        for shift in (0.0, 1j):
+            x = solver(bands + shift, cyclic).solve(np.ones(32) + shift)
+            assert not np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("n, m", [(2, 48), (1, 64)])
+def test_newton_paths_agree(monkeypatch, n, m):
+    # the explicit inverses and the band LU solve the same Newton systems:
+    # the same solver work, and landed states equal to rounding
+    cfg = FlowConfig(F="sigma_k:2" if n == 2 else "mean", n=n, m=m,
+                     initial="perturbed_sphere", initial_params=(1.0, 0.1, 2),
+                     record_every=10**9)
+    grid = make_grid(n, m)
+    d0 = gauss_dual(HyperbolicGraph(grid, make_initial(cfg.initial, cfg.initial_params, grid)))
+    targets = [0.04, 0.08, 0.12, 0.16, 0.2]
+    runs = []
+    for max_m in (0, 10**6):
+        monkeypatch.setattr(flow, "_DENSE_MAX_M", max_m)
+        runs.append([run_flow(cfg, t_targets=targets, t_stop=0.2),
+                     run_dual_flow(cfg, d0.dual, t_targets=targets, t_stop=0.2)])
+    for band, dense in zip(*runs):
+        assert band.failure is None and dense.failure is None
+        for counter in ("steps_taken", "rhs_evals", "jac_evals", "factorizations"):
+            assert getattr(band, counter) == getattr(dense, counter), counter
+        assert band.landed == dense.landed and len(band.landed) == len(targets)
+        for i in band.landed:
+            assert band.states[i].t == dense.states[i].t
+            assert np.abs(band.states[i].u - dense.states[i].u).max() < 1e-13
 
 
 def test_run_flow_sphere_tracks_closed_form():
@@ -403,6 +445,19 @@ def test_spherical_theta_values():
         spherical_theta(T_STAR_1, 1.0)
     with pytest.raises(ValueError):
         spherical_theta(-0.1, 1.0)
+
+
+@pytest.mark.parametrize("T_star", [1e-17, 1e-12, 1e-10, 0.43])
+def test_barrier_radius_is_keyed_by_T_star(T_star):
+    # the barrier radius comes from T* directly, with no round trip through
+    # a sphere radius, which loses digits for small T* and is 0.0 at 1e-17
+    Theta = 2.0 * math.asinh(math.sqrt(0.5 * math.expm1(T_star)))
+    grid = make_grid(2, 16)
+    state = FlowState(0.0, np.ones(16), grid, curvfn.make_function("mean", 2), 1.0)
+    traj = FlowTrajectory(config=FlowConfig(F="mean", n=2, m=16, initial="sphere",
+                                            initial_params=(1.0,)), states=[state])
+    for value in (_theta_of(0.0, T_star), rescale(traj, T_star)[0].Theta):
+        assert abs(value - Theta) <= 4.0 * math.ulp(Theta)
 
 
 def test_estimate_Tstar_spherical():
