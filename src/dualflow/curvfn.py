@@ -227,7 +227,8 @@ class PowerMean(CurvatureFunction):
         super().__init__(n, name or f"power_mean:{r!r}")
 
     def _raw_value(self, kappa):
-        return ((kappa ** self.r).mean(axis=-1)) ** (1.0 / self.r)
+        # np.mean, unwrapped: its Python wrapper runs on every rhs call
+        return (np.add.reduce(kappa ** self.r, axis=-1) * (1.0 / self.n)) ** (1.0 / self.r)
 
     def _raw_gradient(self, kappa):
         n, r = self.n, self.r

@@ -11,12 +11,18 @@ explicit step is bounded by the grid spacing squared, an implicit one
 by accuracy alone, so the step count does not grow with m.  The Newton
 matrices are pentadiagonal, like the stencils.  Up to m = 64 they are
 inverted outright; above that they are factored in O(m), with no m x m
-array.  Each Newton iteration and each Jacobian is one call of the
-masked rhs kernel on a stack of trial profiles; a trial row reports
-failure by NaN.  Every state of either flow is a FlowState that carries
-its side and builds its GraphGeometry on first read.  Geodesic spheres
-solve the primal flow in closed form and serve as the exact reference
-and as extinction-time barriers.
+array.  Once a run has no target time left and no stop time, the same
+integrator switches to the paper's rescaled variables: u~ = u / lambda
+in tau = -ln lambda (counted from the switch), lambda the area mean of
+|u|, plus the running extinction-time estimate E = t + ln cosh lambda.
+A shrinking sphere is a fixed point there, so the steps no longer crowd
+at extinction.  Each
+Newton iteration and each Jacobian is one call of the masked rhs kernel
+on a stack of trial states; a trial row reports failure by NaN.  Every
+state of either flow is a FlowState that carries its side and builds
+its GraphGeometry on first read.  Geodesic spheres solve the primal
+flow in closed form and serve as the exact reference and as
+extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -413,17 +419,10 @@ _DENSE_MAX_M = 64
 
 
 class _DenseInverse:
-    """The matrix of _BandLU's bands, corners included, kept as its
-    explicit inverse: a solve is one matrix-vector product.  A NaN entry
-    gives a NaN solve, as in _BandLU."""
+    """A Newton matrix kept as its explicit inverse: a solve is one
+    matrix-vector product.  A NaN entry gives a NaN solve, as in _BandLU."""
 
-    def __init__(self, bands: np.ndarray, cyclic: bool):
-        m = bands.shape[1]
-        rows = np.broadcast_to(np.arange(m), bands.shape)
-        cols = rows + np.arange(-2, 3)[:, None]
-        keep = cyclic | (cols >= 0) & (cols < m)
-        A = np.zeros((m, m), dtype=bands.dtype)
-        A[rows[keep], cols[keep] % m] = bands[keep]
+    def __init__(self, A: np.ndarray):
         self._inv = np.linalg.inv(A)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -435,25 +434,43 @@ class RadauIIA:
     """The Radau IIA integrator of one run of either flow.
 
     It keeps what carries over from one accepted step to the next: the
-    proposed step size, the banded Jacobian, the factored Newton matrices
-    and the last step's collocation polynomial, which predicts the next
-    stages.  It counts rhs evaluations, Jacobian evaluations and Newton
-    matrix factorizations (a real and a complex one each).
+    independent variable x and the state vector y of the last accepted
+    state, the proposed step size, the Jacobian, the factored Newton
+    matrices and the last step's collocation polynomial, which predicts
+    the next stages.  It counts rhs evaluations, Jacobian evaluations and
+    Newton matrix factorizations (a real and a complex one each).
 
-    The Jacobian of the rhs is pentadiagonal: the stencils have five
-    points, the pole reflections stay inside the band and a circle wraps
-    around it.  It is taken by forward differences, perturbing every
-    column of one colour at once; columns five apart share no row, so one
-    rhs call on a stack of five perturbed profiles gives the band.  On a
-    circle whose m is not a multiple of 5 the last m % 5 columns get
-    colours of their own.
+    It starts in flow time, x = t and y = u.  The Jacobian of the rhs is
+    then pentadiagonal: the stencils have five points, the pole
+    reflections stay inside the band and a circle wraps around it.  It is
+    taken by forward differences, perturbing every column of one colour at
+    once; columns five apart share no row, so one rhs call on a stack of
+    five perturbed profiles gives the band.  On a circle whose m is not a
+    multiple of 5 the last m % 5 columns get colours of their own.
+
+    enter_rescaled() moves it, for the rest of the run, to the paper's
+    rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
+    counted from the switch, and y = (u~, s, E), where lambda = e^s is the
+    area mean of |u|, u~ = u / lambda and E = t + ln cosh lambda.  With f
+    the flow's du/dt and <.> the area mean,
+
+        du~/dtau = u~ + f(lambda u~) / q,   q = -eps <f>,
+        ds/dtau = -1,
+        dE/dtau = lambda / q - lambda tanh lambda,
+
+    so dt/dtau = lambda / q.  A geodesic sphere, or a dual slice, is a
+    fixed point of u~ and E, and E is then its extinction time.  <f>
+    couples every node, so the Jacobian is taken column by column (one rhs
+    call on m + 2 perturbed states) and the Newton matrices are inverted at
+    every m.  An accepted state is still a FlowState, with t = E - ln cosh
+    lambda and u = lambda u~.
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
         self.grid, self.F, self.eps = grid, F, eps
         self.cyclic = isinstance(grid, CircleGrid)
         m = grid.m
-        self._solver = _DenseInverse if m <= _DENSE_MAX_M else _BandLU
+        self._banded = m > _DENSE_MAX_M
         cols = np.arange(m)[None, :] + np.arange(-2, 3)[:, None]
         inside = (cols >= 0) & (cols < m)
         colour = np.arange(m) % 5
@@ -461,45 +478,98 @@ class RadauIIA:
             cols, inside = cols % m, np.ones_like(inside)
             colour[m - m % 5:] += 5
         self._cols, self._inside = np.where(inside, cols, 0), inside
+        # (row, column) of each band entry in the m x m matrix
+        self._scatter = (np.nonzero(inside)[1], self._cols[inside])
         # row c perturbs the columns of colour c; entry (k, i) reads its column's row
         self._perturb = colour == np.arange(colour.max() + 1)[:, None]
         self._band_rows = colour[self._cols]
+        self.rescaled = False
         self.rhs_evals = self.jac_evals = self.factorizations = 0
         self._state = None  # the state the carried data belong to
 
-    def _rhs(self, u: np.ndarray) -> np.ndarray:
-        """du/dt by _masked_rhs, NaN on a failed row (the step is then retried
-        smaller); rhs_evals counts profiles."""
-        self.rhs_evals += u.size // self.grid.m
-        return _masked_rhs(self.grid, self.F, self.eps, u)[1]
+    def enter_rescaled(self, state: FlowState) -> None:
+        """Integrate in the rescaled variables from state on, with tau = 0 there."""
+        self.rescaled = True
+        w = self.grid.integrate(np.eye(self.grid.m))
+        self._weights = w / w.sum()  # the area mean as a dot product
+        self._restart(state)
 
-    def _accept(self, t: float, u: np.ndarray) -> FlowState:
-        """The state (t, u) of an accepted step, its du/dt kept in _f; one
+    def _profile(self, y: np.ndarray):
+        """lambda = e^s and u = lambda u~ of a rescaled state vector or stack."""
+        m = self.grid.m
+        lam = np.exp(y[..., m:m + 1])
+        return lam, lam * y[..., :m]
+
+    def _eval(self, y: np.ndarray):
+        """The admissibility mask and dy/dx of a state vector (m,) or (m + 2,),
+        or of each row of a stack: _masked_rhs in flow time, the rescaled
+        equations (class docstring) after enter_rescaled()."""
+        if not self.rescaled:
+            return _masked_rhs(self.grid, self.F, self.eps, y)
+        lam, u = self._profile(y)
+        ok, f = _masked_rhs(self.grid, self.F, self.eps, u)
+        q = -self.eps * (f @ self._weights)[..., None]
+        return ok, np.concatenate([y[..., :self.grid.m] + f / q, np.full_like(q, -1.0),
+                                   lam / q - lam * np.tanh(lam)], axis=-1)
+
+    def _rhs(self, y: np.ndarray) -> np.ndarray:
+        """dy/dx by _eval, NaN on a failed row (the step is then retried
+        smaller); rhs_evals counts state vectors."""
+        self.rhs_evals += y.size // y.shape[-1]
+        return self._eval(y)[1]
+
+    def _accept(self, x: float, y: np.ndarray) -> FlowState:
+        """The state at x of an accepted vector y, its dy/dx kept in _f; one
         the flow cannot continue from raises as its geometry does."""
         self.rhs_evals += 1
-        ok, f = _masked_rhs(self.grid, self.F, self.eps, u)
+        ok, f = self._eval(y)
+        t, u = x, y
+        if self.rescaled:
+            lam, u = self._profile(y)
+            t = float(y[-1]) - math.log(math.cosh(lam[0]))
         state = FlowState(t, u, self.grid, self.F, self.eps)
         if not ok:
             state.geometry  # rejects every row the mask does
-        self._f = f
+        self.x, self._y, self._f = x, y, f
         return state
 
-    def _jacobian(self, u: np.ndarray, f: np.ndarray) -> None:
+    def _scale(self, y_abs: np.ndarray) -> np.ndarray:
+        """Error weights ATOL + RTOL |y|; s is integrated exactly and left out."""
+        scale = ATOL + RTOL * y_abs
+        if self.rescaled:
+            scale[self.grid.m] = np.inf
+        return scale
+
+    def _jacobian(self, y: np.ndarray, f: np.ndarray) -> None:
         self.jac_evals += 1
-        delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(u), 1.0)
-        df = self._rhs(u + np.where(self._perturb, delta, 0.0)) - f
-        band = np.where(self._inside,
-                        df[self._band_rows, np.arange(u.size)] / delta[self._cols], 0.0)
-        self._jac, self._jac_current, self._lu_h, self._u_jac = band, True, None, u
+        delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
+        if self.rescaled:
+            jac = (self._rhs(y + np.diag(delta)) - f).T / delta
+        else:
+            df = self._rhs(y + np.where(self._perturb, delta, 0.0)) - f
+            jac = np.where(self._inside,
+                           df[self._band_rows, np.arange(y.size)] / delta[self._cols], 0.0)
+        self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
+
+    def _newton_matrix(self, shift):
+        """shift - J ready for solves: the band LU of a band above
+        _DENSE_MAX_M, else the explicit inverse."""
+        A = -self._jac.astype(type(shift))
+        if self.rescaled:
+            i = np.arange(A.shape[0])
+            A[i, i] += shift
+            return _DenseInverse(A)
+        A[2] += shift
+        if self._banded:
+            return _BandLU(A, self.cyclic)
+        dense = np.zeros((self.grid.m, self.grid.m), dtype=A.dtype)
+        dense[self._scatter] = A[self._inside]
+        return _DenseInverse(dense)
 
     def _factor(self, h: float) -> None:
         self.factorizations += 1
-        shifted = -self._jac
-        shifted[2] += _MU_REAL / h
-        self._lu_real = self._solver(shifted, self.cyclic)
-        shifted = -self._jac.astype(complex)
-        shifted[2] += _MU_COMPLEX / h
-        self._lu_complex = self._solver(shifted, self.cyclic)
+        self._lu_real = self._newton_matrix(_MU_REAL / h)
+        self._lu_complex = self._newton_matrix(_MU_COMPLEX / h)
         self._lu_h = h
 
     def _newton(self, y: np.ndarray, h: float, Z: np.ndarray, scale: np.ndarray):
@@ -541,39 +611,51 @@ class RadauIIA:
         return min(1.0, trend) * err ** -0.25
 
     def _restart(self, state: FlowState) -> None:
-        """Velocity, Jacobian and first step size at a state not reached by
-        this integrator (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
-        y = state.u
-        self._f = f = _velocity(state.geometry.F_value, state.geometry.v, self.eps)
+        """State vector, its dy/dx, Jacobian and first step size at a state
+        not reached by this integrator (Hairer, Norsett & Wanner, Solving
+        ODEs I, II.4)."""
+        if self.rescaled:
+            lam = np.abs(state.u) @ self._weights
+            E = state.t + math.log(math.cosh(lam))
+            y = np.concatenate([state.u / lam, [math.log(lam), E]])
+            self.x, self._y, self._f = 0.0, y, self._rhs(y)
+        else:
+            geo = state.geometry
+            self.x, self._y, self._f = state.t, state.u, _velocity(geo.F_value, geo.v, self.eps)
+        self._state, y, f = state, self._y, self._f
         self._jacobian(y, f)
         self._Z = self._h_old = self._err_old = None
-        scale = ATOL + RTOL * np.abs(y)
+        scale = self._scale(np.abs(y))
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
         d2 = _rms((self._rhs(y + h0 * f) - f) / scale) / h0
-        self.h = min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.25)
+        # max(d1, d2) is zero at a fixed point of the rescaled variables
+        h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.25
+        self.h = min(100.0 * h0, h1)
 
-    def advance(self, state: FlowState, t_cap: float | None) -> FlowState:
-        """One accepted step from state; a step that would reach t_cap lands
-        on it exactly.  A step below DT_MIN raises StiffnessError, and an
-        accepted state the flow cannot continue from raises
-        ConvexityError or CausalityError."""
+    def advance(self, state: FlowState, cap: float | None) -> FlowState:
+        """One accepted step from state; a step that would reach x = cap (t,
+        or tau once rescaled) lands on it exactly.  A step below DT_MIN
+        raises StiffnessError, and an accepted state the flow cannot
+        continue from raises ConvexityError or CausalityError."""
         if state is not self._state:
             self._restart(state)
-        t, y, f = state.t, state.u, self._f
+        x, y, f = self.x, self._y, self._f
         h, rejected = self.h, False
         while True:
             if h < DT_MIN:
                 raise StiffnessError(f"dt = {h:.3e} below {DT_MIN:.0e}")
             # DT_MIN bounds the controller's step: a short landing is not stiffness
-            landing = t_cap is not None and h > t_cap - t - 1e-13
-            h_try = t_cap - t if landing else h
+            landing = cap is not None and h > cap - x - 1e-13
+            h_try = cap - x if landing else h
             if self._Z is None:
-                Z0 = np.zeros((3, y.size))
+                # rescaled, Euler's stages keep s exact, as Newton's Jacobian
+                # column for s holds only difference noise on a fixed point
+                Z0 = np.outer(_C * h_try, f) if self.rescaled else np.zeros((3, y.size))
             else:
-                x = 1.0 + (h_try / self._h_old) * _C
-                Z0 = (x[:, None] ** np.arange(1, 4)) @ (_P.T @ self._Z) - self._Z[-1]
-            scale = ATOL + RTOL * np.abs(y)
+                z = 1.0 + (h_try / self._h_old) * _C
+                Z0 = (z[:, None] ** np.arange(1, 4)) @ (_P.T @ self._Z) - self._Z[-1]
+            scale = self._scale(np.abs(y))
             while True:
                 if self._lu_h != h_try:
                     self._factor(h_try)
@@ -587,7 +669,7 @@ class RadauIIA:
             y_new = y + Z[-1]
             ZE = (_E @ Z) / h_try
             error = self._lu_real.solve(f + ZE)
-            scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            scale = self._scale(np.maximum(np.abs(y), np.abs(y_new)))
             err = _rms(error / scale)
             if rejected and err > 1.0:
                 error = self._lu_real.solve(self._rhs(y + error) + ZE)
@@ -597,13 +679,20 @@ class RadauIIA:
                 break
             shrink = safety * self._factor_of(h_try, err) if math.isfinite(err) else 0.0
             h, rejected = h_try * max(_MIN_FACTOR, shrink), True
-        state = self._state = self._accept(t_cap if landing else t + h_try, y_new)
-        # the stiff eigenvalues scale like 1/u^2; with a Jacobian from a
-        # profile a tenth away, Newton contracts the stiff modes slowly, and
-        # the rate test, led by the smooth modes, misses that while they sit
-        # at rounding level: they would grow from step to step
-        recompute_jac = (n_iter > 2 and rate > 1e-3
-                         or np.abs(y_new - self._u_jac).max() > 0.1 * np.abs(y_new).min())
+        state = self._state = self._accept(cap if landing else x + h_try, y_new)
+        m = self.grid.m
+        moved = np.abs(y_new[:m] - self._y_jac[:m]).max() > 0.1 * np.abs(y_new[:m]).min()
+        if self.rescaled:
+            # the rescaled Jacobian drifts with lambda as well as with u~; a
+            # slow Newton iteration is cheaper here than a dense refresh
+            recompute_jac = (moved or y_new[m] < self._y_jac[m] - math.log(2.0)  # lambda halved
+                             or n_iter > 4 and rate > 1e-2)
+        else:
+            # the stiff eigenvalues scale like 1/u^2; with a Jacobian from a
+            # profile a tenth away, Newton contracts the stiff modes slowly,
+            # and the rate test, led by the smooth modes, misses that while
+            # they sit at rounding level: they would grow from step to step
+            recompute_jac = n_iter > 2 and rate > 1e-3 or moved
         factor = min(_MAX_FACTOR, safety * self._factor_of(h_try, err))
         if not recompute_jac and factor < 1.2:
             factor = 1.0
@@ -618,31 +707,36 @@ class RadauIIA:
         return state
 
 
-def step(solver: RadauIIA, state: FlowState, t_cap: float | None = None) -> FlowState:
+def step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowState:
     """One accepted Radau IIA step of the contracting primal flow (see
     RadauIIA.advance)."""
-    return solver.advance(state, t_cap)
+    return solver.advance(state, cap)
 
 
-def dual_step(solver: RadauIIA, state: FlowState, t_cap: float | None = None) -> FlowState:
+def dual_step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowState:
     """One accepted Radau IIA step of the expanding dual flow under the
     inverse speed (see RadauIIA.advance)."""
-    return solver.advance(state, t_cap)
+    return solver.advance(state, cap)
 
 
 def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.ndarray,
            eps: float, t_targets, t_stop: float | None) -> FlowTrajectory:
     """Integrate either flow until max |u| < u_stop, recording along the way.
 
-    t_targets are landed on exactly (a step is clipped, never enlarged) and
-    their states are always recorded, on top of the every-record_every
-    cadence and the final state; past u_stop the run goes on only to the
-    last target, if that is the one left, and an abort on the way there
-    ends it cleanly.  t_stop ends the run early at that flow time (it is
-    landed on exactly too).  A surface extinguishing
-    away from the origin can never shrink inside the stop ball; once
-    min |u| falls below a quarter of u_stop with max |u| still above it
-    the run aborts with failure "convexity" instead of stalling.
+    The run starts in flow time.  t_targets are landed on exactly (a step
+    is clipped, never enlarged) and their states are always recorded, on
+    top of a record every record_every accepted steps; past u_stop the run
+    goes on only to the last target, if that is the one left, and an abort
+    on the way there ends it cleanly.  t_stop ends the run early at that
+    flow time (it is landed on exactly too).  Once no target is left and
+    there is no t_stop, the integrator switches to the rescaled variables
+    (RadauIIA.enter_rescaled), where a shrinking sphere is a fixed point:
+    records then land on tau = k record_every / 100 (tau counted from the
+    switch), and the last step lands just below max |u| = u_stop.  The
+    final state is always recorded.  A surface extinguishing away from the
+    origin can never shrink inside the stop ball; once min |u| falls below
+    a quarter of u_stop with max |u| still above it the run aborts with
+    failure "convexity" instead of stalling.
     """
     advance = step if eps > 0 else dual_step
     solver = RadauIIA(grid, F, eps)
@@ -653,26 +747,44 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     last = targets[-1] if targets else None
     if t_stop is not None:
         targets = sorted(targets + [float(t_stop)])
-    k_target = 0
+    d_tau = config.record_every / 100.0
+    k_target = k_tau = 0
     steps = 0
     while t_stop is None or state.t < t_stop - 1e-13:
-        while k_target < len(targets) and targets[k_target] <= state.t + 1e-15:
-            k_target += 1
-        t_cap = targets[k_target] if k_target < len(targets) else None
-        overrun = np.abs(state.u).max() < config.u_stop
-        if overrun and (t_cap is None or t_cap != last):
-            break
+        r_max = np.abs(state.u).max()
+        overrun = r_max < config.u_stop
+        if solver.rescaled:
+            if overrun:
+                break
+            # max |u| shrinks like lambda = e^-tau up to the drift of u~; aim
+            # just below u_stop, so that the landed state ends the run
+            cap = min((k_tau + 1) * d_tau,
+                      solver.x + math.log(r_max / (config.u_stop * (1.0 - 1e-9))))
+        else:
+            while k_target < len(targets) and targets[k_target] <= state.t + 1e-15:
+                k_target += 1
+            cap = targets[k_target] if k_target < len(targets) else None
+            if overrun and (cap is None or cap != last):
+                break
+            if cap is None:
+                solver.enter_rescaled(state)
+                continue
         try:
-            state = advance(solver, state, t_cap)
+            state = advance(solver, state, cap)
         except tuple(_ABORTS) as exc:
             if not overrun:
                 traj.failure = _ABORTS[type(exc)]
             break
         steps += 1
-        hit_target = k_target < len(targets) and abs(state.t - targets[k_target]) < 1e-13
+        if solver.rescaled:
+            hit_target, on_cadence = False, solver.x == (k_tau + 1) * d_tau
+            k_tau += on_cadence
+        else:
+            hit_target = k_target < len(targets) and abs(state.t - targets[k_target]) < 1e-13
+            on_cadence = steps % config.record_every == 0
         if hit_target:
             traj.landed.append(len(traj.states))
-        if steps % config.record_every == 0 or hit_target:
+        if on_cadence or hit_target:
             traj.states.append(state)
         r = np.abs(state.u)
         if r.min() < 0.25 * config.u_stop <= r.max():
@@ -689,7 +801,7 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     traj.factorizations = solver.factorizations
     if traj.states[-1] is not state and traj.failure is None:
         traj.states.append(state)
-    if traj.failure is None and sum(np.abs(s.u).max() < 0.1 for s in traj.states) >= 3:
+    if traj.failure is None and any(np.abs(s.u).max() < 0.1 for s in traj.states):
         est = estimate_Tstar(traj)
         traj.T_star_estimate = est.value
         traj.Tstar_warn = est.warn
@@ -733,26 +845,22 @@ class TstarEstimate:
 
 
 def estimate_Tstar(traj: FlowTrajectory) -> TstarEstimate:
-    """Extrapolate T* from t + ln cosh(mean |u|) on the late records.
+    """T* as t + ln cosh(mean |u|) on the last record with max |u| < 0.1.
 
-    On spheres the expression is exact at every time; |u| makes a dual
-    run (|u*| plays the role of u) estimate the same T*.  In general the
-    last few records (max |u| < 0.1) give a sequence converging fast
-    enough for one Aitken acceleration; its spread over the tail is
-    returned, with a warning flag above 1e-3.
+    On spheres the expression is exact at every time, and on a run that
+    ended in the rescaled variables it is the integrated E of RadauIIA;
+    |u| makes a dual run (|u*| plays the role of u) estimate the same T*.
+    Its spread over the last three such records is returned, with a
+    warning flag above 1e-3.
     """
     grid = traj.grid
-    tail = [s for s in traj.states if np.abs(s.u).max() < 0.1][-8:]
-    if len(tail) < 3:
-        raise ValueError("trajectory never reached max |u| < 0.1 on enough records")
+    tail = [s for s in traj.states if np.abs(s.u).max() < 0.1][-3:]
+    if not tail:
+        raise ValueError("trajectory never reached max |u| < 0.1 on a record")
     area = grid.integrate(np.ones(grid.m))
-    a = np.array([s.t + math.log(math.cosh(grid.integrate(np.abs(s.u)) / area)) for s in tail])
-    acc = a
-    d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
-    if np.all(np.abs(d2) > 1e-14):
-        acc = a[2:] - (a[2:] - a[1:-1]) ** 2 / d2
-    spread = float(a[-3:].max() - a[-3:].min())
-    return TstarEstimate(value=float(acc[-1]), spread=spread, warn=bool(spread > 1e-3))
+    a = [s.t + math.log(math.cosh(grid.integrate(np.abs(s.u)) / area)) for s in tail]
+    spread = max(a) - min(a)
+    return TstarEstimate(value=a[-1], spread=spread, warn=spread > 1e-3)
 
 
 @dataclass(frozen=True)

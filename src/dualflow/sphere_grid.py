@@ -69,7 +69,9 @@ class SphereGrid:
             p *= self._odd_sign
         return p
 
-    def integrate(self, values: np.ndarray) -> float:
+    def integrate(self, values: np.ndarray):
+        """The integral over the sphere of a profile (a float), or of each
+        row of a stack (an array)."""
         raise NotImplementedError
 
     def derivatives(self, values: np.ndarray, parity: int = 1):
@@ -115,9 +117,9 @@ class CircleGrid(SphereGrid):
         self._pad_index = np.arange(-2, m + 2) % m
         self._odd_sign = np.ones(m + 4)
 
-    def integrate(self, values) -> float:
-        v = self._check(values)
-        return float(self.h * v.sum(axis=-1))
+    def integrate(self, values):
+        out = self.h * self._check(values).sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 # 12-point Gauss-Legendre rule; exact to rounding for the smooth cell
@@ -157,13 +159,12 @@ class AxisymGrid(SphereGrid):
         self._w2 = (w * s * d * d).sum(axis=1)
         self._shell = sphere_area(n - 1)
 
-    def integrate(self, values) -> float:
+    def integrate(self, values):
         v = self._check(values)
-        if v.ndim != 1:
-            raise ValueError("integrate takes a single profile")
         vp, vpp = self.derivatives(v)
         cells = v * self._w0 + vp * self._w1 + 0.5 * vpp * self._w2
-        return float(self._shell * cells.sum())
+        out = self._shell * cells.sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
 def make_grid(n: int, m: int) -> SphereGrid:

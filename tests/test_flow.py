@@ -229,8 +229,7 @@ def test_rhs_masks_inadmissible_rows():
                 assert np.array_equal(out[i], solver._rhs(u))
 
 
-def test_step_makes_at_most_three_rhs_calls(monkeypatch):
-    # the three Newton stages are one call, and so is each Jacobian
+def _counted_rhs_calls(monkeypatch):
     calls = []
     rhs = RadauIIA._rhs
 
@@ -239,13 +238,73 @@ def test_step_makes_at_most_three_rhs_calls(monkeypatch):
         return rhs(self, u)
 
     monkeypatch.setattr(RadauIIA, "_rhs", counted)
+    return calls
+
+
+def test_step_makes_at_most_three_rhs_calls(monkeypatch):
+    # the three Newton stages are one call, and so is each Jacobian; t_stop
+    # keeps the run in flow time
+    calls = _counted_rhs_calls(monkeypatch)
     cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
                      initial_params=(1.0, 0.1, 2))
-    traj = run_flow(cfg)
+    traj = run_flow(cfg, t_stop=0.2)
     assert traj.failure is None
     assert len(calls) <= 3 * traj.steps_taken
     # rhs_evals counts profiles, one per row of each call
     assert traj.rhs_evals == sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+
+
+def test_rescaled_run_makes_fewer_rhs_calls(monkeypatch):
+    # the run to extinction steps in tau; one landing the same record
+    # times stays in flow time to its last target
+    calls = _counted_rhs_calls(monkeypatch)
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    traj = run_flow(cfg)
+    assert traj.failure is None
+    # rhs_evals counts state vectors, one per row of each call
+    assert traj.rhs_evals == sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+    n_rescaled = len(calls)
+    calls.clear()
+    t_run = run_flow(cfg, t_targets=[s.t for s in traj.states[1:]])
+    assert t_run.failure is None and len(t_run.landed) == len(traj.states) - 1
+    assert n_rescaled < len(calls)
+
+
+@pytest.mark.parametrize("F_name, n, m, initial, params", [
+    ("sigma_k:2", 2, 48, "perturbed_sphere", (1.0, 0.1, 2)),
+    ("mean", 1, 64, "perturbed_sphere", (1.0, 0.1, 3)),
+    ("quotient:2:1", 2, 32, "ellipsoid", (0.6, 0.7)),
+])
+def test_rescaled_phase_matches_t_driver(F_name, n, m, initial, params):
+    # a second run lands the first one's record times, so it stays in flow
+    # time to the last; both integrate the same flow
+    cfg = FlowConfig(F=F_name, n=n, m=m, initial=initial, initial_params=params)
+    traj = run_flow(cfg)
+    t_run = run_flow(cfg, t_targets=[s.t for s in traj.states[1:]])
+    assert traj.failure is None and t_run.failure is None
+    assert len(t_run.landed) == len(traj.states) - 1
+    for s, i in zip(traj.states[1:], t_run.landed):
+        assert t_run.states[i].t == s.t
+        assert np.abs(t_run.states[i].u - s.u).max() < 1e-11
+    assert abs(traj.T_star_estimate - t_run.T_star_estimate) < 1e-12
+
+
+@pytest.mark.parametrize("F_name", ["mean", "sigma_k:2"])
+@pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
+def test_sphere_is_a_rescaled_fixed_point(F_name, r0):
+    # u~ and E = t + ln cosh(lambda) stand still on a shrinking sphere, so
+    # the step size is bounded by the record cadence alone
+    cfg = FlowConfig(F=F_name, n=2, m=32, initial="sphere", initial_params=(r0,),
+                     record_every=50)
+    traj = run_flow(cfg)
+    assert traj.failure is None and traj.steps_taken <= 30
+    T = spherical_T_star(r0)
+    for s in traj.states:
+        lam = traj.grid.integrate(s.u) / traj.grid.integrate(np.ones(32))
+        assert abs(s.t + math.log(math.cosh(lam)) - T) < 1e-13
+    assert abs(traj.T_star_estimate - T) < 1e-13
+    assert cfg.u_stop * (1.0 - 1e-8) < traj.states[-1].u.max() < cfg.u_stop
 
 
 def test_accepted_state_raises_like_geometry():
@@ -341,10 +400,7 @@ def _band_systems(draw):
     return bands, cyclic, rhs
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(system=_band_systems())
-def test_band_lu_matches_dense_solve(system):
-    bands, cyclic, rhs = system
+def _band_matrix(bands, cyclic):
     m = bands.shape[1]
     A = np.zeros((m, m), dtype=bands.dtype)
     for k in range(5):
@@ -354,8 +410,20 @@ def test_band_lu_matches_dense_solve(system):
                 A[i, j % m] += bands[k, i]
             elif 0 <= j < m:
                 A[i, j] = bands[k, i]
+    return A
+
+
+def _solver_of(solver, bands, cyclic):
+    return solver(bands, cyclic) if solver is _BandLU else solver(_band_matrix(bands, cyclic))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=_band_systems())
+def test_band_lu_matches_dense_solve(system):
+    bands, cyclic, rhs = system
+    A = _band_matrix(bands, cyclic)
     for solver in (_BandLU, _DenseInverse):
-        x = solver(bands, cyclic).solve(rhs)
+        x = _solver_of(solver, bands, cyclic).solve(rhs)
         assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-12 * (1.0 + np.abs(x).max())
 
 
@@ -368,7 +436,7 @@ def test_band_solvers_pass_nan_through(solver):
     bands[0, 17] = np.nan
     for cyclic in (False, True):
         for shift in (0.0, 1j):
-            x = solver(bands + shift, cyclic).solve(np.ones(32) + shift)
+            x = _solver_of(solver, bands + shift, cyclic).solve(np.ones(32) + shift)
             assert not np.isfinite(x).all()
 
 

@@ -74,6 +74,17 @@ def test_integrate_odd_moment():
     assert abs(g.integrate(np.cos(g.theta))) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_integrate_stack_equals_rows(n):
+    g = make_grid(n, 48)
+    stack = np.random.default_rng(n).uniform(0.5, 2.0, (3, 4, 48))
+    out = g.integrate(stack)
+    assert out.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert out[idx] == g.integrate(stack[idx])
+    assert isinstance(g.integrate(stack[0, 0]), float)
+
+
 def test_circle_trig_poly_derivative_fourth_order():
     # local stencils are not exact on cos^3, but the error must fall at h^4
     errs = []
