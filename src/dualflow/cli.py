@@ -44,7 +44,7 @@ from .flow import (
     spherical_T_star,
     spherical_theta,
 )
-from .hgeom import HyperbolicGraph, geometry_of
+from .hgeom import Graph
 from .sphere_grid import ReparametrizationError, make_grid
 
 __all__ = ["ConfigError", "RunManifest", "parse_config", "serialize_manifest",
@@ -148,13 +148,8 @@ def parse_config(text: str) -> RunManifest:
     if not isinstance(initial, str):
         raise ConfigError("initial must be a quoted name")
     try:
-        config = FlowConfig(
-            F=F_name, n=n, m=m,
-            initial=initial, initial_params=params,
-            u_stop=float(seen.get("u_stop", 0.02)),
-            record_every=seen.get("record_every", 10),
-            seed=seen.get("seed", 0),
-        )
+        config = FlowConfig(F=F_name, n=n, m=m, initial=initial, initial_params=params,
+                            **{k: seen[k] for k in ("u_stop", "record_every", "seed") if k in seen})
     except ValueError as exc:
         raise ConfigError(f"parameter out of range: {exc}")
     out = seen.get("out", ".")
@@ -275,18 +270,18 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
     u0 = _initial_profile(cfg, grid)
     traj = dtraj = None
     if man.mode == "dual":
-        dtraj = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(grid, u0)).dual)
+        dtraj = run_dual_flow(cfg, gauss_dual(Graph(grid, u0)).dual)
         records = [
             compute_record(s, Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma)
             for s in dtraj.states
         ]
-        snaps = [(s.t, None, s.u_star) for s in dtraj.states]
+        snaps = [(s.t, None, s.u) for s in dtraj.states]
     else:
         traj = run_flow(cfg, u0=u0)
         eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
         duals = [None] * len(traj.states)
         if man.mode == "both":
-            d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+            d0 = gauss_dual(traj.states[0]).dual
             # the dual lands the primal record times in order, so records pair
             # by index; a dual that aborts or dies out first leaves the tail bare
             times = [s.t for s in traj.states[1:]]
@@ -298,7 +293,7 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
                            epsilon=eps, sigma=man.sigma)
             for i, s in enumerate(traj.states)
         ]
-        snaps = [(s.t, s.u, None if duals[i] is None else duals[i].u_star)
+        snaps = [(s.t, s.u, None if duals[i] is None else duals[i].u)
                  for i, s in enumerate(traj.states)]
     write_outputs(out_dir, grid, records, snaps)
     # the primal abort comes first; a dual abort is reported on its own
@@ -317,8 +312,8 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
     grid = make_grid(cfg.n, cfg.m)
     F = curvfn.make_function(cfg.F, cfg.n)
     u0 = _initial_profile(cfg, grid)
-    g = HyperbolicGraph(grid, u0)
-    if not geometry_of(g).convex:
+    g = Graph(grid, u0)
+    if not g.geometry.convex:
         _write_failure(out_dir, "ConvexityError", "initial datum is not strictly convex", 0.0, 0)
         return 3
     try:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvfn import CurvatureFunction
 from .dualmap import gauss_dual, verify_duality
-from .hgeom import GraphGeometry, HyperbolicGraph, inradius_circumradius
+from .hgeom import GraphGeometry, inradius_circumradius
 
 __all__ = [
     "CSV_FIELDS",
@@ -102,9 +102,9 @@ def compute_record(state, dual=None, Theta: float = math.nan,
     is the barrier radius at the state's time (NaN when no extinction
     estimate exists yet); epsilon is the run-constant pinching weight
     from pinching_epsilon at t = 0.  dual is the primal state's matched
-    dual (anything with u_star): with it the duality error, the worst of
-    the three dual-map identities re-verified at this instant, and w =
-    u*/Theta are populated.  A dual state is its own w; its
+    dual (a dual state or graph; its u is read): with it the duality
+    error, the worst of the three dual-map identities re-verified at this
+    instant, and w = u*/Theta are populated.  A dual state is its own w; its
     hyperbolic-only fields (horoconvexity, pinching tensor, inball
     radii, duality error, f_sigma norms) stay NaN.
     """
@@ -118,16 +118,15 @@ def compute_record(state, dual=None, Theta: float = math.nan,
     dual = dual if primal else state
     horo = pinching_T = rho_minus = rho_plus = duality_err = l2 = l8 = w_min = w_max = math.nan
     if dual is not None:
-        w = dual.u_star / Theta
+        w = dual.u / Theta
         w_min, w_max = float(w.min()), float(w.max())
     if primal:
         horo = float(k_min.min() - 1.0)
         pinching_T = float((k_min - 1.0 - epsilon * (geo.H - n)).min())
-        g = HyperbolicGraph(grid, state.u)
-        inball = inradius_circumradius(g)
+        inball = inradius_circumradius(state)
         rho_minus, rho_plus = inball.rho_minus, inball.rho_plus
         if dual is not None:
-            duality_err = verify_duality(gauss_dual(g)).worst()
+            duality_err = verify_duality(gauss_dual(state)).worst()
         # weight for surface integrals of the graph: v sinh^n(u) against the
         # grid's sin^(n-1) measure
         area_w = geo.v * np.sinh(state.u) ** n

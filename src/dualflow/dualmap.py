@@ -4,11 +4,11 @@ The exterior unit normals of a strictly convex hypersurface in
 hyperbolic space sweep out a spacelike hypersurface in de Sitter space.
 We store its time-reflected copy: eigentime is negated at construction
 (one light-cone switch), so duals of convex bodies around the chart
-center are graphs u* < 0 over the sphere, rising toward the equatorial
-slice {tau = 0} as the primal shrinks.  In these variables the map and
-its inverse are one formula with a sign eps: hgeom._unit_normal with
-eps = +1 sends a hyperbolic graph to its dual and with eps = -1 sends
-a stored dual back.
+center are graphs u* < 0 over the sphere (hgeom.Graph with eps = -1),
+rising toward the equatorial slice {tau = 0} as the primal shrinks.  In
+these variables the map and its inverse are one signed map, _gauss_map:
+the unit normals of a graph of either side, read as a graph of the
+other.
 
 Principal curvatures invert under the map and the second fundamental
 forms agree nodewise; verify_duality measures both statements, plus the
@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hgeom import HyperbolicGraph, _curvatures, _unit_normal, geometry_of
+from .hgeom import CausalityError, Graph, _curvatures, _unit_normal
 from .sphere_grid import CircleGrid, SphereGrid, refine_extremum, resample_monotone
 
 __all__ = [
     "DualityBrokenError",
     "CausalityError",
-    "DeSitterGraph",
     "DualPair",
     "gauss_dual",
     "dual_to_primal",
@@ -44,65 +43,14 @@ class DualityBrokenError(RuntimeError):
     """Gauss image failed to be a graph (primal not strictly convex)."""
 
 
-class CausalityError(RuntimeError):
-    """A stored profile violates the spacelike gradient bound."""
-
-
-@dataclass(frozen=True)
-class DeSitterGraph:
-    """Spacelike radial graph tau = u_star(xi) in de Sitter space.
-
-    Stored in the switched convention: u_star < 0, and the spacelike
-    bound |D u_star| = |u_star'| / cosh u_star < 1 must hold.
-    """
-
-    grid: SphereGrid
-    u_star: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.u_star, dtype=float)
-        if v.shape != (self.grid.m,):
-            raise ValueError(f"profile shape {v.shape} does not match grid m={self.grid.m}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("eigentime profile must be finite")
-        if not np.all(v < 0.0):
-            raise ValueError("stored duals lie below the equatorial slice (u_star < 0)")
-        object.__setattr__(self, "u_star", v)
-        slope = np.abs(self.grid.d1(v)) / np.cosh(v)
-        if slope.max() >= 1.0:
-            j = int(np.argmax(slope))
-            raise CausalityError(
-                f"graph is not spacelike: |D u_star| = {slope.max():.6f} at node {j}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-
 @dataclass(frozen=True)
 class DualPair:
     """A primal graph, its dual, and the per-node matching angle."""
 
-    primal: HyperbolicGraph
-    dual: DeSitterGraph
+    primal: Graph
+    dual: Graph
     matching: np.ndarray
     u_star_nodes: np.ndarray
-
-
-def _gauss_image(grid: SphereGrid, u: np.ndarray, geo, eps: float):
-    """Time component of each node's unit normal and the direction angle
-    of its spatial part (unwrapped on the circle), which must increase."""
-    nu0, nu_sin, nu_axis = _unit_normal(u, geo.slope, geo.v, grid.theta, eps)
-    ang = np.arctan2(nu_sin, nu_axis)
-    if isinstance(grid, CircleGrid):
-        ang = np.unwrap(ang)
-    if not np.all(np.diff(ang) > 0.0):
-        j = int(np.argmin(np.diff(ang)))
-        raise DualityBrokenError(
-            f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
-        )
-    return nu0, ang
 
 
 def _even_extend(x: np.ndarray, y: np.ndarray):
@@ -148,33 +96,46 @@ def _resample(grid: SphereGrid, ang: np.ndarray, y: np.ndarray) -> np.ndarray:
     return resample_monotone(x, y, grid.theta)
 
 
-def gauss_dual(g: HyperbolicGraph) -> DualPair:
-    """Dual spacelike graph swept by the exterior normals.
+def _gauss_map(g):
+    """The graph of the other side swept by g's unit normals, the matching
+    angle of each node (the direction of the normal's spatial part, which
+    must increase) and the node values before resampling.
 
-    The dual point is the normal itself; its eigentime arcsinh(nu^0)
-    is negated (light-cone switch) and read as a graph over the
-    direction of the spatial part.  The scattered graph samples are
-    brought onto the uniform grid by monotone resampling.
+    A primal normal (eps = +1) is a point of de Sitter space: its
+    eigentime arcsinh(nu^0), negated (light-cone switch), is read as a
+    graph over the direction of the spatial part.  The past-directed
+    normal of a stored dual (eps = -1), with the light cone switched
+    back, is a point of H^{n+1}, read as a radial graph arccosh(nu^0).
+    The scattered samples are brought onto the grid by monotone
+    resampling.
     """
-    geo = geometry_of(g)
-    if not geo.convex:
+    grid, geo = g.grid, g.geometry
+    nu0, nu_sin, nu_axis = _unit_normal(g.u, geo.slope, geo.v, grid.theta, g.eps)
+    ang = np.arctan2(nu_sin, nu_axis)
+    if isinstance(grid, CircleGrid):
+        ang = np.unwrap(ang)
+    if not np.all(np.diff(ang) > 0.0):
+        j = int(np.argmin(np.diff(ang)))
+        raise DualityBrokenError(
+            f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
+        )
+    nodes = -np.arcsinh(nu0) if g.eps > 0 else np.arccosh(np.clip(nu0, 1.0, None))
+    return Graph(grid, _resample(grid, ang, nodes), -g.eps), ang, nodes
+
+
+def gauss_dual(g) -> DualPair:
+    """Dual spacelike graph swept by the exterior normals of a strictly
+    convex primal graph g (a Graph or a primal flow state)."""
+    if not g.geometry.convex:
         raise DualityBrokenError("primal graph is not strictly convex")
-    nu0, ang = _gauss_image(g.grid, g.u, geo, 1.0)
-    u_star = -np.arcsinh(nu0)
-    dual = DeSitterGraph(g.grid, _resample(g.grid, ang, u_star))
+    dual, ang, u_star = _gauss_map(g)
     return DualPair(primal=g, dual=dual, matching=ang, u_star_nodes=u_star)
 
 
-def dual_to_primal(d: DeSitterGraph) -> HyperbolicGraph:
-    """Recover the hyperbolic surface whose Gauss image is the stored dual.
-
-    The past-directed unit normal of the stored graph, with the light
-    cone switched back, is a point of H^{n+1}; reading those points as
-    a radial graph undoes the Gauss map.
-    """
-    nu0, ang = _gauss_image(d.grid, d.u_star, geometry_of(d), -1.0)
-    u = np.arccosh(np.clip(nu0, 1.0, None))
-    return HyperbolicGraph(d.grid, _resample(d.grid, ang, u))
+def dual_to_primal(d) -> Graph:
+    """Recover the hyperbolic surface whose Gauss image is the stored dual d
+    (a Graph with eps = -1 or a dual flow state): the Gauss map undone."""
+    return _gauss_map(d)[0]
 
 
 @dataclass(frozen=True)
@@ -206,7 +167,7 @@ def verify_duality(pair: DualPair) -> DualityReport:
     """
     g = pair.primal
     grid = g.grid
-    geo = geometry_of(g)
+    geo = g.geometry
     us = pair.u_star_nodes
     w = pair.matching - grid.theta
     w_th, a_th = grid.derivatives(w, parity=-1)
@@ -214,15 +175,15 @@ def verify_duality(pair: DualPair) -> DualityReport:
     us_th, us_thth = grid.derivatives(us)
     dus = us_th / a
     ddus = (us_thth * a - us_th * a_th) / (a * a * a)
-    cot_t = None if g.n == 1 else np.cos(pair.matching) / np.sin(pair.matching)
-    _, vt, kt = _curvatures(us, dus, ddus, cot_t, -1.0, g.n)
+    cot_t = None if grid.n == 1 else np.cos(pair.matching) / np.sin(pair.matching)
+    _, vt, kt = _curvatures(us, dus, ddus, cot_t, -1.0, grid.n)
     ct_us = np.cosh(us)
     su, v = np.sinh(g.u), geo.v
     prod_err = np.abs(kt * geo.kappa - 1.0)
     h_mis = np.abs(
         geo.kappa[:, 0] * v * v * su * su - kt[:, 0] * vt * vt * ct_us * ct_us * a * a
     )
-    if g.n > 1:
+    if grid.n > 1:
         h_ang_mis = np.abs(
             geo.kappa[:, 1] * su * su * np.sin(grid.theta) ** 2
             - kt[:, 1] * ct_us * ct_us * np.sin(pair.matching) ** 2

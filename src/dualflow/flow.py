@@ -36,8 +36,7 @@ import numpy as np
 
 from . import curvfn
 from .curvfn import CurvatureFunction, make_function
-from .dualmap import CausalityError, DeSitterGraph
-from .hgeom import GraphGeometry, HyperbolicGraph, _kappa, geometry_of
+from .hgeom import CausalityError, Graph, GraphGeometry, _kappa, geometry_of
 from .sphere_grid import CircleGrid, SphereGrid, make_grid, resample_monotone
 
 __all__ = [
@@ -90,6 +89,7 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "u_stop", float(self.u_stop))
         if not 0.0 < self.u_stop < math.inf:  # false for NaN too
             raise ValueError("u_stop must be positive and finite")
         if self.record_every < 1:
@@ -262,7 +262,7 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
                 if circle:
                     u = u + amp * rng.normal() / k**2 * np.sin(k * grid.theta)
             if u.max() >= U_MAX or (u.min() > 0.05
-                                    and geometry_of(HyperbolicGraph(grid, u)).convex):
+                                    and Graph(grid, u).geometry.convex):
                 break
         else:
             raise ValueError("could not draw a convex random profile; lower amp")
@@ -292,7 +292,7 @@ def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float)
         raise ConvexityError(f"radius collapsed at node {int(np.argmin(u))}")
     if eps < 0 and u.max() >= 0.0:
         raise CausalityError("dual graph crossed the equatorial slice")
-    geo = geometry_of(HyperbolicGraph(grid, u) if eps > 0 else DeSitterGraph(grid, u), F)
+    geo = geometry_of(Graph(grid, u, eps), F)
     if not geo.convex:
         j = int(np.argmin(geo.kappa.min(axis=1)))
         raise ConvexityError(f"not strictly convex at node {j}")
@@ -592,13 +592,17 @@ class RadauIIA:
                 break
             if norm_old is not None:
                 rate = dW_norm / norm_old
+                # two increments below the tolerance are converged whatever
+                # their ratio: at a fixed point it is a ratio of rounding noise
+                floor = max(norm_old, dW_norm) < _NEWTON_TOL
                 # diverging, or too slow to converge within the iteration cap
-                if (rate >= 1.0
-                        or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dW_norm > _NEWTON_TOL):
+                if not floor and (rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate)
+                                  * dW_norm > _NEWTON_TOL):
                     break
             W += dW
             Z = _T @ W
-            if dW_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dW_norm < _NEWTON_TOL:
+            if dW_norm == 0.0 or rate is not None and (
+                    floor or rate / (1.0 - rate) * dW_norm < _NEWTON_TOL):
                 return True, k + 1, Z, rate
             norm_old = dW_norm
         return False, k + 1, Z, rate
@@ -723,17 +727,16 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
            eps: float, t_targets, t_stop: float | None) -> FlowTrajectory:
     """Integrate either flow until max |u| < u_stop, recording along the way.
 
-    The run starts in flow time.  t_targets are landed on exactly (a step
-    is clipped, never enlarged) and their states are always recorded, on
-    top of a record every record_every accepted steps; past u_stop the run
-    goes on only to the last target, if that is the one left, and an abort
-    on the way there ends it cleanly.  t_stop ends the run early at that
-    flow time (it is landed on exactly too).  Once no target is left and
-    there is no t_stop, the integrator switches to the rescaled variables
-    (RadauIIA.enter_rescaled), where a shrinking sphere is a fixed point:
-    records then land on tau = k record_every / 100 (tau counted from the
-    switch), and the last step lands just below max |u| = u_stop.  The
-    final state is always recorded.  A surface extinguishing away from the
+    The run starts in flow time and records there only the initial state
+    and the states of t_targets, which are landed on exactly (a step is
+    clipped, never enlarged); past u_stop the run goes on only to the last
+    target, if that is the one left, and an abort on the way there ends it
+    cleanly.  t_stop ends the run early at that flow time (it is landed on
+    exactly too).  Once no target is left and there is no t_stop, the
+    integrator switches to the rescaled variables (RadauIIA.enter_rescaled),
+    where a shrinking sphere is a fixed point: records then land on tau =
+    k record_every / 100 (tau counted from the switch), and the last step
+    lands just below max |u| = u_stop.  The final state is always recorded.  A surface extinguishing away from the
     origin can never shrink inside the stop ball; once min |u| falls below
     a quarter of u_stop with max |u| still above it the run aborts with
     failure "convexity" instead of stalling.
@@ -776,12 +779,10 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
                 traj.failure = _ABORTS[type(exc)]
             break
         steps += 1
-        if solver.rescaled:
-            hit_target, on_cadence = False, solver.x == (k_tau + 1) * d_tau
-            k_tau += on_cadence
-        else:
-            hit_target = k_target < len(targets) and abs(state.t - targets[k_target]) < 1e-13
-            on_cadence = steps % config.record_every == 0
+        on_cadence = solver.rescaled and solver.x == (k_tau + 1) * d_tau
+        k_tau += on_cadence
+        hit_target = (not solver.rescaled and k_target < len(targets)
+                      and abs(state.t - targets[k_target]) < 1e-13)
         if hit_target:
             traj.landed.append(len(traj.states))
         if on_cadence or hit_target:
@@ -819,15 +820,16 @@ def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None,
     return _drive(config, F, grid, u0, 1.0, t_targets, t_stop)
 
 
-def run_dual_flow(config: FlowConfig, initial: DeSitterGraph, t_targets=(),
+def run_dual_flow(config: FlowConfig, initial, t_targets=(),
                   t_stop: float | None = None) -> FlowTrajectory:
-    """Integrate the expanding dual from a stored de Sitter graph.
+    """Integrate the expanding dual from a stored de Sitter graph (a Graph
+    with eps = -1 or a dual state; its grid and u are read).
 
     config.F names the PRIMAL speed; the dual runs under its inverse.
     The states hold u* (also readable as state.u_star).
     """
     F_dual = curvfn.invert(make_function(config.F, config.n))
-    return _drive(config, F_dual, initial.grid, initial.u_star, -1.0, t_targets, t_stop)
+    return _drive(config, F_dual, initial.grid, initial.u, -1.0, t_targets, t_stop)
 
 
 # ----------------------------------------------------------------------
@@ -879,8 +881,8 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
     """Normalize recorded states by the spherical barrier with time T_star.
 
     Theta(t) is the sphere radius extinguishing at T_star; tau = -ln
-    Theta, u~ = u/Theta, F~ = F Theta.  When duals (stored
-    DeSitterGraph per record, or None entries) are supplied, w = u*/Theta.
+    Theta, u~ = u/Theta, F~ = F Theta.  When duals (a stored dual graph
+    or state per record, or None entries) are supplied, w = u*/Theta.
     """
     last_t = traj.states[-1].t
     if T_star <= last_t:
@@ -890,7 +892,7 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
         Theta = _sphere_theta(s.t, T_star)
         w = None
         if duals is not None and duals[i] is not None:
-            w = duals[i].u_star / Theta
+            w = duals[i].u / Theta
         out.append(
             RescaledRecord(
                 t=s.t,

@@ -9,7 +9,8 @@ without any eigen-decomposition.
 
 The same kernel, with sinh and cosh trading places under a sign eps,
 gives the curvatures and the unit normal of a stored de Sitter graph,
-so both sides of the Gauss-map duality share one copy of each formula.
+so both sides of the Gauss-map duality share one copy of each formula
+and one type, Graph(grid, u, eps).
 
 Computations run on the profile's grid; the Minkowski embedding into
 R^{n+1,1} (time coordinate first, rotation axis last among the spatial
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .sphere_grid import CircleGrid, SphereGrid, refine_extremum
 
 __all__ = [
     "minkowski_inner",
-    "HyperbolicGraph",
+    "CausalityError",
+    "Graph",
     "GraphGeometry",
     "geometry_of",
     "embed_arrays",
@@ -46,24 +49,55 @@ def minkowski_inner(x, y):
     return -x[..., 0] * y[..., 0] + (x[..., 1:] * y[..., 1:]).sum(axis=-1)
 
 
+class CausalityError(RuntimeError):
+    """A stored profile violates the spacelike gradient bound."""
+
+
 @dataclass(frozen=True)
-class HyperbolicGraph:
-    """Geodesic radial profile of a closed hypersurface around the center."""
+class Graph:
+    """A warped radial graph over the grid, on either side of the duality.
+
+    eps = +1: the geodesic radius u > 0 of a closed hypersurface in
+    H^{n+1} around the center.  eps = -1: the stored eigentime u* < 0 of
+    a spacelike graph in de Sitter space (switched convention), which
+    must obey the spacelike bound |D u*| = |u*'| / cosh u* < 1.  geometry
+    is built on first read and kept.
+    """
 
     grid: SphereGrid
     u: np.ndarray
+    eps: float = 1.0
 
     def __post_init__(self):
         v = np.asarray(self.u, dtype=float)
         if v.shape != (self.grid.m,):
             raise ValueError(f"profile shape {v.shape} does not match grid m={self.grid.m}")
-        if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-            raise ValueError("radial profile must be finite and positive")
+        if self.eps > 0:
+            if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
+                raise ValueError("radial profile must be finite and positive")
+        else:
+            if not np.all(np.isfinite(v)):
+                raise ValueError("eigentime profile must be finite")
+            if not np.all(v < 0.0):
+                raise ValueError("stored duals lie below the equatorial slice (u_star < 0)")
+            slope = np.abs(self.grid.d1(v)) / np.cosh(v)
+            if slope.max() >= 1.0:
+                raise CausalityError(f"graph is not spacelike: |D u_star| = {slope.max():.6f} "
+                                     f"at node {int(np.argmax(slope))}")
         object.__setattr__(self, "u", v)
 
     @property
-    def n(self) -> int:
-        return self.grid.n
+    def u_star(self) -> np.ndarray:
+        """The stored profile under its dual-side name."""
+        return self.u
+
+    @cached_property
+    def geometry(self) -> GraphGeometry:
+        return geometry_of(self)
+
+
+# the former name of the primal graph class, kept for scripts that build one
+HyperbolicGraph = Graph
 
 
 @dataclass(frozen=True)
@@ -142,14 +176,13 @@ def _unit_normal(u, slope, v, theta, eps: float):
 def geometry_of(g, F=None) -> GraphGeometry:
     """Graph factor, principal curvatures and curvature invariants.
 
-    g is a HyperbolicGraph (eps = +1) or a stored de Sitter graph
-    (eps = -1, read from g.u_star); both go through _kappa.
-    Non-convex output is legal: callers read the convex flag.  When a
-    curvature function F is supplied its nodewise values are attached
-    (F is only evaluated if the graph is strictly convex).
+    g is anything with a grid, a profile u and a side eps (a Graph or a
+    flow state); both sides go through _kappa.  Non-convex output is
+    legal: callers read the convex flag.  When a curvature function F is
+    supplied its nodewise values are attached (F is only evaluated if
+    the graph is strictly convex).
     """
-    eps, u = (1.0, g.u) if isinstance(g, HyperbolicGraph) else (-1.0, g.u_star)
-    slope, v, kappa = _kappa(g.grid, u, eps)
+    slope, v, kappa = _kappa(g.grid, g.u, g.eps)
     convex = bool(np.all(kappa > 0.0))
     return GraphGeometry(
         slope=slope,
@@ -163,17 +196,17 @@ def geometry_of(g, F=None) -> GraphGeometry:
     )
 
 
-def embed_arrays(g: HyperbolicGraph):
+def embed_arrays(g: Graph):
     """All node positions and exterior unit normals as (m, n+2) arrays.
 
     X = (cosh u, sinh u * omega) with omega = (sin theta, 0.., cos theta)
     the unit direction on S^n; the normal comes from _unit_normal.  The
     meridian plane sits in the sin slot 1 and the axis slot n+1.
     """
-    geo = geometry_of(g)
+    geo = g.geometry
     theta, su = g.grid.theta, np.sinh(g.u)
-    X = np.zeros((g.grid.m, g.n + 2))
-    nu = np.zeros((g.grid.m, g.n + 2))
+    X = np.zeros((g.grid.m, g.grid.n + 2))
+    nu = np.zeros((g.grid.m, g.grid.n + 2))
     X[:, 0], X[:, 1], X[:, -1] = np.cosh(g.u), su * np.sin(theta), su * np.cos(theta)
     nu[:, 0], nu[:, 1], nu[:, -1] = _unit_normal(g.u, geo.slope, geo.v, theta, 1.0)
     return X, nu
@@ -194,7 +227,7 @@ class EuclideanComparison:
     h_ratio: np.ndarray
 
 
-def euclidean_compare(g: HyperbolicGraph) -> EuclideanComparison:
+def euclidean_compare(g: Graph) -> EuclideanComparison:
     """Geometry of the Beltrami image, computed independently.
 
     The image of the graph under the Beltrami map is the Euclidean
@@ -205,7 +238,7 @@ def euclidean_compare(g: HyperbolicGraph) -> EuclideanComparison:
     the comparison inequalities.
     """
     grid = g.grid
-    geo = geometry_of(g)
+    geo = g.geometry
     r = np.tanh(g.u)
     assert np.all(r < 1.0)
     r_th, r_thth = grid.derivatives(r)
@@ -219,7 +252,7 @@ def euclidean_compare(g: HyperbolicGraph) -> EuclideanComparison:
     ratio_prof = (ke_prof * v_e * v_e * r * r) / (
         geo.kappa[:, 0] * geo.v * geo.v * np.sinh(g.u) ** 2
     )
-    if g.n == 1:
+    if grid.n == 1:
         h_ratio = ratio_prof[:, None]
     else:
         ke_ang = (1.0 - grid.cot * pe) / (v_e * r)
@@ -244,14 +277,14 @@ class InballResult:
 _SCAN, _DENSE, _TOL = 41, 2001, 1e-9
 
 
-def _distance_profile(g: HyperbolicGraph, s) -> np.ndarray:
+def _distance_profile(g: Graph, s) -> np.ndarray:
     """Geodesic distances (S, m) from the axis points at offsets s (S,) to every node."""
     s = np.asarray(s, dtype=float)[:, None]
     coshd = np.cosh(g.u) * np.cosh(s) - np.sinh(g.u) * np.cos(g.grid.theta) * np.sinh(s)
     return np.arccosh(np.clip(coshd, 1.0, None))
 
 
-def inradius_circumradius(g: HyperbolicGraph) -> InballResult:
+def inradius_circumradius(g: Graph) -> InballResult:
     """Largest inscribed and smallest enclosing balls centered on the axis.
 
     The inradius maximizes over the axis offset the least distance to the

@@ -15,7 +15,7 @@ import pytest
 
 from dualflow import curvfn
 from dualflow.diagnostics import C_GRID, decay_check, fit_exponential, pinching_epsilon
-from dualflow.dualmap import DeSitterGraph, gauss_dual, verify_duality
+from dualflow.dualmap import gauss_dual, verify_duality
 from dualflow.flow import (
     FlowConfig,
     estimate_Tstar,
@@ -26,7 +26,7 @@ from dualflow.flow import (
     spherical_T_star,
     spherical_theta,
 )
-from dualflow.hgeom import HyperbolicGraph
+from dualflow.hgeom import Graph
 from dualflow.sphere_grid import make_grid
 from oracles import fd_gradient
 
@@ -83,24 +83,23 @@ def test_criterion_2_duality_order():
         for m in (64, 128, 256):
             grid = make_grid(2, m)
             u = make_initial("random_fourier", (1.0, 0.05, 4), grid, seed=seed)
-            errs.append(verify_duality(gauss_dual(HyperbolicGraph(grid, u))).worst())
+            errs.append(verify_duality(gauss_dual(Graph(grid, u))).worst())
         order = 0.5 * math.log2(errs[0] / errs[2])
         ok &= order >= 3.5
     assert _verdict(2, "duality_order", ok)
 
 
 def _square_mismatch(name, m, targets, t_stop):
-    grid = make_grid(2, m)
     cfg = FlowConfig(F=name, n=2, m=m, initial="perturbed_sphere",
                      initial_params=(1.0, 0.1, 2), record_every=10**9)
     traj = run_flow(cfg, t_targets=targets, t_stop=t_stop)
-    d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+    d0 = gauss_dual(traj.states[0]).dual
     dtraj = run_dual_flow(cfg, d0, t_targets=targets, t_stop=t_stop)
     if not len(traj.landed) == len(dtraj.landed) == len(targets):
         return math.inf
     worst = 0.0
     for i, j in zip(traj.landed, dtraj.landed):
-        u_star = gauss_dual(HyperbolicGraph(grid, traj.states[i].u)).dual.u_star
+        u_star = gauss_dual(traj.states[i]).dual.u_star
         worst = max(worst, float(np.abs(u_star - dtraj.states[j].u_star).max()))
     return worst
 
@@ -151,13 +150,12 @@ def _rescaled_series(name):
     cfg = FlowConfig(F=name, n=2, m=64, initial="perturbed_sphere",
                      initial_params=(1.0, 0.1, 2), record_every=10)
     traj = run_flow(cfg)
-    grid = make_grid(2, 64)
-    d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+    d0 = gauss_dual(traj.states[0]).dual
     # the dual lands the primal record times in order: records pair by index
     dtraj = run_dual_flow(cfg, d0, t_targets=[s.t for s in traj.states[1:]])
     duals = [d0] + [None] * (len(traj.states) - 1)
     for i, j in enumerate(dtraj.landed, start=1):
-        duals[i] = DeSitterGraph(grid, dtraj.states[j].u_star)
+        duals[i] = dtraj.states[j]
     return rescale(traj, estimate_Tstar(traj).value, duals=duals)
 
 

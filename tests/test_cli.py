@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualflow import cli, curvfn
+from dualflow import cli, curvfn, hgeom
 from dualflow.cli import (
     ConfigError,
     RunManifest,
@@ -23,8 +23,8 @@ from dualflow.cli import (
     write_outputs,
 )
 from dualflow.diagnostics import CSV_FIELDS
-from dualflow.dualmap import DeSitterGraph
 from dualflow.flow import FlowConfig, spherical_theta
+from dualflow.hgeom import Graph
 from dualflow.sphere_grid import make_grid
 
 EXAMPLE = (
@@ -354,6 +354,49 @@ def test_verify_classifies_concavity_in_one_call(tmp_path, monkeypatch):
     assert json.loads((out / "verify.json").read_text())["concavity"] == "not_concave"
 
 
+def _count_geometry_builds(monkeypatch):
+    """Wrap hgeom.geometry_of under every name a dualflow module bound it to;
+    the returned list gets one entry per call."""
+    calls = []
+    real = hgeom.geometry_of
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dualflow") and getattr(module, "geometry_of", None) is real:
+            monkeypatch.setattr(module, "geometry_of", counted)
+    return calls
+
+
+def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
+    # verify: the drawn datum, the primal graph and its dual, one build each;
+    # both mode: one per primal record (shared by its inball, dual map and
+    # duality check, paired dual states are read for u only), plus the
+    # dual's initial state
+    calls = _count_geometry_builds(monkeypatch)
+    out = tmp_path / "v"
+    cfg = _write_cfg(
+        tmp_path, "v.cfg",
+        f'F="sigma_k:2" n=2 m=128 initial="random_fourier" initial.params=[1.0,0.05,4] '
+        f'seed=3 out="{out}"',
+    )
+    assert main(["verify", cfg]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    out = tmp_path / "b"
+    cfg = _write_cfg(
+        tmp_path, "b.cfg",
+        f'F="sigma_k:2" n=2 m=48 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
+        f'mode="both" out="{out}"',
+    )
+    assert main(["run", cfg]) == 0
+    records = len(_read_csv(out / "diagnostics.csv"))
+    assert records == 40
+    assert len(calls) == records + 1
+
+
 def test_verify_nonconvex_exit_3(tmp_path):
     out = tmp_path / "out"
     cfg = _write_cfg(
@@ -505,7 +548,7 @@ def test_run_both_mode_dual_dying_first_exits_clean(tmp_path, monkeypatch):
     dual_runs = []
 
     def shrunk(cfg, d0, **kwargs):
-        dtraj = real_run_dual_flow(cfg, DeSitterGraph(d0.grid, 0.95 * d0.u_star), **kwargs)
+        dtraj = real_run_dual_flow(cfg, Graph(d0.grid, 0.95 * d0.u, -1.0), **kwargs)
         dual_runs.append(dtraj)
         return dtraj
 

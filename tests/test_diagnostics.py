@@ -17,7 +17,7 @@ from dualflow.diagnostics import (
 )
 from dualflow.dualmap import gauss_dual
 from dualflow.flow import FlowConfig, FlowState, run_flow
-from dualflow.hgeom import HyperbolicGraph, geometry_of
+from dualflow.hgeom import Graph, geometry_of
 from dualflow.sphere_grid import make_grid
 
 
@@ -39,7 +39,7 @@ def test_record_on_slice_is_umbilic():
     F = curvfn.make_function("mean", 2)
     st = _sphere_state(grid, 0.8, F)
     eps = pinching_epsilon(st.geometry, 2)
-    dual = gauss_dual(HyperbolicGraph(grid, st.u)).dual
+    dual = gauss_dual(st).dual
     rec = compute_record(st, dual=dual, Theta=0.8, epsilon=eps, sigma=0.1)
     coth = 1.0 / math.tanh(0.8)
     assert rec.pinch_ratio == 1.0
@@ -75,14 +75,14 @@ def test_pinching_weight_feasible_at_start():
     grid = make_grid(2, 48)
     F = curvfn.make_function("sigma_k:2", 2)
     u = math.atanh(1.0 / 1.075) + 0.02 * np.cos(3 * grid.theta)
-    geo = geometry_of(HyperbolicGraph(grid, u), F)
+    geo = geometry_of(Graph(grid, u), F)
     eps = pinching_epsilon(geo, 2)
     assert eps > 0.0
     T0 = (geo.kappa.min(axis=1) - 1.0 - eps * (geo.H - 2)).min()
     assert T0 > 0.0
     # non-horoconvex data clamps the weight to zero
     u2 = 2.0 + 0.1 * np.cos(2 * grid.theta)
-    geo2 = geometry_of(HyperbolicGraph(grid, u2), F)
+    geo2 = geometry_of(Graph(grid, u2), F)
     if geo2.kappa.min() < 1.0:
         assert pinching_epsilon(geo2, 2) == 0.0
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dualflow import curvfn, flow
 from dualflow.cli import _theta_of
-from dualflow.dualmap import CausalityError, DeSitterGraph, gauss_dual
+from dualflow.dualmap import CausalityError, gauss_dual
 from dualflow.flow import (
     ConvexityError,
     FlowConfig,
@@ -30,7 +30,7 @@ from dualflow.flow import (
     spherical_T_star,
     spherical_theta,
 )
-from dualflow.hgeom import GraphGeometry, HyperbolicGraph, geometry_of
+from dualflow.hgeom import Graph, GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
 from oracles import oracle_flow_step, rk4_profiles, rk4_step, spherical_theta_ref
 
@@ -48,10 +48,10 @@ def test_slice_rhs_mean():
     F = curvfn.make_function("mean", 2)
     F_dual = curvfn.invert(F)
     for r in (0.5, 1.3):
-        rhs = _rhs(HyperbolicGraph(grid, np.full(48, r)), F)
+        rhs = _rhs(Graph(grid, np.full(48, r)), F)
         assert np.abs(rhs + 1.0 / math.tanh(r)).max() < 1e-12
         # the dual slice u* = -r rises at the same rate
-        rhs = _rhs(DeSitterGraph(grid, np.full(48, -r)), F_dual, -1.0)
+        rhs = _rhs(Graph(grid, np.full(48, -r), -1.0), F_dual, -1.0)
         assert np.abs(rhs - 1.0 / math.tanh(r)).max() < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_slice_rhs_any_normalized_speed():
     grid = make_grid(2, 48)
     for name in curvfn.builtin_battery(2):
         F = curvfn.make_function(name, 2)
-        rhs = _rhs(HyperbolicGraph(grid, np.full(48, 0.9)), F)
+        rhs = _rhs(Graph(grid, np.full(48, 0.9)), F)
         assert np.abs(rhs + 1.0 / math.tanh(0.9)).max() < 1e-11
 
 
@@ -69,7 +69,7 @@ def test_rhs_against_embedding_flow_oracle():
     grid = make_grid(2, 128)
     u = 1.0 + 0.1 * np.cos(grid.theta)
     F = curvfn.make_function("sigma_k:2", 2)
-    rhs = _rhs(HyperbolicGraph(grid, u), F)
+    rhs = _rhs(Graph(grid, u), F)
     eps = 1e-5
     inner = (grid.theta > 0.2) & (grid.theta < math.pi - 0.2)
     u_eps = oracle_flow_step(
@@ -135,7 +135,7 @@ def test_flows_match_rk4_oracle(n, F_name, params, cfl):
     cfg = FlowConfig(F=F_name, n=n, m=64, initial="perturbed_sphere", initial_params=params,
                      record_every=10**9)
     traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
-    d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+    d0 = gauss_dual(traj.states[0]).dual
     dtraj = run_dual_flow(cfg, d0, t_targets=targets, t_stop=0.2)
     F = curvfn.make_function(F_name, n)
     for tr, F_side, u0, eps in ((traj, F, traj.states[0].u, 1.0),
@@ -188,7 +188,7 @@ def test_rhs_stack_equals_rows(n, eps, seeds, amp):
     rows = [make_initial("random_fourier", (1.0, amp, 4), grid, seed=s) for s in seeds]
     if eps < 0:
         F = curvfn.invert(F)
-        rows = [gauss_dual(HyperbolicGraph(grid, u)).dual.u_star for u in rows]
+        rows = [gauss_dual(Graph(grid, u)).dual.u_star for u in rows]
     solver = RadauIIA(grid, F, eps)
     stack = np.array(rows)
     out = solver._rhs(stack)
@@ -206,15 +206,15 @@ def test_rhs_masks_inadmissible_rows():
     F = curvfn.make_function("mean", 2)
     good = 1.0 + 0.1 * np.cos(2 * grid.theta)
     nonconvex = 0.3 + 0.28 * np.cos(6 * grid.theta)
-    assert not geometry_of(HyperbolicGraph(grid, nonconvex)).convex
+    assert not geometry_of(Graph(grid, nonconvex)).convex
     crossed = good.copy()
     crossed[5] = -0.01
-    d_good = gauss_dual(HyperbolicGraph(grid, good)).dual.u_star
+    d_good = gauss_dual(Graph(grid, good)).dual.u_star
     d_crossed = d_good.copy()
     d_crossed[5] = 0.01
     timelike = -0.2 - 4.5 * np.sin(grid.theta / 2.0) ** 2
     with pytest.raises(CausalityError):
-        DeSitterGraph(grid, timelike)
+        Graph(grid, timelike, -1.0)
     for eps, F_side, stack, bad in (
             (1.0, F, [good, nonconvex, crossed, 0.9 * good], [1, 2]),
             (-1.0, curvfn.invert(F), [d_good, d_crossed, timelike, 0.9 * d_good], [1, 2])):
@@ -307,6 +307,19 @@ def test_sphere_is_a_rescaled_fixed_point(F_name, r0):
     assert cfg.u_stop * (1.0 - 1e-8) < traj.states[-1].u.max() < cfg.u_stop
 
 
+@pytest.mark.parametrize("F_name", curvfn.builtin_battery(2))
+def test_sphere_battery_needs_no_halved_steps(F_name):
+    # at the rescaled fixed point Newton's scaled increments sit at the
+    # rounding floor, and their ratio is noise, not divergence; read as
+    # divergence it halved steps and 7 of these spheres took 16-20 steps
+    cfg = FlowConfig(F=F_name, n=2, m=32, initial="sphere", initial_params=(1.0,),
+                     record_every=50)
+    traj = run_flow(cfg)
+    assert traj.failure is None
+    assert traj.states[-1].u.max() < cfg.u_stop
+    assert traj.steps_taken <= 15
+
+
 def test_accepted_state_raises_like_geometry():
     # an accepted state the flow cannot continue from, checked by the rhs
     # kernel, raises the type and message of the full geometry check
@@ -362,15 +375,14 @@ def test_accepted_states_build_geometry_when_read(monkeypatch):
     assert len(builds) <= len(traj.states) + 1  # the parent builds 666
     assert traj.grid is traj.states[0].grid
     F = curvfn.make_function(cfg.F, cfg.n)
-    dual = run_dual_flow(cfg, gauss_dual(HyperbolicGraph(traj.grid, traj.states[0].u)).dual,
+    dual = run_dual_flow(cfg, gauss_dual(traj.states[0]).dual,
                          t_stop=0.05)
     assert dual.failure is None
-    for states, graph, F_side in ((traj.states, HyperbolicGraph, F),
-                                  (dual.states, DeSitterGraph, curvfn.invert(F))):
+    for states, eps, F_side in ((traj.states, 1.0, F), (dual.states, -1.0, curvfn.invert(F))):
         for s in states:
             geo = s.geometry
             assert s.geometry is geo
-            ref = geometry_of(graph(traj.grid, s.u), F_side)
+            ref = geometry_of(Graph(traj.grid, s.u, eps), F_side)
             for f in dataclasses.fields(GraphGeometry):
                 assert np.array_equal(getattr(geo, f.name), getattr(ref, f.name)), f.name
 
@@ -448,7 +460,7 @@ def test_newton_paths_agree(monkeypatch, n, m):
                      initial="perturbed_sphere", initial_params=(1.0, 0.1, 2),
                      record_every=10**9)
     grid = make_grid(n, m)
-    d0 = gauss_dual(HyperbolicGraph(grid, make_initial(cfg.initial, cfg.initial_params, grid)))
+    d0 = gauss_dual(Graph(grid, make_initial(cfg.initial, cfg.initial_params, grid)))
     targets = [0.04, 0.08, 0.12, 0.16, 0.2]
     runs = []
     for max_m in (0, 10**6):
@@ -588,7 +600,7 @@ def test_dual_slice_run_matches_primal_solution():
     grid = make_grid(2, 32)
     cfg = FlowConfig(F="mean", n=2, m=32, initial="sphere", initial_params=(1.0,),
                      record_every=20)
-    dtraj = run_dual_flow(cfg, DeSitterGraph(grid, np.full(32, -1.0)))
+    dtraj = run_dual_flow(cfg, Graph(grid, np.full(32, -1.0), -1.0))
     assert dtraj.failure is None
     worst = max(
         np.abs(s.u_star + float(spherical_theta_ref(s.t, 1.0))).max()
@@ -606,17 +618,16 @@ def test_dual_slice_run_matches_primal_solution():
 
 def test_flows_commute_with_duality():
     # gauss dual of the evolved primal equals the evolved dual
-    grid = make_grid(2, 48)
     cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
                      initial_params=(1.0, 0.1, 2), record_every=10**9)
     targets = [0.05, 0.1, 0.15, 0.2]
     traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
-    d0 = gauss_dual(HyperbolicGraph(grid, traj.states[0].u)).dual
+    d0 = gauss_dual(traj.states[0]).dual
     dtraj = run_dual_flow(cfg, d0, t_targets=targets, t_stop=0.2)
     assert len(traj.landed) == len(dtraj.landed) == len(targets)
     for tt, i, j in zip(targets, traj.landed, dtraj.landed):
         assert abs(traj.states[i].t - tt) < 1e-13 and abs(dtraj.states[j].t - tt) < 1e-13
-        us = gauss_dual(HyperbolicGraph(grid, traj.states[i].u)).dual.u_star
+        us = gauss_dual(traj.states[i]).dual.u_star
         assert np.abs(us - dtraj.states[j].u_star).max() < 5e-6
 
 
@@ -630,6 +641,19 @@ def test_run_flow_lands_targets():
         assert any(abs(t - tt) < 1e-13 for t in times)
 
 
+def test_flow_time_records_only_initial_targets_and_final():
+    # record_every sets the tau cadence only: a run that stays in flow time
+    # records its initial state and one state per landed target
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2), record_every=1)
+    targets = (0.04, 0.08, 0.12, 0.16, 0.2)
+    traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
+    assert traj.failure is None and traj.steps_taken > len(targets)
+    assert len(traj.states) == 1 + len(targets)
+    assert traj.landed == list(range(1, 1 + len(targets)))
+    assert [s.t for s in traj.states] == pytest.approx((0.0,) + targets, abs=1e-13)
+
+
 def test_make_initial_library():
     grid = make_grid(2, 64)
     for name, params in (
@@ -639,7 +663,7 @@ def test_make_initial_library():
         ("random_fourier", (1.0, 0.05, 4)),
     ):
         u = make_initial(name, params, grid, seed=1)
-        geo = geometry_of(HyperbolicGraph(grid, u))
+        geo = geometry_of(Graph(grid, u))
         assert geo.convex, name
     # seeded draws are reproducible
     a = make_initial("random_fourier", (1.0, 0.05, 4), grid, seed=9)
@@ -678,7 +702,7 @@ def test_run_flow_off_center_extinction_aborts():
     cfg = FlowConfig(F="power_mean:0.5", n=2, m=48, initial="random_fourier",
                      initial_params=(1.0, 0.05, 4), seed=3, u_stop=0.04)
     traj = run_flow(cfg)
-    d0 = gauss_dual(HyperbolicGraph(traj.grid, traj.states[0].u)).dual
+    d0 = gauss_dual(traj.states[0]).dual
     # the dual extinguishes off-centre too and aborts the same way
     for tr in (traj, run_dual_flow(cfg, d0)):
         assert tr.failure == "convexity"

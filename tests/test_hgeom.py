@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from dualflow import hgeom
 from dualflow.hgeom import (
-    HyperbolicGraph,
+    CausalityError,
+    Graph,
     embed_arrays,
     euclidean_compare,
     geometry_of,
@@ -21,7 +23,7 @@ COTH1 = 1.3130352854993312  # cosh(1)/sinh(1)
 
 def test_slice_curvatures():
     grid = make_grid(2, 64)
-    geo = geometry_of(HyperbolicGraph(grid, np.ones(64)))
+    geo = geometry_of(Graph(grid, np.ones(64)))
     assert np.abs(geo.v - 1.0).max() < 1e-14
     assert np.abs(geo.kappa - COTH1).max() < 1e-12
     assert geo.convex and geo.horoconvex
@@ -30,7 +32,7 @@ def test_slice_curvatures():
 def test_slice_scalar_invariants():
     grid = make_grid(3, 48)
     for r in (0.4, 1.7):
-        geo = geometry_of(HyperbolicGraph(grid, np.full(48, r)))
+        geo = geometry_of(Graph(grid, np.full(48, r)))
         c = 1.0 / math.tanh(r)
         assert np.abs(geo.H - 3.0 * c).max() < 1e-11
         assert np.abs(geo.normA2 - 3.0 * c * c).max() < 1e-11
@@ -40,7 +42,7 @@ def test_kappa_against_embedding_oracle():
     # independent reference: finite differences of the Minkowski embedding
     grid = make_grid(2, 128)
     u = 1.0 + 0.1 * np.cos(grid.theta)
-    geo = geometry_of(HyperbolicGraph(grid, u))
+    geo = geometry_of(Graph(grid, u))
     inner = (grid.theta > 0.15) & (grid.theta < math.pi - 0.15)
     ref = oracle_h_geometry(lambda t: 1.0 + 0.1 * np.cos(t), grid.theta[inner])
     assert np.abs(geo.kappa[inner, 0] - ref["kappa_prof"]).max() < 5e-8
@@ -52,7 +54,7 @@ def test_curve_kappa_against_embedding_oracle():
     for m in (96, 192):
         grid = make_grid(1, m)
         u = 0.9 + 0.08 * np.cos(2 * grid.theta)
-        geo = geometry_of(HyperbolicGraph(grid, u))
+        geo = geometry_of(Graph(grid, u))
         kref, _ = oracle_curve_geometry(lambda t: 0.9 + 0.08 * np.cos(2 * t), grid.theta)
         errs.append(np.abs(geo.kappa[:, 0] - kref).max())
     assert errs[0] < 5e-6
@@ -61,7 +63,7 @@ def test_curve_kappa_against_embedding_oracle():
 
 def test_embedding_point_values():
     grid = make_grid(2, 64)
-    g = HyperbolicGraph(grid, np.ones(64))
+    g = Graph(grid, np.ones(64))
     X, nu = embed_arrays(g)
     th = grid.theta
     ref = np.stack(
@@ -80,7 +82,7 @@ def test_embedding_constraints_random_graph():
     grid = make_grid(2, 96)
     rng = np.random.default_rng(2)
     u = 1.0 + 0.05 * np.cos(grid.theta) + 0.03 * np.cos(2 * grid.theta)
-    g = HyperbolicGraph(grid, u)
+    g = Graph(grid, u)
     X, nu = embed_arrays(g)
     assert np.abs(minkowski_inner(X, X) + 1.0).max() < 1e-10
     assert np.abs(minkowski_inner(nu, nu) - 1.0).max() < 1e-10
@@ -89,11 +91,11 @@ def test_embedding_constraints_random_graph():
 
 def test_euclidean_compare_slice():
     grid = make_grid(2, 64)
-    cmp1 = euclidean_compare(HyperbolicGraph(grid, np.ones(64)))
+    cmp1 = euclidean_compare(Graph(grid, np.ones(64)))
     assert np.abs(cmp1.r - 0.7615941559557649).max() < 1e-13
     assert np.abs(cmp1.v_e - 1.0).max() < 1e-12
     assert np.abs(cmp1.h_ratio - 0.41997434161402614).max() < 1e-10
-    cmp2 = euclidean_compare(HyperbolicGraph(grid, np.full(64, 0.1)))
+    cmp2 = euclidean_compare(Graph(grid, np.full(64, 0.1)))
     assert np.abs(cmp2.r - 0.09966799462495582).max() < 1e-14
 
 
@@ -101,7 +103,7 @@ def test_euclidean_graph_factor_bounds():
     # the Beltrami image can only flatten gradients: 0 < v_e <= v
     grid = make_grid(2, 96)
     u = 1.0 + 0.08 * np.cos(grid.theta) + 0.04 * np.cos(3 * grid.theta)
-    g = HyperbolicGraph(grid, u)
+    g = Graph(grid, u)
     geo = geometry_of(g)
     cmp = euclidean_compare(g)
     ratio = (cmp.v_e / geo.v) ** 2
@@ -111,7 +113,7 @@ def test_euclidean_graph_factor_bounds():
 
 def test_inball_sphere():
     grid = make_grid(2, 64)
-    res = inradius_circumradius(HyperbolicGraph(grid, np.full(64, 0.8)))
+    res = inradius_circumradius(Graph(grid, np.full(64, 0.8)))
     assert res.rho_minus == pytest.approx(0.8, abs=1e-8)
     assert res.rho_plus == pytest.approx(0.8, abs=1e-8)
     assert abs(res.center_offset) < 1e-6
@@ -121,7 +123,7 @@ def test_inball_sphere():
 def test_inball_perturbed_sphere_vs_dense_scan():
     grid = make_grid(2, 128)
     u = 1.0 + 0.1 * np.cos(grid.theta)
-    res = inradius_circumradius(HyperbolicGraph(grid, u))
+    res = inradius_circumradius(Graph(grid, u))
     rm, _, rp, _ = dense_inradius_scan(lambda t: 1.0 + 0.1 * np.cos(np.asarray(t)))
     assert res.rho_minus == pytest.approx(rm, abs=1e-6)
     assert res.rho_plus == pytest.approx(rp, abs=1e-6)
@@ -138,7 +140,7 @@ def test_inball_translated_sphere():
     A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
     C = np.sqrt(A * A - B * B)
     u = np.arctanh(B / A) + np.arccosh(math.cosh(R) / C)
-    res = inradius_circumradius(HyperbolicGraph(grid, u))
+    res = inradius_circumradius(Graph(grid, u))
     assert res.rho_minus == pytest.approx(R, abs=1e-4)
     assert res.rho_plus == pytest.approx(R, abs=1e-4)
     assert res.center_offset == pytest.approx(s, abs=1e-4)
@@ -153,7 +155,7 @@ def test_inball_two_lobes_takes_dense_scan():
         return 1.0 + 0.2 * np.cos(2 * t) - 0.35 * np.cos(4 * t)
 
     grid = make_grid(2, 128)
-    res = inradius_circumradius(HyperbolicGraph(grid, prof(grid.theta)))
+    res = inradius_circumradius(Graph(grid, prof(grid.theta)))
     # the whole-range scan is off by about 5e-5 at its s spacing of 5.7e-4,
     # so each side is rescanned within 1e-3 of its scan optimum; that
     # rescan is itself good to about 7e-7
@@ -169,5 +171,29 @@ def test_inball_two_lobes_takes_dense_scan():
 def test_nonconvex_flagged():
     grid = make_grid(2, 96)
     u = 1.0 + 0.45 * np.cos(4 * grid.theta)
-    geo = geometry_of(HyperbolicGraph(grid, u))
+    geo = geometry_of(Graph(grid, u))
     assert not geo.convex
+
+
+def test_graph_validates_each_side():
+    # one graph type for both sides: eps = +1 a radius, eps = -1 a stored
+    # de Sitter eigentime; each side keeps its own checks and messages
+    grid = make_grid(2, 48)
+    cases = (
+        (np.ones(47), 1.0, ValueError, "profile shape (47,) does not match grid m=48"),
+        (np.full(48, -0.3), 1.0, ValueError, "radial profile must be finite and positive"),
+        (np.full(48, np.nan), -1.0, ValueError, "eigentime profile must be finite"),
+        (np.full(48, 0.3), -1.0, ValueError,
+         "stored duals lie below the equatorial slice (u_star < 0)"),
+        (-0.2 - 4.5 * np.sin(grid.theta / 2.0) ** 2, -1.0, CausalityError,
+         "graph is not spacelike: |D u_star| = 1.144059 at node 11"),
+    )
+    for u, eps, error, message in cases:
+        with pytest.raises(error) as info:
+            Graph(grid, u, eps)
+        assert str(info.value) == message
+    d = Graph(grid, np.full(48, -0.7), -1.0)
+    assert d.u_star is d.u
+    assert d.geometry is d.geometry  # built once, on first read
+    assert np.abs(d.geometry.kappa - math.tanh(0.7)).max() < 1e-12
+    assert hgeom.HyperbolicGraph is Graph
