@@ -18,7 +18,8 @@ Built-in families (names as accepted by ``make_function``):
                     to one
     complete:k      k-th complete homogeneous symmetric polynomial to
                     the power 1/k
-    norm_A          euclidean norm (sum_i kappa_i^2)^(1/2)
+    norm_A          root mean square ((1/n) sum_i kappa_i^2)^(1/2), the
+                    power mean at r = 2 (convex, not concave)
     inverse:<name>  the dual speed  F~(kappa) = 1 / F(1/kappa)
 
 The product in geom telescopes, so sigma_k:k, quotient:k:l and
@@ -209,10 +210,11 @@ class CurvatureFunction:
 
 
 class PowerMean(CurvatureFunction):
-    """((1/n) sum kappa_i^r)^(1/r) for 0 < |r| <= 1; r = 1 is the mean.
+    """((1/n) sum kappa_i^r)^(1/r) for r != 0; r = 1 is the mean, r = 2
+    norm_A.
 
-    The geometric mean r = 0 is sigma_k:n (see make_function).  The
-    derivatives are
+    The geometric mean r = 0 is sigma_k:n, and power_mean:r names take
+    |r| <= 1 (see make_function).  The derivatives are
 
         F_i  = n^(-1/r) S^(1/r - 1) kappa_i^(r-1),          S = sum kappa_l^r,
         F_ij = n^(-1/r) (1 - r) S^(1/r - 2) kappa_i^(r-2)
@@ -221,8 +223,8 @@ class PowerMean(CurvatureFunction):
 
     def __init__(self, n: int, r: float, name: str | None = None):
         r = float(r)
-        if not (-1.0 <= r <= 1.0 and r != 0.0):
-            raise ConstructionError(f"power mean exponent must satisfy 0 < |r| <= 1, got {r}")
+        if r == 0.0:
+            raise ConstructionError("power mean exponent must be nonzero; r = 0 is sigma_k:n")
         self.r = r
         super().__init__(n, name or f"power_mean:{r!r}")
 
@@ -350,22 +352,6 @@ class CompleteSymmetric(CurvatureFunction):
         return a * (a - 1.0) * p ** (a - 2.0) * outer + a * p ** (a - 1.0) * pij
 
 
-class NormA(CurvatureFunction):
-    """Euclidean norm of the curvature vector (convex)."""
-
-    def _raw_value(self, kappa):
-        return np.sqrt((kappa * kappa).sum(axis=-1))
-
-    def _raw_gradient(self, kappa):
-        return kappa / self._raw_value(kappa)[..., None]
-
-    def _raw_hessian(self, kappa):
-        r = self._raw_value(kappa)[..., None, None]
-        ki = kappa[..., :, None]
-        kj = kappa[..., None, :]
-        return (np.eye(self.n) - ki * kj / (r * r)) / r
-
-
 class InverseOf(CurvatureFunction):
     """F~(kappa) = 1 / F(1/kappa), the speed of the dual expanding flow."""
 
@@ -417,7 +403,7 @@ def make_function(name: str, n: int) -> CurvatureFunction:
     if name == "mean":
         return PowerMean(n, 1.0, "mean")
     if name == "norm_A":
-        return NormA(n, "norm_A")
+        return PowerMean(n, 2.0, "norm_A")
     head, _, rest = name.partition(":")
     if head == "inverse":
         if not rest:
@@ -426,6 +412,8 @@ def make_function(name: str, n: int) -> CurvatureFunction:
     try:
         if head == "power_mean":
             r = float(rest)
+            if not -1.0 <= r <= 1.0:
+                raise ConstructionError(f"power mean exponent must satisfy 0 < |r| <= 1, got {r}")
             if r == 0.0:
                 return WeightedGeometric(n, _ratio_weights(n, n, 0), f"power_mean:{r!r}")
             return PowerMean(n, r)

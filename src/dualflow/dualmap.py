@@ -20,13 +20,12 @@ stencil's own convergence order).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hgeom import CausalityError, Graph, _curvatures, _unit_normal
-from .sphere_grid import CircleGrid, SphereGrid, refine_extremum, resample_monotone
+from .sphere_grid import refine_extremum
 
 __all__ = [
     "DualityBrokenError",
@@ -53,49 +52,6 @@ class DualPair:
     u_star_nodes: np.ndarray
 
 
-def _even_extend(x: np.ndarray, y: np.ndarray):
-    """Mirror sample triples about both poles and insert pole values.
-
-    Mirroring alone leaves a cell with exactly equal endpoint values
-    straddling each pole, whose zero secant slope would force the
-    shape-preserving resampler to first order there.  Fitting the even
-    quartic a + b s^2 + c s^4 in the pole offset s through the three
-    nearest samples supplies the missing pole value and keeps the
-    resampler at full accuracy.
-    """
-
-    def pole_value(xs, ys, pole):
-        s2 = (xs - pole) ** 2
-        s2 = s2 / s2.max()
-        coef = np.linalg.solve(np.vander(s2, 3, increasing=True), ys)
-        return coef[0]
-
-    y_lo = pole_value(x[:3], y[:3], 0.0)
-    y_hi = pole_value(x[-3:], y[-3:], math.pi)
-    xx = np.concatenate([-x[2::-1], [0.0], x, [math.pi], 2.0 * math.pi - x[:-4:-1]])
-    yy = np.concatenate([y[2::-1], [y_lo], y, [y_hi], y[:-4:-1]])
-    return xx, yy
-
-
-def _resample(grid: SphereGrid, ang: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Values y sampled at the increasing angles ang, resampled onto the grid.
-
-    On the circle whole periods of samples are wrapped onto both ends,
-    as many as it takes to leave three beyond each end of [0, 2 pi):
-    the Gauss image of a node can move by several grid spacings.  On a
-    meridian grid the samples are mirrored about both poles.
-    """
-    if isinstance(grid, CircleGrid):
-        per = 2.0 * math.pi
-        lo = 3 + int(np.count_nonzero(ang - per >= grid.theta[0]))
-        hi = 3 + int(np.count_nonzero(ang + per <= grid.theta[-1]))
-        x = np.concatenate([ang[-lo:] - per, ang, ang[:hi] + per])
-        y = np.concatenate([y[-lo:], y, y[:hi]])
-    else:
-        x, y = _even_extend(ang, y)
-    return resample_monotone(x, y, grid.theta)
-
-
 def _gauss_map(g):
     """The graph of the other side swept by g's unit normals, the matching
     angle of each node (the direction of the normal's spatial part, which
@@ -106,21 +62,19 @@ def _gauss_map(g):
     graph over the direction of the spatial part.  The past-directed
     normal of a stored dual (eps = -1), with the light cone switched
     back, is a point of H^{n+1}, read as a radial graph arccosh(nu^0).
-    The scattered samples are brought onto the grid by monotone
-    resampling.
+    The scattered samples are brought onto the grid by the grid's own
+    resample.
     """
     grid, geo = g.grid, g.geometry
     nu0, nu_sin, nu_axis = _unit_normal(g.u, geo.slope, geo.v, grid.theta, g.eps)
-    ang = np.arctan2(nu_sin, nu_axis)
-    if isinstance(grid, CircleGrid):
-        ang = np.unwrap(ang)
+    ang = np.unwrap(np.arctan2(nu_sin, nu_axis))
     if not np.all(np.diff(ang) > 0.0):
         j = int(np.argmin(np.diff(ang)))
         raise DualityBrokenError(
             f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
         )
     nodes = -np.arcsinh(nu0) if g.eps > 0 else np.arccosh(np.clip(nu0, 1.0, None))
-    return Graph(grid, _resample(grid, ang, nodes), -g.eps), ang, nodes
+    return Graph(grid, grid.resample(ang, nodes), -g.eps), ang, nodes
 
 
 def gauss_dual(g) -> DualPair:

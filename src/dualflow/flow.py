@@ -37,7 +37,7 @@ import numpy as np
 from . import curvfn
 from .curvfn import CurvatureFunction, make_function
 from .hgeom import CausalityError, Graph, GraphGeometry, _kappa, geometry_of
-from .sphere_grid import CircleGrid, SphereGrid, make_grid, resample_monotone
+from .sphere_grid import SphereGrid, make_grid, resample_monotone
 
 __all__ = [
     "ConvexityError",
@@ -207,7 +207,7 @@ def _ellipsoid_profile(grid: SphereGrid, a: float, b: float) -> np.ndarray:
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ValueError("ellipsoid semi-axes must lie in (0, 1)")
-    top = 2.0 * math.pi if isinstance(grid, CircleGrid) else math.pi
+    top = 2.0 * math.pi if grid.cyclic else math.pi
     p = np.linspace(-0.3, top + 0.3, 8 * grid.m)
     hs = np.sqrt(b * b * np.cos(p) ** 2 + a * a * np.sin(p) ** 2)
     hs_p = (a * a - b * b) * np.sin(p) * np.cos(p) / hs
@@ -253,16 +253,14 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
             raise ValueError(f"random_fourier needs r0 > 0, amp >= 0 and an integer kmax "
                              f"in [1, m // 2 = {grid.m // 2}], got {params!r}")
         rng = np.random.default_rng(seed)
-        circle = isinstance(grid, CircleGrid)
         for _ in range(64):
             coef = rng.normal(size=int(kmax)) / np.arange(1, kmax + 1) ** 2
             u = r0 + 0.0 * grid.theta
             for k, c in enumerate(coef, start=1):
                 u = u + amp * c * np.cos(k * grid.theta)
-                if circle:
+                if grid.cyclic:
                     u = u + amp * rng.normal() / k**2 * np.sin(k * grid.theta)
-            if u.max() >= U_MAX or (u.min() > 0.05
-                                    and Graph(grid, u).geometry.convex):
+            if u.max() >= U_MAX or (u.min() > 0.05 and np.all(_kappa(grid, u, 1.0)[2] > 0.0)):
                 break
         else:
             raise ValueError("could not draw a convex random profile; lower amp")
@@ -468,13 +466,12 @@ class RadauIIA:
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
         self.grid, self.F, self.eps = grid, F, eps
-        self.cyclic = isinstance(grid, CircleGrid)
         m = grid.m
         self._banded = m > _DENSE_MAX_M
         cols = np.arange(m)[None, :] + np.arange(-2, 3)[:, None]
         inside = (cols >= 0) & (cols < m)
         colour = np.arange(m) % 5
-        if self.cyclic:
+        if grid.cyclic:
             cols, inside = cols % m, np.ones_like(inside)
             colour[m - m % 5:] += 5
         self._cols, self._inside = np.where(inside, cols, 0), inside
@@ -561,7 +558,7 @@ class RadauIIA:
             return _DenseInverse(A)
         A[2] += shift
         if self._banded:
-            return _BandLU(A, self.cyclic)
+            return _BandLU(A, self.grid.cyclic)
         dense = np.zeros((self.grid.m, self.grid.m), dtype=A.dtype)
         dense[self._scatter] = A[self._inside]
         return _DenseInverse(dense)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere_grid import CircleGrid, SphereGrid, refine_extremum
+from .sphere_grid import SphereGrid, refine_extremum
 
 __all__ = [
     "minkowski_inner",
@@ -297,7 +297,7 @@ def inradius_circumradius(g: Graph) -> InballResult:
     _DENSE-point scan then picks the basins before the zoom.
     """
     grid = g.grid
-    j_pi = int(np.argmin(np.abs(grid.theta - math.pi))) if isinstance(grid, CircleGrid) else -1
+    j_pi = int(np.argmin(np.abs(grid.theta - math.pi)))
     lo, hi = 1e-9 - float(g.u[j_pi]), float(g.u[0]) - 1e-9
 
     def score(s):

@@ -10,12 +10,15 @@ Rotationally symmetric profiles live on a meridian grid.  Two layouts:
     pi with a parity sign.  A profile that is smooth on the sphere is
     even at both poles, its theta derivative odd.
 
-Both grids differentiate with centered fourth order stencils applied to
-a two-ghost padded copy of the profile.  Quadrature returns integrals
-over the whole parameter sphere: plain Riemann sums on the circle
-(trapezoidal, hence spectrally accurate for periodic data), and exact
-per-cell moments of the sin^(n-1) weight on the meridian so that
-constants integrate to machine precision at any admissible m.
+Each grid owns its symmetry: cyclic says which of the two it is, and
+resample extends scattered samples by it before resampling them onto
+the nodes.  Both grids differentiate with centered fourth order
+stencils applied to a two-ghost padded copy of the profile.  Quadrature
+returns integrals over the whole parameter sphere: plain Riemann sums
+on the circle (trapezoidal, hence spectrally accurate for periodic
+data), and exact per-cell moments of the sin^(n-1) weight on the
+meridian so that constants integrate to machine precision at any
+admissible m.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class SphereGrid:
     h: float
     theta: np.ndarray
     cot: np.ndarray | None = None  # cot(theta), on a meridian grid
+    cyclic: bool  # periodic in theta (the circle), or even at both poles
 
     def pad(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
         """Append two ghost nodes on each side of the last axis: one gather
@@ -72,6 +76,12 @@ class SphereGrid:
     def integrate(self, values: np.ndarray):
         """The integral over the sphere of a profile (a float), or of each
         row of a stack (an array)."""
+        raise NotImplementedError
+
+    def resample(self, x, y) -> np.ndarray:
+        """Values y sampled at the increasing angles x, over one fundamental
+        domain, extended by the grid's symmetry and resampled onto theta
+        through resample_monotone."""
         raise NotImplementedError
 
     def derivatives(self, values: np.ndarray, parity: int = 1):
@@ -105,6 +115,8 @@ class SphereGrid:
 class CircleGrid(SphereGrid):
     """Full-circle grid for curves (n = 1); everything is periodic."""
 
+    cyclic = True
+
     def __init__(self, m: int):
         m = int(m)
         if m < MIN_NODES:
@@ -121,6 +133,16 @@ class CircleGrid(SphereGrid):
         out = self.h * self._check(values).sum(axis=-1)
         return float(out) if out.ndim == 0 else out
 
+    def resample(self, x, y):
+        """Whole periods of samples are wrapped onto both ends, as many as
+        it takes to leave three beyond each end of [0, 2 pi): a sample can
+        sit several grid spacings from its node."""
+        x, y, per = np.asarray(x, dtype=float), np.asarray(y, dtype=float), 2.0 * math.pi
+        lo = 3 + int(np.count_nonzero(x - per >= self.theta[0]))
+        hi = 3 + int(np.count_nonzero(x + per <= self.theta[-1]))
+        return resample_monotone(np.concatenate([x[-lo:] - per, x, x[:hi] + per]),
+                                 np.concatenate([y[-lo:], y, y[:hi]]), self.theta)
+
 
 # 12-point Gauss-Legendre rule; exact to rounding for the smooth cell
 # moments below at every admissible resolution
@@ -135,6 +157,8 @@ class AxisymGrid(SphereGrid):
     around the cell center, using the grid's own stencils for the
     derivative terms.  Cell moments of orders 0..2 are precomputed.
     """
+
+    cyclic = False
 
     def __init__(self, n: int, m: int):
         n, m = int(n), int(m)
@@ -165,6 +189,15 @@ class AxisymGrid(SphereGrid):
         cells = v * self._w0 + vp * self._w1 + 0.5 * vpp * self._w2
         out = self._shell * cells.sum(axis=-1)
         return float(out) if out.ndim == 0 else out
+
+    def resample(self, x, y):
+        """The three samples nearest each pole are mirrored about it (theta
+        to -theta and to 2 pi - theta); no pole value is fitted.  The cell
+        across a pole has equal end values, which resample_monotone reads
+        as a symmetric extremum, so its slopes keep fourth order."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return resample_monotone(np.concatenate([-x[2::-1], x, 2.0 * math.pi - x[:-4:-1]]),
+                                 np.concatenate([y[2::-1], y, y[:-4:-1]]), self.theta)
 
 
 def make_grid(n: int, m: int) -> SphereGrid:

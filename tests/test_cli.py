@@ -371,7 +371,8 @@ def _count_geometry_builds(monkeypatch):
 
 
 def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
-    # verify: the drawn datum, the primal graph and its dual, one build each;
+    # verify: the primal graph and its dual, one build each (the drawn datum
+    # is tested for convexity on bare curvatures);
     # both mode: one per primal record (shared by its inball, dual map and
     # duality check, paired dual states are read for u only), plus the
     # dual's initial state
@@ -383,7 +384,7 @@ def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
         f'seed=3 out="{out}"',
     )
     assert main(["verify", cfg]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
     calls.clear()
     out = tmp_path / "b"
     cfg = _write_cfg(

@@ -24,6 +24,7 @@ def test_make_grid_dispatch():
     assert isinstance(make_grid(1, 32), CircleGrid)
     assert isinstance(make_grid(2, 32), AxisymGrid)
     assert isinstance(make_grid(3, 32), AxisymGrid)
+    assert make_grid(1, 32).cyclic and not make_grid(2, 32).cyclic
     with pytest.raises(ValueError):
         make_grid(0, 32)
     with pytest.raises(ValueError):
@@ -162,6 +163,38 @@ def test_resample_rejects_bad_input():
     x = np.linspace(0.0, 1.0, 8)
     with pytest.raises(ReparametrizationError):
         resample_monotone(x, x, np.array([-0.1]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lead=st.floats(0.5, 1.0), sign=st.sampled_from([-1.0, 1.0]),
+       phase=st.floats(0.0, 2.0 * math.pi), a=st.floats(0.07, 0.1),
+       cos=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+       sin=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3))
+def test_grid_resample_extends_by_symmetry(n, lead, sign, phase, a, cos, sin):
+    # a smooth profile of the grid's symmetry: on a meridian cosines only
+    # (even at both poles), on the circle any phase.  The higher modes are
+    # scaled by 1/k^4 so that the first leads the fourth derivative too, and
+    # a >= 0.07 moves samples far enough off the nodes that the coarse grid
+    # already meets its worst position in a cell: the error constant is then
+    # the same at both resolutions.
+    if n > 1:
+        phase, sin = 0.0, [0.0] * 3
+
+    def f(t):
+        out = sign * lead * np.cos(t - phase)
+        for k, (c, s) in enumerate(zip(cos, sin), start=2):
+            out = out + (c * np.cos(k * t) + s * np.sin(k * t)) / k**4
+        return out
+
+    errs = []
+    for m in (64, 128):
+        g = make_grid(n, m)
+        assert np.array_equal(g.resample(g.theta, f(g.theta)), f(g.theta))
+        # monotone angles over one fundamental domain, off the nodes
+        x = g.theta + a * (np.sin(g.theta) if g.cyclic else np.sin(2.0 * g.theta))
+        errs.append(np.abs(g.resample(x, f(x)) - f(g.theta)).max())
+    assert errs[0] / errs[1] >= 2.0**3.5
 
 
 def test_refine_extremum_tracks_offgrid_max():
