@@ -221,7 +221,7 @@ def write_outputs(out_dir: Path, grid, records: list, snapshots: list) -> None:
     _write_json(out_dir / "snapshots.json", {
         "n": grid.n,
         "m": grid.m,
-        "grid": "circle" if grid.n == 1 else "axisym",
+        "grid": "circle" if grid.cyclic else "axisym",
         "theta": grid.theta,
         "records": [{"t": t, "u": u, "u_star": u_star} for t, u, u_star in snapshots],
     })

@@ -6,17 +6,17 @@ surface of normals expands, in the switched convention du*/dt =
 +v~ / F~(kappa~), rising toward the equatorial slice.  Both flows run
 through one driver and one implicit Radau IIA integrator (three stages,
 order five, adaptive steps), parametrized by the sign eps (+1 primal,
--1 dual) of hgeom._kappa.  The discretized flows are stiff: an
-explicit step is bounded by the grid spacing squared, an implicit one
-by accuracy alone, so the step count does not grow with m.  The Newton
-matrices are pentadiagonal, like the stencils.  Up to m = 64 they are
-inverted outright; above that they are factored in O(m), with no m x m
-array.  Once a run has no target time left and no stop time, the same
-integrator switches to the paper's rescaled variables: u~ = u / lambda
-in tau = -ln lambda (counted from the switch), lambda the area mean of
-|u|, plus the running extinction-time estimate E = t + ln cosh lambda.
-A shrinking sphere is a fixed point there, so the steps no longer crowd
-at extinction.  Each
+-1 dual) of hgeom._kappa.  The discretized flows are stiff: an explicit
+step is bounded by the grid spacing squared, an implicit one by
+accuracy alone, so the step count does not grow with m.  Newton takes
+one of two paths: above m = 64 in flow time its matrices are the band
+of the stencils' reach, factored in O(m) with no m x m array; otherwise
+they are dense and inverted outright.  Once a run has no target time
+left and no stop time, the same integrator switches to the paper's
+rescaled variables: u~ = u / lambda in tau = -ln lambda (counted from
+the switch), lambda the area mean of |u|, plus the running
+extinction-time estimate E = t + ln cosh lambda.  A shrinking sphere is
+a fixed point there, so the steps no longer crowd at extinction.  Each
 Newton iteration and each Jacobian is one call of the masked rhs kernel
 on a stack of trial states; a trial row reports failure by NaN.  Every
 state of either flow is a FlowState that carries its side and builds
@@ -138,7 +138,6 @@ class FlowTrajectory:
     and factorizations count the integrator's work (see RadauIIA).
     """
 
-    config: FlowConfig
     states: list = field(default_factory=list)
     T_star_estimate: float | None = None
     Tstar_warn: bool = False
@@ -438,13 +437,12 @@ class RadauIIA:
     the next stages.  It counts rhs evaluations, Jacobian evaluations and
     Newton matrix factorizations (a real and a complex one each).
 
-    It starts in flow time, x = t and y = u.  The Jacobian of the rhs is
-    then pentadiagonal: the stencils have five points, the pole
-    reflections stay inside the band and a circle wraps around it.  It is
-    taken by forward differences, perturbing every column of one colour at
-    once; columns five apart share no row, so one rhs call on a stack of
-    five perturbed profiles gives the band.  On a circle whose m is not a
-    multiple of 5 the last m % 5 columns get colours of their own.
+    It starts in flow time, x = t and y = u.  Its Jacobian is taken by
+    forward differences on one of two paths.  The dense path perturbs one
+    column per row of the stack y + diag(delta) and inverts the Newton
+    matrices (_DenseInverse).  The band path, flow time above _DENSE_MAX_M,
+    perturbs one colour of columns per row, so one rhs call gives the band
+    of the stencils' reach (SphereGrid.band), and factors them (_BandLU).
 
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
@@ -458,31 +456,24 @@ class RadauIIA:
 
     so dt/dtau = lambda / q.  A geodesic sphere, or a dual slice, is a
     fixed point of u~ and E, and E is then its extinction time.  <f>
-    couples every node, so the Jacobian is taken column by column (one rhs
-    call on m + 2 perturbed states) and the Newton matrices are inverted at
+    couples every node, so the rescaled phase takes the dense path at
     every m.  An accepted state is still a FlowState, with t = E - ln cosh
     lambda and u = lambda u~.
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
         self.grid, self.F, self.eps = grid, F, eps
-        m = grid.m
-        self._banded = m > _DENSE_MAX_M
-        cols = np.arange(m)[None, :] + np.arange(-2, 3)[:, None]
-        inside = (cols >= 0) & (cols < m)
-        colour = np.arange(m) % 5
-        if grid.cyclic:
-            cols, inside = cols % m, np.ones_like(inside)
-            colour[m - m % 5:] += 5
-        self._cols, self._inside = np.where(inside, cols, 0), inside
-        # (row, column) of each band entry in the m x m matrix
-        self._scatter = (np.nonzero(inside)[1], self._cols[inside])
+        self._cols, self._inside, colour = grid.band()
         # row c perturbs the columns of colour c; entry (k, i) reads its column's row
         self._perturb = colour == np.arange(colour.max() + 1)[:, None]
         self._band_rows = colour[self._cols]
         self.rescaled = False
         self.rhs_evals = self.jac_evals = self.factorizations = 0
         self._state = None  # the state the carried data belong to
+
+    @property
+    def _banded(self) -> bool:  # the Newton path (class docstring)
+        return not self.rescaled and self.grid.m > _DENSE_MAX_M
 
     def enter_rescaled(self, state: FlowState) -> None:
         """Integrate in the rescaled variables from state on, with tau = 0 there."""
@@ -540,28 +531,23 @@ class RadauIIA:
     def _jacobian(self, y: np.ndarray, f: np.ndarray) -> None:
         self.jac_evals += 1
         delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
-        if self.rescaled:
-            jac = (self._rhs(y + np.diag(delta)) - f).T / delta
-        else:
+        if self._banded:
             df = self._rhs(y + np.where(self._perturb, delta, 0.0)) - f
             jac = np.where(self._inside,
                            df[self._band_rows, np.arange(y.size)] / delta[self._cols], 0.0)
+        else:
+            jac = (self._rhs(y + np.diag(delta)) - f).T / delta
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):
-        """shift - J ready for solves: the band LU of a band above
-        _DENSE_MAX_M, else the explicit inverse."""
+        """shift - J ready for solves: the band LU on the band path, else
+        the explicit inverse."""
         A = -self._jac.astype(type(shift))
-        if self.rescaled:
-            i = np.arange(A.shape[0])
-            A[i, i] += shift
-            return _DenseInverse(A)
-        A[2] += shift
         if self._banded:
+            A[len(A) // 2] += shift  # the middle band is the diagonal
             return _BandLU(A, self.grid.cyclic)
-        dense = np.zeros((self.grid.m, self.grid.m), dtype=A.dtype)
-        dense[self._scatter] = A[self._inside]
-        return _DenseInverse(dense)
+        A[np.diag_indices_from(A)] += shift
+        return _DenseInverse(A)
 
     def _factor(self, h: float) -> None:
         self.factorizations += 1
@@ -615,15 +601,12 @@ class RadauIIA:
         """State vector, its dy/dx, Jacobian and first step size at a state
         not reached by this integrator (Hairer, Norsett & Wanner, Solving
         ODEs I, II.4)."""
+        x, y = state.t, state.u
         if self.rescaled:
-            lam = np.abs(state.u) @ self._weights
-            E = state.t + math.log(math.cosh(lam))
-            y = np.concatenate([state.u / lam, [math.log(lam), E]])
-            self.x, self._y, self._f = 0.0, y, self._rhs(y)
-        else:
-            geo = state.geometry
-            self.x, self._y, self._f = state.t, state.u, _velocity(geo.F_value, geo.v, self.eps)
-        self._state, y, f = state, self._y, self._f
+            lam = np.abs(y) @ self._weights
+            x, y = 0.0, np.concatenate([y / lam, [math.log(lam), x + math.log(math.cosh(lam))]])
+        f = self._rhs(y)
+        self.x, self._y, self._f, self._state = x, y, f, state
         self._jacobian(y, f)
         self._Z = self._h_old = self._err_old = None
         scale = self._scale(np.abs(y))
@@ -742,7 +725,7 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     solver = RadauIIA(grid, F, eps)
     state = FlowState(0.0, u0, grid, F, eps)
     state.geometry  # an initial datum the flow cannot continue from raises here
-    traj = FlowTrajectory(config=config, states=[state])
+    traj = FlowTrajectory(states=[state])
     targets = sorted(float(t) for t in t_targets)
     last = targets[-1] if targets else None
     if t_stop is not None:

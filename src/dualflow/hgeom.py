@@ -115,7 +115,6 @@ class GraphGeometry:
     H: np.ndarray
     normA2: np.ndarray
     convex: bool
-    horoconvex: bool
     F_value: np.ndarray | None = None
 
 
@@ -191,7 +190,6 @@ def geometry_of(g, F=None) -> GraphGeometry:
         H=kappa.sum(axis=1),
         normA2=(kappa * kappa).sum(axis=1),
         convex=convex,
-        horoconvex=bool(np.all(kappa >= 1.0)),
         F_value=np.asarray(F.value(kappa)) if F is not None and convex else None,
     )
 

@@ -13,7 +13,8 @@ Rotationally symmetric profiles live on a meridian grid.  Two layouts:
 Each grid owns its symmetry: cyclic says which of the two it is, and
 resample extends scattered samples by it before resampling them onto
 the nodes.  Both grids differentiate with centered fourth order
-stencils applied to a two-ghost padded copy of the profile.  Quadrature
+stencils applied to a two-ghost padded copy of the profile, and band
+reads the stencils' Jacobian pattern off that padding.  Quadrature
 returns integrals over the whole parameter sphere: plain Riemann sums
 on the circle (trapezoidal, hence spectrally accurate for periodic
 data), and exact per-cell moments of the sin^(n-1) weight on the
@@ -83,6 +84,23 @@ class SphereGrid:
         domain, extended by the grid's symmetry and resampled onto theta
         through resample_monotone."""
         raise NotImplementedError
+
+    def band(self):
+        """The stencils' Jacobian pattern, read off _pad_index: (cols,
+        inside, colour).  cols[k, i] is the column node i's stencil reads at
+        its k-th point; inside marks each column once per row (a meridian's
+        mirrored pole ghosts fold back onto a node the row reads anyway).
+        No two columns of one colour share a row (Curtis, Powell & Reid
+        1974); on the circle the last m % w columns, w the stencil width,
+        wrap onto the first and take colours of their own."""
+        m, w = self.m, self._pad_index.size - self.m + 1
+        pos = np.arange(w)[:, None] + np.arange(m)
+        cols = self._pad_index[pos]
+        inside = ((cols[:, None] == cols).sum(axis=0) == 1) | (cols == pos - w // 2)
+        colour = np.arange(m) % w
+        if self.cyclic:
+            colour[m - m % w:] += w
+        return cols, inside, colour
 
     def derivatives(self, values: np.ndarray, parity: int = 1):
         """First and second theta derivatives, centered fourth order, from

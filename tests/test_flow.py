@@ -157,13 +157,15 @@ def test_trajectory_counts_solver_work():
 
 
 @pytest.mark.parametrize("n, m", [(2, 32), (1, 64), (1, 65)])
-def test_coloured_jacobian_matches_dense_differences(n, m):
-    # on the circle the band wraps around; m = 64 needs the extra colours
+def test_coloured_jacobian_matches_dense_differences(monkeypatch, n, m):
+    # on the circle the band wraps around; m = 64 needs the extra colours.
+    # The band path is forced at every m here
     grid = make_grid(n, m)
     F = curvfn.make_function("mean", n)
     u = 1.0 + 0.1 * np.cos(grid.theta) + 0.05 * np.cos(3 * grid.theta)
     solver = RadauIIA(grid, F, 1.0)
     f = solver._rhs(u)
+    monkeypatch.setattr(flow, "_DENSE_MAX_M", 0)
     solver._jacobian(u, f)
     delta = 1e-7
     dense = np.array([(solver._rhs(u + delta * np.eye(m)[j]) - f) / delta for j in range(m)]).T
@@ -174,6 +176,11 @@ def test_coloured_jacobian_matches_dense_differences(n, m):
             if n == 1 or 0 <= j < m:
                 banded[i, j % m] = solver._jac[k, i]
     assert np.abs(banded - dense).max() < 1e-5 * np.abs(dense).max()
+    # the dense path perturbs one column per row of its stack; no node reads
+    # two columns of one colour, so its Jacobian is the scattered band
+    monkeypatch.setattr(flow, "_DENSE_MAX_M", 10**6)
+    solver._jacobian(u, f)
+    assert np.array_equal(banded, solver._jac)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -455,7 +462,10 @@ def test_band_solvers_pass_nan_through(solver):
 @pytest.mark.parametrize("n, m", [(2, 48), (1, 64)])
 def test_newton_paths_agree(monkeypatch, n, m):
     # the explicit inverses and the band LU solve the same Newton systems:
-    # the same solver work, and landed states equal to rounding
+    # the same steps, Jacobians and factorizations, and landed states equal
+    # to rounding; a dense Jacobian takes m rhs evaluations, a band one per
+    # colour, five plus one for each of a circle's last m % 5 columns
+    colours = 5 + (m % 5 if n == 1 else 0)
     cfg = FlowConfig(F="sigma_k:2" if n == 2 else "mean", n=n, m=m,
                      initial="perturbed_sphere", initial_params=(1.0, 0.1, 2),
                      record_every=10**9)
@@ -469,8 +479,9 @@ def test_newton_paths_agree(monkeypatch, n, m):
                      run_dual_flow(cfg, d0.dual, t_targets=targets, t_stop=0.2)])
     for band, dense in zip(*runs):
         assert band.failure is None and dense.failure is None
-        for counter in ("steps_taken", "rhs_evals", "jac_evals", "factorizations"):
+        for counter in ("steps_taken", "jac_evals", "factorizations"):
             assert getattr(band, counter) == getattr(dense, counter), counter
+        assert dense.rhs_evals - band.rhs_evals == band.jac_evals * (m - colours)
         assert band.landed == dense.landed and len(band.landed) == len(targets)
         for i in band.landed:
             assert band.states[i].t == dense.states[i].t
@@ -534,8 +545,7 @@ def test_barrier_radius_is_keyed_by_T_star(T_star):
     Theta = 2.0 * math.asinh(math.sqrt(0.5 * math.expm1(T_star)))
     grid = make_grid(2, 16)
     state = FlowState(0.0, np.ones(16), grid, curvfn.make_function("mean", 2), 1.0)
-    traj = FlowTrajectory(config=FlowConfig(F="mean", n=2, m=16, initial="sphere",
-                                            initial_params=(1.0,)), states=[state])
+    traj = FlowTrajectory(states=[state])
     for value in (_theta_of(0.0, T_star), rescale(traj, T_star)[0].Theta):
         assert abs(value - Theta) <= 4.0 * math.ulp(Theta)
 

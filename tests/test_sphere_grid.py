@@ -31,6 +31,24 @@ def test_make_grid_dispatch():
         make_grid(2, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [16, 17, 64, 65])
+def test_band_is_the_stencil_reach(n, m):
+    # the band holds each (row, column) pair that the derivatives of a unit
+    # vector reach, plus the diagonal, once; a colour never repeats in a row
+    grid = make_grid(n, m)
+    cols, inside, colour = grid.band()
+    d1, d2 = grid.derivatives(np.eye(m))
+    reach = ((d1 != 0.0) | (d2 != 0.0)).T | np.eye(m, dtype=bool)
+    rows = np.broadcast_to(np.arange(m), cols.shape)[inside]
+    pattern = np.zeros((m, m), dtype=bool)
+    pattern[rows, cols[inside]] = True
+    assert np.array_equal(pattern, reach)
+    assert pattern.sum() == inside.sum()
+    for i in range(m):
+        assert np.unique(colour[reach[i]]).size == reach[i].sum()
+
+
 def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_area(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
