@@ -37,6 +37,7 @@ from .flow import (
     ConvexityError,
     FlowConfig,
     StiffnessError,
+    _ABORTS,
     _sphere_theta,
     make_initial,
     run_dual_flow,
@@ -239,11 +240,8 @@ def _write_failure(out_dir: Path, kind: str, message: str, t: float, steps: int)
                 {"error": kind, "message": message, "t": t, "steps": steps})
 
 
-_FAILURE_NAMES = {
-    "convexity": "ConvexityError",
-    "stiffness": "StiffnessError",
-    "causality": "CausalityError",
-}
+# failure.json names each abort of a trajectory by its exception class
+_FAILURE_NAMES = {name: exc.__name__ for exc, name in _ABORTS.items()}
 
 
 # ----------------------------------------------------------------------

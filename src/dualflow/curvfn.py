@@ -28,9 +28,10 @@ l < j <= k give (H_k / H_l)^(1/(k-l)), with l = 0 for sigma_k and
 k = n, l = 0 for the geometric mean.  One class evaluates them all,
 each under its own name.
 
-Values, gradients and Hessians are evaluated in eigenvalue coordinates.
-All evaluation routines are vectorized: kappa may have shape (..., n),
-with derivative axes appended on the right.
+Each class defines only its value, in eigenvalue coordinates; the base
+class reads the gradient and Hessian off that formula evaluated on a
+second-order jet.  Evaluation is vectorized: kappa may have shape
+(..., n), with derivative axes appended on the right.
 """
 
 from __future__ import annotations
@@ -73,27 +74,94 @@ NOT_CONCAVE = "not_concave"
 
 
 # ----------------------------------------------------------------------
-# elementary and complete symmetric polynomials
+# second-order jets and the symmetric polynomials
 # ----------------------------------------------------------------------
 
-def _esp_table(kappa: np.ndarray) -> np.ndarray:
-    """All elementary symmetric polynomials of the trailing axis.
+class _Jet:
+    """A value v of shape S with its gradient g (S + (n,)) and Hessian H
+    (S + (n, n)) in kappa.
 
-    Returns an array of shape kappa.shape[:-1] + (n + 1,) whose slice
-    [..., j] holds H_j.  Built by multiplying out prod_i (1 + kappa_i t)
-    one factor at a time, which is additive in the kappa_i and stable on
-    the positive cone.
+    A value written in +, *, a constant power, c / jet, [..., i] and
+    sum(axis=-1) carries its first two derivatives along (second-order
+    forward differentiation, Griewank & Walther, Evaluating Derivatives,
+    2008, ch. 13).  Constants are scalars; ndarray operands defer to the
+    jet's reflected operators.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    n = kappa.shape[-1]
-    e = np.zeros(kappa.shape[:-1] + (n + 1,))
-    e[..., 0] = 1.0
+
+    __array_ufunc__ = None
+
+    def __init__(self, v, g, H):
+        self.v, self.g, self.H = v, g, H
+
+    @classmethod
+    def of(cls, kappa: np.ndarray) -> "_Jet":
+        """kappa of shape (..., n) as the independent variable."""
+        n = kappa.shape[-1]
+        return cls(kappa, np.eye(n) + np.zeros(kappa.shape + (n,)), np.zeros(kappa.shape + (n, n)))
+
+    def _chain(self, v, d1, d2) -> "_Jet":
+        """f(self), given v = f(self.v), d1 = f'(self.v) and d2 = f''(self.v)."""
+        g = self.g
+        return _Jet(v, d1[..., None] * g, d1[..., None, None] * self.H
+                    + d2[..., None, None] * (g[..., :, None] * g[..., None, :]))
+
+    def __add__(self, other) -> "_Jet":
+        if isinstance(other, _Jet):
+            return _Jet(self.v + other.v, self.g + other.g, self.H + other.H)
+        return _Jet(self.v + other, self.g, self.H)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return _Jet(self.v * other, self.g * other, self.H * other)
+        a, b = self, other
+        cross = a.g[..., :, None] * b.g[..., None, :]
+        return _Jet(a.v * b.v, a.g * b.v[..., None] + a.v[..., None] * b.g,
+                    a.H * b.v[..., None, None] + a.v[..., None, None] * b.H
+                    + cross + cross.swapaxes(-1, -2))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, p: float) -> "_Jet":
+        x = self.v
+        d1 = p * x ** (p - 1.0)
+        return self._chain(x ** p, d1, (p - 1.0) * d1 / x)
+
+    def __rtruediv__(self, c: float) -> "_Jet":
+        x, v = self.v, c / self.v
+        return self._chain(v, -v / x, 2.0 * v / (x * x))
+
+    def __getitem__(self, key) -> "_Jet":
+        _, i = key  # (..., i): entry i of the trailing value axis
+        return _Jet(self.v[..., i], self.g[..., i, :], self.H[..., i, :, :])
+
+    def sum(self, axis: int) -> "_Jet":
+        assert axis == -1
+        return _Jet(self.v.sum(axis=-1), self.g.sum(axis=-2), self.H.sum(axis=-3))
+
+
+def _esp(kappa, n: int) -> list:
+    """[H_0, ..., H_n] of the n entries of kappa's trailing axis (an array
+    or a _Jet), multiplying out prod_i (1 + kappa_i t) one factor at a
+    time: additive in the kappa_i and stable on the positive cone."""
+    e = [1.0] + [0.0] * n
     for i in range(n):
         x = kappa[..., i]
-        top = min(i + 1, n)
-        for j in range(top, 0, -1):
-            e[..., j] += x * e[..., j - 1]
+        for j in range(i + 1, 0, -1):
+            e[j] = e[j] + x * e[j - 1]
     return e
+
+
+def _chs(kappa, n: int, k: int) -> list:
+    """[h_0, ..., h_k], the complete homogeneous symmetric polynomials of
+    the n entries of kappa's trailing axis; kappa is an array or a _Jet."""
+    h = [1.0] + [0.0] * k
+    for i in range(n):
+        x = kappa[..., i]
+        for j in range(1, k + 1):
+            h[j] = h[j] + x * h[j - 1]
+    return h
 
 
 def elementary_symmetric(kappa, k: int) -> np.ndarray | float:
@@ -102,55 +170,8 @@ def elementary_symmetric(kappa, k: int) -> np.ndarray | float:
     n = arr.shape[-1]
     if not 0 <= k <= n:
         raise ConstructionError(f"elementary symmetric degree {k} needs 0 <= k <= {n}")
-    out = _esp_table(arr)[..., k]
+    out = np.full(arr.shape[:-1], _esp(arr, n)[k])
     return float(out) if out.ndim == 0 else out
-
-
-def _esp_without(kappa: np.ndarray, i: int) -> np.ndarray:
-    return np.delete(kappa, i, axis=-1)
-
-
-def _esp_gradient(kappa: np.ndarray, k: int) -> np.ndarray:
-    """d H_k / d kappa_i = H_{k-1} with entry i removed."""
-    n = kappa.shape[-1]
-    g = np.zeros(kappa.shape)
-    if k == 0:
-        return g
-    for i in range(n):
-        g[..., i] = _esp_table(_esp_without(kappa, i))[..., k - 1]
-    return g
-
-
-def _esp_hessian(kappa: np.ndarray, k: int) -> np.ndarray:
-    """d^2 H_k: H_{k-2} with entries i and j removed, zero on the diagonal."""
-    n = kappa.shape[-1]
-    h = np.zeros(kappa.shape + (n,))
-    if k < 2:
-        return h
-    for i in range(n):
-        for j in range(i + 1, n):
-            sub = np.delete(np.delete(kappa, j, axis=-1), i, axis=-1)
-            val = _esp_table(sub)[..., k - 2]
-            h[..., i, j] = val
-            h[..., j, i] = val
-    return h
-
-
-def _chs_fold(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Extend a complete homogeneous table by one more variable x."""
-    out = table.copy()
-    for j in range(1, table.shape[-1]):
-        out[..., j] = out[..., j] + x * out[..., j - 1]
-    return out
-
-
-def _chs_table(kappa: np.ndarray, k: int) -> np.ndarray:
-    """Complete homogeneous symmetric polynomials h_0 .. h_k."""
-    t = np.zeros(kappa.shape[:-1] + (k + 1,))
-    t[..., 0] = 1.0
-    for i in range(kappa.shape[-1]):
-        t = _chs_fold(t, kappa[..., i])
-    return t
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +179,9 @@ def _chs_table(kappa: np.ndarray, k: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class CurvatureFunction:
-    """Base class; subclasses provide unnormalized value/gradient/Hessian.
+    """Base class; a subclass defines only _raw_value, its unnormalized
+    value in the operations a _Jet supports, and the base class takes
+    the gradient and Hessian through the same formula.
 
     name is the canonical registry name (see make_function).
     """
@@ -176,12 +199,6 @@ class CurvatureFunction:
     def _raw_value(self, kappa):
         raise NotImplementedError
 
-    def _raw_gradient(self, kappa):
-        raise NotImplementedError
-
-    def _raw_hessian(self, kappa):
-        raise NotImplementedError
-
     # -- public evaluation --------------------------------------------------
     def _check(self, kappa) -> np.ndarray:
         k = np.asarray(kappa, dtype=float)
@@ -195,15 +212,15 @@ class CurvatureFunction:
         out = self._value(self._check(kappa))
         return float(out) if np.ndim(out) == 0 else out
 
-    def _value(self, kappa: np.ndarray) -> np.ndarray:
-        """value of a kappa block the caller has checked, without _check."""
+    def _value(self, kappa):
+        """value of a kappa block (or _Jet) the caller has checked, without _check."""
         return self._scale * self._raw_value(kappa)
 
     def gradient(self, kappa):
-        return self._scale * self._raw_gradient(self._check(kappa))
+        return self._value(_Jet.of(self._check(kappa))).g
 
     def hessian(self, kappa):
-        return self._scale * self._raw_hessian(self._check(kappa))
+        return self._value(_Jet.of(self._check(kappa))).H
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r}, n={self.n})"
@@ -214,11 +231,7 @@ class PowerMean(CurvatureFunction):
     norm_A.
 
     The geometric mean r = 0 is sigma_k:n, and power_mean:r names take
-    |r| <= 1 (see make_function).  The derivatives are
-
-        F_i  = n^(-1/r) S^(1/r - 1) kappa_i^(r-1),          S = sum kappa_l^r,
-        F_ij = n^(-1/r) (1 - r) S^(1/r - 2) kappa_i^(r-2)
-               (kappa_i kappa_j^(r-1) - S delta_ij).
+    |r| <= 1 (see make_function).
     """
 
     def __init__(self, n: int, r: float, name: str | None = None):
@@ -229,29 +242,12 @@ class PowerMean(CurvatureFunction):
         super().__init__(n, name or f"power_mean:{r!r}")
 
     def _raw_value(self, kappa):
-        # np.mean, unwrapped: its Python wrapper runs on every rhs call
-        return (np.add.reduce(kappa ** self.r, axis=-1) * (1.0 / self.n)) ** (1.0 / self.r)
-
-    def _raw_gradient(self, kappa):
-        n, r = self.n, self.r
-        s = (kappa ** r).sum(axis=-1)
-        return n ** (-1.0 / r) * s[..., None] ** (1.0 / r - 1.0) * kappa ** (r - 1.0)
-
-    def _raw_hessian(self, kappa):
-        n, r = self.n, self.r
-        s = ((kappa ** r).sum(axis=-1))[..., None, None]
-        ki = kappa[..., :, None]
-        kj = kappa[..., None, :]
-        core = ki * kj ** (r - 1.0) - s * np.eye(n)
-        return n ** (-1.0 / r) * (1.0 - r) * s ** (1.0 / r - 2.0) * ki ** (r - 2.0) * core
+        return ((kappa ** self.r).sum(axis=-1) * (1.0 / self.n)) ** (1.0 / self.r)
 
 
 class WeightedGeometric(CurvatureFunction):
-    """prod_k (H_k / H_{k-1})^(a_k), weights a_k >= 0 summing to one.
-
-    Written as prod_k H_k^(b_k) with b_k = a_k - a_{k+1}; the log-space
-    derivatives then combine the H_k tables directly.
-    """
+    """prod_k (H_k / H_{k-1})^(a_k), weights a_k >= 0 summing to one,
+    evaluated as prod_k H_k^(b_k) with b_k = a_k - a_{k+1}."""
 
     def __init__(self, n: int, weights, name: str | None = None):
         w = tuple(float(a) for a in weights)
@@ -268,45 +264,16 @@ class WeightedGeometric(CurvatureFunction):
         super().__init__(n, name or "geom:" + ",".join(repr(a) for a in w))
 
     def _raw_value(self, kappa):
-        e = _esp_table(kappa)
+        e = _esp(kappa, self.n)
         out = 1.0
         for k, b in enumerate(self._beta, start=1):
             if b != 0.0:
-                out = out * e[..., k] ** b
+                out = out * e[k] ** b
         return out
-
-    def _log_derivs(self, kappa):
-        gi = np.zeros(kappa.shape)
-        gij = np.zeros(kappa.shape + (self.n,))
-        e = _esp_table(kappa)
-        for k, b in enumerate(self._beta, start=1):
-            if b == 0.0:
-                continue
-            p = e[..., k][..., None]
-            pi = _esp_gradient(kappa, k)
-            pij = _esp_hessian(kappa, k)
-            li = pi / p
-            gi += b * li
-            gij += b * (pij / p[..., None] - li[..., :, None] * li[..., None, :])
-        return gi, gij
-
-    def _raw_gradient(self, kappa):
-        gi, _ = self._log_derivs(kappa)
-        return self._raw_value(kappa)[..., None] * gi
-
-    def _raw_hessian(self, kappa):
-        g = self._raw_value(kappa)[..., None, None]
-        gi, gij = self._log_derivs(kappa)
-        return g * (gi[..., :, None] * gi[..., None, :] + gij)
 
 
 class CompleteSymmetric(CurvatureFunction):
-    """k-th complete homogeneous symmetric polynomial to the power 1/k.
-
-    Derivatives of h_k follow from 1/(1 - kappa_i t) factors in the
-    generating function: each d/d kappa_i duplicates the variable, so
-    d h_k / d kappa_i = h_{k-1} of the multiset with kappa_i repeated.
-    """
+    """k-th complete homogeneous symmetric polynomial to the power 1/k."""
 
     def __init__(self, n: int, k: int):
         k = int(k)
@@ -316,40 +283,7 @@ class CompleteSymmetric(CurvatureFunction):
         super().__init__(n, f"complete:{k}")
 
     def _raw_value(self, kappa):
-        return _chs_table(kappa, self.k)[..., self.k] ** (1.0 / self.k)
-
-    def _h_derivs(self, kappa):
-        k, n = self.k, self.n
-        base1 = _chs_table(kappa, k - 1)  # degree k-1 table of the plain set
-        p = _chs_table(kappa, k)[..., k]
-        pi = np.zeros(kappa.shape)
-        for i in range(n):
-            pi[..., i] = _chs_fold(base1, kappa[..., i])[..., k - 1]
-        pij = np.zeros(kappa.shape + (n,))
-        if k >= 2:
-            base2 = _chs_table(kappa, k - 2)
-            for i in range(n):
-                ti = _chs_fold(base2, kappa[..., i])
-                for j in range(i, n):
-                    val = _chs_fold(ti, kappa[..., j])[..., k - 2]
-                    if j == i:
-                        pij[..., i, i] = 2.0 * val
-                    else:
-                        pij[..., i, j] = val
-                        pij[..., j, i] = val
-        return p, pi, pij
-
-    def _raw_gradient(self, kappa):
-        a = 1.0 / self.k
-        p, pi, _ = self._h_derivs(kappa)
-        return a * p[..., None] ** (a - 1.0) * pi
-
-    def _raw_hessian(self, kappa):
-        a = 1.0 / self.k
-        p, pi, pij = self._h_derivs(kappa)
-        p = p[..., None, None]
-        outer = pi[..., :, None] * pi[..., None, :]
-        return a * (a - 1.0) * p ** (a - 2.0) * outer + a * p ** (a - 1.0) * pij
+        return _chs(kappa, self.n, self.k)[self.k] ** (1.0 / self.k)
 
 
 class InverseOf(CurvatureFunction):
@@ -363,27 +297,6 @@ class InverseOf(CurvatureFunction):
 
     def _raw_value(self, kappa):
         return 1.0 / self.inner._value(1.0 / kappa)
-
-    def _raw_gradient(self, kappa):
-        rho = 1.0 / kappa
-        g = np.asarray(self.inner.value(rho))
-        a = self.inner.gradient(rho)
-        return a / (g[..., None] ** 2 * kappa ** 2)
-
-    def _raw_hessian(self, kappa):
-        rho = 1.0 / kappa
-        gval = np.asarray(self.inner.value(rho))
-        a = self.inner.gradient(rho)
-        b = self.inner.hessian(rho)
-        g2 = gval[..., None, None]
-        ki2 = (kappa ** 2)[..., :, None]
-        kj2 = (kappa ** 2)[..., None, :]
-        ai = a[..., :, None]
-        aj = a[..., None, :]
-        out = 2.0 * ai * aj / (g2 ** 3 * ki2 * kj2) - b / (g2 ** 2 * ki2 * kj2)
-        idx = np.arange(self.n)
-        out[..., idx, idx] -= 2.0 * a / (gval[..., None] ** 2 * kappa ** 3)
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -244,10 +244,13 @@ def resample_monotone(x, y, xq) -> np.ndarray:
     through a two-sided limiter: wherever the data is locally monotone
     the slopes obey the classical 3-delta bound, so no cell overshoots
     its data there and a graph resampled through a monotone coordinate
-    change stays a graph.  Smooth data keeps the full fourth-order
-    accuracy of the slope estimates.  The abscissae must be strictly
-    increasing and must bracket every query; violations raise
-    ReparametrizationError.
+    change stays a graph.  Smooth data keeps the fourth order of the
+    slope estimates except where the limiter binds at a shallow extremum:
+    there the error is second order (4.5e-5, 1.2e-5, 3.1e-6 at m = 64,
+    128, 256 on a circle profile with f'' = -0.076 at its extremum), which
+    a spectral grid's resample by series inversion would not share.  The
+    abscissae must be strictly increasing and must bracket every query;
+    violations raise ReparametrizationError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -219,6 +219,24 @@ def brute_chs(kappa, k):
     )
 
 
+def power_mean_gradient(kappa, r):
+    """Closed-form gradient of the normalized power mean ((1/n) sum kappa_l^r)^(1/r):
+    F_i = n^(-1/r) S^(1/r - 1) kappa_i^(r-1), with S = sum kappa_l^r."""
+    kappa = np.asarray(kappa, dtype=float)
+    s = (kappa ** r).sum()
+    return kappa.size ** (-1.0 / r) * s ** (1.0 / r - 1.0) * kappa ** (r - 1.0)
+
+
+def power_mean_hessian(kappa, r):
+    """Closed-form Hessian of the same power mean:
+    F_ij = n^(-1/r) (1 - r) S^(1/r - 2) kappa_i^(r-2) (kappa_i kappa_j^(r-1) - S delta_ij)."""
+    kappa = np.asarray(kappa, dtype=float)
+    n = kappa.size
+    s = (kappa ** r).sum()
+    core = np.outer(kappa, kappa ** (r - 1.0)) - s * np.eye(n)
+    return n ** (-1.0 / r) * (1.0 - r) * s ** (1.0 / r - 2.0) * (kappa ** (r - 2.0))[:, None] * core
+
+
 def fd_gradient(fval, kappa, h=1e-6):
     kappa = np.asarray(kappa, dtype=float)
     g = np.zeros(kappa.size)

@@ -18,7 +18,8 @@ from dualflow.curvfn import (
     invert,
     make_function,
 )
-from oracles import brute_esp, fd_gradient, fd_hessian
+from oracles import (brute_chs, brute_esp, fd_gradient, fd_hessian, power_mean_gradient,
+                     power_mean_hessian)
 
 
 def test_sigma2_n2_value():
@@ -147,6 +148,56 @@ def test_hessian_against_finite_differences():
             ref = fd_hessian(lambda x: float(F.value(x)), k)
             got = np.asarray(F.hessian(k))
             assert np.abs(got - ref).max() < 5e-6
+
+
+# n in 1..4 and kappa log-uniform over [e^-3, e^3], for the exact derivative checks
+KAPPA_4 = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+).map(lambda logs: np.exp(np.array(logs)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=KAPPA_4)
+def test_esp_jet_matches_brute_derivatives(k):
+    # dH_d/dk_i = H_{d-1}(k without i); d2H_d/dk_i dk_j = H_{d-2}(k without i, j), 0 at i = j
+    n = k.size
+    e = curvfn._esp(curvfn._Jet.of(k), n)
+    for d in range(1, n + 1):
+        grad = [brute_esp(np.delete(k, i), d - 1) for i in range(n)]
+        hess = [[brute_esp(np.delete(k, [i, j]), d - 2) if i != j and d >= 2 else 0.0
+                 for j in range(n)] for i in range(n)]
+        np.testing.assert_allclose(e[d].v, brute_esp(k, d), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(e[d].g, grad, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(e[d].H, hess, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=KAPPA_4)
+def test_chs_jet_matches_brute_derivatives(k):
+    # each d/dk_i repeats k_i: dh_d/dk_i = h_{d-1}(k, k_i) and d2h_d/dk_i dk_j = h_{d-2}(k, k_i, k_j),
+    # twice that at i = j
+    n = k.size
+    h = curvfn._chs(curvfn._Jet.of(k), n, 4)
+    for d in range(1, 5):
+        grad = [brute_chs(np.append(k, k[i]), d - 1) for i in range(n)]
+        hess = [[(1.0 + (i == j)) * brute_chs(np.append(k, [k[i], k[j]]), d - 2) if d >= 2 else 0.0
+                 for j in range(n)] for i in range(n)]
+        np.testing.assert_allclose(h[d].v, brute_chs(k, d), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(h[d].g, grad, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(h[d].H, hess, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=KAPPA_4, r=st.sampled_from([-1.0, -0.5, 0.25, 0.5, 1.0, 2.0]))
+def test_power_mean_jet_matches_closed_form(k, r):
+    # the Hessian's diagonal cancels to 0 at n = 1, so it is held to 1e-12 of its
+    # scale |grad F|^2 / F + max |D^2 F| rather than entry by entry
+    F = curvfn.PowerMean(k.size, r)
+    g = power_mean_gradient(k, r)
+    H = power_mean_hessian(k, r)
+    np.testing.assert_allclose(F.gradient(k), g, rtol=1e-12, atol=0.0)
+    scale = g @ g / F.value(k) + np.abs(H).max()
+    assert np.abs(F.hessian(k) - H).max() <= 1e-12 * scale
 
 
 @st.composite
