@@ -773,14 +773,12 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
             # in the initial datum): the near-side radius collapses while
             # the far side stays above u_stop, so the loop could only
             # grind dt -> 0 forever; abort as a graph degeneration
-            if traj.states[-1] is not state:
-                traj.states.append(state)
             traj.failure = "convexity"
             break
     traj.steps_taken = steps
     traj.rhs_evals, traj.jac_evals = solver.rhs_evals, solver.jac_evals
     traj.factorizations = solver.factorizations
-    if traj.states[-1] is not state and traj.failure is None:
+    if traj.states[-1] is not state:
         traj.states.append(state)
     if traj.failure is None and any(np.abs(s.u).max() < 0.1 for s in traj.states):
         est = estimate_Tstar(traj)

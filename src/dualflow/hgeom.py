@@ -29,7 +29,6 @@ import numpy as np
 from .sphere_grid import SphereGrid, refine_extremum
 
 __all__ = [
-    "minkowski_inner",
     "CausalityError",
     "Graph",
     "GraphGeometry",
@@ -40,13 +39,6 @@ __all__ = [
     "InballResult",
     "inradius_circumradius",
 ]
-
-
-def minkowski_inner(x, y):
-    """<x, y> = -x0 y0 + sum of spatial products, on the last axis."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return -x[..., 0] * y[..., 0] + (x[..., 1:] * y[..., 1:]).sum(axis=-1)
 
 
 class CausalityError(RuntimeError):

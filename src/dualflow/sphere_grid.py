@@ -11,15 +11,15 @@ Rotationally symmetric profiles live on a meridian grid.  Two layouts:
     even at both poles, its theta derivative odd.
 
 Each grid owns its symmetry: cyclic says which of the two it is, and
-resample extends scattered samples by it before resampling them onto
-the nodes.  Both grids differentiate with centered fourth order
-stencils applied to a two-ghost padded copy of the profile, and band
-reads the stencils' Jacobian pattern off that padding.  Quadrature
-returns integrals over the whole parameter sphere: plain Riemann sums
-on the circle (trapezoidal, hence spectrally accurate for periodic
-data), and exact per-cell moments of the sin^(n-1) weight on the
-meridian so that constants integrate to machine precision at any
-admissible m.
+resample extends scattered samples by it before interpolating them onto
+the nodes by one cubic Hermite rule with quartic-window slopes.  Both
+grids differentiate with centered fourth order stencils applied to a
+two-ghost padded copy of the profile, and band reads the stencils'
+Jacobian pattern off that padding.  Quadrature returns integrals over
+the whole parameter sphere: plain Riemann sums on the circle
+(trapezoidal, hence spectrally accurate for periodic data), and exact
+per-cell moments of the sin^(n-1) weight on the meridian so that
+constants integrate to machine precision at any admissible m.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class SphereGrid:
         """First theta derivative (see derivatives)."""
         return self.derivatives(values, parity)[0]
 
-    def d2(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
-        """Second theta derivative (see derivatives)."""
-        return self.derivatives(values, parity)[1]
-
     def _check(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         if v.shape[-1] != self.m:
@@ -210,9 +206,9 @@ class AxisymGrid(SphereGrid):
 
     def resample(self, x, y):
         """The three samples nearest each pole are mirrored about it (theta
-        to -theta and to 2 pi - theta); no pole value is fitted.  The cell
-        across a pole has equal end values, which resample_monotone reads
-        as a symmetric extremum, so its slopes keep fourth order."""
+        to -theta and to 2 pi - theta); no pole value is fitted.  The
+        window slopes of the mirrored samples are odd about the pole, so
+        the cell across it keeps fourth order."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return resample_monotone(np.concatenate([-x[2::-1], x, 2.0 * math.pi - x[:-4:-1]]),
                                  np.concatenate([y[2::-1], y, y[:-4:-1]]), self.theta)
@@ -238,19 +234,14 @@ def _window_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def resample_monotone(x, y, xq) -> np.ndarray:
-    """Shape-preserving interpolation of y(x) at query points xq.
+    """Interpolation of y(x) at query points xq, over monotone abscissae.
 
-    Piecewise cubic Hermite with quartic-window slope estimates run
-    through a two-sided limiter: wherever the data is locally monotone
-    the slopes obey the classical 3-delta bound, so no cell overshoots
-    its data there and a graph resampled through a monotone coordinate
-    change stays a graph.  Smooth data keeps the fourth order of the
-    slope estimates except where the limiter binds at a shallow extremum:
-    there the error is second order (4.5e-5, 1.2e-5, 3.1e-6 at m = 64,
-    128, 256 on a circle profile with f'' = -0.076 at its extremum), which
-    a spectral grid's resample by series inversion would not share.  The
-    abscissae must be strictly increasing and must bracket every query;
-    violations raise ReparametrizationError.
+    Piecewise cubic Hermite with the slopes of local quartic fits
+    (_window_slopes): fourth order on smooth data.  No slope is limited,
+    so data that is not smooth (a kink, a flat run joined to a curve)
+    can overshoot between samples; every caller feeds samples of a
+    smooth profile.  The abscissae must be strictly increasing and must
+    bracket every query; violations raise ReparametrizationError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -268,31 +259,7 @@ def resample_monotone(x, y, xq) -> np.ndarray:
             f"query range [{xq.min():.6g}, {xq.max():.6g}] leaves the sampled "
             f"interval [{x[0]:.6g}, {x[-1]:.6g}]"
         )
-    delta = np.diff(y) / dx
     d = _window_slopes(x, y)
-    dl = np.concatenate([delta[:1], delta])
-    dr = np.concatenate([delta, delta[-1:]])
-    # the hard 3-delta bound applies only where four consecutive cell slopes
-    # agree in sign; near a data extremum the bound would strangle accurate
-    # slopes (the secant through the extremal cell can be arbitrarily small),
-    # so there only a loose magnitude cap is kept
-    s = np.sign(delta)
-    sp = np.concatenate([s[:1], s[:1], s, s[-1:], s[-1:]])
-    consensus = np.abs(np.lib.stride_tricks.sliding_window_view(sp, 4).sum(axis=1)) == 4
-    # a zero cell whose neighbors slope in opposite directions is a
-    # symmetric data extremum, not a flat run; only genuine flat runs
-    # force a zero slope
-    extremal_zero = np.zeros(delta.size, dtype=bool)
-    extremal_zero[1:-1] = (delta[1:-1] == 0.0) & (delta[:-2] * delta[2:] < 0.0)
-    flat_left = (dl == 0.0) & ~np.concatenate([extremal_zero[:1], extremal_zero])
-    flat_right = (dr == 0.0) & ~np.concatenate([extremal_zero, extremal_zero[-1:]])
-    cap = np.where(consensus,
-                   3.0 * np.minimum(np.abs(dl), np.abs(dr)),
-                   3.0 * np.maximum(np.abs(dl), np.abs(dr)))
-    agrees = np.sign(d) * np.sign(dl) > 0.0
-    d = np.where(consensus & ~agrees, 0.0, np.sign(d) * np.minimum(np.abs(d), cap))
-    d = np.where(flat_left | flat_right, 0.0, d)
-
     j = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     t = (xq - x[j]) / dx[j]
     omt = 1.0 - t

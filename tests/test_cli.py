@@ -23,9 +23,17 @@ from dualflow.cli import (
     write_outputs,
 )
 from dualflow.diagnostics import CSV_FIELDS
-from dualflow.flow import FlowConfig, spherical_theta
-from dualflow.hgeom import Graph
-from dualflow.sphere_grid import make_grid
+from dualflow.dualmap import DualityBrokenError
+from dualflow.flow import (
+    ConvexityError,
+    FlowConfig,
+    RadauIIA,
+    StiffnessError,
+    run_flow,
+    spherical_theta,
+)
+from dualflow.hgeom import CausalityError, Graph
+from dualflow.sphere_grid import ReparametrizationError, make_grid
 
 EXAMPLE = (
     'F="sigma_k:2" n=2 m=128 initial="perturbed_sphere" '
@@ -240,6 +248,51 @@ def test_run_nonconvex_aborts_with_failure_json(tmp_path):
     assert failure["error"] == "ConvexityError"
     assert "convex" in failure["message"]
     assert set(failure) == {"error", "message", "t", "steps"}
+
+
+@pytest.mark.parametrize("exc, name", [(StiffnessError, "stiffness"),
+                                       (ConvexityError, "convexity"),
+                                       (CausalityError, "causality")])
+def test_aborted_run_keeps_its_last_accepted_state(tmp_path, monkeypatch, exc, name):
+    # the 6th step raises; no record falls between t = 0 and the abort, so
+    # only the last accepted state can say how far the run got
+    real_advance = RadauIIA.advance
+    accepted = []
+
+    def advance(self, state, cap):
+        if len(accepted) == 5:
+            raise exc("injected")
+        state = real_advance(self, state, cap)
+        accepted.append(state.t)
+        return state
+
+    monkeypatch.setattr(RadauIIA, "advance", advance)
+    text = ('F="mean" n=2 m=32 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
+            'record_every=1000000000')
+    traj = run_flow(parse_config(text).config)
+    assert traj.failure == name and traj.steps_taken == 5
+    assert traj.states[-1].t == accepted[-1] > 0.0
+    accepted.clear()
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, "a.cfg", f'{text} out="{out}"')]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": exc.__name__, "message": f"run aborted: {name}",
+                       "t": accepted[-1], "steps": 5}
+
+
+@pytest.mark.parametrize("exc", [DualityBrokenError, CausalityError, ReparametrizationError])
+def test_verify_reports_a_broken_gauss_map(tmp_path, monkeypatch, exc):
+    def broken(graph):
+        raise exc("no dual")
+
+    monkeypatch.setattr(cli, "gauss_dual", broken)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "v.cfg",
+                     f'F="mean" n=2 m=32 initial="sphere" initial.params=[0.7] out="{out}"')
+    assert main(["verify", cfg]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": exc.__name__, "message": "no dual", "t": 0.0, "steps": 0}
+    assert not (out / "verify.json").exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -13,10 +13,9 @@ from dualflow.hgeom import (
     euclidean_compare,
     geometry_of,
     inradius_circumradius,
-    minkowski_inner,
 )
 from dualflow.sphere_grid import make_grid
-from oracles import dense_inradius_scan, oracle_curve_geometry, oracle_h_geometry
+from oracles import dense_inradius_scan, minkowski_inner, oracle_curve_geometry, oracle_h_geometry
 
 COTH1 = 1.3130352854993312  # cosh(1)/sinh(1)
 
