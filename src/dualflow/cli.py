@@ -36,10 +36,12 @@ from .dualmap import (
 from .flow import (
     ConvexityError,
     FlowConfig,
+    FlowState,
     StiffnessError,
     _ABORTS,
     _sphere_theta,
     make_initial,
+    run_both,
     run_dual_flow,
     run_flow,
     spherical_T_star,
@@ -275,15 +277,17 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
         ]
         snaps = [(s.t, None, s.u) for s in dtraj.states]
     else:
-        traj = run_flow(cfg, u0=u0)
+        if man.mode == "both":
+            # the dual rides in the primal's rescaled state vector, so each
+            # primal record has its dual at the same t; a dual that aborts or
+            # dies out first leaves the tail bare
+            state0 = FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
+            traj, dtraj = run_both(cfg, state0, gauss_dual(state0).dual)
+        else:
+            traj = run_flow(cfg, u0=u0)
         eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
         duals = [None] * len(traj.states)
-        if man.mode == "both":
-            d0 = gauss_dual(traj.states[0]).dual
-            # the dual lands the primal record times in order, so records pair
-            # by index; a dual that aborts or dies out first leaves the tail bare
-            times = [s.t for s in traj.states[1:]]
-            dtraj = run_dual_flow(cfg, d0, t_targets=times)
+        if dtraj is not None:
             for i, j in enumerate([0] + dtraj.landed):
                 duals[i] = dtraj.states[j]
         records = [

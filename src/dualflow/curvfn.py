@@ -209,8 +209,10 @@ class CurvatureFunction:
         return k
 
     def value(self, kappa):
-        out = self._value(self._check(kappa))
-        return float(out) if np.ndim(out) == 0 else out
+        k = self._check(kappa)
+        # one row goes through as a (1, n) block: a numpy scalar's ** is the C
+        # library's pow, which can differ in the last bit from a block's power
+        return float(self._value(k[None])[0]) if k.ndim == 1 else self._value(k)
 
     def _value(self, kappa):
         """value of a kappa block (or _Jet) the caller has checked, without _check."""

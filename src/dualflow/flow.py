@@ -16,7 +16,10 @@ left and no stop time, the same integrator switches to the paper's
 rescaled variables: u~ = u / lambda in tau = -ln lambda (counted from
 the switch), lambda the area mean of |u|, plus the running
 extinction-time estimate E = t + ln cosh lambda.  A shrinking sphere is
-a fixed point there, so the steps no longer crowd at extinction.  Each
+a fixed point there, so the steps no longer crowd at extinction.  A
+primal run to extinction can carry its dual in the same vector, rescaled
+by the primal's lambda (run_both): the two take one step sequence in
+the primal's tau, and each Newton solve is block lower triangular.  Each
 Newton iteration and each Jacobian is one call of the masked rhs kernel
 on a stack of trial states; a trial row reports failure by NaN.  Every
 state of either flow is a FlowState that carries its side and builds
@@ -53,6 +56,7 @@ __all__ = [
     "run_flow",
     "dual_step",
     "run_dual_flow",
+    "run_both",
     "TstarEstimate",
     "estimate_Tstar",
     "RescaledRecord",
@@ -134,8 +138,10 @@ class FlowTrajectory:
     failure is None for a clean stop, otherwise the name of the abort
     ("convexity", "stiffness", "causality") and the states hold the
     partial run.  landed holds the indices into states of the states
-    that landed on a target time, in time order.  rhs_evals, jac_evals
-    and factorizations count the integrator's work (see RadauIIA).
+    that landed on a target time, in time order; for a dual carried by
+    its primal (run_both), of the states recorded with a primal record.
+    rhs_evals, jac_evals and factorizations count the integrator's work
+    (see RadauIIA), shared by the two sides of a joint run.
     """
 
     states: list = field(default_factory=list)
@@ -417,14 +423,23 @@ _DENSE_MAX_M = 64
 
 class _DenseInverse:
     """A Newton matrix kept as its explicit inverse: a solve is one
-    matrix-vector product.  A NaN entry gives a NaN solve, as in _BandLU."""
+    matrix-vector product.  A block lower triangular matrix [[P, 0], [C, D]],
+    P of size k, keeps P^-1, D^-1 and C instead, and solves by
+    substitution: x1 = P^-1 b1, then x2 = D^-1 (b2 - C x1); its upper right
+    block is never read.  A NaN entry gives a NaN solve, as in _BandLU."""
 
-    def __init__(self, A: np.ndarray):
-        self._inv = np.linalg.inv(A)
+    def __init__(self, A: np.ndarray, k: int | None = None):
+        self._k = k = len(A) if k is None else k
+        self._inv = np.linalg.inv(A[:k, :k])
+        if k < len(A):
+            self._C, self._inv_D = A[k:, :k], np.linalg.inv(A[k:, k:])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs."""
-        return self._inv @ rhs
+        x = self._inv @ rhs[:self._k]
+        if self._k == len(rhs):
+            return x
+        return np.concatenate([x, self._inv_D @ (rhs[self._k:] - self._C @ x)])
 
 
 class RadauIIA:
@@ -459,6 +474,18 @@ class RadauIIA:
     couples every node, so the rescaled phase takes the dense path at
     every m.  An accepted state is still a FlowState, with t = E - ln cosh
     lambda and u = lambda u~.
+
+    A primal run may carry its dual in the same vector, y = (u~, s, E, w)
+    with w = u* / lambda, rescaled by the primal's lambda (the paper's one
+    scale factor).  With f* the dual's du*/dt,
+
+        dw/dtau = w + f*(lambda w) / q,
+
+    and the rows of u~, s and E are those above.  They never read w, so
+    the Newton matrices are block lower triangular, and _DenseInverse
+    keeps the inverses of the two diagonal blocks, m + 2 and m, and the
+    coupling block instead of one inverse of size 2m + 2.  Each accepted
+    step gives the dual state at the primal's t as well (dual).
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
@@ -470,17 +497,25 @@ class RadauIIA:
         self.rescaled = False
         self.rhs_evals = self.jac_evals = self.factorizations = 0
         self._state = None  # the state the carried data belong to
+        self.dual = None  # the dual state carried beside the primal, if any
 
     @property
     def _banded(self) -> bool:  # the Newton path (class docstring)
         return not self.rescaled and self.grid.m > _DENSE_MAX_M
 
-    def enter_rescaled(self, state: FlowState) -> None:
-        """Integrate in the rescaled variables from state on, with tau = 0 there."""
+    def enter_rescaled(self, state: FlowState, dual: FlowState | None = None) -> None:
+        """Integrate in the rescaled variables from state on, with tau = 0
+        there; a dual state at the same t joins the vector as w."""
         self.rescaled = True
         w = self.grid.integrate(np.eye(self.grid.m))
         self._weights = w / w.sum()  # the area mean as a dot product
+        self.dual = dual
         self._restart(state)
+
+    def drop_dual(self) -> None:
+        """Go on with the primal alone from the last accepted state, at its tau."""
+        self.dual = None
+        self._start(self.x, self._y[:self.grid.m + 2])
 
     def _profile(self, y: np.ndarray):
         """lambda = e^s and u = lambda u~ of a rescaled state vector or stack."""
@@ -489,16 +524,25 @@ class RadauIIA:
         return lam, lam * y[..., :m]
 
     def _eval(self, y: np.ndarray):
-        """The admissibility mask and dy/dx of a state vector (m,) or (m + 2,),
-        or of each row of a stack: _masked_rhs in flow time, the rescaled
-        equations (class docstring) after enter_rescaled()."""
+        """The admissibility mask and dy/dx of a state vector (m,), (m + 2,)
+        or (2m + 2,), or of each row of a stack: _masked_rhs in flow time,
+        the rescaled equations (class docstring) after enter_rescaled()."""
         if not self.rescaled:
             return _masked_rhs(self.grid, self.F, self.eps, y)
+        m = self.grid.m
         lam, u = self._profile(y)
         ok, f = _masked_rhs(self.grid, self.F, self.eps, u)
         q = -self.eps * (f @ self._weights)[..., None]
-        return ok, np.concatenate([y[..., :self.grid.m] + f / q, np.full_like(q, -1.0),
-                                   lam / q - lam * np.tanh(lam)], axis=-1)
+        parts = [y[..., :m] + f / q, np.full_like(q, -1.0), lam / q - lam * np.tanh(lam)]
+        if self.dual is not None:
+            ok_w, dw = self._eval_w(y[..., m + 2:], lam, q)
+            ok, parts = ok & ok_w, parts + [dw]
+        return ok, np.concatenate(parts, axis=-1)
+
+    def _eval_w(self, w: np.ndarray, lam, q):
+        """The mask and dw/dtau of the carried dual's w at the primal's lambda and q."""
+        ok, f = _masked_rhs(self.grid, self.dual.F, self.dual.eps, lam * w)
+        return ok, w + f / q
 
     def _rhs(self, y: np.ndarray) -> np.ndarray:
         """dy/dx by _eval, NaN on a failed row (the step is then retried
@@ -511,14 +555,19 @@ class RadauIIA:
         the flow cannot continue from raises as its geometry does."""
         self.rhs_evals += 1
         ok, f = self._eval(y)
-        t, u = x, y
+        t, u, dual = x, y, self.dual
         if self.rescaled:
+            m = self.grid.m
             lam, u = self._profile(y)
-            t = float(y[-1]) - math.log(math.cosh(lam[0]))
+            t = float(y[m + 1]) - math.log(math.cosh(lam[0]))
+            if dual is not None:
+                dual = FlowState(t, lam * y[m + 2:], self.grid, dual.F, dual.eps)
         state = FlowState(t, u, self.grid, self.F, self.eps)
-        if not ok:
-            state.geometry  # rejects every row the mask does
-        self.x, self._y, self._f = x, y, f
+        if not ok:  # the geometries reject every row the mask does
+            state.geometry
+            if dual is not None:
+                dual.geometry
+        self.x, self._y, self._f, self.dual = x, y, f, dual
         return state
 
     def _scale(self, y_abs: np.ndarray) -> np.ndarray:
@@ -535,19 +584,31 @@ class RadauIIA:
             df = self._rhs(y + np.where(self._perturb, delta, 0.0)) - f
             jac = np.where(self._inside,
                            df[self._band_rows, np.arange(y.size)] / delta[self._cols], 0.0)
-        else:
+        elif self.dual is None:
             jac = (self._rhs(y + np.diag(delta)) - f).T / delta
+        else:
+            # the primal rows never read w, so the w columns are zero there;
+            # below they take the dual block alone, at the base lambda and at
+            # q from dt/dtau = lambda / q; rhs_evals counts each as a vector
+            k = self.grid.m + 2
+            jac = np.zeros((y.size, y.size))
+            jac[:, :k] = (self._rhs(y + np.diag(delta)[:k]) - f).T / delta[:k]
+            lam = math.exp(y[k - 2])
+            q = lam / (f[k - 1] + lam * math.tanh(lam))
+            self.rhs_evals += y.size - k
+            dw = self._eval_w(y[k:] + np.diag(delta[k:]), lam, q)[1] - f[k:]
+            jac[k:, k:] = dw.T / delta[k:]
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):
         """shift - J ready for solves: the band LU on the band path, else
-        the explicit inverse."""
+        the explicit inverse, by blocks when the dual is carried."""
         A = -self._jac.astype(type(shift))
         if self._banded:
             A[len(A) // 2] += shift  # the middle band is the diagonal
             return _BandLU(A, self.grid.cyclic)
         A[np.diag_indices_from(A)] += shift
-        return _DenseInverse(A)
+        return _DenseInverse(A, None if self.dual is None else self.grid.m + 2)
 
     def _factor(self, h: float) -> None:
         self.factorizations += 1
@@ -598,15 +659,22 @@ class RadauIIA:
         return min(1.0, trend) * err ** -0.25
 
     def _restart(self, state: FlowState) -> None:
-        """State vector, its dy/dx, Jacobian and first step size at a state
-        not reached by this integrator (Hairer, Norsett & Wanner, Solving
-        ODEs I, II.4)."""
+        """Start from a state not reached by this integrator (and from the
+        carried dual at its t)."""
         x, y = state.t, state.u
         if self.rescaled:
             lam = np.abs(y) @ self._weights
-            x, y = 0.0, np.concatenate([y / lam, [math.log(lam), x + math.log(math.cosh(lam))]])
+            w = [] if self.dual is None else [self.dual.u / lam]
+            x, y = 0.0, np.concatenate([y / lam, [math.log(lam), x + math.log(math.cosh(lam))]]
+                                       + w)
+        self._state = state
+        self._start(x, y)
+
+    def _start(self, x: float, y: np.ndarray) -> None:
+        """dy/dx, Jacobian and first step size at the state vector y
+        (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
         f = self._rhs(y)
-        self.x, self._y, self._f, self._state = x, y, f, state
+        self.x, self._y, self._f = x, y, f
         self._jacobian(y, f)
         self._Z = self._h_old = self._err_old = None
         scale = self._scale(np.abs(y))
@@ -703,9 +771,16 @@ def dual_step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> F
     return solver.advance(state, cap)
 
 
-def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.ndarray,
-           eps: float, t_targets, t_stop: float | None) -> FlowTrajectory:
-    """Integrate either flow until max |u| < u_stop, recording along the way.
+def _tally(traj: FlowTrajectory, solver: RadauIIA, steps: int) -> None:
+    traj.steps_taken = steps
+    traj.rhs_evals, traj.jac_evals = solver.rhs_evals, solver.jac_evals
+    traj.factorizations = solver.factorizations
+
+
+def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None,
+           dual: FlowState | None = None) -> list:
+    """Integrate either flow from state until max |u| < u_stop, recording
+    along the way; returns its trajectory in a list, the dual's after it.
 
     The run starts in flow time and records there only the initial state
     and the states of t_targets, which are landed on exactly (a step is
@@ -716,16 +791,31 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
     integrator switches to the rescaled variables (RadauIIA.enter_rescaled),
     where a shrinking sphere is a fixed point: records then land on tau =
     k record_every / 100 (tau counted from the switch), and the last step
-    lands just below max |u| = u_stop.  The final state is always recorded.  A surface extinguishing away from the
-    origin can never shrink inside the stop ball; once min |u| falls below
-    a quarter of u_stop with max |u| still above it the run aborts with
-    failure "convexity" instead of stalling.
+    lands just below max |u| = u_stop.  The final state is always recorded.
+    A surface extinguishing away from the origin can never shrink inside
+    the stop ball; once min |u| falls below a quarter of u_stop with max |u|
+    still above it the run aborts with failure "convexity" instead of
+    stalling.
+
+    dual, the dual state at the switch of a primal run (run_both), is
+    carried in the rescaled vector from there on and recorded with each
+    primal record; the dual trajectory's landed indexes those pairs.  When
+    a joint step aborts, the primal goes on alone from the last accepted
+    joint state, where the dual's trajectory ends.  If the primal then
+    steps on, the abort was the dual's: its failure, unless its max |u*|
+    was already below u_stop (it died out first, a clean end).  If the
+    primal aborts too, that abort is the primal's.
     """
-    advance = step if eps > 0 else dual_step
-    solver = RadauIIA(grid, F, eps)
-    state = FlowState(0.0, u0, grid, F, eps)
-    state.geometry  # an initial datum the flow cannot continue from raises here
+    advance = step if state.eps > 0 else dual_step
+    solver = RadauIIA(state.grid, state.F, state.eps)
     traj = FlowTrajectory(states=[state])
+    dtraj = None if dual is None else FlowTrajectory(states=[dual])
+    trajs = [traj] if dtraj is None else [traj, dtraj]
+    for tr in trajs:
+        tr.states[0].geometry  # an initial state the flow cannot continue from raises here
+    # partner: the carried dual at the t of state; d_last: the dual's last state
+    partner = d_last = dual
+    joint_abort = None
     targets = sorted(float(t) for t in t_targets)
     last = targets[-1] if targets else None
     if t_stop is not None:
@@ -750,14 +840,26 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
             if overrun and (cap is None or cap != last):
                 break
             if cap is None:
-                solver.enter_rescaled(state)
+                solver.enter_rescaled(state, dual)
                 continue
         try:
             state = advance(solver, state, cap)
         except tuple(_ABORTS) as exc:
+            if solver.dual is not None:  # whose abort it was, the primal alone tells
+                joint_abort = _ABORTS[type(exc)]
+                _tally(dtraj, solver, steps)
+                solver.drop_dual()
+                continue
             if not overrun:
                 traj.failure = _ABORTS[type(exc)]
             break
+        if joint_abort is not None:  # the dual's, unless it had died out
+            if np.abs(d_last.u).max() >= config.u_stop:
+                dtraj.failure = joint_abort
+            joint_abort = None
+        partner = solver.dual
+        if partner is not None:
+            d_last = partner
         steps += 1
         on_cadence = solver.rescaled and solver.x == (k_tau + 1) * d_tau
         k_tau += on_cadence
@@ -767,6 +869,9 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
             traj.landed.append(len(traj.states))
         if on_cadence or hit_target:
             traj.states.append(state)
+            if partner is not None:
+                dtraj.landed.append(len(dtraj.states))
+                dtraj.states.append(partner)
         r = np.abs(state.u)
         if r.min() < 0.25 * config.u_stop <= r.max():
             # extinction point sits away from the origin (e.g. a k=1 mode
@@ -775,16 +880,20 @@ def _drive(config: FlowConfig, F: CurvatureFunction, grid: SphereGrid, u0: np.nd
             # grind dt -> 0 forever; abort as a graph degeneration
             traj.failure = "convexity"
             break
-    traj.steps_taken = steps
-    traj.rhs_evals, traj.jac_evals = solver.rhs_evals, solver.jac_evals
-    traj.factorizations = solver.factorizations
+    for tr in trajs if solver.dual is not None else trajs[:1]:
+        _tally(tr, solver, steps)
     if traj.states[-1] is not state:
         traj.states.append(state)
-    if traj.failure is None and any(np.abs(s.u).max() < 0.1 for s in traj.states):
-        est = estimate_Tstar(traj)
-        traj.T_star_estimate = est.value
-        traj.Tstar_warn = est.warn
-    return traj
+    if dual is not None and dtraj.states[-1] is not d_last:
+        if d_last is partner:
+            dtraj.landed.append(len(dtraj.states))
+        dtraj.states.append(d_last)
+    for tr in trajs:
+        if tr.failure is None and any(np.abs(s.u).max() < 0.1 for s in tr.states):
+            est = estimate_Tstar(tr)
+            tr.T_star_estimate = est.value
+            tr.Tstar_warn = est.warn
+    return trajs
 
 
 def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None,
@@ -795,7 +904,7 @@ def run_flow(config: FlowConfig, t_targets=(), t_stop: float | None = None,
     F = make_function(config.F, config.n)
     if u0 is None:
         u0 = make_initial(config.initial, config.initial_params, grid, config.seed)
-    return _drive(config, F, grid, u0, 1.0, t_targets, t_stop)
+    return _drive(config, FlowState(0.0, u0, grid, F, 1.0), t_targets, t_stop)[0]
 
 
 def run_dual_flow(config: FlowConfig, initial, t_targets=(),
@@ -807,7 +916,22 @@ def run_dual_flow(config: FlowConfig, initial, t_targets=(),
     The states hold u* (also readable as state.u_star).
     """
     F_dual = curvfn.invert(make_function(config.F, config.n))
-    return _drive(config, F_dual, initial.grid, initial.u, -1.0, t_targets, t_stop)
+    state = FlowState(0.0, initial.u, initial.grid, F_dual, -1.0)
+    return _drive(config, state, t_targets, t_stop)[0]
+
+
+def run_both(config: FlowConfig, initial: FlowState, dual) -> tuple:
+    """Integrate the contracting primal from its initial state to
+    extinction and, in the same rescaled vector (RadauIIA), its dual from
+    the stored de Sitter graph dual (a Graph with eps = -1 or a dual
+    state; its grid and u are read) under the inverse speed.
+
+    Returns the primal and the dual trajectory.  The dual's landed states
+    pair the primal's records after the first, in order; see _drive for
+    aborts.
+    """
+    d0 = FlowState(initial.t, dual.u, dual.grid, curvfn.invert(initial.F), -1.0)
+    return tuple(_drive(config, initial, (), None, d0))
 
 
 # ----------------------------------------------------------------------

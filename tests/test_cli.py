@@ -570,16 +570,16 @@ def test_json_outputs_escape_strings_and_write_nan_as_null(tmp_path):
 
 
 def test_run_both_mode_reports_dual_abort(tmp_path, monkeypatch):
-    real_run_dual_flow = cli.run_dual_flow
+    real_run_both = cli.run_both
     dual_runs = []
 
     def aborting(*args, **kwargs):
-        dtraj = real_run_dual_flow(*args, **kwargs)
+        traj, dtraj = real_run_both(*args, **kwargs)
         dtraj.failure = "causality"
         dual_runs.append(dtraj)
-        return dtraj
+        return traj, dtraj
 
-    monkeypatch.setattr(cli, "run_dual_flow", aborting)
+    monkeypatch.setattr(cli, "run_both", aborting)
     out = tmp_path / "out"
     cfg = _write_cfg(
         tmp_path, "b.cfg",
@@ -596,17 +596,18 @@ def test_run_both_mode_reports_dual_abort(tmp_path, monkeypatch):
 
 def test_run_both_mode_dual_dying_first_exits_clean(tmp_path, monkeypatch):
     # the dual of a smaller sphere dies out about 0.04 before the primal's
-    # last record; stepping on past u_stop towards that record ends the dual
-    # in an abort, which must leave the row unpaired, not fail the run
-    real_run_dual_flow = cli.run_dual_flow
+    # last record; carried on in the primal's variables past its own u_stop,
+    # it ends the joint run in an abort, which must leave the row unpaired,
+    # not fail the run
+    real_run_both = cli.run_both
     dual_runs = []
 
-    def shrunk(cfg, d0, **kwargs):
-        dtraj = real_run_dual_flow(cfg, Graph(d0.grid, 0.95 * d0.u, -1.0), **kwargs)
+    def shrunk(cfg, state0, d0):
+        traj, dtraj = real_run_both(cfg, state0, Graph(d0.grid, 0.95 * d0.u, -1.0))
         dual_runs.append(dtraj)
-        return dtraj
+        return traj, dtraj
 
-    monkeypatch.setattr(cli, "run_dual_flow", shrunk)
+    monkeypatch.setattr(cli, "run_both", shrunk)
     out = tmp_path / "out"
     cfg = _write_cfg(
         tmp_path, "b.cfg",

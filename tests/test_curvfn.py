@@ -273,6 +273,18 @@ def test_block_verdict_is_worst_row(data, n, rows, seed):
     assert check_strict_concavity(F, kappa[None]) == worst
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), rows=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_row_value_is_its_block_row(n, rows, seed):
+    # a single row of curvatures reads bit for bit as the same row in a block
+    kappa = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, size=(rows, n)))
+    for name in curvfn.builtin_battery(n):
+        F = make_function(name, n)
+        block = F.value(kappa)
+        for i, k in enumerate(kappa):
+            assert F.value(k) == block[i], (name, k)
+
+
 def test_elementary_symmetric_brute():
     assert elementary_symmetric([1.0, 2.0, 3.0], 2) == pytest.approx(11.0, abs=1e-13)
     assert elementary_symmetric([0.3, 7.0], 0) == 1.0

@@ -25,6 +25,7 @@ from dualflow.flow import (
     estimate_Tstar,
     make_initial,
     rescale,
+    run_both,
     run_dual_flow,
     run_flow,
     spherical_T_star,
@@ -486,6 +487,97 @@ def test_newton_paths_agree(monkeypatch, n, m):
         for i in band.landed:
             assert band.states[i].t == dense.states[i].t
             assert np.abs(band.states[i].u - dense.states[i].u).max() < 1e-13
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(k=st.integers(1, 12), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       imag=st.sampled_from([0.0, 1j]))
+def test_block_inverse_solves_lower_triangular_systems(k, m, seed, imag):
+    # the joint Newton matrices are block lower triangular; the block solve
+    # matches a dense solve and never reads the upper right block
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1.0, 1.0, (k + m, k + m)) + imag * rng.uniform(-1.0, 1.0, (k + m, k + m))
+    A[np.diag_indices_from(A)] += k + m
+    A[:k, k:] = 0.0
+    rhs = rng.uniform(-1.0, 1.0, k + m) + imag * rng.uniform(-1.0, 1.0, k + m)
+    x = _DenseInverse(A, k).solve(rhs)
+    assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-12 * (1.0 + np.abs(x).max())
+    A[:k, k:] = np.nan
+    assert np.array_equal(_DenseInverse(A, k).solve(rhs), x)
+
+
+def _joint_start(cfg):
+    grid = make_grid(cfg.n, cfg.m)
+    u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
+    state0 = FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
+    return state0, gauss_dual(state0).dual
+
+
+CLI_BOTH = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                      initial_params=(1.0, 0.1, 2))
+
+
+def test_joint_newton_matrix_is_block_triangular():
+    # the primal rows of the joint vector never read w: perturbing w in a
+    # stack moves no primal entry, and the Jacobian's w columns are zero
+    # there, which the block solve relies on
+    state0, d0 = _joint_start(CLI_BOTH)
+    m, k = CLI_BOTH.m, CLI_BOTH.m + 2
+    solver = RadauIIA(state0.grid, state0.F, 1.0)
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, curvfn.invert(state0.F), -1.0))
+    y = solver._y
+    assert y.shape == (2 * m + 2,)
+    stack = np.tile(y, (4, 1))
+    moved = stack.copy()
+    moved[:, k:] += np.random.default_rng(2).uniform(-1e-3, 1e-3, (4, m))
+    base, out = solver._rhs(stack), solver._rhs(moved)
+    assert np.array_equal(out[:, :k], base[:, :k])
+    assert not np.array_equal(out[:, k:], base[:, k:])
+    assert not solver._jac[:k, k:].any()
+    assert np.isfinite(solver._jac).all() and solver._jac[k:, :k].any()
+
+
+def test_joint_run_shares_one_scale_factor():
+    # the paper rescales the primal and its dual by one factor: carried in
+    # the primal's lambda, the dual's w = u*/lambda tends to the slice -1 as
+    # u~ tends to the unit sphere, so the area mean of |w| tends to one
+    traj, dtraj = run_both(CLI_BOTH, *_joint_start(CLI_BOTH))
+    grid = traj.grid
+    area = grid.integrate(np.ones(grid.m))
+    duals = [dtraj.states[0]] + [dtraj.states[j] for j in dtraj.landed]
+    assert len(duals) == len(traj.states)
+    gap = [abs(grid.integrate(np.abs(d.u)) / grid.integrate(s.u) - 1.0)
+           for s, d in zip(traj.states, duals)]
+    # measured 6.45e-3 at the first record and 3.0e-4 at the last
+    assert gap[-1] < 1e-3 and gap[-1] < gap[0]
+
+
+@pytest.mark.parametrize("cfg", [
+    CLI_BOTH,
+    FlowConfig(F="quotient:2:1", n=2, m=32, initial="ellipsoid", initial_params=(0.6, 0.7)),
+    FlowConfig(F="mean", n=1, m=80, initial="perturbed_sphere", initial_params=(1.0, 0.1, 3)),
+])
+def test_joint_run_matches_separate_runs(cfg):
+    # the joint run steps the primal in its own tau: its cadence records
+    # match the primal run alone, every record has its dual at the same t,
+    # and each side's T* matches its separate run (the dual landing the
+    # primal's record times in flow time)
+    state0, d0 = _joint_start(cfg)
+    traj, dtraj = run_both(cfg, state0, d0)
+    alone = run_flow(cfg, u0=state0.u)
+    landing = run_dual_flow(cfg, d0, t_targets=[s.t for s in alone.states[1:]])
+    assert traj.failure is None and dtraj.failure is None
+    assert traj.steps_taken <= 1.2 * alone.steps_taken
+    assert dtraj.steps_taken == traj.steps_taken
+    assert len(traj.states) == len(alone.states) == len(dtraj.states)
+    assert dtraj.landed == list(range(1, len(dtraj.states)))
+    assert all(d.t == s.t for s, d in zip(traj.states, dtraj.states))
+    # the final state lands just below u_stop, off the cadence
+    for s, a in zip(traj.states[:-1], alone.states[:-1]):
+        assert abs(s.t - a.t) < 1e-12
+        assert np.abs(s.u - a.u).max() < 1e-10
+    assert abs(traj.T_star_estimate - alone.T_star_estimate) < 1e-10
+    assert abs(dtraj.T_star_estimate - landing.T_star_estimate) < 1e-10
 
 
 def test_run_flow_sphere_tracks_closed_form():
