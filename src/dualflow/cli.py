@@ -47,7 +47,6 @@ from .flow import (
     spherical_T_star,
     spherical_theta,
 )
-from .hgeom import Graph
 from .sphere_grid import ReparametrizationError, make_grid
 
 __all__ = ["ConfigError", "RunManifest", "parse_config", "serialize_manifest",
@@ -256,51 +255,46 @@ def _theta_of(t: float, T_star) -> float:
     return _sphere_theta(t, T_star)
 
 
-def _initial_profile(cfg: FlowConfig, grid) -> np.ndarray:
-    """The configured initial datum; parameters it rejects are a setup error."""
+def _initial_state(cfg: FlowConfig) -> FlowState:
+    """The configured initial datum as the primal's state at t = 0, the
+    start of every mode; parameters it rejects are a setup error."""
+    grid = make_grid(cfg.n, cfg.m)
     try:
-        return make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
+        u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
 
 
 def _execute_run(man: RunManifest, out_dir: Path) -> int:
     cfg = man.config
-    grid = make_grid(cfg.n, cfg.m)
-    u0 = _initial_profile(cfg, grid)
-    traj = dtraj = None
-    if man.mode == "dual":
-        dtraj = run_dual_flow(cfg, gauss_dual(Graph(grid, u0)).dual)
-        records = [
-            compute_record(s, Theta=_theta_of(s.t, dtraj.T_star_estimate), sigma=man.sigma)
-            for s in dtraj.states
-        ]
-        snaps = [(s.t, None, s.u) for s in dtraj.states]
+    state0 = _initial_state(cfg)
+    # gauss_dual rejects a datum that is not strictly convex by the state's
+    # geometry, as the primal run does; in both mode each primal record has
+    # its dual at the same t, unless the dual ended first
+    if man.mode == "primal":
+        trajs = [run_flow(cfg, u0=state0.u)]
+    elif man.mode == "dual":
+        trajs = [run_dual_flow(cfg, gauss_dual(state0).dual)]
     else:
-        if man.mode == "both":
-            # the dual rides in the primal's rescaled state vector, so each
-            # primal record has its dual at the same t; a dual that aborts or
-            # dies out first leaves the tail bare
-            state0 = FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
-            traj, dtraj = run_both(cfg, state0, gauss_dual(state0).dual)
-        else:
-            traj = run_flow(cfg, u0=u0)
-        eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
-        duals = [None] * len(traj.states)
-        if dtraj is not None:
-            for i, j in enumerate([0] + dtraj.landed):
-                duals[i] = dtraj.states[j]
-        records = [
-            compute_record(s, duals[i], Theta=_theta_of(s.t, traj.T_star_estimate),
-                           epsilon=eps, sigma=man.sigma)
-            for i, s in enumerate(traj.states)
-        ]
-        snaps = [(s.t, s.u, None if duals[i] is None else duals[i].u)
-                 for i, s in enumerate(traj.states)]
-    write_outputs(out_dir, grid, records, snaps)
+        trajs = run_both(cfg, state0, gauss_dual(state0).dual)
+    traj = trajs[0]
+    duals = [None] * len(traj.states)
+    for dtraj in trajs[1:]:
+        for i, j in enumerate([0] + dtraj.landed):
+            duals[i] = dtraj.states[j]
+    eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
+    records, snaps = [], []
+    for s, d in zip(traj.states, duals):
+        records.append(compute_record(s, d, Theta=_theta_of(s.t, traj.T_star_estimate),
+                                      epsilon=eps, sigma=man.sigma))
+        primal, dual = (s, d) if s.eps > 0 else (None, s)
+        snaps.append((s.t, *(None if x is None else x.u for x in (primal, dual))))
+    write_outputs(out_dir, state0.grid, records, snaps)
     # the primal abort comes first; a dual abort is reported on its own
-    for tr, label in ((traj, "run"), (dtraj, "dual run")):
-        if tr is not None and tr.failure is not None:
+    for tr in trajs:
+        if tr.failure is not None:
+            label = "run" if tr.states[0].eps > 0 else "dual run"
             _write_failure(out_dir, _FAILURE_NAMES[tr.failure], f"{label} aborted: {tr.failure}",
                            tr.states[-1].t, tr.steps_taken)
             return 3
@@ -311,13 +305,8 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
     """Static checks on the initial surface: duality identities, the
     involution, and the concavity classification of the speed."""
     cfg = man.config
-    grid = make_grid(cfg.n, cfg.m)
-    F = curvfn.make_function(cfg.F, cfg.n)
-    u0 = _initial_profile(cfg, grid)
-    g = Graph(grid, u0)
-    if not g.geometry.convex:
-        _write_failure(out_dir, "ConvexityError", "initial datum is not strictly convex", 0.0, 0)
-        return 3
+    g = _initial_state(cfg)
+    F = g.F
     try:
         pair = gauss_dual(g)
         rep = verify_duality(pair)
@@ -325,7 +314,7 @@ def _execute_verify(man: RunManifest, out_dir: Path) -> int:
     except (DualityBrokenError, CausalityError, ReparametrizationError) as exc:
         _write_failure(out_dir, type(exc).__name__, str(exc), 0.0, 0)
         return 2
-    inv_err = float(np.abs(back.u - u0).max())
+    inv_err = float(np.abs(back.u - g.u).max())
     rng = np.random.default_rng(cfg.seed)
     kappa = np.exp(rng.uniform(-1.0, 1.0, size=(64, cfg.n)))
     invol_err = float(np.abs(curvfn.invert(curvfn.invert(F)).value(kappa) - F.value(kappa)).max())

@@ -363,9 +363,10 @@ class _BandLU:
     bands[3:, -2:]; they are split off as A = B + U K U^T, U the columns
     {0, 1, m-2, m-1} of the identity, and folded back in by the Woodbury
     identity.  The elimination runs in plain Python over the rows: O(m)
-    work and no m x m array, which pays above _DENSE_MAX_M.  Without
-    pivoting it needs nonzero leading pivots, which a shifted Newton
-    matrix mu/h - J of the parabolic flow has.
+    work and no m x m array.  Without pivoting it needs nonzero leading
+    pivots, which a shifted Newton matrix mu/h - J of the parabolic flow
+    has.  It serves flow time above _DENSE_MAX_M, where an explicit inverse
+    costs 20 to 44 times as much at m = 256 (README, "Time stepping").
     """
 
     def __init__(self, bands: np.ndarray, cyclic: bool):
@@ -426,7 +427,11 @@ class _DenseInverse:
     matrix-vector product.  A block lower triangular matrix [[P, 0], [C, D]],
     P of size k, keeps P^-1, D^-1 and C instead, and solves by
     substitution: x1 = P^-1 b1, then x2 = D^-1 (b2 - C x1); its upper right
-    block is never read.  A NaN entry gives a NaN solve, as in _BandLU."""
+    block is never read.  A NaN entry gives a NaN solve, as in _BandLU.
+
+    The block inverses stay because they cost half of one full inverse: at
+    m = 48 (size 98, one BLAS thread) 213 us real and 328 us complex
+    against 457 and 796 us, about 60 ms over a joint run to extinction."""
 
     def __init__(self, A: np.ndarray, k: int | None = None):
         self._k = k = len(A) if k is None else k
@@ -462,30 +467,27 @@ class RadauIIA:
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
     counted from the switch, and y = (u~, s, E), where lambda = e^s is the
-    area mean of |u|, u~ = u / lambda and E = t + ln cosh lambda.  With f
-    the flow's du/dt and <.> the area mean,
+    area mean of |u|, u~ = u / lambda and E = t + ln cosh lambda.  A primal
+    run may carry its dual in the same vector, y = (u~, s, E, w) with w =
+    u* / lambda, rescaled by the primal's lambda (the paper's one scale
+    factor).  With <.> the area mean and f the primal's du/dt, every
+    profile block b of y (u~, and w when carried) follows one rule,
 
-        du~/dtau = u~ + f(lambda u~) / q,   q = -eps <f>,
+        db/dtau = b + f_side(lambda b) / q,   q = -eps <f>,
         ds/dtau = -1,
         dE/dtau = lambda / q - lambda tanh lambda,
 
-    so dt/dtau = lambda / q.  A geodesic sphere, or a dual slice, is a
-    fixed point of u~ and E, and E is then its extinction time.  <f>
-    couples every node, so the rescaled phase takes the dense path at
-    every m.  An accepted state is still a FlowState, with t = E - ln cosh
-    lambda and u = lambda u~.
+    f_side the du/dt of the block's own side, so dt/dtau = lambda / q.  A
+    geodesic sphere, or a dual slice, is a fixed point of its block and of
+    E, and E is then its extinction time.  <f> couples every node, so the
+    rescaled phase takes the dense path at every m.  An accepted state is
+    still a FlowState, with t = E - ln cosh lambda and u = lambda u~; the
+    dual state at the same t is kept as well (dual).
 
-    A primal run may carry its dual in the same vector, y = (u~, s, E, w)
-    with w = u* / lambda, rescaled by the primal's lambda (the paper's one
-    scale factor).  With f* the dual's du*/dt,
-
-        dw/dtau = w + f*(lambda w) / q,
-
-    and the rows of u~, s and E are those above.  They never read w, so
-    the Newton matrices are block lower triangular, and _DenseInverse
-    keeps the inverses of the two diagonal blocks, m + 2 and m, and the
-    coupling block instead of one inverse of size 2m + 2.  Each accepted
-    step gives the dual state at the primal's t as well (dual).
+    The primal rows never read w, so the Newton matrices are block lower
+    triangular: the Jacobian's primal rows are set to zero in the w
+    columns, and _DenseInverse keeps the inverses of the two diagonal
+    blocks, m + 2 and m, and the coupling block.
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
@@ -517,12 +519,6 @@ class RadauIIA:
         self.dual = None
         self._start(self.x, self._y[:self.grid.m + 2])
 
-    def _profile(self, y: np.ndarray):
-        """lambda = e^s and u = lambda u~ of a rescaled state vector or stack."""
-        m = self.grid.m
-        lam = np.exp(y[..., m:m + 1])
-        return lam, lam * y[..., :m]
-
     def _eval(self, y: np.ndarray):
         """The admissibility mask and dy/dx of a state vector (m,), (m + 2,)
         or (2m + 2,), or of each row of a stack: _masked_rhs in flow time,
@@ -530,19 +526,15 @@ class RadauIIA:
         if not self.rescaled:
             return _masked_rhs(self.grid, self.F, self.eps, y)
         m = self.grid.m
-        lam, u = self._profile(y)
-        ok, f = _masked_rhs(self.grid, self.F, self.eps, u)
+        lam = np.exp(y[..., m:m + 1])
+        ok, f = _masked_rhs(self.grid, self.F, self.eps, lam * y[..., :m])
         q = -self.eps * (f @ self._weights)[..., None]
         parts = [y[..., :m] + f / q, np.full_like(q, -1.0), lam / q - lam * np.tanh(lam)]
-        if self.dual is not None:
-            ok_w, dw = self._eval_w(y[..., m + 2:], lam, q)
-            ok, parts = ok & ok_w, parts + [dw]
+        if self.dual is not None:  # the same rule for w, at the primal's lambda and q
+            w = y[..., m + 2:]
+            ok_w, f_w = _masked_rhs(self.grid, self.dual.F, self.dual.eps, lam * w)
+            ok, parts = ok & ok_w, parts + [w + f_w / q]
         return ok, np.concatenate(parts, axis=-1)
-
-    def _eval_w(self, w: np.ndarray, lam, q):
-        """The mask and dw/dtau of the carried dual's w at the primal's lambda and q."""
-        ok, f = _masked_rhs(self.grid, self.dual.F, self.dual.eps, lam * w)
-        return ok, w + f / q
 
     def _rhs(self, y: np.ndarray) -> np.ndarray:
         """dy/dx by _eval, NaN on a failed row (the step is then retried
@@ -558,15 +550,14 @@ class RadauIIA:
         t, u, dual = x, y, self.dual
         if self.rescaled:
             m = self.grid.m
-            lam, u = self._profile(y)
-            t = float(y[m + 1]) - math.log(math.cosh(lam[0]))
+            lam = np.exp(y[m:m + 1])
+            t, u = float(y[m + 1]) - math.log(math.cosh(lam[0])), lam * y[:m]
             if dual is not None:
                 dual = FlowState(t, lam * y[m + 2:], self.grid, dual.F, dual.eps)
         state = FlowState(t, u, self.grid, self.F, self.eps)
         if not ok:  # the geometries reject every row the mask does
-            state.geometry
-            if dual is not None:
-                dual.geometry
+            for s in filter(None, (state, dual)):
+                s.geometry
         self.x, self._y, self._f, self.dual = x, y, f, dual
         return state
 
@@ -584,20 +575,12 @@ class RadauIIA:
             df = self._rhs(y + np.where(self._perturb, delta, 0.0)) - f
             jac = np.where(self._inside,
                            df[self._band_rows, np.arange(y.size)] / delta[self._cols], 0.0)
-        elif self.dual is None:
-            jac = (self._rhs(y + np.diag(delta)) - f).T / delta
         else:
-            # the primal rows never read w, so the w columns are zero there;
-            # below they take the dual block alone, at the base lambda and at
-            # q from dt/dtau = lambda / q; rhs_evals counts each as a vector
-            k = self.grid.m + 2
-            jac = np.zeros((y.size, y.size))
-            jac[:, :k] = (self._rhs(y + np.diag(delta)[:k]) - f).T / delta[:k]
-            lam = math.exp(y[k - 2])
-            q = lam / (f[k - 1] + lam * math.tanh(lam))
-            self.rhs_evals += y.size - k
-            dw = self._eval_w(y[k:] + np.diag(delta[k:]), lam, q)[1] - f[k:]
-            jac[k:, k:] = dw.T / delta[k:]
+            jac = (self._rhs(y + np.diag(delta)) - f).T / delta
+            if self.dual is not None:
+                # the primal rows never read w: their w columns hold only the
+                # rounding of the stacked <f>, and the block solve never reads them
+                jac[:self.grid.m + 2, self.grid.m + 2:] = 0.0
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):
@@ -761,7 +744,9 @@ class RadauIIA:
 
 def step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowState:
     """One accepted Radau IIA step of the contracting primal flow (see
-    RadauIIA.advance)."""
+    RadauIIA.advance).  Kept by this name, and dual_step by its own, for
+    perfbench, which counts steps by them and checks the count against
+    steps_taken (perfbench/run.py, steps_agree)."""
     return solver.advance(state, cap)
 
 
@@ -799,9 +784,11 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
 
     dual, the dual state at the switch of a primal run (run_both), is
     carried in the rescaled vector from there on and recorded with each
-    primal record; the dual trajectory's landed indexes those pairs.  When
-    a joint step aborts, the primal goes on alone from the last accepted
-    joint state, where the dual's trajectory ends.  If the primal then
+    primal record; the dual trajectory's landed indexes those pairs.  The
+    dual's trajectory ends, and the primal goes on alone (drop_dual),
+    cleanly once its max |u*| falls below u_stop / 2 (in a normal run it
+    stays close to the primal's, so no record unpairs), or at the last
+    accepted joint state when a joint step aborts.  If the primal then
     steps on, the abort was the dual's: its failure, unless its max |u*|
     was already below u_stop (it died out first, a clean end).  If the
     primal aborts too, that abort is the primal's.
@@ -853,14 +840,16 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
             if not overrun:
                 traj.failure = _ABORTS[type(exc)]
             break
-        if joint_abort is not None:  # the dual's, unless it had died out
-            if np.abs(d_last.u).max() >= config.u_stop:
-                dtraj.failure = joint_abort
-            joint_abort = None
+        if joint_abort and np.abs(d_last.u).max() >= config.u_stop:
+            dtraj.failure = joint_abort  # the dual's abort: it had not died out
+        joint_abort = None
         partner = solver.dual
+        steps += 1
         if partner is not None:
             d_last = partner
-        steps += 1
+            if np.abs(partner.u).max() < 0.5 * config.u_stop:  # died out: a clean end
+                _tally(dtraj, solver, steps)
+                solver.drop_dual()
         on_cadence = solver.rescaled and solver.x == (k_tau + 1) * d_tau
         k_tau += on_cadence
         hit_target = (not solver.rescaled and k_target < len(targets)

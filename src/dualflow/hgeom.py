@@ -88,7 +88,8 @@ class Graph:
         return geometry_of(self)
 
 
-# the former name of the primal graph class, kept for scripts that build one
+# the former name of the primal graph class, kept because perfbench/workloads.py
+# builds its graphs by it
 HyperbolicGraph = Graph
 
 

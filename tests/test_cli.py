@@ -236,12 +236,15 @@ def test_run_dual_mode(tmp_path):
     assert all(r["u"] is None for r in snaps["records"])
 
 
-def test_run_nonconvex_aborts_with_failure_json(tmp_path):
+@pytest.mark.parametrize("mode", ["primal", "dual", "both"])
+def test_run_nonconvex_aborts_with_failure_json(tmp_path, mode):
+    # every mode starts from the primal's initial state, whose geometry
+    # rejects the datum before the dual map or the first step
     out = tmp_path / "out"
     cfg = _write_cfg(
         tmp_path, "n.cfg",
         f'F="mean" n=2 m=64 initial="perturbed_sphere" '
-        f'initial.params=[0.3,0.28,6] out="{out}"',
+        f'initial.params=[0.3,0.28,6] mode="{mode}" out="{out}"',
     )
     assert main(["run", cfg]) == 3
     failure = json.loads((out / "failure.json").read_text())
@@ -426,6 +429,9 @@ def _count_geometry_builds(monkeypatch):
 def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
     # verify: the primal graph and its dual, one build each (the drawn datum
     # is tested for convexity on bare curvatures);
+    # primal mode: one per record (the first also gives the pinching weight);
+    # dual mode: one per dual record, plus the primal's initial state that
+    # the Gauss dual is taken from;
     # both mode: one per primal record (shared by its inball, dual map and
     # duality check, paired dual states are read for u only), plus the
     # dual's initial state
@@ -438,17 +444,18 @@ def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
     )
     assert main(["verify", cfg]) == 0
     assert len(calls) == 2
-    calls.clear()
-    out = tmp_path / "b"
-    cfg = _write_cfg(
-        tmp_path, "b.cfg",
-        f'F="sigma_k:2" n=2 m=48 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
-        f'mode="both" out="{out}"',
-    )
-    assert main(["run", cfg]) == 0
-    records = len(_read_csv(out / "diagnostics.csv"))
-    assert records == 40
-    assert len(calls) == records + 1
+    for mode, extra in (("primal", 0), ("dual", 1), ("both", 1)):
+        calls.clear()
+        out = tmp_path / mode
+        cfg = _write_cfg(
+            tmp_path, f"{mode}.cfg",
+            f'F="sigma_k:2" n=2 m=48 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
+            f'mode="{mode}" out="{out}"',
+        )
+        assert main(["run", cfg]) == 0
+        records = len(_read_csv(out / "diagnostics.csv"))
+        assert records == 40
+        assert len(calls) == records + extra
 
 
 def test_verify_nonconvex_exit_3(tmp_path):

@@ -537,6 +537,47 @@ def test_joint_newton_matrix_is_block_triangular():
     assert np.isfinite(solver._jac).all() and solver._jac[k:, :k].any()
 
 
+def test_joint_jacobian_w_block_is_the_dual_flow_jacobian():
+    # dw/dtau = w + f*(lambda w) / q with lambda and q from the primal rows,
+    # so the w block of the joint Jacobian is I + (lambda / q) J*, J* the
+    # dual's flow-time Jacobian at u* = lambda w; a radius of about 2 keeps
+    # lambda away from one, so a misplaced factor of lambda shows, and both
+    # routes then perturb u* by about the same sqrt(eps) |u*|
+    cfg = dataclasses.replace(CLI_BOTH, initial_params=(2.0, 0.1, 2))
+    state0, d0 = _joint_start(cfg)
+    grid, m, k = state0.grid, cfg.m, cfg.m + 2
+    F_dual = curvfn.invert(state0.F)
+    solver = RadauIIA(grid, state0.F, 1.0)
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, F_dual, -1.0))
+    y = solver._y
+    lam = math.exp(y[m])
+    assert abs(lam - 2.0) < 0.05
+    _, f = flow._masked_rhs(grid, state0.F, 1.0, lam * y[:m])
+    q = -grid.integrate(f) / grid.integrate(np.ones(m))
+    dual = RadauIIA(grid, F_dual, -1.0)
+    u_star = lam * y[k:]
+    dual._jacobian(u_star, dual._rhs(u_star))
+    block = solver._jac[k:, k:]
+    expected = np.eye(m) + lam / q * dual._jac
+    assert np.abs(block - expected).max() < 1e-6 * np.abs(block).max()
+
+
+def test_joint_run_drops_a_dead_dual():
+    # the dual of a sphere shrunk by 0.95 dies out about 0.04 before its
+    # primal; once its max |u*| is below u_stop / 2 its trajectory ends
+    # cleanly and the primal goes on alone, where carrying it until a step
+    # failed took 1401 steps
+    cfg = FlowConfig(F="mean", n=2, m=16, initial="sphere", initial_params=(1.0,),
+                     record_every=10**9)
+    state0, d0 = _joint_start(cfg)
+    traj, dtraj = run_both(cfg, state0, Graph(d0.grid, 0.95 * d0.u, -1.0))
+    assert traj.failure is None and dtraj.failure is None
+    assert traj.steps_taken < 1000
+    assert dtraj.steps_taken < traj.steps_taken and dtraj.landed == []
+    assert np.abs(dtraj.states[-1].u).max() < 0.5 * cfg.u_stop
+    assert dtraj.states[-1].t < traj.states[-1].t - 0.03
+
+
 def test_joint_run_shares_one_scale_factor():
     # the paper rescales the primal and its dual by one factor: carried in
     # the primal's lambda, the dual's w = u*/lambda tends to the slice -1 as
