@@ -284,10 +284,11 @@ def _execute_run(man: RunManifest, out_dir: Path) -> int:
         for i, j in enumerate([0] + dtraj.landed):
             duals[i] = dtraj.states[j]
     eps = pinching_epsilon(traj.states[0].geometry, cfg.n)
-    records, snaps = [], []
+    records = compute_record(traj.states, duals,
+                             [_theta_of(s.t, traj.T_star_estimate) for s in traj.states],
+                             epsilon=eps, sigma=man.sigma)
+    snaps = []
     for s, d in zip(traj.states, duals):
-        records.append(compute_record(s, d, Theta=_theta_of(s.t, traj.T_star_estimate),
-                                      epsilon=eps, sigma=man.sigma))
         primal, dual = (s, d) if s.eps > 0 else (None, s)
         snaps.append((s.t, *(None if x is None else x.u for x in (primal, dual))))
     write_outputs(out_dir, state0.grid, records, snaps)

@@ -1,7 +1,8 @@
 """Per-state monitors: preserved inequalities, decay functionals, rate fits.
 
 Every recorded flow state, primal or dual, is condensed by one function,
-compute_record, into one DiagnosticsRecord whose fields track the
+compute_record, which takes a run's states at once, into one
+DiagnosticsRecord whose fields track the
 quantities the theory keeps under control: the curvature pinch ratio,
 the horoconvexity margin, the pinching-tensor minimum, the oscillation
 of the rescaled speed, the roundness functional f_sigma, inradius and
@@ -93,21 +94,34 @@ def _f_sigma(geo: GraphGeometry, sigma: float):
     return gap, geo.F_value ** (-(2.0 - sigma)) * gap
 
 
-def compute_record(state, dual=None, Theta: float = math.nan,
-                   epsilon: float = 0.0, sigma: float = 0.1) -> DiagnosticsRecord:
-    """Condense one FlowState of either side into a DiagnosticsRecord.
+def compute_record(states, duals=None, Thetas=None,
+                   epsilon: float = 0.0, sigma: float = 0.1) -> list:
+    """Condense a sequence of FlowStates of either side into one
+    DiagnosticsRecord per state.
 
-    The side is the state's eps: +1 primal, -1 dual.  The curvature
-    monitors read the state's own geometry, on its own grid.  Theta
-    is the barrier radius at the state's time (NaN when no extinction
-    estimate exists yet); epsilon is the run-constant pinching weight
-    from pinching_epsilon at t = 0.  dual is the primal state's matched
-    dual (a dual state or graph; its u is read): with it the duality
-    error, the worst of the three dual-map identities re-verified at this
-    instant, and w = u*/Theta are populated.  A dual state is its own w; its
-    hyperbolic-only fields (horoconvexity, pinching tensor, inball
-    radii, duality error, f_sigma norms) stay NaN.
+    The side of a state is its eps: +1 primal, -1 dual.  The curvature
+    monitors read the state's own geometry, on its own grid.  Thetas
+    holds the barrier radius at each state's time (NaN when no extinction
+    estimate exists yet; all NaN when omitted); epsilon is the
+    run-constant pinching weight from pinching_epsilon at t = 0.  duals
+    holds each primal state's matched dual (a dual state or graph whose u
+    is read, or None; all None when omitted): with it the duality error,
+    the worst of the three dual-map identities re-verified at this
+    instant, and w = u*/Theta are populated.  A dual state is its own w;
+    its hyperbolic-only fields (horoconvexity, pinching tensor, inball
+    radii, duality error, f_sigma norms) stay NaN.  The inball radii of
+    all primal states come from one stacked inradius_circumradius call.
     """
+    states = list(states)
+    duals = [None] * len(states) if duals is None else duals
+    Thetas = [math.nan] * len(states) if Thetas is None else Thetas
+    inballs = iter(inradius_circumradius([s for s in states if s.eps > 0]))
+    return [_record(s, d, Theta, epsilon, sigma, next(inballs) if s.eps > 0 else None)
+            for s, d, Theta in zip(states, duals, Thetas, strict=True)]
+
+
+def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> DiagnosticsRecord:
+    """compute_record of one state, its inball search done (None for a dual state)."""
     geo, grid = state.geometry, state.grid
     n = geo.kappa.shape[1]
     k_min = geo.kappa.min(axis=1)
@@ -123,7 +137,6 @@ def compute_record(state, dual=None, Theta: float = math.nan,
     if primal:
         horo = float(k_min.min() - 1.0)
         pinching_T = float((k_min - 1.0 - epsilon * (geo.H - n)).min())
-        inball = inradius_circumradius(state)
         rho_minus, rho_plus = inball.rho_minus, inball.rho_plus
         if dual is not None:
             duality_err = verify_duality(gauss_dual(state)).worst()

@@ -143,10 +143,11 @@ def verify_duality(pair: DualPair) -> DualityReport:
             - kt[:, 1] * ct_us * ct_us * np.sin(pair.matching) ** 2
         )
         h_mis = np.maximum(h_mis, h_ang_mis)
-    both = np.stack([g.u, us])
-    _, (u_max, us_max) = refine_extremum(grid, both, "max")
-    _, (u_min, us_min) = refine_extremum(grid, both, "min")
-    rel = max(abs(u_max + us_min), abs(u_min + us_max))
+    # a minimum is minus the maximum of the negated profile, bit for bit, so
+    # all four extrema come from one refine call
+    _, (u_max, us_max, neg_u_min, neg_us_min) = refine_extremum(
+        grid, np.stack([g.u, us, -g.u, -us]), "max")
+    rel = max(abs(u_max - neg_us_min), abs(us_max - neg_u_min))
     return DualityReport(
         max_kappa_product_error=float(prod_err.max()),
         max_h_mismatch=float(h_mis.max()),

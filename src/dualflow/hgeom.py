@@ -266,16 +266,69 @@ class InballResult:
 # points per scan of the axis offset, and per dense scan once a coarse scan
 # is not unimodal; the zoom ends when the offset bracket is below _TOL
 _SCAN, _DENSE, _TOL = 41, 2001, 1e-9
+# doubles in one stacked distance array: a block of states scans together
+# as long as its (states, 2 sides, _SCAN offsets, m nodes) array fits
+_BLOCK = 1 << 15
 
 
-def _distance_profile(g: Graph, s) -> np.ndarray:
-    """Geodesic distances (S, m) from the axis points at offsets s (S,) to every node."""
-    s = np.asarray(s, dtype=float)[:, None]
-    coshd = np.cosh(g.u) * np.cosh(s) - np.sinh(g.u) * np.cos(g.grid.theta) * np.sinh(s)
+def _distance_profile(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Geodesic distances (S, K, m) from the axis points at offsets s (S, K)
+    to every node of the profiles u (S, m)."""
+    s, u = s[..., None], u[:, None, :]
+    coshd = np.cosh(u) * np.cosh(s) - np.sinh(u) * np.cos(grid.theta) * np.sinh(s)
     return np.arccosh(np.clip(coshd, 1.0, None))
 
 
-def inradius_circumradius(g: Graph) -> InballResult:
+def _score(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Least distance (side 0) and minus the largest (side 1) from the
+    offsets s (S, 2, K) to the profiles u (S, m), both to be maximized, in
+    one refine call."""
+    S, _, K = s.shape
+    d = _distance_profile(grid, u, s.reshape(S, 2 * K)).reshape(S, 2, K, grid.m)
+    d[:, 1] *= -1.0
+    return refine_extremum(grid, d.reshape(-1, grid.m), "min")[1].reshape(S, 2, K)
+
+
+def _bracket(s: np.ndarray, f: np.ndarray):
+    """Per state and side of scans s, f (S, 2, K): the best score, its
+    offset, and the offsets of its two neighbours (clamped at the ends)."""
+    k = np.argmax(f, axis=-1)[..., None]
+    top = s.shape[-1] - 1
+    return [np.take_along_axis(x, j, -1)[..., 0]
+            for x, j in ((f, k), (s, k), (s, np.maximum(k - 1, 0)), (s, np.minimum(k + 1, top)))]
+
+
+def _inball_block(grid: SphereGrid, u: np.ndarray) -> list:
+    """inradius_circumradius of the profiles u (S, m), all zooming together."""
+    j_pi = int(np.argmin(np.abs(grid.theta - math.pi)))
+    lo, hi = 1e-9 - u[:, j_pi], u[:, 0] - 1e-9
+    s = np.linspace(lo, hi, _SCAN, axis=-1)[:, None, :] + np.zeros((1, 2, 1))
+    f = _score(grid, u, s)
+    rise = np.diff(f, axis=-1)
+    fallback = ~np.where(np.arange(_SCAN - 1) < np.argmax(f, axis=-1)[..., None],
+                         rise >= -1e-7, rise <= 1e-7).all(axis=(1, 2))
+    best, at, a, b = _bracket(s, f)
+    for i in np.flatnonzero(fallback):
+        sd = np.linspace(lo[i], hi[i], _DENSE) + np.zeros((1, 2, 1))
+        for x, y in zip((best, at, a, b), _bracket(sd, _score(grid, u[i:i + 1], sd))):
+            x[i] = y[0]
+    out = [None] * len(u)
+    live = np.arange(len(u))
+    while True:
+        # each state stops on its own bracket, both sides together
+        done = (b - a).max(axis=1) <= _TOL
+        for j in np.flatnonzero(done):
+            out[live[j]] = InballResult(rho_minus=float(best[j, 0]), rho_plus=float(-best[j, 1]),
+                                        center_offset=float(at[j, 0]),
+                                        dense_fallback=bool(fallback[live[j]]))
+        if done.all():
+            return out
+        live, a, b = live[~done], a[~done], b[~done]
+        s = a[..., None] + (b - a)[..., None] * np.linspace(0.0, 1.0, _SCAN)
+        best, at, a, b = _bracket(s, _score(grid, u[live], s))
+
+
+def inradius_circumradius(g):
     """Largest inscribed and smallest enclosing balls centered on the axis.
 
     The inradius maximizes over the axis offset the least distance to the
@@ -286,33 +339,21 @@ def inradius_circumradius(g: Graph) -> InballResult:
     around its best point per round, until the bracket is below _TOL.
     dense_fallback flags that a side's coarse scan was not unimodal; a
     _DENSE-point scan then picks the basins before the zoom.
+
+    g is one graph (or state), which gives one InballResult, or a sequence
+    of them on one grid, which gives a list.  A sequence is searched in
+    blocks of states that scan and zoom together, one refine call per
+    round, as many as keep a stacked distance array within _BLOCK doubles;
+    a state leaves the zoom on its own bracket, so each result is the one
+    its state gets alone.  A state whose coarse scan is not unimodal takes
+    its dense scan alone.
     """
-    grid = g.grid
-    j_pi = int(np.argmin(np.abs(grid.theta - math.pi)))
-    lo, hi = 1e-9 - float(g.u[j_pi]), float(g.u[0]) - 1e-9
-
-    def score(s):
-        # least distance (row 0) and minus the largest (row 1) from the
-        # offsets s (2, S), both to be maximized, in one refine call
-        d = _distance_profile(g, s.ravel()).reshape(2, s.shape[1], grid.m)
-        d[1] *= -1.0
-        return refine_extremum(grid, d.reshape(-1, grid.m), "min")[1].reshape(2, -1)
-
-    s = np.linspace(lo, hi, _SCAN) + np.zeros((2, 1))
-    f = score(s)
-    rise = np.diff(f, axis=1)
-    fallback = not np.where(np.arange(_SCAN - 1) < np.argmax(f, axis=1)[:, None],
-                            rise >= -1e-7, rise <= 1e-7).all()
-    if fallback:
-        s = np.linspace(lo, hi, _DENSE) + np.zeros((2, 1))
-        f = score(s)
-    sides = np.arange(2)
-    while True:
-        k = np.argmax(f, axis=1)
-        a, b = s[sides, np.maximum(k - 1, 0)], s[sides, np.minimum(k + 1, s.shape[1] - 1)]
-        if (b - a).max() <= _TOL:
-            break
-        s = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, _SCAN)
-        f = score(s)
-    return InballResult(rho_minus=float(f[0, k[0]]), rho_plus=float(-f[1, k[1]]),
-                        center_offset=float(s[0, k[0]]), dense_fallback=fallback)
+    one = hasattr(g, "grid")
+    gs = [g] if one else list(g)
+    if not gs:
+        return []
+    grid = gs[0].grid
+    u = np.stack([x.u for x in gs])
+    size = max(1, _BLOCK // (2 * _SCAN * grid.m))
+    out = [r for i in range(0, len(u), size) for r in _inball_block(grid, u[i:i + size])]
+    return out[0] if one else out

@@ -273,6 +273,62 @@ def resample_monotone(x, y, xq) -> np.ndarray:
 # maps five samples to the rising-power coefficients of their quartic
 _QUARTIC_24 = np.array([[0, 0, 24, 0, 0], [2, -16, 0, 16, -2], [-1, 16, -30, 16, -1],
                         [-2, 4, 0, -4, 2], [1, -4, 6, -4, 1]], dtype=float)
+_SIN60 = 0.5 * math.sqrt(3.0)
+# a cubic's coefficients over these are Blinn's A, B, C, D
+_THIRDS = np.array([[1.0], [3.0], [3.0], [1.0]])
+
+
+def _stationary_points(der: np.ndarray) -> np.ndarray:
+    """Real roots (N, 3) of the cubics der (N, 4), highest power first;
+    NaN fills the slots of complex roots and of roots a lower degree lacks.
+
+    A cubic A x^3 + 3B x^2 + 3C x + D takes Blinn's closed form ("How to
+    solve a cubic equation", IEEE CG&A 2006-07): Cardano for one real
+    root, the trigonometric form for three.  It runs on the cubic and on
+    its reverse D x^3 + 3C x^2 + 3B x + A at once; the first gives the
+    root of largest magnitude accurately, the second the smallest, so a
+    nearly vanishing leading or constant coefficient costs no accuracy,
+    and the middle root comes from the quadratic factor of those two.  A
+    row with an exact leading zero takes the stable quadratic formula,
+    which is the linear one when the next coefficient is zero too (Kahan,
+    "To solve a real cubic equation", 1986).  Every root then gets one
+    Newton step on its cubic.  The sign of der is fixed first, so -der
+    has bitwise the roots of der.
+    """
+    k = (der * np.copysign(1.0, der[:, :1])).T
+    A, B, C, D = abcd = k / _THIRDS
+    # rows: the cubic's end (A, B, C), then its reverse's (D, C, B)
+    X, Y, Z = abcd[::3], abcd[1:3], abcd[2:0:-1]
+    Cb = X * Z - Y * Y
+    d2 = A * D - B * C
+    Db = X * d2 - 2.0 * Y * Cb
+    disc = 4.0 * Cb[0] * Cb[1] - d2 * d2
+    one = disc < 0.0
+    T0 = -np.copysign(np.abs(X) * np.sqrt(-disc), Db)
+    T1 = T0 - Db
+    p = np.cbrt(0.5 * T1)
+    q = np.where(T1 == T0, -p, -Cb / p)
+    cardano = np.where(Cb <= 0.0, p + q, -Db / (p * p + q * q + Cb))
+    th = np.abs(np.arctan2(X * np.sqrt(disc), -Db)) / 3.0
+    r, c = 2.0 * np.sqrt(-Cb), np.cos(th)
+    x1, x3 = r * c, r * (-0.5 * c - _SIN60 * np.sin(th))
+    # of the outer two roots of each end, the one farther from its shift
+    t = np.where(one, cardano, np.where(x1 + x3 > 2.0 * Y, x1, x3)) - Y
+    # the large root t0 / A, the small root D / t1, and the middle one of
+    # the quadratic factor (A x - t0)(t1 x - D) = E x^2 + F x + G
+    E, F, G = A * t[1], -t[0] * t[1] - A * D, t[0] * D
+    x = np.empty((3, len(der)))
+    x[0], x[1], x[2] = t[0] / A, D / t[1], (C * F - B * G) / (C * E - B * F)
+    # one real root: the large one when B^3 D >= A C^3, else the small one
+    small = one & (B * B * B * D < A * C * C * C)
+    x[0, small] = x[1, small]
+    x[1:, one] = np.nan
+    # an exact leading zero: the stable quadratic formula
+    quad = A == 0.0
+    qd = -0.5 * (k[2] + np.copysign(np.sqrt(k[2] * k[2] - 4.0 * k[1] * k[3]), k[2]))
+    x[0, quad], x[1, quad], x[2, quad] = (qd / k[1])[quad], (k[3] / qd)[quad], np.nan
+    step = (((k[0] * x + k[1]) * x + k[2]) * x + k[3]) / ((3.0 * k[0] * x + 2.0 * k[1]) * x + k[2])
+    return np.where(np.isfinite(step), x - step, x).T
 
 
 def _quartic_extremum(win: np.ndarray, want: float):
@@ -280,32 +336,25 @@ def _quartic_extremum(win: np.ndarray, want: float):
 
     Rows sit at the offsets (-2, -1, 0, 1, 2); want is +1 to seek a
     maximum, -1 a minimum.  The candidates are the center and the real
-    stationary points within 1.2 spacings of it; a derivative below
-    1e-13 (max |sample| + 1) is flat and leaves the center alone.
-    Returns the offsets and values of the best candidates.
+    stationary points within 1.2 spacings of it, in closed form
+    (_stationary_points); a derivative below 1e-13 (max |sample| + 1) is
+    flat and leaves the center alone.  Returns the offsets and values of
+    the best candidates.
     """
     coef = (win[:, None, :] * _QUARTIC_24).sum(axis=-1) / 24.0
     der = coef[:, :0:-1] * np.array([4.0, 3.0, 2.0, 1.0])
     live = np.abs(der).max(axis=1) > 1e-13 * (np.abs(win).max(axis=1) + 1.0)
     der[~live] = 0.0
-    # the stationary points are companion-matrix eigenvalues, as numpy's
-    # roots finds them; each exact leading zero of der shrinks the companion block
-    # by one, and the freed slots hold the root 8, outside any window
-    j = np.arange(3)
-    lead = (der == 0.0).cumprod(axis=1).sum(axis=1)
-    comp = np.zeros((len(win), 3, 3))
-    comp[:, j, j] = np.where(j < lead[:, None], 8.0, 0.0)
-    comp[:, j[1:], j[:-1]] = j[:-1] >= lead[:, None]
-    r = np.flatnonzero(lead < 3)
-    o = lead[r]
-    comp[r, o, :] = np.where(j >= o[:, None], -der[r, 1:] / der[r, o][:, None], 0.0)
-    roots = np.concatenate([np.zeros((len(win), 1)), np.linalg.eigvals(comp)], axis=1)
-    ok = (np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.2)
-    cand = roots.real
+    with np.errstate(all="ignore"):
+        roots = _stationary_points(der)
+    # a root out of reach, or missing (NaN), stands in as the center, which
+    # comes first and so wins the tie
+    cand = np.concatenate([np.zeros((len(win), 1)), np.where(np.abs(roots) <= 1.2, roots, 0.0)],
+                          axis=1)
     vals = np.zeros_like(cand)
     for c in coef[:, ::-1].T:
         vals = vals * cand + c[:, None]
-    best = np.argmax(np.where(ok, want * vals, -np.inf), axis=1)[:, None]
+    best = np.argmax(want * vals, axis=1)[:, None]
     return np.take_along_axis(cand, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]
 
 

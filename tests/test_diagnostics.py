@@ -40,7 +40,7 @@ def test_record_on_slice_is_umbilic():
     st = _sphere_state(grid, 0.8, F)
     eps = pinching_epsilon(st.geometry, 2)
     dual = gauss_dual(st).dual
-    rec = compute_record(st, dual=dual, Theta=0.8, epsilon=eps, sigma=0.1)
+    [rec] = compute_record([st], [dual], [0.8], epsilon=eps, sigma=0.1)
     coth = 1.0 / math.tanh(0.8)
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == 0.8
@@ -66,7 +66,7 @@ def test_record_without_dual_has_nan_w():
     grid = make_grid(2, 32)
     F = curvfn.make_function("mean", 2)
     st = _sphere_state(grid, 1.0, F)
-    rec = compute_record(st, Theta=1.0)
+    [rec] = compute_record([st], Thetas=[1.0])
     assert math.isnan(rec.duality_err)
     assert math.isnan(rec.w_min) and math.isnan(rec.w_max)
 
@@ -92,7 +92,7 @@ def test_dual_record_slice():
     F_dual = curvfn.invert(curvfn.make_function("mean", 2))
     u_star = np.full(48, -0.8)
     st = FlowState(0.0, u_star, grid, F_dual, -1.0)
-    rec = compute_record(st, Theta=0.8)
+    [rec] = compute_record([st], Thetas=[0.8])
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == -0.8
     assert rec.w_min == pytest.approx(-1.0, abs=1e-12)

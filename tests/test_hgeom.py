@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dualflow import hgeom
+from dualflow import curvfn, hgeom
+from dualflow.dualmap import gauss_dual
+from dualflow.flow import FlowConfig, FlowState, make_initial, run_both
 from dualflow.hgeom import (
     CausalityError,
     Graph,
@@ -131,40 +133,70 @@ def test_inball_perturbed_sphere_vs_dense_scan():
     assert not res.dense_fallback
 
 
-def test_inball_translated_sphere():
+def _translated_sphere(grid, R, s):
     # graph of a sphere of radius R centered at distance s along the axis,
     # from cosh R = cosh u cosh s - sinh u sinh s cos(theta)
+    A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
+    return np.arctanh(B / A) + np.arccosh(math.cosh(R) / np.sqrt(A * A - B * B))
+
+
+def test_inball_translated_sphere():
     R, s = 0.8, 0.25
     grid = make_grid(2, 128)
-    A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
-    C = np.sqrt(A * A - B * B)
-    u = np.arctanh(B / A) + np.arccosh(math.cosh(R) / C)
-    res = inradius_circumradius(Graph(grid, u))
+    res = inradius_circumradius(Graph(grid, _translated_sphere(grid, R, s)))
     assert res.rho_minus == pytest.approx(R, abs=1e-4)
     assert res.rho_plus == pytest.approx(R, abs=1e-4)
     assert res.center_offset == pytest.approx(s, abs=1e-4)
     assert not res.dense_fallback
 
 
-def test_inball_two_lobes_takes_dense_scan():
+def _two_lobes(t):
     # a non-convex body whose inball offset function peaks twice, at
     # s = +-0.306: the coarse scan is not unimodal
-    def prof(t):
-        t = np.asarray(t)
-        return 1.0 + 0.2 * np.cos(2 * t) - 0.35 * np.cos(4 * t)
+    t = np.asarray(t)
+    return 1.0 + 0.2 * np.cos(2 * t) - 0.35 * np.cos(4 * t)
 
+
+def test_inball_two_lobes_takes_dense_scan():
     grid = make_grid(2, 128)
-    res = inradius_circumradius(Graph(grid, prof(grid.theta)))
+    res = inradius_circumradius(Graph(grid, _two_lobes(grid.theta)))
     # the whole-range scan is off by about 5e-5 at its s spacing of 5.7e-4,
     # so each side is rescanned within 1e-3 of its scan optimum; that
     # rescan is itself good to about 7e-7
-    _, s_in, _, s_out = dense_inradius_scan(prof)
-    rm = dense_inradius_scan(prof, 8000, 1001, s_range=(s_in - 1e-3, s_in + 1e-3))[0]
-    rp = dense_inradius_scan(prof, 8000, 1001, s_range=(s_out - 1e-3, s_out + 1e-3))[2]
+    _, s_in, _, s_out = dense_inradius_scan(_two_lobes)
+    rm = dense_inradius_scan(_two_lobes, 8000, 1001, s_range=(s_in - 1e-3, s_in + 1e-3))[0]
+    rp = dense_inradius_scan(_two_lobes, 8000, 1001, s_range=(s_out - 1e-3, s_out + 1e-3))[2]
     assert res.dense_fallback
     assert res.rho_minus == pytest.approx(rm, abs=2e-6)
     assert res.rho_plus == pytest.approx(rp, abs=2e-6)
     assert abs(res.center_offset) == pytest.approx(abs(s_in), abs=1e-3)
+
+
+def test_stacked_inball_search_equals_one_state_search():
+    # the primal records of a sigma_k:2 both-mode run, with a sphere, a
+    # translated sphere and a two-lobe profile whose coarse scan is not
+    # unimodal mixed in, all on one m = 48 grid: the stacked search scans
+    # and zooms them in blocks, and each state must get bit for bit what it
+    # gets alone
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    grid = make_grid(2, 48)
+    F = curvfn.make_function(cfg.F, cfg.n)
+    state0 = FlowState(0.0, make_initial(cfg.initial, cfg.initial_params, grid), grid, F, 1.0)
+    traj, _ = run_both(cfg, state0, gauss_dual(state0).dual)
+    assert traj.failure is None and len(traj.states) == 40
+    gs = [Graph(grid, s.u) for s in traj.states]
+    gs[3:3] = [Graph(grid, np.full(48, 0.8))]
+    gs[17:17] = [Graph(grid, _two_lobes(grid.theta))]
+    gs.append(Graph(grid, _translated_sphere(grid, 0.8, 0.25)))
+    assert len(gs) > 2 * (hgeom._BLOCK // (2 * hgeom._SCAN * grid.m))
+    stacked = inradius_circumradius(gs)
+    assert len(stacked) == len(gs)
+    for g, res in zip(gs, stacked):
+        assert res == inradius_circumradius(g)
+    assert [res.dense_fallback for res in stacked].count(True) == 1
+    assert stacked[17].dense_fallback
+    assert inradius_circumradius([]) == []
 
 
 def test_nonconvex_flagged():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualflow.sphere_grid import (
@@ -282,6 +282,38 @@ def test_quartic_extremum_lower_degree_windows(a, b, c, want):
     # so the derivative drops to a line (or a constant, c = 0)
     d = np.arange(-2.0, 3.0)
     _agrees_with_reference(a + b * d + c * d * d, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(co=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+       small=st.floats(-12.0, -1.0), want=st.sampled_from([1.0, -1.0]))
+def test_quartic_extremum_near_quadratic_windows(co, small, want):
+    # smooth data at large m: the cubic and quartic terms of a window are a
+    # small multiple of its quadratic (4 c4 ~ h^4 u''''/6), here down to
+    # 1e-12, so the derivative is a cubic with a nearly vanishing lead
+    a, b, c, d, e = co
+    x = np.arange(-2.0, 3.0)
+    _agrees_with_reference(a + b * x + c * x * x + 10.0**small * (d * x**3 + e * x**4), want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(r=st.floats(-1.1, 1.1), s=st.floats(-1.1, 1.1), k=st.floats(0.1, 10.0),
+       sign=st.sampled_from([1.0, -1.0]), level=st.floats(-5.0, 5.0),
+       want=st.sampled_from([1.0, -1.0]))
+def test_quartic_extremum_double_stationary_point(r, s, k, sign, level, want):
+    # q' = k (x - r)^2 (x - s): a double stationary point at r, where q has
+    # an inflection, and an extremum at s.  Rounding shows the double root
+    # as two close real roots or as a complex pair, so windows where the
+    # inflection would beat the center are left out
+    assume(abs(r - s) > 0.05)
+    k *= sign
+
+    def q(x):
+        return level + k * (x**4 / 4.0 - (2.0 * r + s) * x**3 / 3.0
+                            + (r * r + 2.0 * r * s) * x * x / 2.0 - r * r * s * x)
+
+    assume(want * k < 0.0 or want * (q(r) - q(0.0)) < -1e-9)
+    _agrees_with_reference(q(np.arange(-2.0, 3.0)), want)
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, -3.5])
