@@ -77,6 +77,9 @@ _TOKEN = re.compile(
 
 
 def _parse_value(raw: str):
+    close = {'"': '"', "[": "]"}.get(raw[0])
+    if close and (len(raw) < 2 or raw[-1] != close):
+        raise ConfigError(f"unterminated value {raw!r}")
     if raw.startswith('"'):
         return raw[1:-1]
     try:

@@ -218,6 +218,12 @@ class CurvatureFunction:
         """value of a kappa block (or _Jet) the caller has checked, without _check."""
         return self._scale * self._raw_value(kappa)
 
+    def _side_value(self, kappa, eps: float):
+        """F(kappa^eps)^eps, the speed of side eps, on a checked kappa block (or
+        _Jet): F on the primal side, 1 / F(1 / kappa) on the dual side, as the
+        Gauss map sends each principal curvature to its reciprocal."""
+        return self._value(kappa) if eps > 0 else 1.0 / self._value(1.0 / kappa)
+
     def gradient(self, kappa):
         return self._value(_Jet.of(self._check(kappa))).g
 
@@ -289,7 +295,7 @@ class CompleteSymmetric(CurvatureFunction):
 
 
 class InverseOf(CurvatureFunction):
-    """F~(kappa) = 1 / F(1/kappa), the speed of the dual expanding flow."""
+    """F~(kappa) = 1 / F(1/kappa), F's dual-side speed as a speed of its own."""
 
     def __init__(self, inner: CurvatureFunction):
         if not isinstance(inner, CurvatureFunction):
@@ -298,7 +304,7 @@ class InverseOf(CurvatureFunction):
         super().__init__(inner.n, f"inverse:{inner.name}")
 
     def _raw_value(self, kappa):
-        return 1.0 / self.inner._value(1.0 / kappa)
+        return self.inner._side_value(kappa, -1.0)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Time integration of the contracting flow and its de Sitter dual.
 
 The primal evolution moves a convex hypersurface along its exterior
-normal with speed F(kappa); in graph form du/dt = -F v.  The dual
-surface of normals expands, in the switched convention du*/dt =
-+v~ / F~(kappa~), rising toward the equatorial slice.  Both flows run
-through one driver and one implicit Radau IIA integrator (three stages,
-order five, adaptive steps), parametrized by the sign eps (+1 primal,
--1 dual) of hgeom._kappa.  The discretized flows are stiff: an explicit
-step is bounded by the grid spacing squared, an implicit one by
-accuracy alone, so the step count does not grow with m.  Newton takes
-one of two paths: above m = 64 in flow time its matrices are the band
-of the stencils' reach, factored in O(m) with no m x m array; otherwise
-they are dense and inverted outright.  Once a run has no target time
-left and no stop time, the same integrator switches to the paper's
-rescaled variables: u~ = u / lambda in tau = -ln lambda (counted from
-the switch), lambda the area mean of |u|, plus the running
+normal with speed F(kappa); in graph form du/dt = -F v.  The Gauss map
+sends each curvature to its reciprocal, so the dual surface of normals
+expands by the same F under the sign flip F(kappa^eps)^eps, eps = -1:
+du*/dt = +v~ / F(kappa~^-1)^-1 in the switched convention, rising toward
+the equatorial slice.  The side is eps alone; F is the run's one speed.
+Both flows run through one driver and one implicit Radau IIA integrator
+(three stages, order five, adaptive steps).  The discretized flows are
+stiff: an explicit step is bounded by the grid spacing squared, an
+implicit one by accuracy alone, so the step count does not grow with m.
+Newton takes one of two paths: above m = 64 in flow time its matrices
+are the band of the stencils' reach, factored in O(m) with no m x m
+array; otherwise they are dense and held as inverses.  Once a run has
+no target time left and no stop time, the same integrator switches to
+the paper's rescaled variables: u~ = u / lambda in tau = -ln lambda
+(counted from the switch), lambda the area mean of |u|, plus the running
 extinction-time estimate E = t + ln cosh lambda.  A shrinking sphere is
 a fixed point there, so the steps no longer crowd at extinction.  A
 primal run to extinction can carry its dual in the same vector, rescaled
@@ -22,10 +23,10 @@ by the primal's lambda (run_both): the two take one step sequence in
 the primal's tau, and each Newton solve is block lower triangular.  Each
 Newton iteration and each Jacobian is one call of the masked rhs kernel
 on a stack of trial states; a trial row reports failure by NaN.  Every
-state of either flow is a FlowState that carries its side and builds
-its GraphGeometry on first read.  Geodesic spheres solve the primal
-flow in closed form and serve as the exact reference and as
-extinction-time barriers.
+state of either flow is a FlowState that carries the run's F and its
+side eps, and builds its GraphGeometry on first read.  Geodesic spheres
+solve the primal flow in closed form and serve as the exact reference
+and as extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import curvfn
 from .curvfn import CurvatureFunction, make_function
 from .hgeom import CausalityError, Graph, GraphGeometry, _kappa, geometry_of
 from .sphere_grid import SphereGrid, make_grid, resample_monotone
@@ -109,10 +109,11 @@ class FlowState:
     """One state of either flow and the side it was integrated on.
 
     u is the stored profile: the radius u > 0 of a primal state, the
-    eigentime u* < 0 of a dual one.  The side is the grid, the speed F
-    (the inverse speed on the dual side) and eps (+1 primal, -1 dual).
-    geometry, with the speed values, is built on first read and kept; it
-    raises as _geometry does for a profile the flow cannot continue from.
+    eigentime u* < 0 of a dual one.  F is the run's speed on both sides,
+    and eps alone is the side (+1 primal, -1 dual).  geometry, with the
+    values of the side's speed F(kappa^eps)^eps, is built on first read
+    and kept; it raises as _geometry does for a profile the flow cannot
+    continue from.
     """
 
     t: float
@@ -303,9 +304,9 @@ def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float)
 
 
 def _velocity(F_value: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
-    """Graph form of the normal speed: du/dt = -F v contracting the primal,
-    du*/dt = +v~ / F~ expanding the dual toward the equatorial slice (on
-    slices this reproduces d(-Theta)/dt = +coth Theta)."""
+    """Graph form of the normal speed, F_value the side's F(kappa^eps)^eps:
+    du/dt = -F v contracting the primal, du*/dt = +v~ / F~ expanding the dual
+    toward the equatorial slice (on slices d(-Theta)/dt = +coth Theta)."""
     return -F_value * v if eps > 0 else v / F_value
 
 
@@ -317,7 +318,7 @@ def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps: float, u: np.ndarra
         _, v, kappa = _kappa(grid, u, eps)
         ok = ((eps * u > 0.0).all(axis=-1)
               & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
-        F_value = F._value(np.where(ok[..., None, None], kappa, 1.0))
+        F_value = F._side_value(np.where(ok[..., None, None], kappa, 1.0), eps)
         return ok, np.where(ok[..., None], _velocity(F_value, v, eps), np.nan)
 
 
@@ -416,7 +417,7 @@ class _BandLU:
         return x
 
 
-# the largest m whose Newton matrices are inverted outright: one matrix
+# the largest m whose Newton matrices have their inverses formed: one matrix
 # product per solve then beats the band LU's Python row loop, and a step's
 # solves repay the O(m^3) inverses (README, "Time stepping")
 _DENSE_MAX_M = 64
@@ -459,10 +460,11 @@ class RadauIIA:
 
     It starts in flow time, x = t and y = u.  Its Jacobian is taken by
     forward differences on one of two paths.  The dense path perturbs one
-    column per row of the stack y + diag(delta) and inverts the Newton
-    matrices (_DenseInverse).  The band path, flow time above _DENSE_MAX_M,
-    perturbs one colour of columns per row, so one rhs call gives the band
-    of the stencils' reach (SphereGrid.band), and factors them (_BandLU).
+    column per row of the stack y + diag(delta) and keeps the inverses of
+    the Newton matrices (_DenseInverse).  The band path, flow time above
+    _DENSE_MAX_M, perturbs one colour of columns per row, so one rhs call
+    gives the band of the stencils' reach (SphereGrid.band), and factors
+    them (_BandLU).
 
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
@@ -532,7 +534,7 @@ class RadauIIA:
         parts = [y[..., :m] + f / q, np.full_like(q, -1.0), lam / q - lam * np.tanh(lam)]
         if self.dual is not None:  # the same rule for w, at the primal's lambda and q
             w = y[..., m + 2:]
-            ok_w, f_w = _masked_rhs(self.grid, self.dual.F, self.dual.eps, lam * w)
+            ok_w, f_w = _masked_rhs(self.grid, self.F, -self.eps, lam * w)
             ok, parts = ok & ok_w, parts + [w + f_w / q]
         return ok, np.concatenate(parts, axis=-1)
 
@@ -553,7 +555,7 @@ class RadauIIA:
             lam = np.exp(y[m:m + 1])
             t, u = float(y[m + 1]) - math.log(math.cosh(lam[0])), lam * y[:m]
             if dual is not None:
-                dual = FlowState(t, lam * y[m + 2:], self.grid, dual.F, dual.eps)
+                dual = FlowState(t, lam * y[m + 2:], self.grid, self.F, -self.eps)
         state = FlowState(t, u, self.grid, self.F, self.eps)
         if not ok:  # the geometries reject every row the mask does
             for s in filter(None, (state, dual)):
@@ -751,8 +753,8 @@ def step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowSt
 
 
 def dual_step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowState:
-    """One accepted Radau IIA step of the expanding dual flow under the
-    inverse speed (see RadauIIA.advance)."""
+    """One accepted Radau IIA step of the expanding dual flow (see
+    RadauIIA.advance)."""
     return solver.advance(state, cap)
 
 
@@ -901,11 +903,12 @@ def run_dual_flow(config: FlowConfig, initial, t_targets=(),
     """Integrate the expanding dual from a stored de Sitter graph (a Graph
     with eps = -1 or a dual state; its grid and u are read).
 
-    config.F names the PRIMAL speed; the dual runs under its inverse.
-    The states hold u* (also readable as state.u_star).
+    config.F names the run's speed F, the primal's; every state carries
+    it with eps = -1, so the dual moves by F(kappa^-1)^-1.  The states
+    hold u* (also readable as state.u_star).
     """
-    F_dual = curvfn.invert(make_function(config.F, config.n))
-    state = FlowState(0.0, initial.u, initial.grid, F_dual, -1.0)
+    F = make_function(config.F, config.n)
+    state = FlowState(0.0, initial.u, initial.grid, F, -1.0)
     return _drive(config, state, t_targets, t_stop)[0]
 
 
@@ -913,13 +916,14 @@ def run_both(config: FlowConfig, initial: FlowState, dual) -> tuple:
     """Integrate the contracting primal from its initial state to
     extinction and, in the same rescaled vector (RadauIIA), its dual from
     the stored de Sitter graph dual (a Graph with eps = -1 or a dual
-    state; its grid and u are read) under the inverse speed.
+    state; its grid and u are read).  The states of both sides carry the
+    primal's speed initial.F; the dual's have eps = -1.
 
     Returns the primal and the dual trajectory.  The dual's landed states
     pair the primal's records after the first, in order; see _drive for
     aborts.
     """
-    d0 = FlowState(initial.t, dual.u, dual.grid, curvfn.invert(initial.F), -1.0)
+    d0 = FlowState(initial.t, dual.u, dual.grid, initial.F, -1.0)
     return tuple(_drive(config, initial, (), None, d0))
 
 

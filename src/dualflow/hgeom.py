@@ -171,8 +171,9 @@ def geometry_of(g, F=None) -> GraphGeometry:
     g is anything with a grid, a profile u and a side eps (a Graph or a
     flow state); both sides go through _kappa.  Non-convex output is
     legal: callers read the convex flag.  When a curvature function F is
-    supplied its nodewise values are attached (F is only evaluated if
-    the graph is strictly convex).
+    supplied the nodewise values of its side's speed F(kappa^eps)^eps are
+    attached (only if the graph is strictly convex): F on a primal graph,
+    the dual speed 1 / F(1 / kappa) on a de Sitter graph.
     """
     slope, v, kappa = _kappa(g.grid, g.u, g.eps)
     convex = bool(np.all(kappa > 0.0))
@@ -183,7 +184,7 @@ def geometry_of(g, F=None) -> GraphGeometry:
         H=kappa.sum(axis=1),
         normA2=(kappa * kappa).sum(axis=1),
         convex=convex,
-        F_value=np.asarray(F.value(kappa)) if F is not None and convex else None,
+        F_value=F._side_value(F._check(kappa), g.eps) if F is not None and convex else None,
     )
 
 

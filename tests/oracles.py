@@ -395,41 +395,54 @@ def oracle_flow_step(u_func, speed_of_kappas, dt, thetas, n=2):
 # time-integration reference: explicit RK4 under the parabolic bound
 # ----------------------------------------------------------------------
 
+def _side_speed(grid, u, F, eps):
+    """Graph factor v, curvatures kappa and the values of F on them, of the
+    profile u on side eps.  F is the side's speed as a plain function of that
+    side's curvatures: the primal speed, or on the dual side its inverse
+    curvfn.invert(F), so the reference never goes through the package's
+    F(kappa^eps)^eps rule."""
+    from dualflow.hgeom import _kappa
+
+    _, v, kappa = _kappa(grid, u, eps)
+    return v, kappa, np.asarray(F.value(kappa))
+
+
 def parabolic_dt(state, F, cfl, grid, eps=1.0):
     """Explicit step bound from the linearized diffusion coefficient.
 
     Primal: dt = cfl (h sinh u_min)^2 / max_nodes(sum_i F_i).  Dual: the
     coefficient is sum_i F~_i / (F~^2 v~^2 cosh^2 u*), hence
     dt = cfl (h min(v~ cosh u*))^2 / max(sum_i F~_i / F~^2).
+    F is the side's speed, as in _side_speed.
     """
-    geo = state.geometry
-    grad = np.asarray(F.gradient(geo.kappa)).sum(axis=-1)
+    v, kappa, F_value = _side_speed(grid, state.u, F, eps)
+    grad = np.asarray(F.gradient(kappa)).sum(axis=-1)
     if eps > 0:
         return cfl * (grid.h * math.sinh(state.u.min())) ** 2 / grad.max()
-    S = (grad / (geo.F_value * geo.F_value)).max()
-    return cfl * (grid.h * (geo.v * np.cosh(state.u)).min()) ** 2 / S
+    S = (grad / (F_value * F_value)).max()
+    return cfl * (grid.h * (v * np.cosh(state.u)).min()) ** 2 / S
 
 
 def rk4_step(state, F, cfl, grid, dt_cap=None, eps=1.0):
     """One classical RK4 step of either flow (eps = +1 primal, -1 dual) on
-    the package's own rhs, with the parabolic step bound, snapped onto
-    dt_cap when the bound reaches it.  The reference the implicit
-    integrator is held to: a different time discretization of the same
-    semi-discrete system."""
-    from dualflow.flow import FlowState, _geometry, _velocity
+    the package's own curvatures, with the parabolic step bound, snapped
+    onto dt_cap when the bound reaches it.  F is the side's speed, as in
+    _side_speed, and the graph velocity is -F v on the primal side and
+    v / F~ on the dual side.  The reference the implicit integrator is
+    held to: a different time discretization of the same semi-discrete
+    system."""
+    from dualflow.flow import FlowState
 
     dt = parabolic_dt(state, F, cfl, grid, eps)
     if dt_cap is not None and dt > dt_cap - 1e-13:
         dt = dt_cap
 
-    def velocity(geo):
-        return _velocity(geo.F_value, geo.v, eps)
-
     def rhs(u):
-        return velocity(_geometry(grid, u, F, eps))
+        v, _, F_value = _side_speed(grid, u, F, eps)
+        return -F_value * v if eps > 0 else v / F_value
 
     u = state.u
-    k1 = velocity(state.geometry)
+    k1 = rhs(u)
     k2 = rhs(u + 0.5 * dt * k1)
     k3 = rhs(u + 0.5 * dt * k2)
     k4 = rhs(u + dt * k3)

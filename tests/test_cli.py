@@ -127,6 +127,14 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" u_stop=inf', "parameter out of range"),
         ('F="mean" n=2 m=64 initial="sphere" initial.params=[nan]', "parameter out of range"),
         ('F="mean" n=2 m=64 initial="sphere" initial.params=[inf]', "parameter out of range"),
+        # an unterminated quote or bracket is an error, not a value one
+        # character short
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[1.25', "unterminated value"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[1.0,0.1,2.25',
+         "unterminated value"),
+        ('F="mean" n=2 m=64 initial="sphere" out="runs/abc', "unterminated value"),
+        ('F="mean" n=2 m=64 initial="sphere" out="', "unterminated value"),
+        ('F="mean" n=2 m=64 initial="sphere" mode="both', "unterminated value"),
     ],
 )
 def test_parse_rejections(text, fragment):

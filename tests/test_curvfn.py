@@ -285,6 +285,33 @@ def test_row_value_is_its_block_row(n, rows, seed):
             assert F.value(k) == block[i], (name, k)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), rows=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_side_value_is_the_inverse_speed_on_the_dual_side(n, rows, seed):
+    # F(kappa^eps)^eps is F on the primal side and 1 / F(1 / kappa) on the
+    # dual side; there it is the value of curvfn.invert(F), bit for bit
+    # where the inverse's normalization is exactly one, within 2 ulp where
+    # it rounds
+    kappa = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, size=(rows, n)))
+    for name in curvfn.builtin_battery(n):
+        F = make_function(name, n)
+        Fd = invert(F)
+        assert np.array_equal(F._side_value(kappa, 1.0), F.value(kappa))
+        side = F._side_value(kappa, -1.0)
+        assert np.array_equal(side, 1.0 / F.value(1.0 / kappa)), name
+        rows_side = np.array([F._side_value(k[None], -1.0)[0] for k in kappa])
+        ref = Fd.value(kappa)
+        row_ref = np.array([Fd.value(k) for k in kappa])
+        if Fd._scale == 1.0:
+            assert np.array_equal(side, ref), name
+            assert np.array_equal(rows_side, row_ref), name
+        else:
+            assert (n, name) == (3, "geom:0.5,0.25,0.25")
+            tol = 2.0 * np.finfo(float).eps
+            assert np.all(np.abs(side - ref) <= tol * np.abs(ref)), name
+            assert np.all(np.abs(rows_side - row_ref) <= tol * np.abs(row_ref)), name
+
+
 def test_elementary_symmetric_brute():
     assert elementary_symmetric([1.0, 2.0, 3.0], 2) == pytest.approx(11.0, abs=1e-13)
     assert elementary_symmetric([0.3, 7.0], 0) == 1.0

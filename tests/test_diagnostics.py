@@ -89,9 +89,9 @@ def test_pinching_weight_feasible_at_start():
 
 def test_dual_record_slice():
     grid = make_grid(2, 48)
-    F_dual = curvfn.invert(curvfn.make_function("mean", 2))
+    F = curvfn.make_function("mean", 2)
     u_star = np.full(48, -0.8)
-    st = FlowState(0.0, u_star, grid, F_dual, -1.0)
+    st = FlowState(0.0, u_star, grid, F, -1.0)
     [rec] = compute_record([st], Thetas=[0.8])
     assert rec.pinch_ratio == 1.0
     assert rec.u_min == rec.u_max == -0.8

@@ -47,12 +47,11 @@ def _rhs(g, F, eps=1.0):
 def test_slice_rhs_mean():
     grid = make_grid(2, 48)
     F = curvfn.make_function("mean", 2)
-    F_dual = curvfn.invert(F)
     for r in (0.5, 1.3):
         rhs = _rhs(Graph(grid, np.full(48, r)), F)
         assert np.abs(rhs + 1.0 / math.tanh(r)).max() < 1e-12
         # the dual slice u* = -r rises at the same rate
-        rhs = _rhs(Graph(grid, np.full(48, -r), -1.0), F_dual, -1.0)
+        rhs = _rhs(Graph(grid, np.full(48, -r), -1.0), F, -1.0)
         assert np.abs(rhs - 1.0 / math.tanh(r)).max() < 1e-12
 
 
@@ -129,6 +128,10 @@ def test_step_preserves_spherical_symmetry():
     # m = 64 is not a multiple of 5, so the circle needs the extra colours;
     # RK4's own time error at cfl 0.2 is 5e-10 there
     (1, "mean", (1.0, 0.1, 3), 0.05),
+    # sigma_k:2 at n = 2 and mean at n = 1 are their own duals; the harmonic
+    # mean quotient:2:1 is not, so only here must the dual's speed be the
+    # inverse one
+    (2, "quotient:2:1", (1.0, 0.1, 2), 0.2),
 ])
 def test_flows_match_rk4_oracle(n, F_name, params, cfl):
     grid = make_grid(n, 64)
@@ -195,7 +198,6 @@ def test_rhs_stack_equals_rows(n, eps, seeds, amp):
     F = curvfn.make_function("sigma_k:2" if n == 2 else "power_mean:0.5", n)
     rows = [make_initial("random_fourier", (1.0, amp, 4), grid, seed=s) for s in seeds]
     if eps < 0:
-        F = curvfn.invert(F)
         rows = [gauss_dual(Graph(grid, u)).dual.u_star for u in rows]
     solver = RadauIIA(grid, F, eps)
     stack = np.array(rows)
@@ -223,10 +225,10 @@ def test_rhs_masks_inadmissible_rows():
     timelike = -0.2 - 4.5 * np.sin(grid.theta / 2.0) ** 2
     with pytest.raises(CausalityError):
         Graph(grid, timelike, -1.0)
-    for eps, F_side, stack, bad in (
-            (1.0, F, [good, nonconvex, crossed, 0.9 * good], [1, 2]),
-            (-1.0, curvfn.invert(F), [d_good, d_crossed, timelike, 0.9 * d_good], [1, 2])):
-        solver = RadauIIA(grid, F_side, eps)
+    for eps, stack, bad in (
+            (1.0, [good, nonconvex, crossed, 0.9 * good], [1, 2]),
+            (-1.0, [d_good, d_crossed, timelike, 0.9 * d_good], [1, 2])):
+        solver = RadauIIA(grid, F, eps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = solver._rhs(np.array(stack))
@@ -347,20 +349,19 @@ def test_accepted_state_raises_like_geometry():
          "graph is not spacelike: |D u_star| = 1.144059 at node 11"),
     )
     for eps, u, error, message in cases:
-        F_side = F if eps > 0 else curvfn.invert(F)
-        solver = RadauIIA(grid, F_side, eps)
+        solver = RadauIIA(grid, F, eps)
         with pytest.raises(error) as info:
             solver._accept(0.1, u)
         assert str(info.value) == message
         assert solver.rhs_evals == 1
         # a state of its side built directly raises the same on first read
         with pytest.raises(error) as info:
-            FlowState(0.1, u, grid, F_side, eps).geometry
+            FlowState(0.1, u, grid, F, eps).geometry
         assert str(info.value) == message
-    for eps, u, F_side in ((1.0, good, F), (-1.0, d_good, curvfn.invert(F))):
-        solver = RadauIIA(grid, F_side, eps)
+    for eps, u in ((1.0, good), (-1.0, d_good)):
+        solver = RadauIIA(grid, F, eps)
         state = solver._accept(0.1, u)
-        geo = _geometry(grid, u, F_side, eps)
+        geo = _geometry(grid, u, F, eps)
         assert np.array_equal(solver._f, _velocity(geo.F_value, geo.v, eps))
         assert state.t == 0.1 and state.u is u
 
@@ -386,11 +387,11 @@ def test_accepted_states_build_geometry_when_read(monkeypatch):
     dual = run_dual_flow(cfg, gauss_dual(traj.states[0]).dual,
                          t_stop=0.05)
     assert dual.failure is None
-    for states, eps, F_side in ((traj.states, 1.0, F), (dual.states, -1.0, curvfn.invert(F))):
+    for states, eps in ((traj.states, 1.0), (dual.states, -1.0)):
         for s in states:
             geo = s.geometry
             assert s.geometry is geo
-            ref = geometry_of(Graph(traj.grid, s.u, eps), F_side)
+            ref = geometry_of(Graph(traj.grid, s.u, eps), F)
             for f in dataclasses.fields(GraphGeometry):
                 assert np.array_equal(getattr(geo, f.name), getattr(ref, f.name)), f.name
 
@@ -517,6 +518,21 @@ CLI_BOTH = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
                       initial_params=(1.0, 0.1, 2))
 
 
+def test_states_carry_the_runs_speed():
+    # the side is eps alone: a dual state carries the run's speed object,
+    # not a second, inverse one, in a dual run and in a joint run
+    cfg = dataclasses.replace(CLI_BOTH, F="quotient:2:1", m=16)
+    state0, d0 = _joint_start(cfg)
+    dtraj = run_dual_flow(cfg, d0, t_stop=0.05)
+    F = dtraj.states[0].F
+    assert F.name == cfg.F and len(dtraj.states) > 1
+    assert all(s.F is F and s.eps == -1.0 for s in dtraj.states)
+    traj, dtraj = run_both(cfg, state0, d0)
+    assert traj.failure is None and dtraj.failure is None and len(dtraj.states) > 2
+    assert all(s.F is state0.F for s in traj.states + dtraj.states)
+    assert {s.eps for s in dtraj.states} == {-1.0}
+
+
 def test_joint_newton_matrix_is_block_triangular():
     # the primal rows of the joint vector never read w: perturbing w in a
     # stack moves no primal entry, and the Jacobian's w columns are zero
@@ -524,7 +540,7 @@ def test_joint_newton_matrix_is_block_triangular():
     state0, d0 = _joint_start(CLI_BOTH)
     m, k = CLI_BOTH.m, CLI_BOTH.m + 2
     solver = RadauIIA(state0.grid, state0.F, 1.0)
-    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, curvfn.invert(state0.F), -1.0))
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, state0.F, -1.0))
     y = solver._y
     assert y.shape == (2 * m + 2,)
     stack = np.tile(y, (4, 1))
@@ -546,15 +562,14 @@ def test_joint_jacobian_w_block_is_the_dual_flow_jacobian():
     cfg = dataclasses.replace(CLI_BOTH, initial_params=(2.0, 0.1, 2))
     state0, d0 = _joint_start(cfg)
     grid, m, k = state0.grid, cfg.m, cfg.m + 2
-    F_dual = curvfn.invert(state0.F)
     solver = RadauIIA(grid, state0.F, 1.0)
-    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, F_dual, -1.0))
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, state0.F, -1.0))
     y = solver._y
     lam = math.exp(y[m])
     assert abs(lam - 2.0) < 0.05
     _, f = flow._masked_rhs(grid, state0.F, 1.0, lam * y[:m])
     q = -grid.integrate(f) / grid.integrate(np.ones(m))
-    dual = RadauIIA(grid, F_dual, -1.0)
+    dual = RadauIIA(grid, state0.F, -1.0)
     u_star = lam * y[k:]
     dual._jacobian(u_star, dual._rhs(u_star))
     block = solver._jac[k:, k:]
