@@ -90,7 +90,9 @@ def _parse_value(raw: str):
             return int(raw)
         return float(raw)
     except ValueError:
-        raise ConfigError(f"cannot parse value {raw!r}; strings must be double-quoted")
+        hint = ("a list holds numbers separated by commas" if raw.startswith("[")
+                else "strings must be double-quoted")
+        raise ConfigError(f"cannot parse value {raw!r}; {hint}")
 
 
 def parse_config(text: str) -> RunManifest:
@@ -204,9 +206,9 @@ def _plain(x):
 
 
 def _write_json(path: Path, obj) -> None:
+    # json.dumps, unlike json.dump, takes the C encoder: the same bytes, faster
     with open(path, "w") as fh:
-        json.dump(_plain(obj), fh, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(_plain(obj), allow_nan=False) + "\n")
 
 
 def write_outputs(out_dir: Path, grid, records: list, snapshots: list) -> None:

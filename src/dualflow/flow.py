@@ -500,6 +500,7 @@ class RadauIIA:
         self._band_rows = colour[self._cols]
         self.rescaled = False
         self.rhs_evals = self.jac_evals = self.factorizations = 0
+        self.tile = True  # the driver's word: the cap of advance is a record
         self._state = None  # the state the carried data belong to
         self.dual = None  # the dual state carried beside the primal, if any
 
@@ -662,6 +663,7 @@ class RadauIIA:
         self.x, self._y, self._f = x, y, f
         self._jacobian(y, f)
         self._Z = self._h_old = self._err_old = None
+        self._ramp = True  # the controller grows h by _MAX_FACTOR from here
         scale = self._scale(np.abs(y))
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
@@ -672,19 +674,32 @@ class RadauIIA:
 
     def advance(self, state: FlowState, cap: float | None) -> FlowState:
         """One accepted step from state; a step that would reach x = cap (t,
-        or tau once rescaled) lands on it exactly.  A step below DT_MIN
-        raises StiffnessError, and an accepted state the flow cannot
-        continue from raises ConvexityError or CausalityError."""
+        or tau once rescaled) lands on it exactly.  With tile set, equal
+        steps no longer than the proposed h tile the way to the cap, so
+        landing is the last of them and keeps the factored Newton matrices,
+        which are refactored only when the step moves by more than 1e-9
+        relative.  The step is clipped to the cap instead without tile, and
+        during the controller's start-up ramp (before the first accepted
+        step, and while the last step's growth was capped at _MAX_FACTOR),
+        where tiling would change the steps of a sphere at its fixed point.
+        A step size below DT_MIN, or NaN, raises StiffnessError, and an
+        accepted state the flow cannot continue from raises ConvexityError
+        or CausalityError."""
         if state is not self._state:
             self._restart(state)
         x, y, f = self.x, self._y, self._f
         h, rejected = self.h, False
         while True:
-            if h < DT_MIN:
+            if not h >= DT_MIN:  # NaN too
                 raise StiffnessError(f"dt = {h:.3e} below {DT_MIN:.0e}")
             # DT_MIN bounds the controller's step: a short landing is not stiffness
             landing = cap is not None and h > cap - x - 1e-13
             h_try = cap - x if landing else h
+            if not landing and cap is not None and self.tile and not self._ramp:
+                # equal steps tile the way to the cap; the slack keeps the
+                # rounding of k equal steps from adding a sliver step
+                tiles = math.ceil((cap - x) / h - 1e-9)
+                h_try, landing = (cap - x) / tiles, tiles == 1
             if self._Z is None:
                 # rescaled, Euler's stages keep s exact, as Newton's Jacobian
                 # column for s holds only difference noise on a fixed point
@@ -694,7 +709,7 @@ class RadauIIA:
                 Z0 = (z[:, None] ** np.arange(1, 4)) @ (_P.T @ self._Z) - self._Z[-1]
             scale = self._scale(np.abs(y))
             while True:
-                if self._lu_h != h_try:
+                if self._lu_h is None or abs(h_try - self._lu_h) > 1e-9 * h_try:
                     self._factor(h_try)
                 converged, n_iter, Z, rate = self._newton(y, h_try, Z0, scale)
                 if converged or self._jac_current:
@@ -730,13 +745,14 @@ class RadauIIA:
             # and the rate test, led by the smooth modes, misses that while
             # they sit at rounding level: they would grow from step to step
             recompute_jac = n_iter > 2 and rate > 1e-3 or moved
-        factor = min(_MAX_FACTOR, safety * self._factor_of(h_try, err))
+        factor = safety * self._factor_of(h_try, err)
+        self._ramp = factor >= _MAX_FACTOR
+        factor = min(_MAX_FACTOR, factor)
         if not recompute_jac and factor < 1.2:
             factor = 1.0
         # the floor of _factor_of: an exact step (err = 0) must not zero the trend
         self._h_old, self._err_old, self._Z = h_try, max(err, 1e-16), Z
-        # a landing cut the step short; the controller's proposal still holds
-        self.h = max(h_try * factor, h) if landing else h_try * factor
+        self.h = h_try * factor
         if recompute_jac:
             self._jacobian(y_new, self._f)
         else:
@@ -770,19 +786,21 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
     along the way; returns its trajectory in a list, the dual's after it.
 
     The run starts in flow time and records there only the initial state
-    and the states of t_targets, which are landed on exactly (a step is
-    clipped, never enlarged); past u_stop the run goes on only to the last
-    target, if that is the one left, and an abort on the way there ends it
-    cleanly.  t_stop ends the run early at that flow time (it is landed on
-    exactly too).  Once no target is left and there is no t_stop, the
-    integrator switches to the rescaled variables (RadauIIA.enter_rescaled),
-    where a shrinking sphere is a fixed point: records then land on tau =
-    k record_every / 100 (tau counted from the switch), and the last step
-    lands just below max |u| = u_stop.  The final state is always recorded.
-    A surface extinguishing away from the origin can never shrink inside
-    the stop ball; once min |u| falls below a quarter of u_stop with max |u|
-    still above it the run aborts with failure "convexity" instead of
-    stalling.
+    and the states of t_targets, which are landed on exactly, by equal
+    steps that tile the way to each (RadauIIA.advance); past u_stop the
+    run goes on only to the last target, if that is the one left, and an
+    abort on the way there ends it cleanly.  t_stop ends the run early at
+    that flow time (it is landed on the same way).  Once no target is left
+    and there is no t_stop, the integrator switches to the rescaled
+    variables (RadauIIA.enter_rescaled), where a shrinking sphere is a
+    fixed point: records then land on tau = k record_every / 100 (tau
+    counted from the switch) by equal steps too, and the last step is
+    clipped to land just below max |u| = u_stop, an aim that moves every
+    step and is never tiled (solver.tile).  The final state is always
+    recorded.  A surface extinguishing away from the origin can never
+    shrink inside the stop ball; once min |u| falls below a quarter of
+    u_stop with max |u| still above it the run aborts with failure
+    "convexity" instead of stalling.
 
     dual, the dual state at the switch of a primal run (run_both), is
     carried in the rescaled vector from there on and recorded with each
@@ -819,9 +837,11 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
             if overrun:
                 break
             # max |u| shrinks like lambda = e^-tau up to the drift of u~; aim
-            # just below u_stop, so that the landed state ends the run
-            cap = min((k_tau + 1) * d_tau,
-                      solver.x + math.log(r_max / (config.u_stop * (1.0 - 1e-9))))
+            # just below u_stop, so that the landed state ends the run.  That
+            # aim moves every step, so the step is clipped to it, not tiled
+            stop = solver.x + math.log(r_max / (config.u_stop * (1.0 - 1e-9)))
+            cap = min((k_tau + 1) * d_tau, stop)
+            solver.tile = cap < stop
         else:
             while k_target < len(targets) and targets[k_target] <= state.t + 1e-15:
                 k_target += 1

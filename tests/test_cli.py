@@ -135,6 +135,13 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" out="runs/abc', "unterminated value"),
         ('F="mean" n=2 m=64 initial="sphere" out="', "unterminated value"),
         ('F="mean" n=2 m=64 initial="sphere" mode="both', "unterminated value"),
+        # a malformed list is told how to write a list
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[1.0 0.5]',
+         "numbers separated by commas"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[1.0,,0.5]',
+         "numbers separated by commas"),
+        ('F="mean" n=2 m=64 initial="sphere" initial.params=[1.0,]',
+         "numbers separated by commas"),
     ],
 )
 def test_parse_rejections(text, fragment):

@@ -18,6 +18,7 @@ from dualflow.flow import (
     FlowState,
     FlowTrajectory,
     RadauIIA,
+    StiffnessError,
     _BandLU,
     _DenseInverse,
     _geometry,
@@ -634,6 +635,80 @@ def test_joint_run_matches_separate_runs(cfg):
         assert np.abs(s.u - a.u).max() < 1e-10
     assert abs(traj.T_star_estimate - alone.T_star_estimate) < 1e-10
     assert abs(dtraj.T_star_estimate - landing.T_star_estimate) < 1e-10
+
+
+@pytest.mark.parametrize("m", [48, 128])
+def test_record_cadence_costs_few_factorizations(monkeypatch, m):
+    # equal steps tile the way to each record, so landing on one is a full
+    # step that keeps the factored Newton matrices: 40 records cost a few
+    # factorizations more than 2.  Measured 22 against 18 at m = 48 and 26
+    # against 18 at m = 128; clipping each landing step cost 87 and 92
+    cfg = dataclasses.replace(CLI_BOTH, m=m)
+    state0, d0 = _joint_start(cfg)
+    ends = run_both(dataclasses.replace(cfg, record_every=10**4), state0, d0)[0]
+    tau = {}  # the solver's tau at each accepted state, by the state's id
+    advance = RadauIIA.advance
+
+    def recorded(self, state, cap):
+        state = advance(self, state, cap)
+        tau[id(state)] = self.x
+        return state
+
+    monkeypatch.setattr(RadauIIA, "advance", recorded)
+    traj, dtraj = run_both(cfg, state0, d0)
+    assert traj.failure is None and dtraj.failure is None and len(ends.states) == 2
+    assert traj.factorizations <= ends.factorizations + 10
+    # the aim just below u_stop moves every step and is never tiled toward:
+    # 18 factorizations in 200 steps at m = 48, where tiling it took 199
+    assert ends.factorizations < 0.2 * ends.steps_taken
+    # every cadence record lands on tau = k record_every / 100 exactly
+    records = traj.states[1:-1]
+    d_tau = cfg.record_every / 100.0
+    assert len(records) > 30
+    assert [tau[id(s)] for s in records] == [k * d_tau for k in range(1, len(records) + 1)]
+
+
+def test_flow_time_targets_cost_few_factorizations():
+    # 20 targets on the way to t_stop cost a few factorizations more than
+    # t_stop alone: measured 9 against 8, where clipping each landing step
+    # cost 45 against 7; every target is landed on exactly
+    cfg = dataclasses.replace(CLI_BOTH, m=128, record_every=10**9)
+    targets = [k / 100 for k in range(1, 21)]
+    alone = run_flow(cfg, t_stop=0.2)
+    traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
+    assert alone.failure is None and traj.failure is None
+    assert traj.factorizations <= alone.factorizations + 4
+    assert [traj.states[i].t for i in traj.landed] == targets
+
+
+def test_start_up_ramp_takes_the_controllers_steps():
+    # a sphere is a fixed point of the rescaled variables, so h grows by the
+    # cap _MAX_FACTOR each step; those steps stay the controller's own, not
+    # tiles of the way to the record: tiling them moved the steps of the
+    # battery spheres and raised their worst closed-form error from 7.9e-15
+    # to 1.6e-14
+    grid = make_grid(2, 32)
+    state = FlowState(0.0, np.full(32, 1.0), grid, curvfn.make_function("sigma_k:2", 2), 1.0)
+    solver = RadauIIA(grid, state.F, 1.0)
+    solver.enter_rescaled(state)
+    own = []
+    while solver.x < 0.5:
+        x, h = solver.x, solver.h
+        state = solver.advance(state, 0.5)
+        own.append(solver.x == x + h)
+    assert own == [True] * 4 + [False] and solver.x == 0.5
+
+
+@pytest.mark.parametrize("cap", [None, 0.1])
+def test_nan_step_size_raises_stiffness(cap):
+    # NaN fails every comparison, so the guard must read "not h >= DT_MIN"
+    grid = make_grid(2, 32)
+    state = FlowState(0.0, np.full(32, 1.0), grid, curvfn.make_function("mean", 2), 1.0)
+    solver = RadauIIA(grid, state.F, 1.0)
+    solver._restart(state)
+    solver.h = math.nan
+    with pytest.raises(StiffnessError):
+        solver.advance(state, cap)
 
 
 def test_run_flow_sphere_tracks_closed_form():
