@@ -17,7 +17,7 @@ numeric constants.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,7 @@ C_GRID = 5.0
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One CSV row of monitors plus two integral extras kept off the CSV."""
+    """One CSV row of monitors."""
 
     t: float
     tau: float
@@ -62,16 +62,14 @@ class DiagnosticsRecord:
     duality_err: float
     w_min: float
     w_max: float
-    f_sigma_L2: float = math.nan
-    f_sigma_L8: float = math.nan
 
     def as_row(self) -> list:
         return [getattr(self, name) for name in CSV_FIELDS]
 
 
-# the CSV columns are the record fields without a default, in order; the
-# column order is frozen, downstream CSV consumers index by name
-CSV_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord) if f.default is MISSING)
+# the CSV columns are the record fields, in order; the column order is
+# frozen, downstream CSV consumers index by name
+CSV_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def pinching_epsilon(geo: GraphGeometry, n: int) -> float:
@@ -109,8 +107,8 @@ def compute_record(states, duals=None, Thetas=None,
     the worst of the three dual-map identities re-verified at this
     instant, and w = u*/Theta are populated.  A dual state is its own w;
     its hyperbolic-only fields (horoconvexity, pinching tensor, inball
-    radii, duality error, f_sigma norms) stay NaN.  The inball radii of
-    all primal states come from one stacked inradius_circumradius call.
+    radii, duality error) stay NaN.  The inball radii of all primal
+    states come from one stacked inradius_circumradius call.
     """
     states = list(states)
     duals = [None] * len(states) if duals is None else duals
@@ -122,7 +120,7 @@ def compute_record(states, duals=None, Thetas=None,
 
 def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> DiagnosticsRecord:
     """compute_record of one state, its inball search done (None for a dual state)."""
-    geo, grid = state.geometry, state.grid
+    geo = state.geometry
     n = geo.kappa.shape[1]
     k_min = geo.kappa.min(axis=1)
     k_max = geo.kappa.max(axis=1)
@@ -130,7 +128,7 @@ def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> 
     F_tilde = geo.F_value * Theta
     primal = state.eps > 0
     dual = dual if primal else state
-    horo = pinching_T = rho_minus = rho_plus = duality_err = l2 = l8 = w_min = w_max = math.nan
+    horo = pinching_T = rho_minus = rho_plus = duality_err = w_min = w_max = math.nan
     if dual is not None:
         w = dual.u / Theta
         w_min, w_max = float(w.min()), float(w.max())
@@ -140,11 +138,6 @@ def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> 
         rho_minus, rho_plus = inball.rho_minus, inball.rho_plus
         if dual is not None:
             duality_err = verify_duality(gauss_dual(state)).worst()
-        # weight for surface integrals of the graph: v sinh^n(u) against the
-        # grid's sin^(n-1) measure
-        area_w = geo.v * np.sinh(state.u) ** n
-        l2 = float(max(grid.integrate(f_sig**2 * area_w), 0.0) ** 0.5)
-        l8 = float(max(grid.integrate(f_sig**8 * area_w), 0.0) ** 0.125)
     return DiagnosticsRecord(
         t=float(state.t),
         tau=float(-math.log(Theta)) if Theta > 0.0 else math.nan,
@@ -161,8 +154,6 @@ def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> 
         duality_err=duality_err,
         w_min=w_min,
         w_max=w_max,
-        f_sigma_L2=l2,
-        f_sigma_L8=l8,
     )
 
 

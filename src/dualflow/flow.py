@@ -40,7 +40,7 @@ import numpy as np
 
 from .curvfn import CurvatureFunction, make_function
 from .hgeom import CausalityError, Graph, GraphGeometry, _kappa, geometry_of
-from .sphere_grid import SphereGrid, make_grid, resample_monotone
+from .sphere_grid import SphereGrid, make_grid
 
 __all__ = [
     "ConvexityError",
@@ -98,6 +98,8 @@ class FlowConfig:
             raise ValueError("u_stop must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         params = tuple(float(p) for p in self.initial_params)
         if not all(math.isfinite(p) for p in params):
             raise ValueError(f"initial parameters must be finite, got {params!r}")
@@ -203,28 +205,14 @@ def _sphere_theta(t, T_star: float):
 # ----------------------------------------------------------------------
 
 def _ellipsoid_profile(grid: SphereGrid, a: float, b: float) -> np.ndarray:
-    """Beltrami preimage of the ellipsoid with Euclidean semi-axes (a, b).
-
-    Built from the Euclidean support function h(p) = sqrt(b^2 cos^2 p +
-    a^2 sin^2 p) (p the normal angle from the axis, b the on-axis
-    semi-axis): the boundary point is h p^ + h' p^perp, re-read as a
-    radial graph and lifted by u = artanh r.  Keeping a, b < 1 keeps
+    """Beltrami preimage of the ellipsoid with Euclidean semi-axes (a, b),
+    b on the axis: its radial function r = 1 / |(cos theta / b, sin theta
+    / a)| at the nodes, lifted by u = artanh r.  Keeping a, b < 1 keeps
     the body inside the Beltrami ball.
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ValueError("ellipsoid semi-axes must lie in (0, 1)")
-    top = 2.0 * math.pi if grid.cyclic else math.pi
-    p = np.linspace(-0.3, top + 0.3, 8 * grid.m)
-    hs = np.sqrt(b * b * np.cos(p) ** 2 + a * a * np.sin(p) ** 2)
-    hs_p = (a * a - b * b) * np.sin(p) * np.cos(p) / hs
-    x_axis = hs * np.cos(p) - hs_p * np.sin(p)
-    x_sin = hs * np.sin(p) + hs_p * np.cos(p)
-    r = np.hypot(x_axis, x_sin)
-    ang = np.unwrap(np.arctan2(x_sin, x_axis))
-    u = np.arctanh(r)
-    keep = np.diff(ang) > 0
-    keep = np.concatenate([[True], keep])
-    return resample_monotone(ang[keep], u[keep], grid.theta)
+    return np.arctanh(1.0 / np.hypot(np.cos(grid.theta) / b, np.sin(grid.theta) / a))
 
 
 def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarray:
@@ -237,6 +225,12 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
     A profile reaching U_MAX, where sinh^2 u overflows, is rejected.
     """
     params = tuple(float(p) for p in params)
+    names = {"sphere": "r0", "perturbed_sphere": "r0, a, k", "ellipsoid": "a, b",
+             "random_fourier": "r0, amp, kmax"}.get(name)
+    if names is None:
+        raise ValueError(f"unknown initial datum {name!r}")
+    if len(params) != names.count(",") + 1:
+        raise ValueError(f"{name} takes [{names}], got {len(params)} parameters")
     if name == "sphere":
         (r0,) = params
         if r0 <= 0:
@@ -253,7 +247,7 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
     elif name == "ellipsoid":
         a, b = params
         u = _ellipsoid_profile(grid, a, b)
-    elif name == "random_fourier":
+    else:
         r0, amp, kmax = params
         if not (r0 > 0 and amp >= 0 and 1 <= kmax <= grid.m // 2 and kmax == int(kmax)):
             raise ValueError(f"random_fourier needs r0 > 0, amp >= 0 and an integer kmax "
@@ -270,8 +264,6 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
                 break
         else:
             raise ValueError("could not draw a convex random profile; lower amp")
-    else:
-        raise ValueError(f"unknown initial datum {name!r}")
     if u.max() >= U_MAX:
         raise ValueError(f"initial radius {u.max():.6g} reaches {U_MAX:.6g}, where sinh^2 overflows")
     return u
@@ -512,8 +504,7 @@ class RadauIIA:
         """Integrate in the rescaled variables from state on, with tau = 0
         there; a dual state at the same t joins the vector as w."""
         self.rescaled = True
-        w = self.grid.integrate(np.eye(self.grid.m))
-        self._weights = w / w.sum()  # the area mean as a dot product
+        self._weights = self.grid.weights / self.grid.weights.sum()  # the area mean
         self.dual = dual
         self._restart(state)
 
@@ -974,7 +965,7 @@ def estimate_Tstar(traj: FlowTrajectory) -> TstarEstimate:
     tail = [s for s in traj.states if np.abs(s.u).max() < 0.1][-3:]
     if not tail:
         raise ValueError("trajectory never reached max |u| < 0.1 on a record")
-    area = grid.integrate(np.ones(grid.m))
+    area = grid.weights.sum()
     a = [s.t + math.log(math.cosh(grid.integrate(np.abs(s.u)) / area)) for s in tail]
     spread = max(a) - min(a)
     return TstarEstimate(value=a[-1], spread=spread, warn=spread > 1e-3)

@@ -20,7 +20,6 @@ Gauss map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +71,7 @@ class Graph:
                 raise ValueError("eigentime profile must be finite")
             if not np.all(v < 0.0):
                 raise ValueError("stored duals lie below the equatorial slice (u_star < 0)")
-            slope = np.abs(self.grid.d1(v)) / np.cosh(v)
+            slope = np.abs(self.grid.derivatives(v)[0]) / np.cosh(v)
             if slope.max() >= 1.0:
                 raise CausalityError(f"graph is not spacelike: |D u_star| = {slope.max():.6f} "
                                      f"at node {int(np.argmax(slope))}")
@@ -283,11 +282,15 @@ def _distance_profile(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndar
 def _score(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Least distance (side 0) and minus the largest (side 1) from the
     offsets s (S, 2, K) to the profiles u (S, m), both to be maximized, in
-    one refine call."""
+    one refine call; the least is capped by the distances to the two axis
+    crossings, which the nodes miss where sinh(u) h is large."""
     S, _, K = s.shape
     d = _distance_profile(grid, u, s.reshape(S, 2 * K)).reshape(S, 2, K, grid.m)
     d[:, 1] *= -1.0
-    return refine_extremum(grid, d.reshape(-1, grid.m), "min")[1].reshape(S, 2, K)
+    f = refine_extremum(grid, d.reshape(-1, grid.m), "min")[1].reshape(S, 2, K)
+    top, bottom = grid.axis_values(u)
+    f[:, 0] = np.minimum(f[:, 0], np.minimum(top[:, None] - s[:, 0], bottom[:, None] + s[:, 0]))
+    return f
 
 
 def _bracket(s: np.ndarray, f: np.ndarray):
@@ -301,8 +304,8 @@ def _bracket(s: np.ndarray, f: np.ndarray):
 
 def _inball_block(grid: SphereGrid, u: np.ndarray) -> list:
     """inradius_circumradius of the profiles u (S, m), all zooming together."""
-    j_pi = int(np.argmin(np.abs(grid.theta - math.pi)))
-    lo, hi = 1e-9 - u[:, j_pi], u[:, 0] - 1e-9
+    top, bottom = grid.axis_values(u)
+    lo, hi = 1e-9 - bottom, top - 1e-9
     s = np.linspace(lo, hi, _SCAN, axis=-1)[:, None, :] + np.zeros((1, 2, 1))
     f = _score(grid, u, s)
     rise = np.diff(f, axis=-1)

@@ -15,16 +15,17 @@ resample extends scattered samples by it before interpolating them onto
 the nodes by one cubic Hermite rule with quartic-window slopes.  Both
 grids differentiate with centered fourth order stencils applied to a
 two-ghost padded copy of the profile, and band reads the stencils'
-Jacobian pattern off that padding.  Quadrature returns integrals over
-the whole parameter sphere: plain Riemann sums on the circle
-(trapezoidal, hence spectrally accurate for periodic data), and exact
-per-cell moments of the sin^(n-1) weight on the meridian so that
-constants integrate to machine precision at any admissible m.
+Jacobian pattern off that padding.  Quadrature over the whole parameter
+sphere is one weight vector per grid, built on first read: h at each
+node of the circle (trapezoidal, spectrally accurate for periodic data),
+and on the meridian exact per-cell moments of the sin^(n-1) weight
+folded through the stencils, so constants integrate to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+# the quintic through six equispaced samples, at their midpoint
+_MIDPOINT = np.array([3.0, -25.0, 150.0, 150.0, -25.0, 3.0]) / 256.0
 
 
 class ReparametrizationError(RuntimeError):
@@ -62,6 +65,7 @@ class SphereGrid:
     theta: np.ndarray
     cot: np.ndarray | None = None  # cot(theta), on a meridian grid
     cyclic: bool  # periodic in theta (the circle), or even at both poles
+    weights: np.ndarray  # quadrature, built on first read: one per node
 
     def pad(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
         """Append two ghost nodes on each side of the last axis: one gather
@@ -77,7 +81,8 @@ class SphereGrid:
     def integrate(self, values: np.ndarray):
         """The integral over the sphere of a profile (a float), or of each
         row of a stack (an array)."""
-        raise NotImplementedError
+        out = (self._check(values) * self.weights).sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def resample(self, x, y) -> np.ndarray:
         """Values y sampled at the increasing angles x, over one fundamental
@@ -112,9 +117,17 @@ class SphereGrid:
               - 30.0 * p[..., 2:-2]) / (12.0 * self.h * self.h)
         return d1, d2
 
-    def d1(self, values: np.ndarray, parity: int = 1) -> np.ndarray:
-        """First theta derivative (see derivatives)."""
-        return self.derivatives(values, parity)[0]
+    def axis_values(self, values: np.ndarray):
+        """The profile, or each row of a stack, at theta = 0 and pi, where
+        the surface meets the axis: a node's value, or the sixth-order
+        midpoint (_MIDPOINT) of the six nodes around it, folded by symmetry."""
+        v, m = self._check(values), self.m
+        out = []
+        for j in ((0, m) if self.cyclic else (-1, 2 * m - 1)):  # in half-nodes from node 0
+            i = np.arange(j // 2 - 2, j // 2 + 4) % (2 * m)
+            i = i % m if self.cyclic else np.minimum(i, 2 * m - 1 - i)
+            out.append((v[..., i] * _MIDPOINT).sum(axis=-1) if j % 2 else v[..., j // 2])
+        return out
 
     def _check(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -143,9 +156,9 @@ class CircleGrid(SphereGrid):
         self._pad_index = np.arange(-2, m + 2) % m
         self._odd_sign = np.ones(m + 4)
 
-    def integrate(self, values):
-        out = self.h * self._check(values).sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
+    @cached_property
+    def weights(self):
+        return np.full(self.m, self.h)
 
     def resample(self, x, y):
         """Whole periods of samples are wrapped onto both ends, as many as
@@ -169,7 +182,8 @@ class AxisymGrid(SphereGrid):
     Quadrature resolves the sin^(n-1) weight exactly on each cell and
     couples it to a second order Taylor expansion of the integrand
     around the cell center, using the grid's own stencils for the
-    derivative terms.  Cell moments of orders 0..2 are precomputed.
+    derivative terms; the weights fold the stencils into the cell
+    moments of orders 0..2 once, on first read.
     """
 
     cyclic = False
@@ -188,21 +202,19 @@ class AxisymGrid(SphereGrid):
         # the ghosts mirror the nodes nearest each pole, with the parity sign
         self._pad_index = np.r_[1, 0, np.arange(m), m - 1, m - 2]
         self._odd_sign = np.r_[-1.0, -1.0, np.ones(m), -1.0, -1.0]
+
+    @cached_property
+    def weights(self):
+        """The integral of each unit vector: its cell moments against its
+        value and its stencil derivatives, times the (n-1)-sphere's area."""
         t = self.theta[:, None] + 0.5 * self.h * _GL_X[None, :]
         w = 0.5 * self.h * _GL_W[None, :]
-        s = np.sin(t) ** (n - 1)
+        s = np.sin(t) ** (self.n - 1)
         d = t - self.theta[:, None]
-        self._w0 = (w * s).sum(axis=1)
-        self._w1 = (w * s * d).sum(axis=1)
-        self._w2 = (w * s * d * d).sum(axis=1)
-        self._shell = sphere_area(n - 1)
-
-    def integrate(self, values):
-        v = self._check(values)
-        vp, vpp = self.derivatives(v)
-        cells = v * self._w0 + vp * self._w1 + 0.5 * vpp * self._w2
-        out = self._shell * cells.sum(axis=-1)
-        return float(out) if out.ndim == 0 else out
+        w0, w1, w2 = (w * s).sum(axis=1), (w * s * d).sum(axis=1), (w * s * d * d).sum(axis=1)
+        eye = np.eye(self.m)
+        vp, vpp = self.derivatives(eye)
+        return sphere_area(self.n - 1) * (eye * w0 + vp * w1 + 0.5 * vpp * w2).sum(axis=-1)
 
     def resample(self, x, y):
         """The three samples nearest each pole are mirrored about it (theta

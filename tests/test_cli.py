@@ -112,6 +112,7 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" sigma=1.5', "sigma out of range"),
         ('F="mean" n=2 m=7 initial="sphere"', "grid parameters"),
         ('F="mean" n=2 m=64 initial="sphere" u_stop=-1.0', "parameter out of range"),
+        ('F="mean" n=2 m=64 initial="sphere" seed=-1', "parameter out of range"),
         ('F=mean n=2 m=64 initial="sphere"', "quoted"),
         ('F="mean" n=2 m=64 initial="sphere" ~!garbage', "unparseable"),
         ('F="mean" n=2 m=64 initial="sphere" initial.params=[1,x]', "cannot parse value"),

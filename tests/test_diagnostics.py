@@ -57,7 +57,6 @@ def test_record_on_slice_is_umbilic():
     assert rec.w_min == pytest.approx(-1.0, abs=1e-12)
     assert rec.w_max == pytest.approx(-1.0, abs=1e-12)
     assert rec.tau == pytest.approx(-math.log(0.8), abs=1e-14)
-    assert rec.f_sigma_L2 < 1e-10 and rec.f_sigma_L8 < 1e-10
     assert len(rec.as_row()) == len(CSV_FIELDS)
     assert rec.as_row()[0] == 0.0
 
@@ -99,7 +98,7 @@ def test_dual_record_slice():
     assert rec.w_max == pytest.approx(-1.0, abs=1e-12)
     assert abs(rec.A2_minus_nF2_max) < 1e-10
     for name in ("horoconvex_margin", "pinching_T", "rho_minus", "rho_plus",
-                 "duality_err", "f_sigma_L2", "f_sigma_L8"):
+                 "duality_err"):
         assert math.isnan(getattr(rec, name))
 
 

@@ -53,7 +53,7 @@ def test_perturbed_sphere_dual_relations():
     u = 1.0 + 0.1 * np.cos(grid.theta)
     pair = gauss_dual(Graph(grid, u))
     us = pair.dual.u_star
-    slope = np.abs(grid.d1(us)) / np.cosh(us)
+    slope = np.abs(grid.derivatives(us)[0]) / np.cosh(us)
     assert slope.max() < 1.0
     _, umax = refine_extremum(grid, u, "max")
     _, umin = refine_extremum(grid, u, "min")

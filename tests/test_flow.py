@@ -904,6 +904,11 @@ def test_make_initial_library():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         make_initial("unknown_shape", (), grid)
+    # a wrong parameter count names the parameters
+    with pytest.raises(ValueError, match=r"^sphere takes \[r0\], got 2 parameters$"):
+        make_initial("sphere", (1.0, 2.0), grid)
+    with pytest.raises(ValueError, match=r"^ellipsoid takes \[a, b\], got 1 parameters$"):
+        make_initial("ellipsoid", (0.5,), grid)
     with pytest.raises(ValueError):
         make_initial("perturbed_sphere", (0.3, 0.4, 6), grid)  # dips below 0
     # kmax is an integer in [1, m // 2]: a fraction is not rounded down,
@@ -918,6 +923,19 @@ def test_make_initial_library():
                          ("random_fourier", (400.0, 0.05, 4))):
         with pytest.raises(ValueError, match="sinh\\^2 overflows"):
             make_initial(name, params, grid)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 3]), m=st.integers(16, 96),
+       a=st.floats(0.1, 0.95), b=st.floats(0.1, 0.95))
+def test_ellipsoid_is_its_radial_function(n, m, a, b):
+    # the Beltrami ellipsoid with semi-axis b on the axis, read at the nodes
+    grid = make_grid(n, m)
+    u = make_initial("ellipsoid", (a, b), grid)
+    c, s = np.cos(grid.theta), np.sin(grid.theta)
+    np.testing.assert_array_max_ulp(u, np.arctanh(1.0 / np.hypot(c / b, s / a)), maxulp=4)
+    r = np.tanh(u)
+    assert np.abs((r * c / b) ** 2 + (r * s / a) ** 2 - 1.0).max() < 1e-14
 
 
 def test_run_flow_rejects_nonconvex_start():
@@ -949,5 +967,7 @@ def test_flow_config_validation():
         FlowConfig(F="mean", n=2, m=32, initial="sphere", u_stop=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(F="mean", n=2, m=32, initial="sphere", record_every=0)
+    with pytest.raises(ValueError, match="seed"):
+        FlowConfig(F="mean", n=2, m=32, initial="sphere", seed=-1)
     cfg = FlowConfig(F="mean", n=2, m=32, initial="sphere", initial_params=[1])
     assert cfg.initial_params == (1.0,)

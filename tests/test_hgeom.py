@@ -121,6 +121,18 @@ def test_inball_sphere():
     assert not res.dense_fallback
 
 
+@pytest.mark.parametrize("n, m", [(2, 32), (2, 48), (3, 48), (1, 64), (1, 65)])
+def test_inball_large_spheres(n, m):
+    # where an axis crossing is not a node (the meridian's poles, the odd
+    # circle's theta = pi) the nodes beside it lie sinh(r) h apart, and the
+    # least distance from an axis point near the crossing is the crossing's
+    grid = make_grid(n, m)
+    for r in (2.0, 4.0, 8.0, 10.0, 20.0):
+        res = inradius_circumradius(Graph(grid, np.full(m, r)))
+        assert abs(res.rho_minus - r) <= 1e-9 and abs(res.rho_plus - r) <= 1e-9, r
+        assert not res.dense_fallback, r
+
+
 def test_inball_perturbed_sphere_vs_dense_scan():
     grid = make_grid(2, 128)
     u = 1.0 + 0.1 * np.cos(grid.theta)

@@ -11,6 +11,7 @@ from dualflow.sphere_grid import (
     AxisymGrid,
     CircleGrid,
     ReparametrizationError,
+    SphereGrid,
     _quartic_extremum,
     make_grid,
     refine_extremum,
@@ -57,16 +58,16 @@ def test_sphere_area_values():
 
 def test_circle_d1_sin():
     g = make_grid(1, 64)
-    err = np.abs(g.d1(np.sin(g.theta)) - np.cos(g.theta)).max()
+    err = np.abs(g.derivatives(np.sin(g.theta))[0] - np.cos(g.theta)).max()
     assert err < 5e-6
     g2 = make_grid(1, 128)
-    err2 = np.abs(g2.d1(np.sin(g2.theta)) - np.cos(g2.theta)).max()
+    err2 = np.abs(g2.derivatives(np.sin(g2.theta))[0] - np.cos(g2.theta)).max()
     assert err / err2 > 12.0
 
 
 def test_axisym_constant_derivative_exact():
     g = make_grid(2, 48)
-    assert np.abs(g.d1(np.full(48, 2.7))).max() == 0.0
+    assert np.abs(g.derivatives(np.full(48, 2.7))[0]).max() == 0.0
 
 
 def test_axisym_d2_cos_fourth_order():
@@ -104,6 +105,66 @@ def test_integrate_stack_equals_rows(n):
     assert isinstance(g.integrate(stack[0, 0]), float)
 
 
+def test_weights_are_built_on_first_read():
+    # a grid is built for every parsed config, most of which never integrate
+    g = make_grid(2, 256)
+    assert "weights" not in vars(g)
+    w = g.weights
+    assert vars(g)["weights"] is w and g.weights is w
+    assert w.shape == (256,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integrate_reads_the_weights_only(n, monkeypatch):
+    g = make_grid(n, 40)
+    g.weights
+
+    def no_stencils(*args, **kwargs):
+        raise AssertionError("integrate differentiated")
+
+    monkeypatch.setattr(SphereGrid, "derivatives", no_stencils)
+    v = np.random.default_rng(n).uniform(0.5, 2.0, (3, 40))
+    out = g.integrate(v)
+    assert out.shape == (3,) and isinstance(g.integrate(v[0]), float)
+    assert out[0] == g.integrate(v[0]) == (v[0] * g.weights).sum()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_meridian_weights_are_the_cell_taylor_rule(n):
+    # each cell integrates the second order Taylor expansion of the profile
+    # about its node, with stencil derivatives, against sin^(n-1) resolved
+    # on the cell; here the moments come from a 20-point Gauss rule
+    g = make_grid(n, 48)
+    x, wx = np.polynomial.legendre.leggauss(20)
+    d = 0.5 * g.h * x
+    ws = 0.5 * g.h * wx * np.sin(g.theta[:, None] + d) ** (n - 1)
+    w0, w1, w2 = ws.sum(axis=1), (ws * d).sum(axis=1), (ws * d * d).sum(axis=1)
+    for v in (np.ones(48), np.cos(g.theta) ** 2, np.random.default_rng(n).uniform(0.5, 2.0, 48)):
+        vp, vpp = g.derivatives(v)
+        rule = sphere_area(n - 1) * (v * w0 + vp * w1 + 0.5 * vpp * w2).sum()
+        assert g.integrate(v) == pytest.approx(rule, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, m", [(1, 64), (1, 33), (2, 32), (3, 33)])
+def test_axis_values(n, m):
+    # the profile where theta is 0 and pi: a node's value where the angle is
+    # a node, and otherwise sixth order accurate on a smooth profile
+    def f(t):
+        return 1.0 + 0.1 * np.cos(2 * t) + 0.02 * np.cos(4 * t) + 0.03 * np.cos(t)
+
+    errs = []
+    for k in (1, 3):
+        g = make_grid(n, k * m)
+        top, bottom = g.axis_values(f(g.theta))
+        errs.append(max(abs(top - f(0.0)), abs(bottom - f(math.pi))))
+        stack = np.stack([f(g.theta), 2.0 * f(g.theta)])
+        assert np.array_equal(np.stack(g.axis_values(stack), axis=1)[0], [top, bottom])
+    if n == 1 and m % 2 == 0:
+        assert errs[0] == 0.0
+    else:
+        assert 1e-12 < errs[0] < 1e-4 and math.log(errs[0] / errs[1], 3) > 5.5
+
+
 def test_circle_trig_poly_derivative_fourth_order():
     # local stencils are not exact on cos^3, but the error must fall at h^4
     errs = []
@@ -112,7 +173,7 @@ def test_circle_trig_poly_derivative_fourth_order():
         c = np.cos(g.theta)
         f = 1.0 + 2.0 * c - 0.5 * c**2 + 0.25 * c**3
         fp = (-2.0 + c - 0.75 * c**2) * np.sin(g.theta)
-        errs.append(np.abs(g.d1(f) - fp).max())
+        errs.append(np.abs(g.derivatives(f)[0] - fp).max())
     assert math.log2(errs[0] / errs[1]) > 3.9
     assert math.log2(errs[1] / errs[2]) > 3.9
 
@@ -121,7 +182,7 @@ def test_circle_integration_by_parts():
     g = make_grid(1, 48)
     f = 1.0 + 2.0 * np.cos(g.theta) + 0.3 * np.cos(2 * g.theta)
     h = np.sin(2 * g.theta) - 0.4 * np.sin(g.theta)
-    residual = g.integrate(g.d1(f) * h) + g.integrate(f * g.d1(h))
+    residual = g.integrate(g.derivatives(f)[0] * h) + g.integrate(f * g.derivatives(h)[0])
     assert abs(residual) < 1e-12
 
 
@@ -131,7 +192,7 @@ def test_even_field_odd_derivative_vanishes_at_pole():
     vals = []
     for m in (32, 64, 128):
         g = make_grid(2, m)
-        d = g.d1(np.cos(g.theta))
+        d = g.derivatives(np.cos(g.theta))[0]
         vals.append(abs(np.polyval(np.polyfit(g.theta[:3], d[:3], 2), 0.0)))
     assert vals[0] < 1e-3
     assert vals[0] / vals[1] > 4.0
@@ -366,7 +427,7 @@ def _same_bits(a, b):
 @given(n=st.sampled_from([1, 2, 3]), m=st.integers(16, 40), parity=st.sampled_from([1, -1]),
        rows=st.sampled_from([(), (1,), (3,), (2, 5)]), seed=st.integers(0, 2**32 - 1))
 def test_gather_pad_and_stencils_match_concatenation(n, m, parity, rows, seed):
-    # the gathered padded copy, d1 and the derivative pair equal the
+    # the gathered padded copy and the derivative pair equal the
     # concatenated copy and its stencils bit for bit, on profiles and stacks
     g = make_grid(n, m)
     v = np.random.default_rng(seed).normal(size=rows + (m,))
@@ -374,7 +435,6 @@ def test_gather_pad_and_stencils_match_concatenation(n, m, parity, rows, seed):
     p = concatenate_pad(g, v, parity)
     d1, d2 = padded_stencils(p, g.h)
     assert _same_bits(g.pad(v, parity), p)
-    assert _same_bits(g.d1(v, parity), d1)
     pair = g.derivatives(v, parity)
     assert _same_bits(pair[0], d1) and _same_bits(pair[1], d2)
 
