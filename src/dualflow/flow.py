@@ -11,22 +11,22 @@ Both flows run through one driver and one implicit Radau IIA integrator
 stiff: an explicit step is bounded by the grid spacing squared, an
 implicit one by accuracy alone, so the step count does not grow with m.
 Newton takes one of two paths: above m = 64 in flow time its matrices
-are the band of the stencils' reach, factored in O(m) with no m x m
-array; otherwise they are dense and held as inverses.  Once a run has
-no target time left and no stop time, the same integrator switches to
-the paper's rescaled variables: u~ = u / lambda in tau = -ln lambda
-(counted from the switch), lambda the area mean of |u|, plus the running
-extinction-time estimate E = t + ln cosh lambda.  A shrinking sphere is
-a fixed point there, so the steps no longer crowd at extinction.  A
-primal run to extinction can carry its dual in the same vector, rescaled
-by the primal's lambda (run_both): the two take one step sequence in
-the primal's tau, and each Newton solve is block lower triangular.  Each
-Newton iteration and each Jacobian is one call of the masked rhs kernel
-on a stack of trial states; a trial row reports failure by NaN.  Every
-state of either flow is a FlowState that carries the run's F and its
-side eps, and builds its GraphGeometry on first read.  Geodesic spheres
-solve the primal flow in closed form and serve as the exact reference
-and as extinction-time barriers.
+are the band of the stencils' reach, solved by blocks around separators
+with no m x m array; otherwise they are dense and held as inverses.
+Once a run has no target time left and no stop time, the same integrator
+switches to the paper's rescaled variables: u~ = u / lambda in tau = -ln
+lambda (counted from the switch), lambda the area mean of |u|, plus the
+running extinction-time estimate E = t + ln cosh lambda.  A shrinking
+sphere is a fixed point there, so the steps no longer crowd at
+extinction.  A primal run to extinction can carry its dual in the same
+vector, rescaled by the primal's lambda (run_both): the two take one
+step sequence in the primal's tau, and each Newton solve is block lower
+triangular.  Each Newton iteration and each Jacobian is one call of the
+masked rhs kernel on a stack of trial states; a trial row reports
+failure by NaN.  Every state of either flow is a FlowState that carries
+the run's F and its side eps, and builds its GraphGeometry on first
+read.  Geodesic spheres solve the primal flow in closed form and serve
+as the exact reference and as extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -348,83 +348,87 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(x * x, axis=None) / x.size)  # np.mean, unwrapped
 
 
-class _BandLU:
-    """LU factors of a pentadiagonal matrix, real or complex, no pivoting.
+# the most interior nodes in one block of the band solve (README, "Time stepping")
+_BAND_BLOCK = 16
 
-    bands[k, i] holds A[i, i + k - 2].  A cyclic matrix (column indices
-    mod m) also carries its corner entries there, in bands[:2, :2] and
-    bands[3:, -2:]; they are split off as A = B + U K U^T, U the columns
-    {0, 1, m-2, m-1} of the identity, and folded back in by the Woodbury
-    identity.  The elimination runs in plain Python over the rows: O(m)
-    work and no m x m array.  Without pivoting it needs nonzero leading
-    pivots, which a shifted Newton matrix mu/h - J of the parabolic flow
-    has.  It serves flow time above _DENSE_MAX_M, where an explicit inverse
-    costs 20 to 44 times as much at m = 256 (README, "Time stepping").
-    """
 
-    def __init__(self, bands: np.ndarray, cyclic: bool):
-        bands = np.array(bands)
-        m = bands.shape[1]
-        K = np.zeros((4, 4), dtype=bands.dtype)
-        K[0, 2], K[0, 3], K[1, 3] = bands[0, 0], bands[1, 0], bands[0, 1]
-        K[2, 0], K[3, 0], K[3, 1] = bands[4, m - 2], bands[3, m - 1], bands[4, m - 1]
-        bands[0, :2] = bands[1, 0] = bands[3, m - 1] = bands[4, m - 2:] = 0.0
-        lower, upper = [], []
-        u1_2 = e_2 = inv_2 = u1_1 = e_1 = inv_1 = 0.0  # rows i-2 and i-1 of U
-        for a, b, c, d, e in zip(*(row.tolist() for row in bands)):
-            l2 = a * inv_2
-            l1 = (b - l2 * u1_2) * inv_1
-            u1 = d - l1 * e_1
-            inv = 1.0 / (c - l2 * e_2 - l1 * u1_1)
-            lower.append((l1, l2))
-            upper.append((u1, e, inv))
-            u1_2, e_2, inv_2, u1_1, e_1, inv_1 = u1_1, e_1, inv_1, u1, e, inv
-        self._lower, self._upper = lower, upper[::-1]
-        self._woodbury = None
+class _BandPlan:
+    """The band solve's layout of m nodes on the circle (cyclic) or the
+    meridian: the nodes i % (_BAND_BLOCK + 2) >= _BAND_BLOCK, and on the
+    circle m - 2 and m - 1, are separators; the runs between them are the
+    blocks, whose empty slots hold dummy nodes m, m + 1, ... with identity
+    rows.  Blocks are two separators apart or more, so no stencil couples
+    two.  gather indexes [bands.ravel(), 0, 1] for D, A_IS, A_SI and A_SS."""
+
+    def __init__(self, m: int, cyclic: bool):
+        sep = np.arange(m) % (_BAND_BLOCK + 2) >= _BAND_BLOCK
         if cyclic:
-            idx = [0, 1, m - 2, m - 1]
-            Z = np.stack([self._band_solve(np.eye(1, m, j)[0]) for j in idx], axis=1)
-            G = np.linalg.solve(np.eye(4) + K @ Z[idx], K)
-            self._woodbury = (idx, Z, G)
+            sep[m - 2:] = True
+        self.seps = np.flatnonzero(sep)
+        blocks = self.blocks = np.arange(0, m, _BAND_BLOCK + 2)[:, None] + np.arange(_BAND_BLOCK)
+        dummy = (blocks >= m) | sep[np.minimum(blocks, m - 1)]
+        blocks[dummy] = m + np.arange(dummy.sum())
 
-    def _band_solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = []
-        y1 = y2 = 0.0
-        for r, (l1, l2) in zip(rhs.tolist(), self._lower):
-            y2, y1 = y1, r - l1 * y1 - l2 * y2
-            y.append(y1)
-        x = []
-        x1 = x2 = 0.0
-        for r, (u1, e, inv) in zip(reversed(y), self._upper):
-            x2, x1 = x1, (r - u1 * x1 - e * x2) * inv
-            x.append(x1)
-        return np.array(x[::-1])
+        def entry(i, j):  # where A[i, j] is, a dummy's row the identity's
+            k = (j - i + 2) % m if cyclic else j - i + 2
+            band = (i < m) & (j < m) & (0 <= k) & (k < 5)
+            return np.where(band, k * m + i, np.where((i == j) & (i >= m), 5 * m + 1, 5 * m))
+
+        b, s, flat = blocks[:, :, None], self.seps, blocks.ravel()
+        self.gather = np.concatenate([entry(b, blocks[:, None, :]).ravel(), entry(b, s).ravel(),
+                                      entry(s[:, None], flat).ravel(), entry(s[:, None], s).ravel()])
+        # a dummy's rhs may be any node's: its row and column of D^-1 are the identity's
+        self.order = np.concatenate([flat % m, s])
+        self.pos = np.argsort(np.concatenate([flat, s]))[:m]  # each node's place in x_I, x_S
+
+
+class _BandSolver:
+    """A pentadiagonal matrix, real or complex, solved by blocks around
+    separators (SPIKE; Polizzi & Sameh 2006, Parallel Computing 32).
+
+    bands[k, i] holds A[i, i + k - 2], the column mod m on the circle; on
+    the meridian the entries outside the matrix are ignored.  It keeps D^-1
+    by blocks (_BandPlan), V = D^-1 A_IS and S^-1, S = A_SS - A_SI V the
+    Schur complement.  A solve is x_I = D^-1 r_I, x_S = S^-1 (r_S - A_SI
+    x_I), x_I -= V x_S: no loop over the rows.  Only the blocks and S, not
+    every leading minor, must be nonsingular: LAPACK pivots in each block.
+    A singular one, or a NaN entry (LAPACK's pivot search can pass over it
+    to a zero), gives a NaN solve, so that the step retries smaller."""
+
+    def __init__(self, bands: np.ndarray, plan: _BandPlan):
+        (p, w), s = plan.blocks.shape, plan.seps.size
+        vals = np.concatenate([bands.ravel(), [0.0, 1.0]])[plan.gather]
+        D, A_IS, A_SI, A_SS = np.split(vals, np.cumsum([p * w * w, p * w * s, s * p * w]))
+        self._A_SI, self._order, self._pos = A_SI.reshape(s, p * w), plan.order, plan.pos
+        try:
+            self._inv_D = np.linalg.inv(D.reshape(p, w, w))
+            self._V = (self._inv_D @ A_IS.reshape(p, w, s)).reshape(p * w, s)
+            self._inv_S = np.linalg.inv(A_SS.reshape(s, s) - self._A_SI @ self._V)
+        except np.linalg.LinAlgError:
+            self._inv_D, self._V, self._inv_S = (np.full(shape, np.nan)
+                                                 for shape in ((p, w, w), (p * w, s), (s, s)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs."""
-        x = self._band_solve(rhs)
-        if self._woodbury is not None:
-            idx, Z, G = self._woodbury
-            x = x - Z @ (G @ x[idx])
-        return x
+        r, n = rhs[self._order], self._V.shape[0]
+        x_I = (self._inv_D @ r[:n].reshape(self._inv_D.shape[:2] + (1,))).ravel()
+        x_S = self._inv_S @ (r[n:] - self._A_SI @ x_I)
+        return np.concatenate([x_I - self._V @ x_S, x_S])[self._pos]
 
 
-# the largest m whose Newton matrices have their inverses formed: one matrix
-# product per solve then beats the band LU's Python row loop, and a step's
-# solves repay the O(m^3) inverses (README, "Time stepping")
+# the largest m whose Newton matrices have their inverses formed: up to it the
+# two paths tie on whole runs, and above it the O(m^3) inverses cost more than
+# their cheaper solves repay (README, "Time stepping")
 _DENSE_MAX_M = 64
 
 
 class _DenseInverse:
     """A Newton matrix kept as its explicit inverse: a solve is one
     matrix-vector product.  A block lower triangular matrix [[P, 0], [C, D]],
-    P of size k, keeps P^-1, D^-1 and C instead, and solves by
-    substitution: x1 = P^-1 b1, then x2 = D^-1 (b2 - C x1); its upper right
-    block is never read.  A NaN entry gives a NaN solve, as in _BandLU.
-
-    The block inverses stay because they cost half of one full inverse: at
-    m = 48 (size 98, one BLAS thread) 213 us real and 328 us complex
-    against 457 and 796 us, about 60 ms over a joint run to extinction."""
+    P of size k, keeps P^-1, D^-1 and C instead, at half the cost of one
+    full inverse (README, "Time stepping"), and solves by substitution:
+    x1 = P^-1 b1, then x2 = D^-1 (b2 - C x1); its upper right block is
+    never read.  A NaN entry gives a NaN solve, as in _BandSolver."""
 
     def __init__(self, A: np.ndarray, k: int | None = None):
         self._k = k = len(A) if k is None else k
@@ -455,8 +459,8 @@ class RadauIIA:
     column per row of the stack y + diag(delta) and keeps the inverses of
     the Newton matrices (_DenseInverse).  The band path, flow time above
     _DENSE_MAX_M, perturbs one colour of columns per row, so one rhs call
-    gives the band of the stencils' reach (SphereGrid.band), and factors
-    them (_BandLU).
+    gives the band of the stencils' reach (SphereGrid.band), and solves
+    by blocks around separators (_BandSolver, laid out once by _BandPlan).
 
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
@@ -478,10 +482,8 @@ class RadauIIA:
     still a FlowState, with t = E - ln cosh lambda and u = lambda u~; the
     dual state at the same t is kept as well (dual).
 
-    The primal rows never read w, so the Newton matrices are block lower
-    triangular: the Jacobian's primal rows are set to zero in the w
-    columns, and _DenseInverse keeps the inverses of the two diagonal
-    blocks, m + 2 and m, and the coupling block.
+    The primal rows never read w: their Jacobian entries in the w columns
+    are zeroed, and _DenseInverse solves the block lower triangular system.
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
@@ -499,6 +501,10 @@ class RadauIIA:
     @property
     def _banded(self) -> bool:  # the Newton path (class docstring)
         return not self.rescaled and self.grid.m > _DENSE_MAX_M
+
+    @cached_property
+    def _plan(self) -> _BandPlan:  # built on the band path's first factorization
+        return _BandPlan(self.grid.m, self.grid.cyclic)
 
     def enter_rescaled(self, state: FlowState, dual: FlowState | None = None) -> None:
         """Integrate in the rescaled variables from state on, with tau = 0
@@ -578,12 +584,12 @@ class RadauIIA:
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):
-        """shift - J ready for solves: the band LU on the band path, else
-        the explicit inverse, by blocks when the dual is carried."""
+        """shift - J ready for solves: the block band solve on the band
+        path, else the explicit inverse, by blocks when the dual is carried."""
         A = -self._jac.astype(type(shift))
         if self._banded:
             A[len(A) // 2] += shift  # the middle band is the diagonal
-            return _BandLU(A, self.grid.cyclic)
+            return _BandSolver(A, self._plan)
         A[np.diag_indices_from(A)] += shift
         return _DenseInverse(A, None if self.dual is None else self.grid.m + 2)
 
@@ -893,8 +899,7 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
     for tr in trajs:
         if tr.failure is None and any(np.abs(s.u).max() < 0.1 for s in tr.states):
             est = estimate_Tstar(tr)
-            tr.T_star_estimate = est.value
-            tr.Tstar_warn = est.warn
+            tr.T_star_estimate, tr.Tstar_warn = est.value, est.warn
     return trajs
 
 
@@ -996,17 +1001,7 @@ def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
     out = []
     for i, s in enumerate(traj.states):
         Theta = _sphere_theta(s.t, T_star)
-        w = None
-        if duals is not None and duals[i] is not None:
-            w = duals[i].u / Theta
-        out.append(
-            RescaledRecord(
-                t=s.t,
-                tau=-math.log(Theta),
-                Theta=Theta,
-                u_tilde=s.u / Theta,
-                F_tilde=s.geometry.F_value * Theta,
-                w=w,
-            )
-        )
+        w = None if duals is None or duals[i] is None else duals[i].u / Theta
+        out.append(RescaledRecord(t=s.t, tau=-math.log(Theta), Theta=Theta, u_tilde=s.u / Theta,
+                                  F_tilde=s.geometry.F_value * Theta, w=w))
     return out

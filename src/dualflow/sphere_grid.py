@@ -232,17 +232,22 @@ def make_grid(n: int, m: int) -> SphereGrid:
 
 
 def _window_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Nodal derivatives from local quartic fits (shifted windows at the ends)."""
-    m = x.size
-    win = min(5, m)
-    lo = np.clip(np.arange(m) - (win - 1) // 2, 0, m - win)
-    idx = lo[:, None] + np.arange(win)[None, :]
-    xs = x[idx] - x[:, None]
-    scale = np.abs(xs).max(axis=1, keepdims=True)
-    xs = xs / scale
-    vand = xs[..., None] ** np.arange(win)
-    coef = np.linalg.solve(vand, y[idx][..., None])
-    return coef[:, 1, 0] / scale[:, 0]
+    """Nodal derivatives of local quartic interpolants (shifted windows at
+    the ends): the closed-form derivative of the window's Lagrange basis at
+    its own node c (Fornberg 1988, Math. Comp. 51)."""
+    m, win = x.size, min(5, x.size)
+    rows = np.arange(m)
+    lo = np.clip(rows - (win - 1) // 2, 0, m - win)
+    idx, c = lo[:, None] + np.arange(win), rows - lo
+    d = x[idx][:, :, None] - x[idx][:, None, :]  # x_j - x_l, and 1 where l = j
+    d[:, np.arange(win), np.arange(win)] = 1.0
+    dc = d[rows, c]
+    # y_j, j != c: prod_{l != j, c} (x_c - x_l) / prod_{l != j} (x_j - x_l)
+    w = dc.prod(axis=1, keepdims=True) / (dc * d.prod(axis=2))
+    inv = 1.0 / dc
+    inv[rows, c] = 0.0
+    w[rows, c] = inv.sum(axis=1)  # y_c: sum_{l != c} 1 / (x_c - x_l)
+    return (w * y[idx]).sum(axis=1)
 
 
 def resample_monotone(x, y, xq) -> np.ndarray:

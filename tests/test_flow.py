@@ -19,7 +19,8 @@ from dualflow.flow import (
     FlowTrajectory,
     RadauIIA,
     StiffnessError,
-    _BandLU,
+    _BandPlan,
+    _BandSolver,
     _DenseInverse,
     _geometry,
     _velocity,
@@ -411,12 +412,12 @@ def test_large_sphere_runs_to_extinction(r0):
 
 @st.composite
 def _band_systems(draw):
-    m = draw(st.integers(16, 40))
+    m = draw(st.integers(16, 300))
     cyclic = draw(st.booleans())
     imag = 1j if draw(st.booleans()) else 0.0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bands = rng.uniform(-1.0, 1.0, (5, m)) + imag * rng.uniform(-1.0, 1.0, (5, m))
-    # diagonally dominant, so elimination without pivoting is stable
+    # diagonally dominant, so every block and its Schur complement is nonsingular
     bands[2] = np.abs(bands).sum(axis=0) + rng.uniform(0.1, 2.0, m)
     rhs = rng.uniform(-1.0, 1.0, m) + imag * rng.uniform(-1.0, 1.0, m)
     return bands, cyclic, rhs
@@ -436,35 +437,67 @@ def _band_matrix(bands, cyclic):
 
 
 def _solver_of(solver, bands, cyclic):
-    return solver(bands, cyclic) if solver is _BandLU else solver(_band_matrix(bands, cyclic))
+    if solver is _BandSolver:
+        return solver(bands, _BandPlan(bands.shape[1], cyclic))
+    return solver(_band_matrix(bands, cyclic))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(system=_band_systems())
-def test_band_lu_matches_dense_solve(system):
+def test_band_solvers_match_dense_solve(system):
     bands, cyclic, rhs = system
     A = _band_matrix(bands, cyclic)
-    for solver in (_BandLU, _DenseInverse):
+    for solver in (_BandSolver, _DenseInverse):
         x = _solver_of(solver, bands, cyclic).solve(rhs)
         assert np.abs(x - np.linalg.solve(A, rhs)).max() < 1e-12 * (1.0 + np.abs(x).max())
 
 
-@pytest.mark.parametrize("solver", [_BandLU, _DenseInverse])
+@pytest.mark.parametrize("solver", [_BandSolver, _DenseInverse])
 def test_band_solvers_pass_nan_through(solver):
     # a finite-difference Jacobian near the admissibility edge can hold NaN;
     # the solve must come back non-finite, so that the step retries smaller
-    bands = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 32))
+    # (a separator's row and a block's diagonal of the block band solver)
+    for entry in ((0, 17), (2, 5)):
+        bands = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 32))
+        bands[2] += 5.0
+        bands[entry] = np.nan
+        for cyclic in (False, True):
+            for shift in (0.0, 1j):
+                x = _solver_of(solver, bands + shift, cyclic).solve(np.ones(32) + shift)
+                assert not np.isfinite(x).all()
+
+
+def test_band_solver_turns_a_singular_block_into_nan():
+    # a zero row makes a diagonal block singular: LAPACK raises, and the
+    # solve comes back NaN, so that the step retries smaller
+    bands = np.random.default_rng(6).uniform(-1.0, 1.0, (5, 100))
     bands[2] += 5.0
-    bands[0, 17] = np.nan
+    bands[:, 3] = 0.0
     for cyclic in (False, True):
-        for shift in (0.0, 1j):
-            x = _solver_of(solver, bands + shift, cyclic).solve(np.ones(32) + shift)
-            assert not np.isfinite(x).all()
+        assert np.isnan(_solver_of(_BandSolver, bands, cyclic).solve(np.ones(100))).all()
 
 
-@pytest.mark.parametrize("n, m", [(2, 48), (1, 64)])
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_band_plan_cuts_every_stencil_at_separators(cyclic):
+    # every node is interior or a separator, never both, and no stencil
+    # reaches from one interior block into another, across the wrap too
+    for m in range(16, 301):
+        plan = _BandPlan(m, cyclic)
+        blocks, seps = plan.blocks, plan.seps
+        inner = blocks[blocks < m]
+        assert np.array_equal(np.sort(np.concatenate([inner, seps])), np.arange(m)), m
+        assert np.array_equal(np.sort(blocks[blocks >= m]), m + np.arange(blocks.size - inner.size))
+        block_of = np.full(m, -1)
+        block_of[inner] = np.nonzero(blocks < m)[0]
+        for i in inner:
+            for j in i + np.array([-2, -1, 1, 2]):
+                if cyclic or 0 <= j < m:
+                    assert block_of[j % m] in (-1, block_of[i]), (m, i, j)
+
+
+@pytest.mark.parametrize("n, m", [(2, 48), (1, 64), (2, 128), (1, 129)])
 def test_newton_paths_agree(monkeypatch, n, m):
-    # the explicit inverses and the band LU solve the same Newton systems:
+    # the explicit inverses and the block band solver solve the same Newton systems:
     # the same steps, Jacobians and factorizations, and landed states equal
     # to rounding; a dense Jacobian takes m rhs evaluations, a band one per
     # colour, five plus one for each of a circle's last m % 5 columns
