@@ -782,22 +782,18 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
     """Integrate either flow from state until max |u| < u_stop, recording
     along the way; returns its trajectory in a list, the dual's after it.
 
-    The run starts in flow time and records there only the initial state
-    and the states of t_targets, which are landed on exactly, by equal
-    steps that tile the way to each (RadauIIA.advance); past u_stop the
-    run goes on only to the last target, if that is the one left, and an
-    abort on the way there ends it cleanly.  t_stop ends the run early at
-    that flow time (it is landed on the same way).  Once no target is left
-    and there is no t_stop, the integrator switches to the rescaled
-    variables (RadauIIA.enter_rescaled), where a shrinking sphere is a
-    fixed point: records then land on tau = k record_every / 100 (tau
-    counted from the switch) by equal steps too, and the last step is
-    clipped to land just below max |u| = u_stop, an aim that moves every
-    step and is never tiled (solver.tile).  The final state is always
-    recorded.  A surface extinguishing away from the origin can never
-    shrink inside the stop ball; once min |u| falls below a quarter of
-    u_stop with max |u| still above it the run aborts with failure
-    "convexity" instead of stalling.
+    Flow time comes first: the run lands exactly on each time of t_targets
+    and on t_stop, which ends it early, by equal steps that tile the way
+    to each (RadauIIA.advance).  With no target left and no t_stop it
+    switches to the rescaled variables (RadauIIA.enter_rescaled), where a
+    sphere is a fixed point; the caps there are tau = k record_every / 100
+    from the switch and the aim just below max |u| = u_stop, which moves
+    every step and so is clipped to, not tiled (solver.tile).  One rule
+    stops both phases, max |u| < u_stop before a step, so a target past it
+    is not landed; one rule records, a step that lands on its cap with tile
+    set.  The initial and final states are recorded too.  Extinction away
+    from the origin never enters the stop ball: min |u| below u_stop / 4
+    with max |u| above u_stop aborts the run as "convexity".
 
     dual, the dual state at the switch of a primal run (run_both), is
     carried in the rescaled vector from there on and recorded with each
@@ -820,19 +816,15 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
     # partner: the carried dual at the t of state; d_last: the dual's last state
     partner = d_last = dual
     joint_abort = None
-    targets = sorted(float(t) for t in t_targets)
-    last = targets[-1] if targets else None
-    if t_stop is not None:
-        targets = sorted(targets + [float(t_stop)])
+    targets = sorted([float(t) for t in t_targets] + ([] if t_stop is None else [float(t_stop)]))
     d_tau = config.record_every / 100.0
     k_target = k_tau = 0
     steps = 0
     while t_stop is None or state.t < t_stop - 1e-13:
         r_max = np.abs(state.u).max()
-        overrun = r_max < config.u_stop
+        if r_max < config.u_stop:
+            break
         if solver.rescaled:
-            if overrun:
-                break
             # max |u| shrinks like lambda = e^-tau up to the drift of u~; aim
             # just below u_stop, so that the landed state ends the run.  That
             # aim moves every step, so the step is clipped to it, not tiled
@@ -842,12 +834,10 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
         else:
             while k_target < len(targets) and targets[k_target] <= state.t + 1e-15:
                 k_target += 1
-            cap = targets[k_target] if k_target < len(targets) else None
-            if overrun and (cap is None or cap != last):
-                break
-            if cap is None:
+            if k_target == len(targets):
                 solver.enter_rescaled(state, dual)
                 continue
+            cap = targets[k_target]
         try:
             state = advance(solver, state, cap)
         except tuple(_ABORTS) as exc:
@@ -856,8 +846,7 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
                 _tally(dtraj, solver, steps)
                 solver.drop_dual()
                 continue
-            if not overrun:
-                traj.failure = _ABORTS[type(exc)]
+            traj.failure = _ABORTS[type(exc)]
             break
         if joint_abort and np.abs(d_last.u).max() >= config.u_stop:
             dtraj.failure = joint_abort  # the dual's abort: it had not died out
@@ -869,13 +858,11 @@ def _drive(config: FlowConfig, state: FlowState, t_targets, t_stop: float | None
             if np.abs(partner.u).max() < 0.5 * config.u_stop:  # died out: a clean end
                 _tally(dtraj, solver, steps)
                 solver.drop_dual()
-        on_cadence = solver.rescaled and solver.x == (k_tau + 1) * d_tau
-        k_tau += on_cadence
-        hit_target = (not solver.rescaled and k_target < len(targets)
-                      and abs(state.t - targets[k_target]) < 1e-13)
-        if hit_target:
-            traj.landed.append(len(traj.states))
-        if on_cadence or hit_target:
+        if solver.x == cap and solver.tile:  # landed on a record (RadauIIA.tile)
+            if solver.rescaled:
+                k_tau += 1
+            else:
+                traj.landed.append(len(traj.states))
             traj.states.append(state)
             if partner is not None:
                 dtraj.landed.append(len(dtraj.states))

@@ -617,6 +617,31 @@ def test_run_both_mode_reports_dual_abort(tmp_path, monkeypatch):
     assert (out / "diagnostics.csv").exists()
 
 
+def test_run_both_mode_reports_a_joint_step_abort(tmp_path, monkeypatch):
+    # the 50th joint step raises and the primal steps on alone, so the
+    # abort was the dual's: the run exits 3 with the dual's failure, at the
+    # dual's last state, after its 49 joint steps
+    real_advance, carried = RadauIIA.advance, []
+
+    def advance(self, state, cap):
+        carried.append(self.dual)
+        if len(carried) == 50:
+            raise StiffnessError("injected")
+        return real_advance(self, state, cap)
+
+    monkeypatch.setattr(RadauIIA, "advance", advance)
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "b.cfg",
+        f'F="sigma_k:2" n=2 m=48 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
+        f'mode="both" out="{out}"',
+    )
+    assert main(["run", cfg]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": "StiffnessError", "message": "dual run aborted: stiffness",
+                       "t": carried[49].t, "steps": 49}
+
+
 def test_run_both_mode_dual_dying_first_exits_clean(tmp_path, monkeypatch):
     # the dual of a smaller sphere dies out about 0.04 before the primal's
     # last record; carried on in the primal's variables past its own u_stop,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualflow.dualmap import (
     CausalityError,
+    DualityBrokenError,
     dual_to_primal,
     gauss_dual,
     verify_duality,
@@ -138,6 +139,15 @@ def test_desitter_graph_validation():
     # a steep profile violates the spacelike bound
     with pytest.raises(CausalityError):
         Graph(grid, -0.2 - 1.5 * np.sin(grid.theta / 2.0) ** 2 * 3.0, -1.0)
+
+
+def test_gauss_dual_rejects_a_primal_not_strictly_convex():
+    # 0.3 + 0.28 cos 6 theta dimples inward between its lobes: no dual
+    # graph of its normals exists
+    grid = make_grid(2, 64)
+    u = make_initial("perturbed_sphere", (0.3, 0.28, 6), grid)
+    with pytest.raises(DualityBrokenError, match="not strictly convex"):
+        gauss_dual(Graph(grid, u))
 
 
 def test_dual_of_offcenter_sphere():

@@ -627,6 +627,35 @@ def test_joint_run_drops_a_dead_dual():
     assert dtraj.states[-1].t < traj.states[-1].t - 0.03
 
 
+@pytest.mark.parametrize("raised", [1, 2])
+def test_joint_run_attributes_an_abort(monkeypatch, raised):
+    # the 50th joint step raises (and the 51st when raised = 2); the dual
+    # ends at the last joint state and the primal steps on alone.  If it
+    # steps, the abort was the dual's: the primal runs on to u_stop
+    # (measured 201 steps) and the dual fails.  If the primal aborts too,
+    # the abort is the primal's and the dual ends cleanly beside it
+    real_advance, carried = RadauIIA.advance, []
+
+    def advance(self, state, cap):
+        carried.append(self.dual)
+        if 50 <= len(carried) < 50 + raised:
+            raise StiffnessError("injected")
+        return real_advance(self, state, cap)
+
+    monkeypatch.setattr(RadauIIA, "advance", advance)
+    traj, dtraj = run_both(CLI_BOTH, *_joint_start(CLI_BOTH))
+    assert dtraj.steps_taken == 49 and dtraj.states[-1] is carried[49]
+    paired = [dtraj.states[j].t for j in dtraj.landed]
+    assert paired and paired == [s.t for s in traj.states[1:len(paired) + 1]]
+    if raised == 1:
+        assert traj.failure is None and dtraj.failure == "stiffness"
+        assert traj.steps_taken > 150 and len(traj.states) == 40
+        assert np.abs(traj.states[-1].u).max() < CLI_BOTH.u_stop
+    else:
+        assert traj.failure == "stiffness" and dtraj.failure is None
+        assert traj.steps_taken == 49 and traj.states[-1].t == dtraj.states[-1].t
+
+
 def test_joint_run_shares_one_scale_factor():
     # the paper rescales the primal and its dual by one factor: carried in
     # the primal's lambda, the dual's w = u*/lambda tends to the slice -1 as
@@ -742,6 +771,31 @@ def test_nan_step_size_raises_stiffness(cap):
     solver.h = math.nan
     with pytest.raises(StiffnessError):
         solver.advance(state, cap)
+
+
+def test_rejected_step_retries_and_reestimates_its_error():
+    # a first step of 2.0, far past T* = 0.434 of the unit sphere: a stage
+    # leaves the admissible set, so its NaN rhs ends the Newton iteration,
+    # and once a step is rejected its error estimate is refined by one more
+    # rhs call (Hairer & Wanner, IV.8).  The accepted state is the sphere's
+    # closed form (measured within 1.1e-16)
+    grid = make_grid(2, 32)
+    state = FlowState(0.0, np.full(32, 1.0), grid, curvfn.make_function("mean", 2), 1.0)
+    solver = RadauIIA(grid, state.F, 1.0)
+    solver._restart(state)
+    solver.h = 2.0
+    calls, rhs = [], solver._rhs
+
+    def spy(y):
+        f = rhs(y)
+        calls.append((y.shape, bool(np.isfinite(f).all())))
+        return f
+
+    solver._rhs = spy
+    state = solver.advance(state, None)
+    assert ((3, 32), False) in calls  # a stage stack with a NaN row
+    assert ((32,), True) in calls  # the re-estimate, a step's only one-vector call
+    assert np.abs(state.u - spherical_theta(state.t, 1.0)).max() < 1e-12
 
 
 def test_run_flow_sphere_tracks_closed_form():

@@ -90,12 +90,15 @@ def test_embedding_constraints_random_graph():
     assert np.abs(minkowski_inner(nu, X)).max() < 1e-10
 
 
-def test_euclidean_compare_slice():
-    grid = make_grid(2, 64)
+@pytest.mark.parametrize("n", [1, 2])
+def test_euclidean_compare_slice(n):
+    # on the circle (n = 1) only the profile direction has a ratio
+    grid = make_grid(n, 64)
     cmp1 = euclidean_compare(Graph(grid, np.ones(64)))
     assert np.abs(cmp1.r - 0.7615941559557649).max() < 1e-13
     assert np.abs(cmp1.v_e - 1.0).max() < 1e-12
-    assert np.abs(cmp1.h_ratio - 0.41997434161402614).max() < 1e-10
+    assert cmp1.h_ratio.shape == (64, n)
+    assert np.abs(cmp1.h_ratio - 0.41997434161402614).max() < 1e-10  # 1 / cosh^2 1
     cmp2 = euclidean_compare(Graph(grid, np.full(64, 0.1)))
     assert np.abs(cmp2.r - 0.09966799462495582).max() < 1e-14
 
