@@ -275,9 +275,10 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
 
 _ABORTS = {StiffnessError: "stiffness", ConvexityError: "convexity", CausalityError: "causality"}
 
-# step-size control tolerances, far below the h^4 error of the stencils
-RTOL = 1e-10
-ATOL = 1e-12
+# the step-size control's one tolerance, balanced against the stencils' h^4
+# error (Lawson, Berzins & Dew 1991; README, "Time stepping"); RadauIIA reads
+# it once and derives ATOL = 1e-2 RTOL and its Newton tolerance from it
+RTOL = 1e-8
 
 
 def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float) -> GraphGeometry:
@@ -340,7 +341,6 @@ _P = np.array([
     [13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6],
     [1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0]])
 _NEWTON_MAXITER = 6
-_NEWTON_TOL = max(10.0 * np.finfo(float).eps / RTOL, min(0.03, math.sqrt(RTOL)))
 _MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 
 
@@ -497,6 +497,9 @@ class RadauIIA:
         self.tile = True  # the driver's word: the cap of advance is a record
         self._state = None  # the state the carried data belong to
         self.dual = None  # the dual state carried beside the primal, if any
+        rtol = self._rtol = RTOL  # read once (the comment above RTOL)
+        self._atol = 1e-2 * rtol
+        self._newton_tol = max(10.0 * np.finfo(float).eps / rtol, min(0.03, math.sqrt(rtol)))
 
     @property
     def _banded(self) -> bool:  # the Newton path (class docstring)
@@ -562,8 +565,8 @@ class RadauIIA:
         return state
 
     def _scale(self, y_abs: np.ndarray) -> np.ndarray:
-        """Error weights ATOL + RTOL |y|; s is integrated exactly and left out."""
-        scale = ATOL + RTOL * y_abs
+        """Error weights atol + rtol |y|; s is integrated exactly and left out."""
+        scale = self._atol + self._rtol * y_abs
         if self.rescaled:
             scale[self.grid.m] = np.inf
         return scale
@@ -621,15 +624,15 @@ class RadauIIA:
                 rate = dW_norm / norm_old
                 # two increments below the tolerance are converged whatever
                 # their ratio: at a fixed point it is a ratio of rounding noise
-                floor = max(norm_old, dW_norm) < _NEWTON_TOL
+                floor = max(norm_old, dW_norm) < self._newton_tol
                 # diverging, or too slow to converge within the iteration cap
                 if not floor and (rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate)
-                                  * dW_norm > _NEWTON_TOL):
+                                  * dW_norm > self._newton_tol):
                     break
             W += dW
             Z = _T @ W
             if dW_norm == 0.0 or rate is not None and (
-                    floor or rate / (1.0 - rate) * dW_norm < _NEWTON_TOL):
+                    floor or rate / (1.0 - rate) * dW_norm < self._newton_tol):
                 return True, k + 1, Z, rate
             norm_old = dW_norm
         return False, k + 1, Z, rate
@@ -669,7 +672,7 @@ class RadauIIA:
         h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.25
         self.h = min(100.0 * h0, h1)
 
-    def advance(self, state: FlowState, cap: float | None) -> FlowState:
+    def advance(self, state: FlowState, cap: float) -> FlowState:
         """One accepted step from state; a step that would reach x = cap (t,
         or tau once rescaled) lands on it exactly.  With tile set, equal
         steps no longer than the proposed h tile the way to the cap, so
@@ -690,9 +693,9 @@ class RadauIIA:
             if not h >= DT_MIN:  # NaN too
                 raise StiffnessError(f"dt = {h:.3e} below {DT_MIN:.0e}")
             # DT_MIN bounds the controller's step: a short landing is not stiffness
-            landing = cap is not None and h > cap - x - 1e-13
+            landing = h > cap - x - 1e-13
             h_try = cap - x if landing else h
-            if not landing and cap is not None and self.tile and not self._ramp:
+            if not landing and self.tile and not self._ramp:
                 # equal steps tile the way to the cap; the slack keeps the
                 # rounding of k equal steps from adding a sliver step
                 tiles = math.ceil((cap - x) / h - 1e-9)
@@ -757,7 +760,7 @@ class RadauIIA:
         return state
 
 
-def step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowState:
+def step(solver: RadauIIA, state: FlowState, cap: float) -> FlowState:
     """One accepted Radau IIA step of the contracting primal flow (see
     RadauIIA.advance).  Kept by this name, and dual_step by its own, for
     perfbench, which counts steps by them and checks the count against
@@ -765,7 +768,7 @@ def step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowSt
     return solver.advance(state, cap)
 
 
-def dual_step(solver: RadauIIA, state: FlowState, cap: float | None = None) -> FlowState:
+def dual_step(solver: RadauIIA, state: FlowState, cap: float) -> FlowState:
     """One accepted Radau IIA step of the expanding dual flow (see
     RadauIIA.advance)."""
     return solver.advance(state, cap)
