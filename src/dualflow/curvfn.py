@@ -47,7 +47,6 @@ __all__ = [
     "CurvatureFunction",
     "make_function",
     "invert",
-    "elementary_symmetric",
     "check_strict_concavity",
     "builtin_battery",
     "STRICTLY_CONCAVE",
@@ -162,16 +161,6 @@ def _chs(kappa, n: int, k: int) -> list:
         for j in range(1, k + 1):
             h[j] = h[j] + x * h[j - 1]
     return h
-
-
-def elementary_symmetric(kappa, k: int) -> np.ndarray | float:
-    """H_k(kappa); H_0 = 1.  Vectorized over leading axes."""
-    arr = np.asarray(kappa, dtype=float)
-    n = arr.shape[-1]
-    if not 0 <= k <= n:
-        raise ConstructionError(f"elementary symmetric degree {k} needs 0 <= k <= {n}")
-    out = np.full(arr.shape[:-1], _esp(arr, n)[k])
-    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curvfn import CurvatureFunction
 from .dualmap import gauss_dual, verify_duality
 from .hgeom import GraphGeometry, inradius_circumradius
 
@@ -35,7 +34,6 @@ __all__ = [
     "fit_exponential",
     "DecayReport",
     "decay_check",
-    "kn_term_gap",
 ]
 
 # discrete slack multiplier for preserved-sign inequalities: continuum
@@ -107,19 +105,26 @@ def compute_record(states, duals=None, Thetas=None,
     the worst of the three dual-map identities re-verified at this
     instant, and w = u*/Theta are populated.  A dual state is its own w;
     its hyperbolic-only fields (horoconvexity, pinching tensor, inball
-    radii, duality error) stay NaN.  The inball radii of all primal
-    states come from one stacked inradius_circumradius call.
+    radii, duality error) stay NaN.  The pass is batched: the inball
+    radii of all primal states come from one stacked
+    inradius_circumradius call, and the duality errors of all paired
+    primal states from one gauss_dual each and one stacked verify_duality
+    call.
     """
     states = list(states)
     duals = [None] * len(states) if duals is None else duals
     Thetas = [math.nan] * len(states) if Thetas is None else Thetas
     inballs = iter(inradius_circumradius([s for s in states if s.eps > 0]))
-    return [_record(s, d, Theta, epsilon, sigma, next(inballs) if s.eps > 0 else None)
+    reports = iter(verify_duality([gauss_dual(s) for s, d in zip(states, duals)
+                                   if s.eps > 0 and d is not None]))
+    return [_record(s, d, Theta, epsilon, sigma, inballs, reports)
             for s, d, Theta in zip(states, duals, Thetas, strict=True)]
 
 
-def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> DiagnosticsRecord:
-    """compute_record of one state, its inball search done (None for a dual state)."""
+def _record(state, dual, Theta: float, epsilon: float, sigma: float,
+            inballs, reports) -> DiagnosticsRecord:
+    """compute_record of one state; a primal state takes the next of the
+    stacked inball results, and a paired one the next duality report."""
     geo = state.geometry
     n = geo.kappa.shape[1]
     k_min = geo.kappa.min(axis=1)
@@ -135,9 +140,10 @@ def _record(state, dual, Theta: float, epsilon: float, sigma: float, inball) -> 
     if primal:
         horo = float(k_min.min() - 1.0)
         pinching_T = float((k_min - 1.0 - epsilon * (geo.H - n)).min())
+        inball = next(inballs)
         rho_minus, rho_plus = inball.rho_minus, inball.rho_plus
         if dual is not None:
-            duality_err = verify_duality(gauss_dual(state)).worst()
+            duality_err = next(reports).worst()
     return DiagnosticsRecord(
         t=float(state.t),
         tau=float(-math.log(Theta)) if Theta > 0.0 else math.nan,
@@ -238,21 +244,3 @@ def decay_check(traj, c0: float | None = None, delta: float | None = None) -> De
     return DecayReport(ok=bool(margin >= 0.0 and delta > 0.0), c0=float(c0),
                        delta=float(delta), worst_margin=margin,
                        n_points=int(pos.sum()), fitted=fitted)
-
-
-def kn_term_gap(F: CurvatureFunction, kappa):
-    """Left side and curvature spread of the gradient-trace inequality.
-
-    Returns (sum_i F_i |A|^2 - F H, sum_{i<j} (kappa_i - kappa_j)^2)
-    per sample; the first dominates a positive multiple of the second
-    on horoconvex samples, which a scan calibrates.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    S = np.asarray(F.gradient(kappa)).sum(axis=-1)
-    Fv = np.asarray(F.value(kappa))
-    A2 = (kappa * kappa).sum(axis=-1)
-    H = kappa.sum(axis=-1)
-    lhs = S * A2 - Fv * H
-    nn = kappa.shape[-1]
-    spread = nn * A2 - H * H
-    return lhs, spread

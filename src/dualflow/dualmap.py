@@ -108,7 +108,7 @@ class DualityReport:
         )
 
 
-def verify_duality(pair: DualPair) -> DualityReport:
+def verify_duality(pairs):
     """Measure kappa~ * kappa = 1, h~ = h, and the extremum exchange.
 
     All quantities are evaluated at the primal nodes.  Dual derivatives
@@ -118,38 +118,44 @@ def verify_duality(pair: DualPair) -> DualityReport:
     at the stencil order.  The second fundamental forms are compared as
     tensors fed with the same parameter vector, i.e. the dual profile
     entry picks up the squared angle derivative.
+
+    pairs is one DualPair, which gives one DualityReport, or a sequence of
+    them on one grid, which gives a list.  Either is measured as one stack,
+    a single pair as a stack of one, with one refine call for all extrema.
     """
-    g = pair.primal
-    grid = g.grid
-    geo = g.geometry
-    us = pair.u_star_nodes
-    w = pair.matching - grid.theta
-    w_th, a_th = grid.derivatives(w, parity=-1)
+    one = isinstance(pairs, DualPair)
+    ps = [pairs] if one else list(pairs)
+    if not ps:
+        return []
+    grid = ps[0].primal.grid
+    u, us, ang, kappa, v = (np.stack(x) for x in zip(*(
+        (p.primal.u, p.u_star_nodes, p.matching, p.primal.geometry.kappa, p.primal.geometry.v)
+        for p in ps)))
+    w_th, a_th = grid.derivatives(ang - grid.theta, parity=-1)
     a = 1.0 + w_th
     us_th, us_thth = grid.derivatives(us)
     dus = us_th / a
     ddus = (us_thth * a - us_th * a_th) / (a * a * a)
-    cot_t = None if grid.n == 1 else np.cos(pair.matching) / np.sin(pair.matching)
+    cot_t = None if grid.n == 1 else np.cos(ang) / np.sin(ang)
     _, vt, kt = _curvatures(us, dus, ddus, cot_t, -1.0, grid.n)
     ct_us = np.cosh(us)
-    su, v = np.sinh(g.u), geo.v
-    prod_err = np.abs(kt * geo.kappa - 1.0)
+    su = np.sinh(u)
+    prod_err = np.abs(kt * kappa - 1.0).max(axis=(1, 2))
     h_mis = np.abs(
-        geo.kappa[:, 0] * v * v * su * su - kt[:, 0] * vt * vt * ct_us * ct_us * a * a
+        kappa[..., 0] * v * v * su * su - kt[..., 0] * vt * vt * ct_us * ct_us * a * a
     )
     if grid.n > 1:
         h_ang_mis = np.abs(
-            geo.kappa[:, 1] * su * su * np.sin(grid.theta) ** 2
-            - kt[:, 1] * ct_us * ct_us * np.sin(pair.matching) ** 2
+            kappa[..., 1] * su * su * np.sin(grid.theta) ** 2
+            - kt[..., 1] * ct_us * ct_us * np.sin(ang) ** 2
         )
         h_mis = np.maximum(h_mis, h_ang_mis)
     # a minimum is minus the maximum of the negated profile, bit for bit, so
-    # all four extrema come from one refine call
-    _, (u_max, us_max, neg_u_min, neg_us_min) = refine_extremum(
-        grid, np.stack([g.u, us, -g.u, -us]), "max")
-    rel = max(abs(u_max - neg_us_min), abs(us_max - neg_u_min))
-    return DualityReport(
-        max_kappa_product_error=float(prod_err.max()),
-        max_h_mismatch=float(h_mis.max()),
-        relation_u_ustar_error=float(rel),
-    )
+    # all four extrema of every pair come from one refine call
+    u_max, us_max, neg_u_min, neg_us_min = refine_extremum(
+        grid, np.concatenate([u, us, -u, -us]), "max")[1].reshape(4, len(ps))
+    rel = np.maximum(np.abs(u_max - neg_us_min), np.abs(us_max - neg_u_min))
+    out = [DualityReport(max_kappa_product_error=float(e), max_h_mismatch=float(h),
+                         relation_u_ustar_error=float(r))
+           for e, h, r in zip(prod_err, h_mis.max(axis=1), rel)]
+    return out[0] if one else out

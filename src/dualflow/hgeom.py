@@ -33,8 +33,6 @@ __all__ = [
     "GraphGeometry",
     "geometry_of",
     "embed_arrays",
-    "EuclideanComparison",
-    "euclidean_compare",
     "InballResult",
     "inradius_circumradius",
 ]
@@ -204,55 +202,6 @@ def embed_arrays(g: Graph):
 
 
 @dataclass(frozen=True)
-class EuclideanComparison:
-    """Beltrami-image geometry next to the hyperbolic one, per node.
-
-    r is the Euclidean radius tanh u of the image graph, v_e its graph
-    factor, h_ratio the ratio of Euclidean to hyperbolic second
-    fundamental form diagonal entries (columns: profile direction, then
-    angular when n >= 2).
-    """
-
-    r: np.ndarray
-    v_e: np.ndarray
-    h_ratio: np.ndarray
-
-
-def euclidean_compare(g: Graph) -> EuclideanComparison:
-    """Geometry of the Beltrami image, computed independently.
-
-    The image of the graph under the Beltrami map is the Euclidean
-    radial graph r = tanh u in the unit ball.  Its curvature entries
-    come from the flat polar-graph formulas (same structure as the
-    hyperbolic ones with trivial warping), not from any conversion
-    identity, so the returned ratios provide a genuine cross-check of
-    the comparison inequalities.
-    """
-    grid = g.grid
-    geo = g.geometry
-    r = np.tanh(g.u)
-    assert np.all(r < 1.0)
-    r_th, r_thth = grid.derivatives(r)
-    pe = r_th / r
-    pe_th = r_thth / r - (r_th / r) ** 2
-    v_e = np.sqrt(1.0 + pe * pe)
-    ke_prof = (1.0 - pe_th / (v_e * v_e)) / (v_e * r)
-    # tensor entries: hyperbolic h_thth = kappa * v^2 sinh^2 u, Euclidean
-    # h_thth = kappa_e * v_e^2 r^2; angular slots carry sin^2 theta on
-    # both sides, which cancels in the ratio
-    ratio_prof = (ke_prof * v_e * v_e * r * r) / (
-        geo.kappa[:, 0] * geo.v * geo.v * np.sinh(g.u) ** 2
-    )
-    if grid.n == 1:
-        h_ratio = ratio_prof[:, None]
-    else:
-        ke_ang = (1.0 - grid.cot * pe) / (v_e * r)
-        ratio_ang = (ke_ang * r * r) / (geo.kappa[:, 1] * np.sinh(g.u) ** 2)
-        h_ratio = np.stack([ratio_prof, ratio_ang], axis=1)
-    return EuclideanComparison(r=r, v_e=v_e, h_ratio=h_ratio)
-
-
-@dataclass(frozen=True)
 class InballResult:
     """Axis-centered inball and circumball radii, the inball offset, and
     whether an offset scan that was not unimodal forced the dense scan."""
@@ -266,9 +215,13 @@ class InballResult:
 # points per scan of the axis offset, and per dense scan once a coarse scan
 # is not unimodal; the zoom ends when the offset bracket is below _TOL
 _SCAN, _DENSE, _TOL = 41, 2001, 1e-9
-# doubles in one stacked distance array: a block of states scans together
-# as long as its (states, 2 sides, _SCAN offsets, m nodes) array fits
+# doubles in one stacked distance array: a block of states scans together as
+# long as its (states, 2 sides, _SCAN offsets, m nodes) array fits, and a
+# chunk of states zooms together as long as its (states, 2 sides, m nodes)
+# array of one new offset per side does
 _BLOCK = 1 << 15
+# the golden-section step, as a fraction of the bracket's longer side
+_GOLD = 0.5 * (3.0 - 5.0 ** 0.5)
 
 
 def _distance_profile(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -302,8 +255,11 @@ def _bracket(s: np.ndarray, f: np.ndarray):
             for x, j in ((f, k), (s, k), (s, np.maximum(k - 1, 0)), (s, np.minimum(k + 1, top)))]
 
 
-def _inball_block(grid: SphereGrid, u: np.ndarray) -> list:
-    """inradius_circumradius of the profiles u (S, m), all zooming together."""
+def _coarse_scan(grid: SphereGrid, u: np.ndarray):
+    """The _SCAN-point scans of the profiles u (S, m), one block scanning
+    together: per state and side the best score, its offset and the
+    bracket around it, and per state whether a scan was not unimodal, which
+    takes the _DENSE-point scan alone."""
     top, bottom = grid.axis_values(u)
     lo, hi = 1e-9 - bottom, top - 1e-9
     s = np.linspace(lo, hi, _SCAN, axis=-1)[:, None, :] + np.zeros((1, 2, 1))
@@ -311,25 +267,35 @@ def _inball_block(grid: SphereGrid, u: np.ndarray) -> list:
     rise = np.diff(f, axis=-1)
     fallback = ~np.where(np.arange(_SCAN - 1) < np.argmax(f, axis=-1)[..., None],
                          rise >= -1e-7, rise <= 1e-7).all(axis=(1, 2))
-    best, at, a, b = _bracket(s, f)
+    found = _bracket(s, f)
     for i in np.flatnonzero(fallback):
         sd = np.linspace(lo[i], hi[i], _DENSE) + np.zeros((1, 2, 1))
-        for x, y in zip((best, at, a, b), _bracket(sd, _score(grid, u[i:i + 1], sd))):
+        for x, y in zip(found, _bracket(sd, _score(grid, u[i:i + 1], sd))):
             x[i] = y[0]
-    out = [None] * len(u)
-    live = np.arange(len(u))
-    while True:
-        # each state stops on its own bracket, both sides together
-        done = (b - a).max(axis=1) <= _TOL
-        for j in np.flatnonzero(done):
-            out[live[j]] = InballResult(rho_minus=float(best[j, 0]), rho_plus=float(-best[j, 1]),
-                                        center_offset=float(at[j, 0]),
-                                        dense_fallback=bool(fallback[live[j]]))
-        if done.all():
-            return out
-        live, a, b = live[~done], a[~done], b[~done]
-        s = a[..., None] + (b - a)[..., None] * np.linspace(0.0, 1.0, _SCAN)
-        best, at, a, b = _bracket(s, _score(grid, u[live], s))
+    return (*found, fallback)
+
+
+def _golden_zoom(grid: SphereGrid, u: np.ndarray, best, at, a, b) -> None:
+    """Zoom each side of the profiles u (S, m) in on its best offset, in
+    place, one chunk of states together: per round one new offset per side,
+    a golden-section step from at into the longer side of its bracket
+    (a, b).  at and best keep the best offset seen and its score; a state
+    leaves once both its brackets are below _TOL (Kiefer 1953)."""
+    live = np.flatnonzero((b - a).max(axis=1) > _TOL)
+    while live.size:
+        x, lo, hi, fx = at[live], a[live], b[live], best[live]
+        step = _GOLD * np.where(x - lo > hi - x, lo - x, hi - x)
+        s = x + step
+        f = _score(grid, u[live], s[..., None])[..., 0]
+        better, right = f > fx, step > 0.0
+        # a better offset moves the bound behind it up to the old best one,
+        # a worse one becomes the bound on its own side
+        moved = np.where(better, x, s)
+        a[live] = np.where(better == right, moved, lo)
+        b[live] = np.where(better != right, moved, hi)
+        at[live] = np.where(better, s, x)
+        best[live] = np.where(better, f, fx)
+        live = live[(b[live] - a[live]).max(axis=1) > _TOL]
 
 
 def inradius_circumradius(g):
@@ -339,18 +305,20 @@ def inradius_circumradius(g):
     nodes, the circumradius minimizes the largest; each distance is
     refined below grid resolution by local interpolation.  One _SCAN-point
     scan of the offsets between the surface's two axis crossings serves
-    both sides; then each side zooms in, one batched scan of the bracket
-    around its best point per round, until the bracket is below _TOL.
-    dense_fallback flags that a side's coarse scan was not unimodal; a
-    _DENSE-point scan then picks the basins before the zoom.
+    both sides and brackets each side's best offset; then a golden-section
+    search zooms each side in, one new offset per round, keeping the best
+    offset seen, until the bracket is below _TOL.  dense_fallback flags
+    that a side's coarse scan was not unimodal; a _DENSE-point scan then
+    picks the basins before the zoom.
 
     g is one graph (or state), which gives one InballResult, or a sequence
-    of them on one grid, which gives a list.  A sequence is searched in
-    blocks of states that scan and zoom together, one refine call per
-    round, as many as keep a stacked distance array within _BLOCK doubles;
-    a state leaves the zoom on its own bracket, so each result is the one
-    its state gets alone.  A state whose coarse scan is not unimodal takes
-    its dense scan alone.
+    of them on one grid, which gives a list.  A sequence takes its coarse
+    scans in blocks of states, one refine call per block, and its zoom in
+    chunks of states, one refine call per round, each as large as keeps a
+    stacked distance array within _BLOCK doubles.  A state whose coarse
+    scan is not unimodal takes its dense scan alone, and a state leaves the
+    zoom on its own brackets, so each result is the one its state gets
+    alone.
     """
     one = hasattr(g, "grid")
     gs = [g] if one else list(g)
@@ -359,5 +327,12 @@ def inradius_circumradius(g):
     grid = gs[0].grid
     u = np.stack([x.u for x in gs])
     size = max(1, _BLOCK // (2 * _SCAN * grid.m))
-    out = [r for i in range(0, len(u), size) for r in _inball_block(grid, u[i:i + size])]
+    best, at, a, b, fallback = map(np.concatenate, zip(*(
+        _coarse_scan(grid, u[i:i + size]) for i in range(0, len(u), size))))
+    size = max(1, _BLOCK // (2 * grid.m))
+    for i in range(0, len(u), size):
+        _golden_zoom(grid, u[i:i + size], *(x[i:i + size] for x in (best, at, a, b)))
+    out = [InballResult(rho_minus=float(f[0]), rho_plus=float(-f[1]),
+                        center_offset=float(s[0]), dense_fallback=bool(d))
+           for f, s, d in zip(best, at, fallback)]
     return out[0] if one else out

@@ -1,14 +1,17 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here deliberately avoids the package's own formula paths:
-curvatures come from finite differences of the Minkowski embedding,
-symmetric polynomials from brute-force enumeration, radii from dense
-scans.  Steps are taken on analytic callables, so the reference
-accuracy (~1e-10) sits far below the tolerances asserted in tests.
+Everything here but the last section deliberately avoids the package's
+own formula paths: curvatures come from finite differences of the
+Minkowski embedding, symmetric polynomials from brute-force
+enumeration, radii from dense scans.  Steps are taken on analytic
+callables, so the reference accuracy (~1e-10) sits far below the
+tolerances asserted in tests.  The last section holds helpers that only
+the tests call and that read the package's own kernels.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -467,3 +470,90 @@ def rk4_profiles(grid, F, u0, targets, eps=1.0, cfl=0.2):
 def spherical_theta_ref(t, r0):
     """Closed-form shrinking-sphere radius arccosh(cosh(r0) e^{-t})."""
     return np.arccosh(np.cosh(r0) * np.exp(-np.asarray(t, dtype=float)))
+
+
+# ----------------------------------------------------------------------
+# helpers only the tests call, on the package's own kernels
+# ----------------------------------------------------------------------
+# Unlike the oracles above, these read the package's own geometry or
+# symmetric-polynomial recursion, so their tests still check src.
+
+
+def elementary_symmetric(kappa, k):
+    """H_k(kappa) by the package's recursion curvfn._esp; H_0 = 1.
+    Vectorized over leading axes."""
+    from dualflow.curvfn import ConstructionError, _esp
+
+    arr = np.asarray(kappa, dtype=float)
+    n = arr.shape[-1]
+    if not 0 <= k <= n:
+        raise ConstructionError(f"elementary symmetric degree {k} needs 0 <= k <= {n}")
+    out = np.full(arr.shape[:-1], _esp(arr, n)[k])
+    return float(out) if out.ndim == 0 else out
+
+
+def kn_term_gap(F, kappa):
+    """Left side and curvature spread of the gradient-trace inequality.
+
+    Returns (sum_i F_i |A|^2 - F H, sum_{i<j} (kappa_i - kappa_j)^2)
+    per sample; the first dominates a positive multiple of the second
+    on horoconvex samples, which a scan calibrates.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    S = np.asarray(F.gradient(kappa)).sum(axis=-1)
+    Fv = np.asarray(F.value(kappa))
+    A2 = (kappa * kappa).sum(axis=-1)
+    H = kappa.sum(axis=-1)
+    lhs = S * A2 - Fv * H
+    nn = kappa.shape[-1]
+    spread = nn * A2 - H * H
+    return lhs, spread
+
+
+@dataclass(frozen=True)
+class EuclideanComparison:
+    """Beltrami-image geometry next to the hyperbolic one, per node.
+
+    r is the Euclidean radius tanh u of the image graph, v_e its graph
+    factor, h_ratio the ratio of Euclidean to hyperbolic second
+    fundamental form diagonal entries (columns: profile direction, then
+    angular when n >= 2).
+    """
+
+    r: np.ndarray
+    v_e: np.ndarray
+    h_ratio: np.ndarray
+
+
+def euclidean_compare(g):
+    """Geometry of the Beltrami image of the graph g, computed independently.
+
+    The image of the graph under the Beltrami map is the Euclidean
+    radial graph r = tanh u in the unit ball.  Its curvature entries
+    come from the flat polar-graph formulas (same structure as the
+    hyperbolic ones with trivial warping), not from any conversion
+    identity, so the returned ratios provide a genuine cross-check of
+    the comparison inequalities against the package's kappa and v.
+    """
+    grid = g.grid
+    geo = g.geometry
+    r = np.tanh(g.u)
+    assert np.all(r < 1.0)
+    r_th, r_thth = grid.derivatives(r)
+    pe = r_th / r
+    pe_th = r_thth / r - (r_th / r) ** 2
+    v_e = np.sqrt(1.0 + pe * pe)
+    ke_prof = (1.0 - pe_th / (v_e * v_e)) / (v_e * r)
+    # tensor entries: hyperbolic h_thth = kappa * v^2 sinh^2 u, Euclidean
+    # h_thth = kappa_e * v_e^2 r^2; angular slots carry sin^2 theta on
+    # both sides, which cancels in the ratio
+    ratio_prof = (ke_prof * v_e * v_e * r * r) / (
+        geo.kappa[:, 0] * geo.v * geo.v * np.sinh(g.u) ** 2
+    )
+    if grid.n == 1:
+        h_ratio = ratio_prof[:, None]
+    else:
+        ke_ang = (1.0 - grid.cot * pe) / (v_e * r)
+        ratio_ang = (ke_ang * r * r) / (geo.kappa[:, 1] * np.sinh(g.u) ** 2)
+        h_ratio = np.stack([ratio_prof, ratio_ang], axis=1)
+    return EuclideanComparison(r=r, v_e=v_e, h_ratio=h_ratio)

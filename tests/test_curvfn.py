@@ -14,12 +14,11 @@ from dualflow.curvfn import (
     NOT_CONCAVE,
     STRICTLY_CONCAVE,
     check_strict_concavity,
-    elementary_symmetric,
     invert,
     make_function,
 )
-from oracles import (brute_chs, brute_esp, fd_gradient, fd_hessian, power_mean_gradient,
-                     power_mean_hessian)
+from oracles import (brute_chs, brute_esp, elementary_symmetric, fd_gradient, fd_hessian,
+                     power_mean_gradient, power_mean_hessian)
 
 
 def test_sigma2_n2_value():

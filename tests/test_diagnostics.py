@@ -5,20 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from dualflow import curvfn
+from dualflow import curvfn, diagnostics, hgeom
 from dualflow.diagnostics import (
     C_GRID,
     CSV_FIELDS,
     compute_record,
     decay_check,
     fit_exponential,
-    kn_term_gap,
     pinching_epsilon,
 )
 from dualflow.dualmap import gauss_dual
-from dualflow.flow import FlowConfig, FlowState, run_flow
+from dualflow.flow import FlowConfig, FlowState, make_initial, run_both, run_flow
 from dualflow.hgeom import Graph, geometry_of
 from dualflow.sphere_grid import make_grid
+from oracles import kn_term_gap
 
 
 def test_csv_fields_are_frozen():
@@ -68,6 +68,30 @@ def test_record_without_dual_has_nan_w():
     [rec] = compute_record([st], Thetas=[1.0])
     assert math.isnan(rec.duality_err)
     assert math.isnan(rec.w_min) and math.isnan(rec.w_max)
+
+
+def test_record_pass_is_cheap_by_counts(monkeypatch):
+    # the 40 records of the sigma_k:2 both-mode run, every primal paired:
+    # the inball search scores at most 8000 offset rows in all (a 41-point
+    # rescan of each bracket per round scored 23 042), and every duality
+    # error comes from one verify_duality call on the stack of pairs
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    grid = make_grid(2, 48)
+    F = curvfn.make_function(cfg.F, cfg.n)
+    state0 = FlowState(0.0, make_initial(cfg.initial, cfg.initial_params, grid), grid, F, 1.0)
+    traj, dtraj = run_both(cfg, state0, gauss_dual(state0).dual)
+    duals = [dtraj.states[j] for j in [0] + dtraj.landed]
+    assert len(traj.states) == len(duals) == 40
+    rows, calls = [], []
+    score, verify = hgeom._score, diagnostics.verify_duality
+    monkeypatch.setattr(hgeom, "_score", lambda grid, u, s: rows.append(s.size) or score(grid, u, s))
+    monkeypatch.setattr(diagnostics, "verify_duality",
+                        lambda pairs: calls.append(pairs) or verify(pairs))
+    records = compute_record(traj.states, duals, [1.0] * 40)
+    assert sum(rows) <= 8000
+    assert len(calls) == 1 and len(calls[0]) == 40
+    assert all(math.isfinite(r.rho_minus) and math.isfinite(r.duality_err) for r in records)
 
 
 def test_pinching_weight_feasible_at_start():

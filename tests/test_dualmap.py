@@ -14,7 +14,8 @@ from dualflow.dualmap import (
     gauss_dual,
     verify_duality,
 )
-from dualflow.flow import make_initial
+from dualflow import curvfn
+from dualflow.flow import FlowConfig, FlowState, make_initial, run_both
 from dualflow.hgeom import Graph, geometry_of
 from dualflow.sphere_grid import make_grid, refine_extremum
 from oracles import oracle_dual_point, oracle_ds_geometry
@@ -104,6 +105,29 @@ def test_verify_duality_fourth_order():
         u = 1.0 + 0.1 * np.cos(grid.theta)
         errs.append(verify_duality(gauss_dual(Graph(grid, u))).worst())
     assert errs[0] / errs[1] >= 12.0
+
+
+def test_stacked_verify_duality_equals_one_pair():
+    # the 40 primal records of the sigma_k:2 both-mode run (n = 2, m = 48)
+    # and seeded random Fourier curves on the circle grid (n = 1, m = 64):
+    # one stacked call gives each pair, bit for bit, the report it gets alone
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    grid = make_grid(2, 48)
+    F = curvfn.make_function(cfg.F, cfg.n)
+    state0 = FlowState(0.0, make_initial(cfg.initial, cfg.initial_params, grid), grid, F, 1.0)
+    traj, _ = run_both(cfg, state0, gauss_dual(state0).dual)
+    assert len(traj.states) == 40
+    circle = make_grid(1, 64)
+    curves = [Graph(circle, make_initial("random_fourier", (1.0, 0.05, 4), circle, seed))
+              for seed in range(8)]
+    for pairs in ([gauss_dual(s) for s in traj.states], [gauss_dual(g) for g in curves]):
+        stacked = verify_duality(pairs)
+        assert len(stacked) == len(pairs)
+        assert len({rep.worst() for rep in stacked}) > 1
+        for pair, rep in zip(pairs, stacked):
+            assert rep == verify_duality(pair)
+    assert verify_duality([]) == []
 
 
 def test_horoconvex_dual_has_small_curvature():

@@ -12,12 +12,12 @@ from dualflow.hgeom import (
     CausalityError,
     Graph,
     embed_arrays,
-    euclidean_compare,
     geometry_of,
     inradius_circumradius,
 )
 from dualflow.sphere_grid import make_grid
-from oracles import dense_inradius_scan, minkowski_inner, oracle_curve_geometry, oracle_h_geometry
+from oracles import (dense_inradius_scan, euclidean_compare, minkowski_inner, oracle_curve_geometry,
+                     oracle_h_geometry)
 
 COTH1 = 1.3130352854993312  # cosh(1)/sinh(1)
 
@@ -212,6 +212,21 @@ def test_stacked_inball_search_equals_one_state_search():
     assert [res.dense_fallback for res in stacked].count(True) == 1
     assert stacked[17].dense_fallback
     assert inradius_circumradius([]) == []
+
+
+def test_inball_zoom_chunks_leave_each_result_alone(monkeypatch):
+    # with _BLOCK cut to two states' zoom arrays, every coarse scan runs
+    # alone and the zoom runs in chunks of two states, so a sphere, a
+    # translated sphere, a perturbed sphere and a two-lobe profile share
+    # chunks differently: each state still gets bit for bit its result
+    grid = make_grid(2, 48)
+    gs = [Graph(grid, u) for u in (np.full(48, 0.8), _translated_sphere(grid, 0.8, 0.25),
+                                   1.0 + 0.1 * np.cos(grid.theta), _two_lobes(grid.theta),
+                                   np.full(48, 4.0))]
+    alone = [inradius_circumradius(g) for g in gs]
+    monkeypatch.setattr(hgeom, "_BLOCK", 2 * 2 * grid.m)
+    assert inradius_circumradius(gs) == alone
+    assert inradius_circumradius(gs[1:]) == alone[1:]
 
 
 def test_nonconvex_flagged():
