@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dualmap import gauss_dual, verify_duality
+from .flow import _fill_geometry
 from .hgeom import GraphGeometry, inradius_circumradius
 
 __all__ = [
@@ -84,83 +85,65 @@ def pinching_epsilon(geo: GraphGeometry, n: int) -> float:
     return max(0.5 * float(k1.min() - 1.0) / denom, 0.0)
 
 
-def _f_sigma(geo: GraphGeometry, sigma: float):
-    nn = geo.kappa.shape[1]
-    gap = geo.normA2 - nn * geo.F_value * geo.F_value
-    return gap, geo.F_value ** (-(2.0 - sigma)) * gap
-
-
 def compute_record(states, duals=None, Thetas=None,
                    epsilon: float = 0.0, sigma: float = 0.1) -> list:
-    """Condense a sequence of FlowStates of either side into one
-    DiagnosticsRecord per state.
+    """Condense a sequence of FlowStates of either side, on one grid, into
+    one DiagnosticsRecord per state.
 
     The side of a state is its eps: +1 primal, -1 dual.  The curvature
-    monitors read the state's own geometry, on its own grid.  Thetas
-    holds the barrier radius at each state's time (NaN when no extinction
-    estimate exists yet; all NaN when omitted); epsilon is the
-    run-constant pinching weight from pinching_epsilon at t = 0.  duals
-    holds each primal state's matched dual (a dual state or graph whose u
-    is read, or None; all None when omitted): with it the duality error,
-    the worst of the three dual-map identities re-verified at this
-    instant, and w = u*/Theta are populated.  A dual state is its own w;
-    its hyperbolic-only fields (horoconvexity, pinching tensor, inball
-    radii, duality error) stay NaN.  The pass is batched: the inball
-    radii of all primal states come from one stacked
-    inradius_circumradius call, and the duality errors of all paired
-    primal states from one gauss_dual each and one stacked verify_duality
-    call.
+    monitors read the state's own geometry.  Thetas holds the barrier
+    radius at each state's time (NaN when no extinction estimate exists
+    yet; all NaN when omitted); epsilon is the run-constant pinching
+    weight from pinching_epsilon at t = 0.  duals holds each primal
+    state's matched dual (a dual state or graph whose u is read, or None;
+    all None when omitted): with it the duality error, the worst of the
+    three dual-map identities re-verified at this instant, and w =
+    u*/Theta are populated.  A dual state is its own w; its
+    hyperbolic-only fields (horoconvexity, pinching tensor, inball radii,
+    duality error) stay NaN.  The states are read as one stack: one
+    geometry build per side (_fill_geometry), one call each of
+    inradius_circumradius, gauss_dual and verify_duality, and every monitor
+    a column reduction over (S, m) arrays.
     """
     states = list(states)
+    if not states:
+        return []
     duals = [None] * len(states) if duals is None else duals
-    Thetas = [math.nan] * len(states) if Thetas is None else Thetas
-    inballs = iter(inradius_circumradius([s for s in states if s.eps > 0]))
-    reports = iter(verify_duality([gauss_dual(s) for s, d in zip(states, duals)
-                                   if s.eps > 0 and d is not None]))
-    return [_record(s, d, Theta, epsilon, sigma, inballs, reports)
-            for s, d, Theta in zip(states, duals, Thetas, strict=True)]
-
-
-def _record(state, dual, Theta: float, epsilon: float, sigma: float,
-            inballs, reports) -> DiagnosticsRecord:
-    """compute_record of one state; a primal state takes the next of the
-    stacked inball results, and a paired one the next duality report."""
-    geo = state.geometry
-    n = geo.kappa.shape[1]
-    k_min = geo.kappa.min(axis=1)
-    k_max = geo.kappa.max(axis=1)
-    gap, f_sig = _f_sigma(geo, sigma)
-    F_tilde = geo.F_value * Theta
-    primal = state.eps > 0
-    dual = dual if primal else state
-    horo = pinching_T = rho_minus = rho_plus = duality_err = w_min = w_max = math.nan
-    if dual is not None:
-        w = dual.u / Theta
-        w_min, w_max = float(w.min()), float(w.max())
-    if primal:
-        horo = float(k_min.min() - 1.0)
-        pinching_T = float((k_min - 1.0 - epsilon * (geo.H - n)).min())
-        inball = next(inballs)
-        rho_minus, rho_plus = inball.rho_minus, inball.rho_plus
-        if dual is not None:
-            duality_err = next(reports).worst()
-    return DiagnosticsRecord(
-        t=float(state.t),
-        tau=float(-math.log(Theta)) if Theta > 0.0 else math.nan,
-        u_min=float(state.u.min()),
-        u_max=float(state.u.max()),
-        pinch_ratio=float((k_min / k_max).min()),
-        horoconvex_margin=horo,
-        pinching_T=pinching_T,
-        osc_F_tilde=float(F_tilde.max() - F_tilde.min()),
-        f_sigma_max=float(f_sig.max()),
-        A2_minus_nF2_max=float(gap.max()),
-        rho_minus=rho_minus,
-        rho_plus=rho_plus,
-        duality_err=duality_err,
-        w_min=w_min,
-        w_max=w_max,
-    )
+    Theta = np.array([math.nan] * len(states) if Thetas is None else Thetas, dtype=float)
+    _fill_geometry(states)
+    primal = np.array([s.eps > 0 for s in states])
+    paired = np.array([s.eps > 0 and d is not None for s, d in zip(states, duals, strict=True)])
+    u, kappa, H, normA2, F_value = (np.stack(x) for x in zip(*(
+        (s.u, s.geometry.kappa, s.geometry.H, s.geometry.normA2, s.geometry.F_value)
+        for s in states)))
+    n, k_min, k_max = kappa.shape[-1], kappa.min(axis=-1), kappa.max(axis=-1)
+    gap = normA2 - n * F_value * F_value
+    w = np.stack([s.u if s.eps < 0 else np.full(len(s.u), math.nan) if d is None else d.u
+                  for s, d in zip(states, duals)]) / Theta[:, None]
+    rho, duality_err = np.full((len(states), 2), math.nan), np.full(len(states), math.nan)
+    rho[primal] = np.reshape([(r.rho_minus, r.rho_plus) for r in inradius_circumradius(
+        [s for s in states if s.eps > 0])], (-1, 2))
+    duality_err[paired] = [r.worst() for r in verify_duality(gauss_dual(
+        [s for s, p in zip(states, paired) if p]))]
+    columns = {
+        "t": [float(s.t) for s in states],
+        "tau": [-math.log(th) if th > 0.0 else math.nan for th in Theta.tolist()],
+        "u_min": u.min(axis=1),
+        "u_max": u.max(axis=1),
+        "pinch_ratio": (k_min / k_max).min(axis=1),
+        "horoconvex_margin": np.where(primal, k_min.min(axis=1) - 1.0, math.nan),
+        "pinching_T": np.where(primal, (k_min - 1.0 - epsilon * (H - n)).min(axis=1), math.nan),
+        "osc_F_tilde": np.ptp(F_value * Theta[:, None], axis=1),
+        "f_sigma_max": (F_value ** (-(2.0 - sigma)) * gap).max(axis=1),
+        "A2_minus_nF2_max": gap.max(axis=1),
+        "rho_minus": rho[:, 0],
+        "rho_plus": rho[:, 1],
+        "duality_err": duality_err,
+        "w_min": w.min(axis=1),
+        "w_max": w.max(axis=1),
+    }
+    return [DiagnosticsRecord(*row)
+            for row in zip(*(np.asarray(columns[f], dtype=float).tolist() for f in CSV_FIELDS))]
 
 
 @dataclass(frozen=True)
@@ -220,15 +203,10 @@ def decay_check(traj, c0: float | None = None, delta: float | None = None) -> De
     """
     if (c0 is None) != (delta is None):
         raise ValueError("decay_check takes c0 and delta together, or neither")
-    gaps = []
-    Fs = []
-    for s in traj.states:
-        geo = s.geometry
-        nn = geo.kappa.shape[1]
-        gaps.append(geo.normA2 - nn * geo.F_value**2)
-        Fs.append(geo.F_value)
-    gap = np.concatenate(gaps)
-    F = np.concatenate(Fs)
+    _fill_geometry(traj.states)
+    geos = [s.geometry for s in traj.states]
+    F = np.concatenate([geo.F_value for geo in geos])
+    gap = np.concatenate([geo.normA2 for geo in geos]) - geos[0].kappa.shape[1] * F**2
     pos = gap > 1e-14 * np.maximum(F * F, 1.0)
     fitted = False
     if c0 is None:

@@ -52,44 +52,55 @@ class DualPair:
     u_star_nodes: np.ndarray
 
 
-def _gauss_map(g):
-    """The graph of the other side swept by g's unit normals, the matching
-    angle of each node (the direction of the normal's spatial part, which
-    must increase) and the node values before resampling.
+def _gauss_map(gs):
+    """Per graph of gs (one grid, one side): the graph of the other side
+    swept by its unit normals, the matching angle of each node (the
+    direction of the normal's spatial part, which must increase) and the
+    node values before resampling: a list of graphs and two (S, m) arrays.
 
     A primal normal (eps = +1) is a point of de Sitter space: its
     eigentime arcsinh(nu^0), negated (light-cone switch), is read as a
     graph over the direction of the spatial part.  The past-directed
     normal of a stored dual (eps = -1), with the light cone switched
     back, is a point of H^{n+1}, read as a radial graph arccosh(nu^0).
-    The scattered samples are brought onto the grid by the grid's own
-    resample.
+    The scattered samples of the whole (S, m) stack (a single graph: its
+    (m,) arrays) are brought onto the grid by one call of its resample.
     """
-    grid, geo = g.grid, g.geometry
-    nu0, nu_sin, nu_axis = _unit_normal(g.u, geo.slope, geo.v, grid.theta, g.eps)
-    ang = np.unwrap(np.arctan2(nu_sin, nu_axis))
-    if not np.all(np.diff(ang) > 0.0):
-        j = int(np.argmin(np.diff(ang)))
+    grid, eps = gs[0].grid, gs[0].eps
+    u, slope, v = (x[0] if len(gs) == 1 else np.stack(x) for x in zip(*(
+        (g.u, g.geometry.slope, g.geometry.v) for g in gs)))
+    nu0, nu_sin, nu_axis = _unit_normal(u, slope, v, grid.theta, eps)
+    ang = np.unwrap(np.arctan2(nu_sin, nu_axis), axis=-1)
+    rise = np.diff(ang, axis=-1)
+    if not np.all(rise > 0.0):
+        j = int(np.argmin(rise)) % (grid.m - 1)
         raise DualityBrokenError(
             f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
         )
-    nodes = -np.arcsinh(nu0) if g.eps > 0 else np.arccosh(np.clip(nu0, 1.0, None))
-    return Graph(grid, grid.resample(ang, nodes), -g.eps), ang, nodes
+    nodes = -np.arcsinh(nu0) if eps > 0 else np.arccosh(np.clip(nu0, 1.0, None))
+    duals = [Graph(grid, w, -eps) for w in grid.resample(ang, nodes).reshape(-1, grid.m)]
+    return duals, ang.reshape(-1, grid.m), nodes.reshape(-1, grid.m)
 
 
-def gauss_dual(g) -> DualPair:
+def gauss_dual(g):
     """Dual spacelike graph swept by the exterior normals of a strictly
-    convex primal graph g (a Graph or a primal flow state)."""
-    if not g.geometry.convex:
+    convex primal graph g (a Graph or a primal flow state), as a DualPair;
+    a sequence of graphs on one grid gives a list, from one _gauss_map."""
+    gs = [g] if hasattr(g, "grid") else list(g)
+    if not all(x.geometry.convex for x in gs):
         raise DualityBrokenError("primal graph is not strictly convex")
-    dual, ang, u_star = _gauss_map(g)
-    return DualPair(primal=g, dual=dual, matching=ang, u_star_nodes=u_star)
+    out = [DualPair(primal=p, dual=d, matching=a, u_star_nodes=n)
+           for p, d, a, n in zip(gs, *_gauss_map(gs))] if gs else []
+    return out[0] if hasattr(g, "grid") else out
 
 
-def dual_to_primal(d) -> Graph:
+def dual_to_primal(d):
     """Recover the hyperbolic surface whose Gauss image is the stored dual d
-    (a Graph with eps = -1 or a dual flow state): the Gauss map undone."""
-    return _gauss_map(d)[0]
+    (a Graph with eps = -1 or a dual flow state): the Gauss map undone.  A
+    sequence of duals on one grid gives a list, from one _gauss_map."""
+    ds = [d] if hasattr(d, "grid") else list(d)
+    out = _gauss_map(ds)[0] if ds else []
+    return out[0] if hasattr(d, "grid") else out
 
 
 @dataclass(frozen=True)

@@ -281,19 +281,33 @@ _ABORTS = {StiffnessError: "stiffness", ConvexityError: "convexity", CausalityEr
 RTOL = 1e-8
 
 
-def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float) -> GraphGeometry:
+def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float):
     """Geometry with the speed attached, of a state the flow can continue
     from: a primal radius stays positive, a dual stays spacelike below the
-    equatorial slice, and either is strictly convex."""
-    if eps > 0 and u.min() <= 0.0:
-        raise ConvexityError(f"radius collapsed at node {int(np.argmin(u))}")
-    if eps < 0 and u.max() >= 0.0:
-        raise CausalityError("dual graph crossed the equatorial slice")
-    geo = geometry_of(Graph(grid, u, eps), F)
-    if not geo.convex:
-        j = int(np.argmin(geo.kappa.min(axis=1)))
-        raise ConvexityError(f"not strictly convex at node {j}")
-    return geo
+    equatorial slice, and either is strictly convex.  A stack u (S, m) gives
+    a list from one geometry_of call; each check runs on every row in turn."""
+    graphs = []
+    for x in u.reshape(-1, grid.m):
+        if eps > 0 and x.min() <= 0.0:
+            raise ConvexityError(f"radius collapsed at node {int(np.argmin(x))}")
+        if eps < 0 and x.max() >= 0.0:
+            raise CausalityError("dual graph crossed the equatorial slice")
+        graphs.append(Graph(grid, x, eps))
+    geos = geometry_of(graphs, F)
+    for geo in geos:
+        if not geo.convex:
+            j = int(np.argmin(geo.kappa.min(axis=1)))
+            raise ConvexityError(f"not strictly convex at node {j}")
+    return geos[0] if u.ndim == 1 else geos
+
+
+def _fill_geometry(states) -> None:
+    """Build every state's missing geometry (FlowState.geometry), one _geometry stack per side."""
+    for side in (True, False):
+        ss = [s for s in states if (s.eps > 0) == side and "geometry" not in vars(s)]
+        for s, geo in zip(ss, _geometry(ss[0].grid, np.stack([s.u for s in ss]), ss[0].F,
+                                        ss[0].eps) if ss else ()):
+            vars(s)["geometry"] = geo
 
 
 def _velocity(F_value: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:

@@ -162,7 +162,7 @@ def _unit_normal(u, slope, v, theta, eps: float):
     return S / v, (c * st - slope * ct) / v, (c * ct + slope * st) / v
 
 
-def geometry_of(g, F=None) -> GraphGeometry:
+def geometry_of(g, F=None):
     """Graph factor, principal curvatures and curvature invariants.
 
     g is anything with a grid, a profile u and a side eps (a Graph or a
@@ -171,18 +171,25 @@ def geometry_of(g, F=None) -> GraphGeometry:
     supplied the nodewise values of its side's speed F(kappa^eps)^eps are
     attached (only if the graph is strictly convex): F on a primal graph,
     the dual speed 1 / F(1 / kappa) on a de Sitter graph.
+
+    One graph gives one GraphGeometry; a sequence of them on one grid and
+    one side gives a list, built as one stack: one _kappa call, and one
+    speed call on the convex rows.
     """
-    slope, v, kappa = _kappa(g.grid, g.u, g.eps)
-    convex = bool(np.all(kappa > 0.0))
-    return GraphGeometry(
-        slope=slope,
-        v=v,
-        kappa=kappa,
-        H=kappa.sum(axis=1),
-        normA2=(kappa * kappa).sum(axis=1),
-        convex=convex,
-        F_value=F._side_value(F._check(kappa), g.eps) if F is not None and convex else None,
-    )
+    one = hasattr(g, "grid")
+    gs = [g] if one else list(g)
+    if not gs:
+        return []
+    eps, u = gs[0].eps, gs[0].u if len(gs) == 1 else np.stack([x.u for x in gs])
+    slope, v, kappa = (x.reshape(-1, *x.shape[u.ndim - 1:]) for x in _kappa(gs[0].grid, u, eps))
+    convex = (kappa > 0.0).all(axis=(1, 2))
+    speed = iter(F._side_value(F._check(kappa[convex]), eps)
+                 if F is not None and convex.any() else ())
+    out = [GraphGeometry(slope=a, v=b, kappa=k, H=h, normA2=a2, convex=bool(ok),
+                         F_value=next(speed) if F is not None and ok else None)
+           for a, b, k, h, a2, ok in zip(slope, v, kappa, kappa.sum(axis=2),
+                                         (kappa * kappa).sum(axis=2), convex)]
+    return out[0] if one else out
 
 
 def embed_arrays(g: Graph):
@@ -224,25 +231,27 @@ _BLOCK = 1 << 15
 _GOLD = 0.5 * (3.0 - 5.0 ** 0.5)
 
 
-def _distance_profile(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Geodesic distances (S, K, m) from the axis points at offsets s (S, K)
-    to every node of the profiles u (S, m)."""
-    s, u = s[..., None], u[:, None, :]
-    coshd = np.cosh(u) * np.cosh(s) - np.sinh(u) * np.cos(grid.theta) * np.sinh(s)
-    return np.arccosh(np.clip(coshd, 1.0, None))
+def _hoist(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
+    """What _score reads of the profiles u (S, m), once for the scans and
+    every zoom round: rows (S, 2m + 2) of cosh u, sinh u cos(theta) and the
+    two axis crossings."""
+    return np.concatenate([np.cosh(u), np.sinh(u) * np.cos(grid.theta),
+                           np.stack(grid.axis_values(u), axis=1)], axis=1)
 
 
-def _score(grid: SphereGrid, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _score(grid: SphereGrid, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Least distance (side 0) and minus the largest (side 1) from the
-    offsets s (S, 2, K) to the profiles u (S, m), both to be maximized, in
-    one refine call; the least is capped by the distances to the two axis
-    crossings, which the nodes miss where sinh(u) h is large."""
-    S, _, K = s.shape
-    d = _distance_profile(grid, u, s.reshape(S, 2 * K)).reshape(S, 2, K, grid.m)
-    d[:, 1] *= -1.0
-    f = refine_extremum(grid, d.reshape(-1, grid.m), "min")[1].reshape(S, 2, K)
-    top, bottom = grid.axis_values(u)
-    f[:, 0] = np.minimum(f[:, 0], np.minimum(top[:, None] - s[:, 0], bottom[:, None] + s[:, 0]))
+    offsets s (S, 2, K) to the profiles of the _hoist rows c, both to be
+    maximized, in one refine call; s (S, 1, K) gives both sides one set of
+    offsets and one distance array.  The least is capped by the distances
+    to the two axis crossings, which the nodes miss where sinh(u) h is large."""
+    (S, sides, K), m = s.shape, grid.m
+    x = s.reshape(S, sides * K, 1)
+    coshd = c[:, None, :m] * np.cosh(x) - c[:, None, m:2 * m] * np.sinh(x)
+    d = np.arccosh(np.clip(coshd, 1.0, None)).reshape(S, sides, K, m)
+    d = np.concatenate([d[:, :1], -d[:, -1:]], axis=1)  # the least, and minus the largest
+    f = refine_extremum(grid, d.reshape(-1, m), "min")[1].reshape(S, 2, K)
+    f[:, 0] = np.minimum(f[:, 0], np.minimum(c[:, -2, None] - s[:, 0], c[:, -1, None] + s[:, 0]))
     return f
 
 
@@ -255,38 +264,37 @@ def _bracket(s: np.ndarray, f: np.ndarray):
             for x, j in ((f, k), (s, k), (s, np.maximum(k - 1, 0)), (s, np.minimum(k + 1, top)))]
 
 
-def _coarse_scan(grid: SphereGrid, u: np.ndarray):
-    """The _SCAN-point scans of the profiles u (S, m), one block scanning
-    together: per state and side the best score, its offset and the
-    bracket around it, and per state whether a scan was not unimodal, which
-    takes the _DENSE-point scan alone."""
-    top, bottom = grid.axis_values(u)
-    lo, hi = 1e-9 - bottom, top - 1e-9
-    s = np.linspace(lo, hi, _SCAN, axis=-1)[:, None, :] + np.zeros((1, 2, 1))
-    f = _score(grid, u, s)
+def _coarse_scan(grid: SphereGrid, c: np.ndarray):
+    """The _SCAN-point scans of the _hoist rows c, one block scanning
+    together, both sides on one set of offsets: per state and side the best
+    score, its offset and the bracket around it, and per state whether a
+    scan was not unimodal, which takes the _DENSE-point scan alone."""
+    lo, hi = 1e-9 - c[:, -1], c[:, -2] - 1e-9  # inside the axis crossings
+    s = np.linspace(lo, hi, _SCAN, axis=-1)[:, None, :]
+    f = _score(grid, c, s)
     rise = np.diff(f, axis=-1)
     fallback = ~np.where(np.arange(_SCAN - 1) < np.argmax(f, axis=-1)[..., None],
                          rise >= -1e-7, rise <= 1e-7).all(axis=(1, 2))
     found = _bracket(s, f)
     for i in np.flatnonzero(fallback):
-        sd = np.linspace(lo[i], hi[i], _DENSE) + np.zeros((1, 2, 1))
-        for x, y in zip(found, _bracket(sd, _score(grid, u[i:i + 1], sd))):
+        sd = np.linspace(lo[i], hi[i], _DENSE)[None, None, :]
+        for x, y in zip(found, _bracket(sd, _score(grid, c[i:i + 1], sd))):
             x[i] = y[0]
     return (*found, fallback)
 
 
-def _golden_zoom(grid: SphereGrid, u: np.ndarray, best, at, a, b) -> None:
-    """Zoom each side of the profiles u (S, m) in on its best offset, in
-    place, one chunk of states together: per round one new offset per side,
-    a golden-section step from at into the longer side of its bracket
-    (a, b).  at and best keep the best offset seen and its score; a state
-    leaves once both its brackets are below _TOL (Kiefer 1953)."""
+def _golden_zoom(grid: SphereGrid, c: np.ndarray, best, at, a, b) -> None:
+    """Zoom each side of the _hoist rows c in on its best offset, in place,
+    one chunk of states together: per round one new offset per side, a
+    golden-section step from at into the longer side of its bracket (a, b).
+    at and best keep the best offset seen and its score; a state leaves
+    once both its brackets are below _TOL (Kiefer 1953)."""
     live = np.flatnonzero((b - a).max(axis=1) > _TOL)
     while live.size:
         x, lo, hi, fx = at[live], a[live], b[live], best[live]
         step = _GOLD * np.where(x - lo > hi - x, lo - x, hi - x)
         s = x + step
-        f = _score(grid, u[live], s[..., None])[..., 0]
+        f = _score(grid, c[live], s[..., None])[..., 0]
         better, right = f > fx, step > 0.0
         # a better offset moves the bound behind it up to the old best one,
         # a worse one becomes the bound on its own side
@@ -325,13 +333,13 @@ def inradius_circumradius(g):
     if not gs:
         return []
     grid = gs[0].grid
-    u = np.stack([x.u for x in gs])
+    c = _hoist(grid, np.stack([x.u for x in gs]))
     size = max(1, _BLOCK // (2 * _SCAN * grid.m))
     best, at, a, b, fallback = map(np.concatenate, zip(*(
-        _coarse_scan(grid, u[i:i + size]) for i in range(0, len(u), size))))
+        _coarse_scan(grid, c[i:i + size]) for i in range(0, len(c), size))))
     size = max(1, _BLOCK // (2 * grid.m))
-    for i in range(0, len(u), size):
-        _golden_zoom(grid, u[i:i + size], *(x[i:i + size] for x in (best, at, a, b)))
+    for i in range(0, len(c), size):
+        _golden_zoom(grid, c[i:i + size], *(x[i:i + size] for x in (best, at, a, b)))
     out = [InballResult(rho_minus=float(f[0]), rho_plus=float(-f[1]),
                         center_offset=float(s[0]), dense_fallback=bool(d))
            for f, s, d in zip(best, at, fallback)]

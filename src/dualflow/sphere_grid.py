@@ -87,7 +87,7 @@ class SphereGrid:
     def resample(self, x, y) -> np.ndarray:
         """Values y sampled at the increasing angles x, over one fundamental
         domain, extended by the grid's symmetry and resampled onto theta
-        through resample_monotone."""
+        through resample_monotone, one row (N,) or a stack (S, N) of them."""
         raise NotImplementedError
 
     def band(self):
@@ -120,13 +120,19 @@ class SphereGrid:
     def axis_values(self, values: np.ndarray):
         """The profile, or each row of a stack, at theta = 0 and pi, where
         the surface meets the axis: a node's value, or the sixth-order
-        midpoint (_MIDPOINT) of the six nodes around it, folded by symmetry."""
-        v, m = self._check(values), self.m
-        out = []
+        midpoint (_MIDPOINT) of the six nodes around it, folded by symmetry;
+        the gather (_axis_nodes) is built once per grid."""
+        v = self._check(values)
+        return [(v[..., i] * _MIDPOINT).sum(axis=-1) if np.ndim(i) else v[..., i]
+                for i in self._axis_nodes]
+
+    @cached_property
+    def _axis_nodes(self):  # theta = 0, then pi: a node, or the six around a midpoint
+        m, out = self.m, []
         for j in ((0, m) if self.cyclic else (-1, 2 * m - 1)):  # in half-nodes from node 0
             i = np.arange(j // 2 - 2, j // 2 + 4) % (2 * m)
             i = i % m if self.cyclic else np.minimum(i, 2 * m - 1 - i)
-            out.append((v[..., i] * _MIDPOINT).sum(axis=-1) if j % 2 else v[..., j // 2])
+            out.append(i if j % 2 else j // 2)
         return out
 
     def _check(self, values: np.ndarray) -> np.ndarray:
@@ -163,12 +169,14 @@ class CircleGrid(SphereGrid):
     def resample(self, x, y):
         """Whole periods of samples are wrapped onto both ends, as many as
         it takes to leave three beyond each end of [0, 2 pi): a sample can
-        sit several grid spacings from its node."""
+        sit several grid spacings from its node.  A stack wraps as many as
+        its neediest row; windows that reach a query never see the extra."""
         x, y, per = np.asarray(x, dtype=float), np.asarray(y, dtype=float), 2.0 * math.pi
-        lo = 3 + int(np.count_nonzero(x - per >= self.theta[0]))
-        hi = 3 + int(np.count_nonzero(x + per <= self.theta[-1]))
-        return resample_monotone(np.concatenate([x[-lo:] - per, x, x[:hi] + per]),
-                                 np.concatenate([y[-lo:], y, y[:hi]]), self.theta)
+        lo = 3 + int((x - per >= self.theta[0]).sum(axis=-1).max())
+        hi = 3 + int((x + per <= self.theta[-1]).sum(axis=-1).max())
+        return resample_monotone(
+            np.concatenate([x[..., -lo:] - per, x, x[..., :hi] + per], axis=-1),
+            np.concatenate([y[..., -lo:], y, y[..., :hi]], axis=-1), self.theta)
 
 
 # 12-point Gauss-Legendre rule; exact to rounding for the smooth cell
@@ -222,8 +230,9 @@ class AxisymGrid(SphereGrid):
         window slopes of the mirrored samples are odd about the pole, so
         the cell across it keeps fourth order."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        return resample_monotone(np.concatenate([-x[2::-1], x, 2.0 * math.pi - x[:-4:-1]]),
-                                 np.concatenate([y[2::-1], y, y[:-4:-1]]), self.theta)
+        return resample_monotone(
+            np.concatenate([-x[..., 2::-1], x, 2.0 * math.pi - x[..., :-4:-1]], axis=-1),
+            np.concatenate([y[..., 2::-1], y, y[..., :-4:-1]], axis=-1), self.theta)
 
 
 def make_grid(n: int, m: int) -> SphereGrid:
@@ -232,22 +241,23 @@ def make_grid(n: int, m: int) -> SphereGrid:
 
 
 def _window_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Nodal derivatives of local quartic interpolants (shifted windows at
-    the ends): the closed-form derivative of the window's Lagrange basis at
-    its own node c (Fornberg 1988, Math. Comp. 51)."""
-    m, win = x.size, min(5, x.size)
+    """Nodal derivatives, row by row, of local quartic interpolants (shifted
+    windows at the ends): the closed-form derivative of the window's
+    Lagrange basis at its own node c (Fornberg 1988, Math. Comp. 51)."""
+    m, win = x.shape[-1], min(5, x.shape[-1])
     rows = np.arange(m)
-    lo = np.clip(rows - (win - 1) // 2, 0, m - win)
+    lo = np.minimum(np.maximum(rows - (win - 1) // 2, 0), m - win)
     idx, c = lo[:, None] + np.arange(win), rows - lo
-    d = x[idx][:, :, None] - x[idx][:, None, :]  # x_j - x_l, and 1 where l = j
-    d[:, np.arange(win), np.arange(win)] = 1.0
-    dc = d[rows, c]
+    xw = x.take(idx, axis=-1)
+    d = xw[..., :, None] - xw[..., None, :]  # x_j - x_l, and 1 where l = j
+    d[..., np.arange(win), np.arange(win)] = 1.0
+    dc = d[..., rows, c, :]
     # y_j, j != c: prod_{l != j, c} (x_c - x_l) / prod_{l != j} (x_j - x_l)
-    w = dc.prod(axis=1, keepdims=True) / (dc * d.prod(axis=2))
+    w = dc.prod(axis=-1, keepdims=True) / (dc * d.prod(axis=-1))
     inv = 1.0 / dc
-    inv[rows, c] = 0.0
-    w[rows, c] = inv.sum(axis=1)  # y_c: sum_{l != c} 1 / (x_c - x_l)
-    return (w * y[idx]).sum(axis=1)
+    inv[..., rows, c] = 0.0
+    w[..., rows, c] = inv.sum(axis=-1)  # y_c: sum_{l != c} 1 / (x_c - x_l)
+    return (w * y.take(idx, axis=-1)).sum(axis=-1)
 
 
 def resample_monotone(x, y, xq) -> np.ndarray:
@@ -257,33 +267,38 @@ def resample_monotone(x, y, xq) -> np.ndarray:
     (_window_slopes): fourth order on smooth data.  No slope is limited,
     so data that is not smooth (a kink, a flat run joined to a curve)
     can overshoot between samples; every caller feeds samples of a
-    smooth profile.  The abscissae must be strictly increasing and must
-    bracket every query; violations raise ReparametrizationError.
+    smooth profile.  x and y are one row (N,) or a stack (S, N) sharing xq;
+    each row's abscissae must be strictly increasing and must bracket
+    every query; violations raise ReparametrizationError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xq = np.asarray(xq, dtype=float)
-    if x.ndim != 1 or x.size < 4 or y.shape != x.shape:
-        raise ReparametrizationError("need matching 1d samples, at least four of them")
-    dx = np.diff(x)
+    if x.ndim not in (1, 2) or x.shape[-1] < 4 or y.shape != x.shape:
+        raise ReparametrizationError("need matching rows of samples, at least four in each")
+    dx = np.diff(x, axis=-1)
     if not np.all(dx > 0.0):
         worst = float(dx.min())
         raise ReparametrizationError(
             f"abscissae must increase strictly (min spacing {worst:.3e})"
         )
-    if xq.size and (xq.min() < x[0] or xq.max() > x[-1]):
+    lo, hi = max(x[..., 0].flat), min(x[..., -1].flat)  # the interval every row samples
+    if xq.size and (xq.min() < lo or xq.max() > hi):
         raise ReparametrizationError(
             f"query range [{xq.min():.6g}, {xq.max():.6g}] leaves the sampled "
-            f"interval [{x[0]:.6g}, {x[-1]:.6g}]"
+            f"interval [{lo:.6g}, {hi:.6g}]"
         )
     d = _window_slopes(x, y)
-    j = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    t = (xq - x[j]) / dx[j]
+    j = np.array([np.searchsorted(r, xq, side="right") for r in x.reshape(-1, x.shape[-1])])
+    j = np.minimum(j.reshape(x.shape[:-1] + xq.shape) - 1, x.shape[-1] - 2)  # bracketed: j >= 0
+    row = (np.arange(len(x))[:, None],) if x.ndim == 2 else ()  # a stack's row index
+    at, nxt = (*row, j), (*row, j + 1)
+    t = (xq - x[at]) / dx[at]
     omt = 1.0 - t
-    return ((1.0 + 2.0 * t) * omt * omt * y[j]
-            + t * omt * omt * dx[j] * d[j]
-            + t * t * (3.0 - 2.0 * t) * y[j + 1]
-            + t * t * (t - 1.0) * dx[j] * d[j + 1])
+    return ((1.0 + 2.0 * t) * omt * omt * y[at]
+            + t * omt * omt * dx[at] * d[at]
+            + t * t * (3.0 - 2.0 * t) * y[nxt]
+            + t * t * (t - 1.0) * dx[at] * d[nxt])
 
 
 # 24 times the inverse Vandermonde matrix of the offsets (-2, -1, 0, 1, 2):
@@ -293,6 +308,8 @@ _QUARTIC_24 = np.array([[0, 0, 24, 0, 0], [2, -16, 0, 16, -2], [-1, 16, -30, 16,
 _SIN60 = 0.5 * math.sqrt(3.0)
 # a cubic's coefficients over these are Blinn's A, B, C, D
 _THIRDS = np.array([[1.0], [3.0], [3.0], [1.0]])
+# a quartic's derivative weights, highest power first, and a window's offsets
+_POWERS, _FIVE = np.array([4.0, 3.0, 2.0, 1.0]), np.arange(5)
 
 
 def _stationary_points(der: np.ndarray) -> np.ndarray:
@@ -342,8 +359,9 @@ def _stationary_points(der: np.ndarray) -> np.ndarray:
     x[1:, one] = np.nan
     # an exact leading zero: the stable quadratic formula
     quad = A == 0.0
-    qd = -0.5 * (k[2] + np.copysign(np.sqrt(k[2] * k[2] - 4.0 * k[1] * k[3]), k[2]))
-    x[0, quad], x[1, quad], x[2, quad] = (qd / k[1])[quad], (k[3] / qd)[quad], np.nan
+    if quad.any():
+        qd = -0.5 * (k[2] + np.copysign(np.sqrt(k[2] * k[2] - 4.0 * k[1] * k[3]), k[2]))
+        x[0, quad], x[1, quad], x[2, quad] = (qd / k[1])[quad], (k[3] / qd)[quad], np.nan
     step = (((k[0] * x + k[1]) * x + k[2]) * x + k[3]) / ((3.0 * k[0] * x + 2.0 * k[1]) * x + k[2])
     return np.where(np.isfinite(step), x - step, x).T
 
@@ -359,7 +377,7 @@ def _quartic_extremum(win: np.ndarray, want: float):
     the best candidates.
     """
     coef = (win[:, None, :] * _QUARTIC_24).sum(axis=-1) / 24.0
-    der = coef[:, :0:-1] * np.array([4.0, 3.0, 2.0, 1.0])
+    der = coef[:, :0:-1] * _POWERS
     live = np.abs(der).max(axis=1) > 1e-13 * (np.abs(win).max(axis=1) + 1.0)
     der[~live] = 0.0
     with np.errstate(all="ignore"):
@@ -371,8 +389,8 @@ def _quartic_extremum(win: np.ndarray, want: float):
     vals = np.zeros_like(cand)
     for c in coef[:, ::-1].T:
         vals = vals * cand + c[:, None]
-    best = np.argmax(want * vals, axis=1)[:, None]
-    return np.take_along_axis(cand, best, 1)[:, 0], np.take_along_axis(vals, best, 1)[:, 0]
+    rows, best = np.arange(len(win)), np.argmax(want * vals, axis=1)
+    return cand[rows, best], vals[rows, best]
 
 
 def refine_extremum(grid: SphereGrid, values, mode: str):
@@ -397,8 +415,8 @@ def refine_extremum(grid: SphereGrid, values, mode: str):
     peak = (c >= w[:, 1:-3]) & (c >= w[:, 3:-1])
     peak[np.arange(len(c)), np.argmax(c, axis=1)] = True
     r, i = np.nonzero(peak)
-    off, val = _quartic_extremum(want * w[r[:, None], i[:, None] + np.arange(5)], want)
+    off, val = _quartic_extremum(want * w[r[:, None], i[:, None] + _FIVE], want)
     k = np.lexsort((-want * val, r))
-    k = k[np.r_[True, r[k][1:] != r[k][:-1]]]
+    k = k[np.concatenate(([True], r[k][1:] != r[k][:-1]))]
     theta = grid.theta[i[k]] + off[k] * grid.h
     return (float(theta[0]), float(val[k][0])) if v.ndim == 1 else (theta, val[k])

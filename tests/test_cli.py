@@ -428,13 +428,14 @@ def test_verify_classifies_concavity_in_one_call(tmp_path, monkeypatch):
 
 def _count_geometry_builds(monkeypatch):
     """Wrap hgeom.geometry_of under every name a dualflow module bound it to;
-    the returned list gets one entry per call."""
+    the returned list gets one entry per profile built: one for a graph, the
+    stack's length for a sequence."""
     calls = []
     real = hgeom.geometry_of
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(g, *args, **kwargs):
+        calls.extend([1] * (1 if hasattr(g, "grid") else len(g)))
+        return real(g, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("dualflow") and getattr(module, "geometry_of", None) is real:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dualflow import curvfn, diagnostics, hgeom
+from dualflow import curvfn, diagnostics, flow, hgeom, sphere_grid
 from dualflow.diagnostics import (
     C_GRID,
     CSV_FIELDS,
@@ -92,6 +92,38 @@ def test_record_pass_is_cheap_by_counts(monkeypatch):
     assert sum(rows) <= 8000
     assert len(calls) == 1 and len(calls[0]) == 40
     assert all(math.isfinite(r.rho_minus) and math.isfinite(r.duality_err) for r in records)
+
+
+def test_record_pass_is_one_stack_by_counts(monkeypatch):
+    # the 40 records of the sigma_k:2 both-mode run: the record pass maps all
+    # 40 primal states to their duals in one gauss_dual call with one
+    # resample, and builds the geometry it lacks in one stack per side (the
+    # primal's first state built its own when the run started)
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    grid = make_grid(2, 48)
+    F = curvfn.make_function(cfg.F, cfg.n)
+    state0 = FlowState(0.0, make_initial(cfg.initial, cfg.initial_params, grid), grid, F, 1.0)
+    traj, dtraj = run_both(cfg, state0, gauss_dual(state0).dual)
+    duals = [dtraj.states[j] for j in [0] + dtraj.landed]
+    assert len(traj.states) == len(duals) == 40
+    maps, resamples, builds = [], [], []
+    gauss, resample, geometry = diagnostics.gauss_dual, sphere_grid.resample_monotone, hgeom.geometry_of
+    monkeypatch.setattr(diagnostics, "gauss_dual", lambda g: maps.append(len(g)) or gauss(g))
+    monkeypatch.setattr(sphere_grid, "resample_monotone",
+                        lambda x, y, xq: resamples.append(np.shape(x)) or resample(x, y, xq))
+    monkeypatch.setattr(flow, "geometry_of", lambda g, F=None: builds.append(
+        1 if hasattr(g, "grid") else len(g)) or geometry(g, F))
+    records = compute_record(traj.states, duals, [1.0] * 40)
+    assert maps == [40]
+    assert len(resamples) == 1 and resamples[0][0] == 40
+    assert builds == [39]
+    assert all(math.isfinite(r.duality_err) for r in records)
+    # a dual run's states: one stack for the dual side, and no Gauss map
+    maps.clear()
+    builds.clear()
+    compute_record(dtraj.states[1:], Thetas=[1.0] * (len(dtraj.states) - 1))
+    assert maps == [0] and builds == [len(dtraj.states) - 1]
 
 
 def test_pinching_weight_feasible_at_start():

@@ -130,6 +130,44 @@ def test_stacked_verify_duality_equals_one_pair():
     assert verify_duality([]) == []
 
 
+def test_stacked_gauss_dual_equals_one_graph():
+    # the 40 primal records of the sigma_k:2 both-mode run (n = 2, m = 48)
+    # and 16 seeded random Fourier curves on the circle grid at m = 256, in
+    # one stack with seed 8, whose first samples wrap below theta = 0, and
+    # seed 18, whose last wrap above 2 pi: one stacked map gives each graph,
+    # bit for bit, the pair it gets alone, and so does its inverse
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=48, initial="perturbed_sphere",
+                     initial_params=(1.0, 0.1, 2))
+    grid = make_grid(2, 48)
+    F = curvfn.make_function(cfg.F, cfg.n)
+    state0 = FlowState(0.0, make_initial(cfg.initial, cfg.initial_params, grid), grid, F, 1.0)
+    traj, _ = run_both(cfg, state0, gauss_dual(state0).dual)
+    assert len(traj.states) == 40
+    circle = make_grid(1, 256)
+    curves = [Graph(circle, make_initial("random_fourier", (1.0, 0.05, 4), circle, seed))
+              for seed in range(3, 19)]
+    for graphs in (traj.states, curves):
+        stacked = gauss_dual(graphs)
+        assert len(stacked) == len(graphs)
+        for g, pair in zip(graphs, stacked):
+            alone = gauss_dual(g)
+            assert pair.primal is g and pair.dual.eps == -1.0
+            assert np.array_equal(pair.matching, alone.matching)
+            assert np.array_equal(pair.u_star_nodes, alone.u_star_nodes)
+            assert np.array_equal(pair.dual.u, alone.dual.u)
+        back = dual_to_primal([pair.dual for pair in stacked])
+        assert len(back) == len(stacked)
+        for pair, b in zip(stacked, back):
+            assert b.eps == 1.0 and np.array_equal(b.u, dual_to_primal(pair.dual).u)
+    assert stacked[5].matching[0] > 0.0 > stacked[15].matching[0]
+    assert gauss_dual([]) == [] and dual_to_primal([]) == []
+    # one graph that is not strictly convex breaks the stack
+    grid = make_grid(2, 64)
+    dimpled = Graph(grid, make_initial("perturbed_sphere", (0.3, 0.28, 6), grid))
+    with pytest.raises(DualityBrokenError):
+        gauss_dual([Graph(grid, np.full(64, 0.8)), dimpled])
+
+
 def test_horoconvex_dual_has_small_curvature():
     grid = make_grid(2, 96)
     u = 1.2 + 0.05 * np.cos(2 * grid.theta)

@@ -244,6 +244,30 @@ def test_resample_fourth_order_at_a_shallow_extremum():
     assert errs[1] / errs[2] >= 10.0
 
 
+def test_stacked_resample_rows_equal_single_calls():
+    # every row of an (S, m) stack resamples bit for bit as its own call; on
+    # the circle the rows' shifts wrap different numbers of samples
+    rng = np.random.default_rng(7)
+    for g, spread in ((make_grid(1, 64), 3.0), (make_grid(2, 48), 0.4)):
+        x = g.theta + rng.uniform(-spread, spread, (12, 1)) * g.h + 0.2 * g.h * np.sin(g.theta)
+        y = np.cos(x) + 0.1 * np.sin(2.0 * x) * rng.uniform(size=(12, 1))
+        stacked = g.resample(x, y)
+        assert stacked.shape == x.shape
+        for row, xr, yr in zip(stacked, x, y):
+            assert np.array_equal(row, g.resample(xr, yr))
+        # one row that is not monotone breaks the stack
+        bad = x.copy()
+        bad[3, 10] = bad[3, 9]
+        with pytest.raises(ReparametrizationError):
+            g.resample(bad, y)
+    x = np.linspace(0.0, 1.0, 9) + np.zeros((3, 1))
+    xq = np.linspace(0.1, 0.9, 5)
+    assert np.array_equal(resample_monotone(x, x * x, xq)[1], resample_monotone(x[1], x[1] ** 2, xq))
+    x[2] += 0.2  # the third row no longer brackets the queries
+    with pytest.raises(ReparametrizationError, match="leaves the sampled interval"):
+        resample_monotone(x, x, xq)
+
+
 def test_resample_rejects_bad_input():
     x = np.array([0.0, 1.0, 0.5, 2.0])
     with pytest.raises(ReparametrizationError):
