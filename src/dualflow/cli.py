@@ -39,8 +39,8 @@ from .flow import (
     FlowState,
     StiffnessError,
     _ABORTS,
+    _draw_initial,
     _sphere_theta,
-    make_initial,
     run_both,
     run_dual_flow,
     run_flow,
@@ -262,13 +262,17 @@ def _theta_of(t: float, T_star) -> float:
 
 def _initial_state(cfg: FlowConfig) -> FlowState:
     """The configured initial datum as the primal's state at t = 0, the
-    start of every mode; parameters it rejects are a setup error."""
+    start of every mode; parameters it rejects are a setup error.  A drawn
+    datum keeps the curvatures its convexity test took."""
     grid = make_grid(cfg.n, cfg.m)
     try:
-        u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
+        u0, curv = _draw_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
+    state = FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
+    if curv is not None:
+        vars(state)["curvatures"] = curv
+    return state
 
 
 def _execute_run(man: RunManifest, out_dir: Path) -> int:

@@ -193,7 +193,7 @@ class CurvatureFunction:
         k = np.asarray(kappa, dtype=float)
         if k.ndim == 0 or k.shape[-1] != self.n:
             raise DomainError(f"{self.name} expects {self.n} curvatures, got shape {k.shape}")
-        if not np.all(np.isfinite(k)) or not np.all(k > 0.0):
+        if not (np.isfinite(k).all() and (k > 0.0).all()):
             raise DomainError(f"{self.name} evaluated outside the positive cone")
         return k
 
@@ -360,26 +360,25 @@ def check_strict_concavity(F: CurvatureFunction, kappa) -> str:
     """
     H = F.hessian(kappa).reshape(-1, F.n, F.n)
     k = np.asarray(kappa, dtype=float).reshape(-1, F.n)
+    Ht = H.swapaxes(1, 2)
     tol = 1e-8 * (np.abs(H).max(axis=(1, 2)) + 1.0)
-    asym = np.abs(H - H.swapaxes(1, 2)).max(axis=(1, 2))
-    if np.any(asym > tol):
+    asym = np.abs(H - Ht).max(axis=(1, 2))
+    if (asym > tol).any():
         raise ConsistencyError(f"Hessian asymmetry {asym.max():.3e} exceeds tolerance")
-    Hs = 0.5 * (H + H.swapaxes(1, 2))
+    Hs = 0.5 * (H + Ht)
     evals, evecs = np.linalg.eigh(Hs)
     radial = np.abs(Hs @ k[:, :, None]).max(axis=(1, 2))
-    if np.any(radial > tol * np.maximum(1.0, np.abs(k).max(axis=1))):
+    if (radial > tol * np.maximum(1.0, np.abs(k).max(axis=1))).any():
         raise ConsistencyError(
             f"radial direction fails to annihilate the Hessian (residual {radial.max():.3e})"
         )
-    if np.any(evals > tol[:, None]):
+    if (evals > tol[:, None]).any():
         return NOT_CONCAVE
-    khat = k / np.linalg.norm(k, axis=1, keepdims=True)
-    i_rad = np.argmax(np.abs((evecs.swapaxes(1, 2) @ khat[:, :, None])[:, :, 0]), axis=1)
+    khat = k / np.sqrt((k * k).sum(axis=1, keepdims=True))
+    i_rad = np.abs((evecs.swapaxes(1, 2) @ khat[:, :, None])[:, :, 0]).argmax(axis=1)
     others = evals < -tol[:, None]
     others[np.arange(len(k)), i_rad] = True
-    if np.all(others):
-        return STRICTLY_CONCAVE
-    return CONCAVE_DEGENERATE
+    return STRICTLY_CONCAVE if others.all() else CONCAVE_DEGENERATE
 
 
 def builtin_battery(n: int) -> list[str]:

@@ -20,6 +20,7 @@ stencil's own convergence order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,26 @@ class DualPair:
     u_star_nodes: np.ndarray
 
 
+def _unwrap(a: np.ndarray) -> np.ndarray:
+    """np.unwrap of the angles a along their last axis, bit for bit: a
+    jump of pi or more between neighbours is taken off by whole turns
+    (the circle's normals wrap once; a meridian's never do), and only a
+    stack with a jump pays for the turn count."""
+    dd = a[..., 1:] - a[..., :-1]
+    near = np.abs(dd) < math.pi
+    if near.all():
+        turns = 0.0
+    else:
+        ddmod = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
+        ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
+        turns = ddmod - dd
+        turns[near] = 0.0
+        turns = turns.cumsum(axis=-1)
+    out = a.copy()
+    out[..., 1:] += turns
+    return out
+
+
 def _gauss_map(gs):
     """Per graph of gs (one grid, one side): the graph of the other side
     swept by its unit normals, the matching angle of each node (the
@@ -67,17 +88,17 @@ def _gauss_map(gs):
     (m,) arrays) are brought onto the grid by one call of its resample.
     """
     grid, eps = gs[0].grid, gs[0].eps
-    u, slope, v = (x[0] if len(gs) == 1 else np.stack(x) for x in zip(*(
+    u, slope, v = (x[0] if len(gs) == 1 else np.array(x) for x in zip(*(
         (g.u, g.geometry.slope, g.geometry.v) for g in gs)))
-    nu0, nu_sin, nu_axis = _unit_normal(u, slope, v, grid.theta, eps)
-    ang = np.unwrap(np.arctan2(nu_sin, nu_axis), axis=-1)
-    rise = np.diff(ang, axis=-1)
-    if not np.all(rise > 0.0):
+    nu0, nu_sin, nu_axis = _unit_normal(u, slope, v, grid, eps)
+    ang = _unwrap(np.arctan2(nu_sin, nu_axis))
+    rise = ang[..., 1:] - ang[..., :-1]
+    if not (rise > 0.0).all():
         j = int(np.argmin(rise)) % (grid.m - 1)
         raise DualityBrokenError(
             f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
         )
-    nodes = -np.arcsinh(nu0) if eps > 0 else np.arccosh(np.clip(nu0, 1.0, None))
+    nodes = -np.arcsinh(nu0) if eps > 0 else np.arccosh(np.maximum(nu0, 1.0))
     duals = [Graph(grid, w, -eps) for w in grid.resample(ang, nodes).reshape(-1, grid.m)]
     return duals, ang.reshape(-1, grid.m), nodes.reshape(-1, grid.m)
 
@@ -139,7 +160,7 @@ def verify_duality(pairs):
     if not ps:
         return []
     grid = ps[0].primal.grid
-    u, us, ang, kappa, v = (np.stack(x) for x in zip(*(
+    u, us, ang, kappa, v = (np.array(x) for x in zip(*(
         (p.primal.u, p.u_star_nodes, p.matching, p.primal.geometry.kappa, p.primal.geometry.v)
         for p in ps)))
     w_th, a_th = grid.derivatives(ang - grid.theta, parity=-1)
@@ -147,7 +168,8 @@ def verify_duality(pairs):
     us_th, us_thth = grid.derivatives(us)
     dus = us_th / a
     ddus = (us_thth * a - us_th * a_th) / (a * a * a)
-    cot_t = None if grid.n == 1 else np.cos(ang) / np.sin(ang)
+    sin_t = np.sin(ang)
+    cot_t = None if grid.n == 1 else np.cos(ang) / sin_t
     _, vt, kt = _curvatures(us, dus, ddus, cot_t, -1.0, grid.n)
     ct_us = np.cosh(us)
     su = np.sinh(u)
@@ -157,8 +179,8 @@ def verify_duality(pairs):
     )
     if grid.n > 1:
         h_ang_mis = np.abs(
-            kappa[..., 1] * su * su * np.sin(grid.theta) ** 2
-            - kt[..., 1] * ct_us * ct_us * np.sin(ang) ** 2
+            kappa[..., 1] * su * su * grid.sin ** 2
+            - kt[..., 1] * ct_us * ct_us * sin_t ** 2
         )
         h_mis = np.maximum(h_mis, h_ang_mis)
     # a minimum is minus the maximum of the negated profile, bit for bit, so

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .curvfn import CurvatureFunction, make_function
-from .hgeom import CausalityError, Graph, GraphGeometry, _kappa, geometry_of
+from .hgeom import CausalityError, GraphGeometry, _check_side, _kappa, _Profile, geometry_of
 from .sphere_grid import SphereGrid, make_grid
 
 __all__ = [
@@ -107,7 +107,7 @@ class FlowConfig:
 
 
 @dataclass(frozen=True)
-class FlowState:
+class FlowState(_Profile):
     """One state of either flow and the side it was integrated on.
 
     u is the stored profile: the radius u > 0 of a primal state, the
@@ -115,7 +115,8 @@ class FlowState:
     and eps alone is the side (+1 primal, -1 dual).  geometry, with the
     values of the side's speed F(kappa^eps)^eps, is built on first read
     and kept; it raises as _geometry does for a profile the flow cannot
-    continue from.
+    continue from.  Its derivative pair and curvatures are taken once
+    (_Profile).
     """
 
     t: float
@@ -126,7 +127,7 @@ class FlowState:
 
     @cached_property
     def geometry(self) -> GraphGeometry:
-        return _geometry(self.grid, self.u, self.F, self.eps)
+        return _geometry([self])[0]
 
     @property
     def u_star(self) -> np.ndarray:
@@ -224,6 +225,14 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
     integer frequency kmax <= m // 2, resampled until strictly convex.
     A profile reaching U_MAX, where sinh^2 u overflows, is rejected.
     """
+    return _draw_initial(name, params, grid, seed)[0]
+
+
+def _draw_initial(name: str, params, grid: SphereGrid, seed: int = 0):
+    """make_initial's profile, and the curvatures (_curvatures) the
+    convexity test of a random_fourier draw took of it (None for the other
+    data), which the initial state's geometry reads instead of taking them
+    again."""
     params = tuple(float(p) for p in params)
     names = {"sphere": "r0", "perturbed_sphere": "r0, a, k", "ellipsoid": "a, b",
              "random_fourier": "r0, amp, kmax"}.get(name)
@@ -231,6 +240,7 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
         raise ValueError(f"unknown initial datum {name!r}")
     if len(params) != names.count(",") + 1:
         raise ValueError(f"{name} takes [{names}], got {len(params)} parameters")
+    curv = None
     if name == "sphere":
         (r0,) = params
         if r0 <= 0:
@@ -253,20 +263,29 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
             raise ValueError(f"random_fourier needs r0 > 0, amp >= 0 and an integer kmax "
                              f"in [1, m // 2 = {grid.m // 2}], got {params!r}")
         rng = np.random.default_rng(seed)
+        k = np.arange(1, kmax + 1)[:, None]
+        k2, kt = k ** 2, k * grid.theta
+        waves = (np.cos(kt), np.sin(kt)) if grid.cyclic else (np.cos(kt),)
         for _ in range(64):
-            coef = rng.normal(size=int(kmax)) / np.arange(1, kmax + 1) ** 2
-            u = r0 + 0.0 * grid.theta
-            for k, c in enumerate(coef, start=1):
-                u = u + amp * c * np.cos(k * grid.theta)
-                if grid.cyclic:
-                    u = u + amp * rng.normal() / k**2 * np.sin(k * grid.theta)
-            if u.max() >= U_MAX or (u.min() > 0.05 and np.all(_kappa(grid, u, 1.0)[2] > 0.0)):
+            # the modes' coefficients, a sine's drawn after each cosine's, and
+            # the sum taken mode by mode: cos 1, sin 1, cos 2, ..
+            coef = rng.normal(size=int(kmax))[:, None] / k2
+            terms = [amp * coef * waves[0]]
+            if grid.cyclic:
+                terms.append(amp * rng.normal(size=(int(kmax), 1)) / k2 * waves[1])
+            modes = np.stack(terms, axis=1).reshape(-1, grid.m)
+            u = np.concatenate([(r0 + 0.0 * grid.theta)[None], modes]).sum(axis=0)
+            if u.max() >= U_MAX:
                 break
+            if u.min() > 0.05:
+                curv = _kappa(grid, u, 1.0)
+                if (curv[2] > 0.0).all():
+                    break
         else:
             raise ValueError("could not draw a convex random profile; lower amp")
     if u.max() >= U_MAX:
         raise ValueError(f"initial radius {u.max():.6g} reaches {U_MAX:.6g}, where sinh^2 overflows")
-    return u
+    return u, curv
 
 
 # ----------------------------------------------------------------------
@@ -281,32 +300,32 @@ _ABORTS = {StiffnessError: "stiffness", ConvexityError: "convexity", CausalityEr
 RTOL = 1e-8
 
 
-def _geometry(grid: SphereGrid, u: np.ndarray, F: CurvatureFunction, eps: float):
-    """Geometry with the speed attached, of a state the flow can continue
-    from: a primal radius stays positive, a dual stays spacelike below the
-    equatorial slice, and either is strictly convex.  A stack u (S, m) gives
-    a list from one geometry_of call; each check runs on every row in turn."""
-    graphs = []
-    for x in u.reshape(-1, grid.m):
-        if eps > 0 and x.min() <= 0.0:
-            raise ConvexityError(f"radius collapsed at node {int(np.argmin(x))}")
-        if eps < 0 and x.max() >= 0.0:
+def _geometry(states) -> list:
+    """Geometry with the speed attached, of states of one grid and side
+    that the flow can continue from: a primal radius stays positive, a dual
+    stays spacelike below the equatorial slice, and either is strictly
+    convex.  One geometry_of call builds the list; each check runs on
+    every state in turn."""
+    F, eps = states[0].F, states[0].eps
+    for s in states:
+        if eps > 0 and s.u.min() <= 0.0:
+            raise ConvexityError(f"radius collapsed at node {int(np.argmin(s.u))}")
+        if eps < 0 and s.u.max() >= 0.0:
             raise CausalityError("dual graph crossed the equatorial slice")
-        graphs.append(Graph(grid, x, eps))
-    geos = geometry_of(graphs, F)
+        _check_side(s)
+    geos = geometry_of(states, F)
     for geo in geos:
         if not geo.convex:
             j = int(np.argmin(geo.kappa.min(axis=1)))
             raise ConvexityError(f"not strictly convex at node {j}")
-    return geos[0] if u.ndim == 1 else geos
+    return geos
 
 
 def _fill_geometry(states) -> None:
     """Build every state's missing geometry (FlowState.geometry), one _geometry stack per side."""
     for side in (True, False):
         ss = [s for s in states if (s.eps > 0) == side and "geometry" not in vars(s)]
-        for s, geo in zip(ss, _geometry(ss[0].grid, np.stack([s.u for s in ss]), ss[0].F,
-                                        ss[0].eps) if ss else ()):
+        for s, geo in zip(ss, _geometry(ss) if ss else ()):
             vars(s)["geometry"] = geo
 
 

@@ -42,15 +42,50 @@ class CausalityError(RuntimeError):
     """A stored profile violates the spacelike gradient bound."""
 
 
+class _Profile:
+    """A profile u on a grid, of side eps (a Graph or a flow state): its
+    stencil derivative pair, and the slope, graph factor and principal
+    curvatures built on it (_curvatures), are each taken once, on first
+    read, and shared by the side's checks (_check_side) and its geometry
+    (geometry_of)."""
+
+    @cached_property
+    def derivatives(self):
+        return self.grid.derivatives(self.u)
+
+    @cached_property
+    def curvatures(self):
+        return _curvatures(self.u, *self.derivatives, self.grid.cot, self.eps, self.grid.n)
+
+
+def _check_side(g) -> None:
+    """The bounds of g's side on its profile: a finite positive radius, or a
+    finite eigentime below the equatorial slice whose graph is spacelike,
+    |u*'| / cosh u* < 1, read off g's derivative pair."""
+    v = g.u
+    if g.eps > 0:
+        if not (np.isfinite(v).all() and (v > 0.0).all()):
+            raise ValueError("radial profile must be finite and positive")
+        return
+    if not np.isfinite(v).all():
+        raise ValueError("eigentime profile must be finite")
+    if not (v < 0.0).all():
+        raise ValueError("stored duals lie below the equatorial slice (u_star < 0)")
+    slope = np.abs(g.derivatives[0]) / np.cosh(v)
+    if slope.max() >= 1.0:
+        raise CausalityError(f"graph is not spacelike: |D u_star| = {slope.max():.6f} "
+                             f"at node {int(np.argmax(slope))}")
+
+
 @dataclass(frozen=True)
-class Graph:
+class Graph(_Profile):
     """A warped radial graph over the grid, on either side of the duality.
 
     eps = +1: the geodesic radius u > 0 of a closed hypersurface in
     H^{n+1} around the center.  eps = -1: the stored eigentime u* < 0 of
     a spacelike graph in de Sitter space (switched convention), which
-    must obey the spacelike bound |D u*| = |u*'| / cosh u* < 1.  geometry
-    is built on first read and kept.
+    must obey the spacelike bound |D u*| = |u*'| / cosh u* < 1
+    (_check_side).  geometry is built on first read and kept.
     """
 
     grid: SphereGrid
@@ -61,19 +96,8 @@ class Graph:
         v = np.asarray(self.u, dtype=float)
         if v.shape != (self.grid.m,):
             raise ValueError(f"profile shape {v.shape} does not match grid m={self.grid.m}")
-        if self.eps > 0:
-            if not np.all(np.isfinite(v)) or not np.all(v > 0.0):
-                raise ValueError("radial profile must be finite and positive")
-        else:
-            if not np.all(np.isfinite(v)):
-                raise ValueError("eigentime profile must be finite")
-            if not np.all(v < 0.0):
-                raise ValueError("stored duals lie below the equatorial slice (u_star < 0)")
-            slope = np.abs(self.grid.derivatives(v)[0]) / np.cosh(v)
-            if slope.max() >= 1.0:
-                raise CausalityError(f"graph is not spacelike: |D u_star| = {slope.max():.6f} "
-                                     f"at node {int(np.argmax(slope))}")
         object.__setattr__(self, "u", v)
+        _check_side(self)
 
     @property
     def u_star(self) -> np.ndarray:
@@ -147,7 +171,7 @@ def _kappa(grid: SphereGrid, u: np.ndarray, eps: float):
     return _curvatures(u, *grid.derivatives(u), grid.cot, eps, grid.n)
 
 
-def _unit_normal(u, slope, v, theta, eps: float):
+def _unit_normal(u, slope, v, grid: SphereGrid, eps: float):
     """Time, sin-slot and axis-slot components of a warped graph's unit normal.
 
     nu = (S, eps C omega - slope omega') / v with omega = (sin, .., cos):
@@ -158,30 +182,34 @@ def _unit_normal(u, slope, v, theta, eps: float):
     """
     S, C = _warp(u, eps)
     c = eps * C
-    st, ct = np.sin(theta), np.cos(theta)
+    st, ct = grid.sin, grid.cos
     return S / v, (c * st - slope * ct) / v, (c * ct + slope * st) / v
 
 
 def geometry_of(g, F=None):
     """Graph factor, principal curvatures and curvature invariants.
 
-    g is anything with a grid, a profile u and a side eps (a Graph or a
-    flow state); both sides go through _kappa.  Non-convex output is
-    legal: callers read the convex flag.  When a curvature function F is
+    g is a Graph or a flow state.  Non-convex output is legal: callers
+    read the convex flag.  When a curvature function F is
     supplied the nodewise values of its side's speed F(kappa^eps)^eps are
     attached (only if the graph is strictly convex): F on a primal graph,
     the dual speed 1 / F(1 / kappa) on a de Sitter graph.
 
-    One graph gives one GraphGeometry; a sequence of them on one grid and
-    one side gives a list, built as one stack: one _kappa call, and one
-    speed call on the convex rows.
+    One graph gives one GraphGeometry, on its own curvatures (_Profile);
+    a sequence of them on one grid and one side gives a list, built as one
+    stack: one _kappa call, and one speed call on the convex rows.
     """
     one = hasattr(g, "grid")
     gs = [g] if one else list(g)
     if not gs:
         return []
-    eps, u = gs[0].eps, gs[0].u if len(gs) == 1 else np.stack([x.u for x in gs])
-    slope, v, kappa = (x.reshape(-1, *x.shape[u.ndim - 1:]) for x in _kappa(gs[0].grid, u, eps))
+    grid, eps = gs[0].grid, gs[0].eps
+    if len(gs) == 1:
+        u, curv = gs[0].u, gs[0].curvatures
+    else:
+        u = np.stack([x.u for x in gs])
+        curv = _kappa(grid, u, eps)
+    slope, v, kappa = (x.reshape(-1, *x.shape[u.ndim - 1:]) for x in curv)
     convex = (kappa > 0.0).all(axis=(1, 2))
     speed = iter(F._side_value(F._check(kappa[convex]), eps)
                  if F is not None and convex.any() else ())
@@ -200,11 +228,11 @@ def embed_arrays(g: Graph):
     meridian plane sits in the sin slot 1 and the axis slot n+1.
     """
     geo = g.geometry
-    theta, su = g.grid.theta, np.sinh(g.u)
-    X = np.zeros((g.grid.m, g.grid.n + 2))
-    nu = np.zeros((g.grid.m, g.grid.n + 2))
-    X[:, 0], X[:, 1], X[:, -1] = np.cosh(g.u), su * np.sin(theta), su * np.cos(theta)
-    nu[:, 0], nu[:, 1], nu[:, -1] = _unit_normal(g.u, geo.slope, geo.v, theta, 1.0)
+    grid, su = g.grid, np.sinh(g.u)
+    X = np.zeros((grid.m, grid.n + 2))
+    nu = np.zeros((grid.m, grid.n + 2))
+    X[:, 0], X[:, 1], X[:, -1] = np.cosh(g.u), su * grid.sin, su * grid.cos
+    nu[:, 0], nu[:, 1], nu[:, -1] = _unit_normal(g.u, geo.slope, geo.v, grid, 1.0)
     return X, nu
 
 
@@ -235,7 +263,7 @@ def _hoist(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
     """What _score reads of the profiles u (S, m), once for the scans and
     every zoom round: rows (S, 2m + 2) of cosh u, sinh u cos(theta) and the
     two axis crossings."""
-    return np.concatenate([np.cosh(u), np.sinh(u) * np.cos(grid.theta),
+    return np.concatenate([np.cosh(u), np.sinh(u) * grid.cos,
                            np.stack(grid.axis_values(u), axis=1)], axis=1)
 
 

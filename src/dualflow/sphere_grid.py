@@ -25,7 +25,7 @@ folded through the stencils, so constants integrate to rounding.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +63,8 @@ class SphereGrid:
     m: int
     h: float
     theta: np.ndarray
+    sin: np.ndarray  # sin(theta) and cos(theta), taken once per grid
+    cos: np.ndarray
     cot: np.ndarray | None = None  # cot(theta), on a meridian grid
     cyclic: bool  # periodic in theta (the circle), or even at both poles
     weights: np.ndarray  # quadrature, built on first read: one per node
@@ -158,6 +160,7 @@ class CircleGrid(SphereGrid):
         self.m = m
         self.h = 2.0 * math.pi / m
         self.theta = self.h * np.arange(m)
+        self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
         # the ghosts wrap around, and an odd profile changes no sign
         self._pad_index = np.arange(-2, m + 2) % m
         self._odd_sign = np.ones(m + 4)
@@ -206,10 +209,12 @@ class AxisymGrid(SphereGrid):
         self.m = m
         self.h = math.pi / m
         self.theta = self.h * (np.arange(m) + 0.5)
-        self.cot = np.cos(self.theta) / np.sin(self.theta)
+        self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
+        self.cot = self.cos / self.sin
         # the ghosts mirror the nodes nearest each pole, with the parity sign
-        self._pad_index = np.r_[1, 0, np.arange(m), m - 1, m - 2]
-        self._odd_sign = np.r_[-1.0, -1.0, np.ones(m), -1.0, -1.0]
+        self._pad_index = np.concatenate(([1, 0], np.arange(m), [m - 1, m - 2]))
+        self._odd_sign = np.ones(m + 4)
+        self._odd_sign[[0, 1, -2, -1]] = -1.0
 
     @cached_property
     def weights(self):
@@ -240,24 +245,37 @@ def make_grid(n: int, m: int) -> SphereGrid:
     return CircleGrid(m) if int(n) == 1 else AxisymGrid(n, m)
 
 
+@lru_cache(maxsize=64)
+def _windows(m: int):
+    """The quartic windows of m samples (shifted at the ends): the index
+    (5, m) of each node's window, its own place c in it as a (5, m) mask
+    and as 1.0 there (0.0 elsewhere), and the (5, 5, 1) diagonal of a
+    window."""
+    win = min(5, m)
+    lo = np.minimum(np.maximum(np.arange(m) - (win - 1) // 2, 0), m - win)
+    idx = np.arange(win)[:, None] + lo
+    own = idx == np.arange(m)
+    out = idx, own, own.astype(float), np.eye(win)[:, :, None]
+    for a in out:  # shared by every call: read only
+        a.flags.writeable = False
+    return out
+
+
 def _window_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Nodal derivatives, row by row, of local quartic interpolants (shifted
     windows at the ends): the closed-form derivative of the window's
-    Lagrange basis at its own node c (Fornberg 1988, Math. Comp. 51)."""
-    m, win = x.shape[-1], min(5, x.shape[-1])
-    rows = np.arange(m)
-    lo = np.minimum(np.maximum(rows - (win - 1) // 2, 0), m - win)
-    idx, c = lo[:, None] + np.arange(win), rows - lo
-    xw = x.take(idx, axis=-1)
-    d = xw[..., :, None] - xw[..., None, :]  # x_j - x_l, and 1 where l = j
-    d[..., np.arange(win), np.arange(win)] = 1.0
-    dc = d[..., rows, c, :]
+    Lagrange basis at its own node c (Fornberg 1988, Math. Comp. 51).
+    Windows run down axis -2, so every product and sum runs over whole
+    rows of nodes."""
+    idx, own, one, diag = _windows(x.shape[-1])
+    xw = x[..., idx]
+    d = (xw[..., :, None, :] - xw[..., None, :, :]) + diag  # x_j - x_l, and 1 where l = j
+    dc = (x[..., None, :] - xw) + one  # x_c - x_l, and 1 where l = c
     # y_j, j != c: prod_{l != j, c} (x_c - x_l) / prod_{l != j} (x_j - x_l)
-    w = dc.prod(axis=-1, keepdims=True) / (dc * d.prod(axis=-1))
-    inv = 1.0 / dc
-    inv[..., rows, c] = 0.0
-    w[..., rows, c] = inv.sum(axis=-1)  # y_c: sum_{l != c} 1 / (x_c - x_l)
-    return (w * y.take(idx, axis=-1)).sum(axis=-1)
+    w = dc.prod(axis=-2, keepdims=True) / (dc * d.prod(axis=-2))
+    # y_c: sum_{l != c} 1 / (x_c - x_l)
+    w = np.where(own, (1.0 / dc - one).sum(axis=-2, keepdims=True), w)
+    return (w * y[..., idx]).sum(axis=-2)
 
 
 def resample_monotone(x, y, xq) -> np.ndarray:
@@ -276,8 +294,8 @@ def resample_monotone(x, y, xq) -> np.ndarray:
     xq = np.asarray(xq, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] < 4 or y.shape != x.shape:
         raise ReparametrizationError("need matching rows of samples, at least four in each")
-    dx = np.diff(x, axis=-1)
-    if not np.all(dx > 0.0):
+    dx = x[..., 1:] - x[..., :-1]
+    if not (dx > 0.0).all():
         worst = float(dx.min())
         raise ReparametrizationError(
             f"abscissae must increase strictly (min spacing {worst:.3e})"
@@ -293,12 +311,13 @@ def resample_monotone(x, y, xq) -> np.ndarray:
     j = np.minimum(j.reshape(x.shape[:-1] + xq.shape) - 1, x.shape[-1] - 2)  # bracketed: j >= 0
     row = (np.arange(len(x))[:, None],) if x.ndim == 2 else ()  # a stack's row index
     at, nxt = (*row, j), (*row, j + 1)
-    t = (xq - x[at]) / dx[at]
-    omt = 1.0 - t
-    return ((1.0 + 2.0 * t) * omt * omt * y[at]
-            + t * omt * omt * dx[at] * d[at]
-            + t * t * (3.0 - 2.0 * t) * y[nxt]
-            + t * t * (t - 1.0) * dx[at] * d[nxt])
+    h = dx[at]
+    t = (xq - x[at]) / h
+    omt, tt, t2 = 1.0 - t, t * t, 2.0 * t
+    return ((1.0 + t2) * omt * omt * y[at]
+            + t * omt * omt * h * d[at]
+            + tt * (3.0 - t2) * y[nxt]
+            + tt * (t - 1.0) * h * d[nxt])
 
 
 # 24 times the inverse Vandermonde matrix of the offsets (-2, -1, 0, 1, 2):
@@ -334,29 +353,38 @@ def _stationary_points(der: np.ndarray) -> np.ndarray:
     # rows: the cubic's end (A, B, C), then its reverse's (D, C, B)
     X, Y, Z = abcd[::3], abcd[1:3], abcd[2:0:-1]
     Cb = X * Z - Y * Y
-    d2 = A * D - B * C
-    Db = X * d2 - 2.0 * Y * Cb
+    AD, Y2 = A * D, 2.0 * Y
+    d2 = AD - B * C
+    Db = X * d2 - Y2 * Cb
     disc = 4.0 * Cb[0] * Cb[1] - d2 * d2
     one = disc < 0.0
-    T0 = -np.copysign(np.abs(X) * np.sqrt(-disc), Db)
-    T1 = T0 - Db
-    p = np.cbrt(0.5 * T1)
-    q = np.where(T1 == T0, -p, -Cb / p)
-    cardano = np.where(Cb <= 0.0, p + q, -Db / (p * p + q * q + Cb))
-    th = np.abs(np.arctan2(X * np.sqrt(disc), -Db)) / 3.0
-    r, c = 2.0 * np.sqrt(-Cb), np.cos(th)
-    x1, x3 = r * c, r * (-0.5 * c - _SIN60 * np.sin(th))
-    # of the outer two roots of each end, the one farther from its shift
-    t = np.where(one, cardano, np.where(x1 + x3 > 2.0 * Y, x1, x3)) - Y
+    # each closed form runs only when some row takes it
+    some, every = one.any(), one.all()
+    nDb, nCb = -Db, -Cb
+    if some:
+        T0 = -np.copysign(np.abs(X) * np.sqrt(-disc), Db)
+        T1 = T0 - Db
+        p = np.cbrt(0.5 * T1)
+        q = np.where(T1 == T0, -p, nCb / p)
+        t = np.where(Cb <= 0.0, p + q, nDb / (p * p + q * q + Cb))
+    if not every:
+        th = np.abs(np.arctan2(X * np.sqrt(disc), nDb)) / 3.0
+        r, c = 2.0 * np.sqrt(nCb), np.cos(th)
+        x1, x3 = r * c, r * (-0.5 * c - _SIN60 * np.sin(th))
+        # of the outer two roots of each end, the one farther from its shift
+        trig = np.where(x1 + x3 > Y2, x1, x3)
+        t = np.where(one, t, trig) if some else trig
+    t = t - Y
     # the large root t0 / A, the small root D / t1, and the middle one of
     # the quadratic factor (A x - t0)(t1 x - D) = E x^2 + F x + G
-    E, F, G = A * t[1], -t[0] * t[1] - A * D, t[0] * D
+    E, F, G = A * t[1], -t[0] * t[1] - AD, t[0] * D
     x = np.empty((3, len(der)))
     x[0], x[1], x[2] = t[0] / A, D / t[1], (C * F - B * G) / (C * E - B * F)
-    # one real root: the large one when B^3 D >= A C^3, else the small one
-    small = one & (B * B * B * D < A * C * C * C)
-    x[0, small] = x[1, small]
-    x[1:, one] = np.nan
+    if some:
+        # one real root: the large one when B^3 D >= A C^3, else the small one
+        small = one & (B * B * B * D < A * C * C * C)
+        x[0, small] = x[1, small]
+        x[1:, one] = np.nan
     # an exact leading zero: the stable quadratic formula
     quad = A == 0.0
     if quad.any():
@@ -379,16 +407,17 @@ def _quartic_extremum(win: np.ndarray, want: float):
     coef = (win[:, None, :] * _QUARTIC_24).sum(axis=-1) / 24.0
     der = coef[:, :0:-1] * _POWERS
     live = np.abs(der).max(axis=1) > 1e-13 * (np.abs(win).max(axis=1) + 1.0)
-    der[~live] = 0.0
+    if not live.all():
+        der[~live] = 0.0
     with np.errstate(all="ignore"):
         roots = _stationary_points(der)
     # a root out of reach, or missing (NaN), stands in as the center, which
     # comes first and so wins the tie
-    cand = np.concatenate([np.zeros((len(win), 1)), np.where(np.abs(roots) <= 1.2, roots, 0.0)],
-                          axis=1)
+    cand = np.zeros((len(win), 4))
+    cand[:, 1:] = np.where(np.abs(roots) <= 1.2, roots, 0.0)
     vals = np.zeros_like(cand)
-    for c in coef[:, ::-1].T:
-        vals = vals * cand + c[:, None]
+    for c in coef.T[::-1, :, None]:
+        vals = vals * cand + c
     rows, best = np.arange(len(win)), np.argmax(want * vals, axis=1)
     return cand[rows, best], vals[rows, best]
 
@@ -410,12 +439,13 @@ def refine_extremum(grid: SphereGrid, values, mode: str):
     want = {"max": 1.0, "min": -1.0}.get(mode)
     if want is None:
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-    w = want * grid.pad(np.atleast_2d(v))
+    p = grid.pad(np.atleast_2d(v))
+    w = p if want > 0.0 else -p
     c = w[:, 2:-2]
     peak = (c >= w[:, 1:-3]) & (c >= w[:, 3:-1])
     peak[np.arange(len(c)), np.argmax(c, axis=1)] = True
     r, i = np.nonzero(peak)
-    off, val = _quartic_extremum(want * w[r[:, None], i[:, None] + _FIVE], want)
+    off, val = _quartic_extremum(p[r[:, None], i[:, None] + _FIVE], want)
     k = np.lexsort((-want * val, r))
     k = k[np.concatenate(([True], r[k][1:] != r[k][:-1]))]
     theta = grid.theta[i[k]] + off[k] * grid.h

@@ -301,6 +301,44 @@ def padded_stencils(p, h):
     return d1, d2
 
 
+def window_slopes_by_pairs(x, y):
+    """Nodal derivatives of the local quartic interpolants, row by row, from
+    the (.., m, 5, 5) array of every pairwise difference in each node's
+    window, as resample_monotone took its slopes one window per node."""
+    m, win = x.shape[-1], min(5, x.shape[-1])
+    rows = np.arange(m)
+    lo = np.minimum(np.maximum(rows - (win - 1) // 2, 0), m - win)
+    idx, c = lo[:, None] + np.arange(win), rows - lo
+    xw = x.take(idx, axis=-1)
+    d = xw[..., :, None] - xw[..., None, :]
+    d[..., np.arange(win), np.arange(win)] = 1.0
+    dc = d[..., rows, c, :]
+    w = dc.prod(axis=-1, keepdims=True) / (dc * d.prod(axis=-1))
+    inv = 1.0 / dc
+    inv[..., rows, c] = 0.0
+    w[..., rows, c] = inv.sum(axis=-1)
+    return (w * y.take(idx, axis=-1)).sum(axis=-1)
+
+
+def random_fourier_by_modes(grid, r0, amp, kmax, seed):
+    """The random_fourier datum drawn and summed one mode at a time (a
+    sine's coefficient drawn after each cosine's), redrawn until its
+    curvatures (_kappa) are positive."""
+    from dualflow.hgeom import _kappa
+
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        coef = rng.normal(size=int(kmax)) / np.arange(1, kmax + 1) ** 2
+        u = r0 + 0.0 * grid.theta
+        for k, c in enumerate(coef, start=1):
+            u = u + amp * c * np.cos(k * grid.theta)
+            if grid.cyclic:
+                u = u + amp * rng.normal() / k**2 * np.sin(k * grid.theta)
+        if u.min() > 0.05 and np.all(_kappa(grid, u, 1.0)[2] > 0.0):
+            return u
+    return None
+
+
 # ----------------------------------------------------------------------
 # sub-grid extremum: the quartic window, one at a time
 # ----------------------------------------------------------------------

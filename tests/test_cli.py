@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualflow import cli, curvfn, hgeom
+from dualflow import cli, curvfn, dualmap, hgeom, sphere_grid
 from dualflow.cli import (
     ConfigError,
     RunManifest,
@@ -33,7 +33,7 @@ from dualflow.flow import (
     spherical_theta,
 )
 from dualflow.hgeom import CausalityError, Graph
-from dualflow.sphere_grid import ReparametrizationError, make_grid
+from dualflow.sphere_grid import ReparametrizationError, SphereGrid, make_grid
 
 EXAMPLE = (
     'F="sigma_k:2" n=2 m=128 initial="perturbed_sphere" '
@@ -473,6 +473,76 @@ def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
         records = len(_read_csv(out / "diagnostics.csv"))
         assert records == 40
         assert len(calls) == records + extra
+
+
+def test_verify_takes_one_kernel_pass_per_profile(tmp_path, monkeypatch):
+    # one verify run of the benchmark's datum: the stencils run once on each
+    # of the four profiles that carry information (the drawn primal, whose
+    # convexity test and geometry share the pass; the matching angle and the
+    # dual's node values in the duality check; the resampled dual, whose
+    # spacelike check and geometry share the pass), the Gauss map runs there
+    # and back with one resample each, one refine call takes all four
+    # extrema, and the primal and the dual build one geometry each
+    counts = {}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(SphereGrid, "derivatives")
+    spy(dualmap, "_gauss_map")
+    spy(sphere_grid, "resample_monotone")
+    spy(dualmap, "refine_extremum")
+    builds = _count_geometry_builds(monkeypatch)
+    cfg = _write_cfg(
+        tmp_path, "v.cfg",
+        f'F="power_mean:0.5" n=2 m=128 initial="random_fourier" initial.params=[1.0,0.05,4] '
+        f'seed=3 out="{tmp_path / "v"}"',
+    )
+    assert main(["verify", cfg]) == 0
+    assert counts == {"derivatives": 4, "_gauss_map": 2, "resample_monotone": 2,
+                      "refine_extremum": 1}
+    assert len(builds) == 2
+
+
+# verify.json of the benchmark's datum at seed 8 (the n = 1, m = 256 profile
+# that once aborted in the Gauss map), every number to the bit; a change of
+# the numerics re-pins these values and lists them in CHANGES.md
+_GOLDEN_VERIFY = {
+    (1, 64): (0.0001760419125087509, 1.4736526831593544e-05, 0.0001760419125087509,
+              5.413225823147627e-08, 7.351534112576275e-07),
+    (1, 128): (1.1184780655870696e-05, 9.445987159129032e-07, 1.1184780655870696e-05,
+               1.9353668667676516e-09, 5.101824329667437e-08),
+    (1, 256): (7.030276076847031e-07, 5.940441760721171e-08, 7.030276076847031e-07,
+               9.723566396502292e-11, 3.2966704921477685e-09),
+    (2, 64): (1.2096367801861518e-05, 4.5819657441548145e-06, 1.2096367801861518e-05,
+              2.187109493512196e-09, 5.180010809180402e-08),
+    (2, 128): (7.640449541934657e-07, 2.9054293526620256e-07, 7.640449541934657e-07,
+               3.463129782943497e-11, 3.465958631210242e-09),
+    (2, 256): (4.7878134790124705e-08, 1.8225188691545213e-08, 4.7878134790124705e-08,
+               5.42788036739239e-13, 2.1980273157140573e-10),
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(_GOLDEN_VERIFY))
+def test_verify_outputs_are_pinned(tmp_path, n, m):
+    out = tmp_path / "v"
+    cfg = _write_cfg(
+        tmp_path, "v.cfg",
+        f'F="power_mean:0.5" n={n} m={m} initial="random_fourier" initial.params=[1.0,0.05,4] '
+        f'seed=8 out="{out}"',
+    )
+    assert main(["verify", cfg]) == 0
+    keys = ("duality_err", "kappa_product_err", "h_mismatch", "relation_err",
+            "graph_involution_err")
+    assert json.loads((out / "verify.json").read_text()) == {
+        **dict(zip(keys, _GOLDEN_VERIFY[n, m])),
+        "inverse_involution_err": 6.661338147750939e-16, "concavity": "strictly_concave"}
 
 
 def test_verify_nonconvex_exit_3(tmp_path):

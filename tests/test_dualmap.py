@@ -15,6 +15,7 @@ from dualflow.dualmap import (
     verify_duality,
 )
 from dualflow import curvfn
+from dualflow.dualmap import _unwrap
 from dualflow.flow import FlowConfig, FlowState, make_initial, run_both
 from dualflow.hgeom import Graph, geometry_of
 from dualflow.sphere_grid import make_grid, refine_extremum
@@ -252,3 +253,20 @@ def test_gauss_image_is_an_involution_at_fourth_order(seed, n, m):
     h4 = grid.h**4
     assert np.abs(dual_to_primal(pair.dual).u - u).max() <= 0.1 * h4
     assert verify_duality(pair).worst() <= 20.0 * h4
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.sampled_from([(), (1,), (3,)]), m=st.integers(2, 60),
+       step=st.sampled_from([0.05, 0.5, 2.0, 5.0]), wrap=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_unwrap_matches_numpy(rows, m, step, wrap, seed):
+    # the Gauss map's unwrap is np.unwrap along the last axis, bit for bit:
+    # angles that rise or fall by any step, folded into (-pi, pi] or not,
+    # with jumps of exactly pi either way
+    rng = np.random.default_rng(seed)
+    a = np.cumsum(rng.uniform(-step, step, size=rows + (m,)), axis=-1)
+    if wrap:
+        a = np.arctan2(np.sin(a), np.cos(a))
+    if m > 2:
+        a[..., 1] = a[..., 0] + math.pi * rng.choice([-1.0, 1.0])
+    assert _unwrap(a).tobytes() == np.unwrap(a, axis=-1).tobytes()

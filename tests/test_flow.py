@@ -22,7 +22,6 @@ from dualflow.flow import (
     _BandPlan,
     _BandSolver,
     _DenseInverse,
-    _geometry,
     _velocity,
     estimate_Tstar,
     make_initial,
@@ -35,7 +34,13 @@ from dualflow.flow import (
 )
 from dualflow.hgeom import Graph, GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
-from oracles import oracle_flow_step, rk4_profiles, rk4_step, spherical_theta_ref
+from oracles import (
+    oracle_flow_step,
+    random_fourier_by_modes,
+    rk4_profiles,
+    rk4_step,
+    spherical_theta_ref,
+)
 
 T_STAR_1 = 0.4337808304830271  # ln cosh 1
 T_STAR_HALF = 0.12011450695827745  # ln cosh 0.5
@@ -216,7 +221,7 @@ def test_rhs_stack_equals_rows(n, eps, seeds, amp):
     assert solver.rhs_evals == len(rows)
     for u, f in zip(rows, out):
         assert np.array_equal(f, solver._rhs(u))
-        geo = _geometry(grid, u, F, eps)
+        geo = FlowState(0.0, u, grid, F, eps).geometry
         assert np.array_equal(f, _velocity(geo.F_value, geo.v, eps))
 
 
@@ -373,7 +378,7 @@ def test_accepted_state_raises_like_geometry():
     for eps, u in ((1.0, good), (-1.0, d_good)):
         solver = RadauIIA(grid, F, eps)
         state = solver._accept(0.1, u)
-        geo = _geometry(grid, u, F, eps)
+        geo = FlowState(0.0, u, grid, F, eps).geometry
         assert np.array_equal(solver._f, _velocity(geo.F_value, geo.v, eps))
         assert state.t == 0.1 and state.u is u
 
@@ -1095,3 +1100,18 @@ def test_flow_config_validation():
         FlowConfig(F="mean", n=2, m=32, initial="sphere", seed=-1)
     cfg = FlowConfig(F="mean", n=2, m=32, initial="sphere", initial_params=[1])
     assert cfg.initial_params == (1.0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_fourier_matches_the_mode_loop(n):
+    # the datum, summed over its modes in one stack, is the bits of the
+    # mode-by-mode reference, redraws included
+    for m, params in ((16, (1.0, 0.3, 7)), (64, (1.0, 0.05, 4)), (128, (0.5, 0.2, 1))):
+        grid = make_grid(n, m)
+        for seed in range(40):
+            ref = random_fourier_by_modes(grid, *params, seed)
+            if ref is None:
+                with pytest.raises(ValueError):
+                    make_initial("random_fourier", params, grid, seed=seed)
+            else:
+                assert make_initial("random_fourier", params, grid, seed=seed).tobytes() == ref.tobytes()

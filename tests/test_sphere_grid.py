@@ -12,13 +12,17 @@ from dualflow.sphere_grid import (
     CircleGrid,
     ReparametrizationError,
     SphereGrid,
+    _POWERS,
+    _QUARTIC_24,
     _quartic_extremum,
+    _stationary_points,
+    _window_slopes,
     make_grid,
     refine_extremum,
     resample_monotone,
     sphere_area,
 )
-from oracles import concatenate_pad, padded_stencils, quartic_stationary
+from oracles import concatenate_pad, padded_stencils, quartic_stationary, window_slopes_by_pairs
 
 
 def test_make_grid_dispatch():
@@ -268,6 +272,18 @@ def test_stacked_resample_rows_equal_single_calls():
         resample_monotone(x, x, xq)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.sampled_from([(), (1,), (3,)]), m=st.integers(4, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_slopes_match_the_pairwise_reference(rows, m, seed):
+    # the slopes, taken with windows down axis -2, are the bits of the
+    # reference that builds every pairwise difference of every window
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, size=rows + (m,)), axis=-1) - rng.uniform(0.0, 5.0)
+    y = rng.normal(size=rows + (m,)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    assert _window_slopes(x, y).tobytes() == window_slopes_by_pairs(x, y).tobytes()
+
+
 def test_resample_rejects_bad_input():
     x = np.array([0.0, 1.0, 0.5, 2.0])
     with pytest.raises(ReparametrizationError):
@@ -426,6 +442,63 @@ def test_quartic_extremum_pole_windows(seed, parity, want):
     p = g.pad(np.random.default_rng(seed).normal(size=16), parity)
     for lo in (0, 1, p.size - 6, p.size - 5):
         _agrees_with_reference(p[lo:lo + 5], want)
+
+
+def _branch_window(kind, a, b, c, scale, level):
+    """Five samples at the offsets -2..2 of a quartic whose derivative cubic
+    takes the given root branch: "three" real roots (a, a + b, a + b + c), "one"
+    real root a beside the complex pair of x^2 + b x + (b^2 / 4 + c), or "lead0",
+    an integer cubic window, whose quartic coefficient is exactly zero."""
+    x = np.arange(-2.0, 3.0)
+    if kind == "lead0":
+        return np.round(level) + np.round(4 * a) * x + np.round(4 * b) * x * x + np.round(4 * c) * x**3
+    if kind == "three":
+        r = (a, a + b, a + b + c)
+        e1, e2, e3 = sum(r), r[0] * r[1] + r[0] * r[2] + r[1] * r[2], r[0] * r[1] * r[2]
+    else:  # (x - a)(x^2 + b x + q) = x^3 - e1 x^2 + e2 x - e3
+        q = b * b / 4.0 + c
+        e1, e2, e3 = a - b, q - a * b, a * q
+    return level + scale * (x**4 / 4.0 - e1 * x**3 / 3.0 + e2 * x * x / 2.0 - e3 * x)
+
+
+def _branch(win):
+    """The root branch _quartic_extremum's cubic takes on a window."""
+    der = ((win[None, None, :] * _QUARTIC_24).sum(axis=-1) / 24.0)[:, :0:-1] * _POWERS
+    if der[0, 0] == 0.0:
+        return "lead0"
+    with np.errstate(all="ignore"):
+        return {0: "three", 2: "one"}.get(int(np.isnan(_stationary_points(der)).sum()))
+
+
+_WINDOW = st.tuples(st.floats(-1.5, 0.5), st.floats(0.2, 0.5), st.floats(0.2, 0.5),
+                    st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+                    st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["three", "one", "lead0"]), target=_WINDOW,
+       others=st.lists(st.tuples(st.sampled_from(["three", "one", "lead0"]), _WINDOW),
+                       min_size=1, max_size=5),
+       at=st.integers(0, 6), want=st.sampled_from([1.0, -1.0]))
+def test_quartic_extremum_batch_mixes_root_branches(kind, target, others, at, want):
+    # each closed form runs only when some row of the batch takes it: a
+    # window's offset and value are the same bits alone and in a batch with
+    # windows of every root branch (one real root, three, an exact leading
+    # zero), wherever it sits in the batch
+    wins = [_branch_window(k, *w) for k, w in
+            [("three", target), ("one", target), ("lead0", target)] + others]
+    assert [_branch(w) for w in wins[:3]] == ["three", "one", "lead0"]
+    win = _branch_window(kind, *target)
+    assert _branch(win) == kind
+    at = min(at, len(wins))
+    batch = np.array(wins[:at] + [win] + wins[at:])
+    off, val = _quartic_extremum(batch, want)
+    alone = _quartic_extremum(win[None, :], want)
+    assert off[at].tobytes() == alone[0][0].tobytes()
+    assert val[at].tobytes() == alone[1][0].tobytes()
+    for w, o, v in zip(np.delete(batch, at, axis=0), np.delete(off, at), np.delete(val, at)):
+        single = _quartic_extremum(w[None, :], want)
+        assert (o.tobytes(), v.tobytes()) == (single[0][0].tobytes(), single[1][0].tobytes())
 
 
 @pytest.mark.parametrize("grid", [make_grid(1, 32), make_grid(2, 32)], ids=repr)
