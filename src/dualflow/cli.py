@@ -87,8 +87,12 @@ def _parse_value(raw: str):
             body = raw[1:-1].strip()
             return tuple(float(p) for p in body.split(",")) if body else ()
         if re.fullmatch(r"[+-]?\d+", raw):
-            return int(raw)
+            value = int(raw)
+            float(value)  # an integer no float can hold raises OverflowError
+            return value
         return float(raw)
+    except OverflowError:
+        raise ConfigError(f"integer {raw!r} is too large for a float")
     except ValueError:
         hint = ("a list holds numbers separated by commas" if raw.startswith("[")
                 else "strings must be double-quoted")

@@ -20,12 +20,11 @@ stencil's own convergence order).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hgeom import CausalityError, Graph, _curvatures, _unit_normal
+from .hgeom import CausalityError, Graph, _curvatures, _warp
 from .sphere_grid import refine_extremum
 
 __all__ = [
@@ -53,51 +52,36 @@ class DualPair:
     u_star_nodes: np.ndarray
 
 
-def _unwrap(a: np.ndarray) -> np.ndarray:
-    """np.unwrap of the angles a along their last axis, bit for bit: a
-    jump of pi or more between neighbours is taken off by whole turns
-    (the circle's normals wrap once; a meridian's never do), and only a
-    stack with a jump pays for the turn count."""
-    dd = a[..., 1:] - a[..., :-1]
-    near = np.abs(dd) < math.pi
-    if near.all():
-        turns = 0.0
-    else:
-        ddmod = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
-        ddmod[(ddmod == -math.pi) & (dd > 0.0)] = math.pi
-        turns = ddmod - dd
-        turns[near] = 0.0
-        turns = turns.cumsum(axis=-1)
-    out = a.copy()
-    out[..., 1:] += turns
-    return out
-
-
 def _gauss_map(gs):
     """Per graph of gs (one grid, one side): the graph of the other side
     swept by its unit normals, the matching angle of each node (the
     direction of the normal's spatial part, which must increase) and the
     node values before resampling: a list of graphs and two (S, m) arrays.
 
-    A primal normal (eps = +1) is a point of de Sitter space: its
-    eigentime arcsinh(nu^0), negated (light-cone switch), is read as a
-    graph over the direction of the spatial part.  The past-directed
-    normal of a stored dual (eps = -1), with the light cone switched
-    back, is a point of H^{n+1}, read as a radial graph arccosh(nu^0).
-    The scattered samples of the whole (S, m) stack (a single graph: its
-    (m,) arrays) are brought onto the grid by one call of its resample.
+    The unit normal nu = (S, eps C omega - slope omega') / v, with (S, C)
+    from _warp, is read in its node's own frame: eps C > 0 on both sides,
+    so its spatial part lies arctan(slope / eps C), less than a quarter
+    turn, behind the node's direction theta, and the angle needs no
+    unwrapping.  A primal normal (eps = +1) is a point of de Sitter
+    space: its eigentime arcsinh(nu^0), negated (light-cone switch), is
+    read as a graph over that angle.  The past-directed normal of a
+    stored dual (eps = -1), with the light cone switched back, is a point
+    of H^{n+1}, read as a radial graph arccosh(nu^0).  The scattered
+    samples of the whole (S, m) stack (a single graph: its (m,) arrays)
+    are brought onto the grid by one call of its resample.
     """
     grid, eps = gs[0].grid, gs[0].eps
     u, slope, v = (x[0] if len(gs) == 1 else np.array(x) for x in zip(*(
         (g.u, g.geometry.slope, g.geometry.v) for g in gs)))
-    nu0, nu_sin, nu_axis = _unit_normal(u, slope, v, grid, eps)
-    ang = _unwrap(np.arctan2(nu_sin, nu_axis))
+    S, C = _warp(u, eps)
+    ang = grid.theta - np.arctan2(slope, eps * C)
     rise = ang[..., 1:] - ang[..., :-1]
     if not (rise > 0.0).all():
         j = int(np.argmin(rise)) % (grid.m - 1)
         raise DualityBrokenError(
             f"Gauss-image angles fail to increase at node {j} (grid too coarse or convexity lost)"
         )
+    nu0 = S / v
     nodes = -np.arcsinh(nu0) if eps > 0 else np.arccosh(np.maximum(nu0, 1.0))
     duals = [Graph(grid, w, -eps) for w in grid.resample(ang, nodes).reshape(-1, grid.m)]
     return duals, ang.reshape(-1, grid.m), nodes.reshape(-1, grid.m)

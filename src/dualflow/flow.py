@@ -129,11 +129,6 @@ class FlowState(_Profile):
     def geometry(self) -> GraphGeometry:
         return _geometry([self])[0]
 
-    @property
-    def u_star(self) -> np.ndarray:
-        """The stored profile under its dual-side name."""
-        return self.u
-
 
 @dataclass
 class FlowTrajectory:

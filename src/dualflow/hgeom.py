@@ -8,14 +8,14 @@ in the (theta, angular) frame, so principal curvatures are read off
 without any eigen-decomposition.
 
 The same kernel, with sinh and cosh trading places under a sign eps,
-gives the curvatures and the unit normal of a stored de Sitter graph,
-so both sides of the Gauss-map duality share one copy of each formula
-and one type, Graph(grid, u, eps).
+gives the curvatures of a stored de Sitter graph, so both sides of the
+Gauss-map duality share one copy of each formula and one type,
+Graph(grid, u, eps); the Gauss map (dualmap) reads each unit normal in
+its node's own frame from the same warp factors (_warp).
 
 Computations run on the profile's grid; the Minkowski embedding into
 R^{n+1,1} (time coordinate first, rotation axis last among the spatial
-slots) is exposed both for cross-validation and as the carrier of the
-Gauss map.
+slots), positions and primal normals, is exposed for cross-validation.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ class _Profile:
     curvatures built on it (_curvatures), are each taken once, on first
     read, and shared by the side's checks (_check_side) and its geometry
     (geometry_of)."""
+
+    @property
+    def u_star(self) -> np.ndarray:
+        """The stored profile under its dual-side name."""
+        return self.u
 
     @cached_property
     def derivatives(self):
@@ -98,11 +103,6 @@ class Graph(_Profile):
             raise ValueError(f"profile shape {v.shape} does not match grid m={self.grid.m}")
         object.__setattr__(self, "u", v)
         _check_side(self)
-
-    @property
-    def u_star(self) -> np.ndarray:
-        """The stored profile under its dual-side name."""
-        return self.u
 
     @cached_property
     def geometry(self) -> GraphGeometry:
@@ -171,21 +171,6 @@ def _kappa(grid: SphereGrid, u: np.ndarray, eps: float):
     return _curvatures(u, *grid.derivatives(u), grid.cot, eps, grid.n)
 
 
-def _unit_normal(u, slope, v, grid: SphereGrid, eps: float):
-    """Time, sin-slot and axis-slot components of a warped graph's unit normal.
-
-    nu = (S, eps C omega - slope omega') / v with omega = (sin, .., cos):
-    the exterior normal of a hyperbolic graph (a point of de Sitter
-    space) for eps = +1, and for a stored de Sitter graph (eps = -1) the
-    normal with the light cone switched back, a point of H^{n+1}.  The
-    remaining slots are zero.
-    """
-    S, C = _warp(u, eps)
-    c = eps * C
-    st, ct = grid.sin, grid.cos
-    return S / v, (c * st - slope * ct) / v, (c * ct + slope * st) / v
-
-
 def geometry_of(g, F=None):
     """Graph factor, principal curvatures and curvature invariants.
 
@@ -224,15 +209,17 @@ def embed_arrays(g: Graph):
     """All node positions and exterior unit normals as (m, n+2) arrays.
 
     X = (cosh u, sinh u * omega) with omega = (sin theta, 0.., cos theta)
-    the unit direction on S^n; the normal comes from _unit_normal.  The
-    meridian plane sits in the sin slot 1 and the axis slot n+1.
+    the unit direction on S^n, and nu = (sinh u, cosh u omega - slope
+    omega') / v, a point of de Sitter space.  The meridian plane sits in
+    the sin slot 1 and the axis slot n+1.
     """
     geo = g.geometry
-    grid, su = g.grid, np.sinh(g.u)
+    grid, su, cu = g.grid, np.sinh(g.u), np.cosh(g.u)
+    slope, v, st, ct = geo.slope, geo.v, grid.sin, grid.cos
     X = np.zeros((grid.m, grid.n + 2))
     nu = np.zeros((grid.m, grid.n + 2))
-    X[:, 0], X[:, 1], X[:, -1] = np.cosh(g.u), su * grid.sin, su * grid.cos
-    nu[:, 0], nu[:, 1], nu[:, -1] = _unit_normal(g.u, geo.slope, geo.v, grid, 1.0)
+    X[:, 0], X[:, 1], X[:, -1] = cu, su * st, su * ct
+    nu[:, 0], nu[:, 1], nu[:, -1] = su / v, (cu * st - slope * ct) / v, (cu * ct + slope * st) / v
     return X, nu
 
 

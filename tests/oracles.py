@@ -172,6 +172,29 @@ def oracle_dual_point(u_func, theta):
 
 
 # ----------------------------------------------------------------------
+# closed forms: an off-centre geodesic sphere and its Gauss image
+# ----------------------------------------------------------------------
+# With A = cosh s and B = sinh s cos(theta), the sphere of radius R about
+# the axis point c = (cosh s, 0, .., sinh s) obeys -<X, c> = cosh R, and
+# its exterior normals fill the boosted slice <nu, c> = -sinh R.
+
+def translated_sphere(grid, R, s):
+    """Radial graph of the sphere of radius R centred at distance s along
+    the axis, from cosh R = cosh u cosh s - sinh u sinh s cos(theta)."""
+    A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
+    return np.arctanh(B / A) + np.arccosh(math.cosh(R) / np.sqrt(A * A - B * B))
+
+
+def boosted_slice(grid, R, s):
+    """Stored dual graph of that sphere's Gauss image: the normal
+    (sinh tau, cosh tau omega) meets sinh R = A sinh tau - B cosh tau at
+    eigentime tau = artanh(B / A) + arsinh(sinh R / sqrt(A^2 - B^2)),
+    stored negated as u* = -tau."""
+    A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
+    return -np.arcsinh(math.sinh(R) / np.sqrt(A * A - B * B)) - np.arctanh(B / A)
+
+
+# ----------------------------------------------------------------------
 # curve case (n = 1): plane sections, embedding in R^{2,1}
 # ----------------------------------------------------------------------
 

@@ -143,6 +143,9 @@ def test_generated_manifest_round_trip(man):
          "numbers separated by commas"),
         ('F="mean" n=2 m=64 initial="sphere" initial.params=[1.0,]',
          "numbers separated by commas"),
+        # an integer no float can hold is a config error, not an OverflowError
+        *((f'F="mean" n=2 m=64 initial="sphere" {key}={"9" * 401}', "too large for a float")
+          for key in ("record_every", "u_stop", "sigma", "initial.params")),
     ],
 )
 def test_parse_rejections(text, fragment):
@@ -514,16 +517,16 @@ def test_verify_takes_one_kernel_pass_per_profile(tmp_path, monkeypatch):
 # that once aborted in the Gauss map), every number to the bit; a change of
 # the numerics re-pins these values and lists them in CHANGES.md
 _GOLDEN_VERIFY = {
-    (1, 64): (0.0001760419125087509, 1.4736526831593544e-05, 0.0001760419125087509,
-              5.413225823147627e-08, 7.351534112576275e-07),
-    (1, 128): (1.1184780655870696e-05, 9.445987159129032e-07, 1.1184780655870696e-05,
-               1.9353668667676516e-09, 5.101824329667437e-08),
-    (1, 256): (7.030276076847031e-07, 5.940441760721171e-08, 7.030276076847031e-07,
-               9.723566396502292e-11, 3.2966704921477685e-09),
-    (2, 64): (1.2096367801861518e-05, 4.5819657441548145e-06, 1.2096367801861518e-05,
-              2.187109493512196e-09, 5.180010809180402e-08),
-    (2, 128): (7.640449541934657e-07, 2.9054293526620256e-07, 7.640449541934657e-07,
-               3.463129782943497e-11, 3.465958631210242e-09),
+    (1, 64): (0.00017604191250253365, 1.4736526831593544e-05, 0.00017604191250253365,
+              5.413225823147627e-08, 7.351534114796721e-07),
+    (1, 128): (1.1184780655870696e-05, 9.445987233513975e-07, 1.1184780655870696e-05,
+               1.9353668667676516e-09, 5.101824296360746e-08),
+    (1, 256): (7.030276076847031e-07, 5.940462610709574e-08, 7.030276076847031e-07,
+               9.723566396502292e-11, 3.296670381125466e-09),
+    (2, 64): (1.2096367801639474e-05, 4.5819657441548145e-06, 1.2096367801639474e-05,
+              2.187109493512196e-09, 5.1800107869759415e-08),
+    (2, 128): (7.640449544155103e-07, 2.9054293526620256e-07, 7.640449544155103e-07,
+               3.463129782943497e-11, 3.465958409165637e-09),
     (2, 256): (4.7878134790124705e-08, 1.8225188691545213e-08, 4.7878134790124705e-08,
                5.42788036739239e-13, 2.1980273157140573e-10),
 }
@@ -647,6 +650,21 @@ def test_sweep_directory(tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DUALFLOW_THREADS", cap)
         assert main(["sweep", str(tmp_path)]) == 2
         assert "DUALFLOW_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+def test_sweep_reports_an_integer_too_large_for_a_float(tmp_path, capsys, monkeypatch):
+    # the config in the middle exits 2 on its own line, and the sweep still
+    # prints the lines of the configs on either side
+    monkeypatch.setenv("DUALFLOW_THREADS", "2")
+    for name, extra in (("a", ""), ("b", f" sigma={'1' * 401}"), ("c", "")):
+        _write_cfg(tmp_path, f"{name}.cfg",
+                   f'F="mean" n=2 m=32 initial="sphere" initial.params=[1.0] mode="verify"{extra} '
+                   f'out="{tmp_path / name}"')
+    assert main(["sweep", str(tmp_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3
+    assert out[0].endswith("a.cfg: exit 0") and out[2].endswith("c.cfg: exit 0")
+    assert "b.cfg: exit 2" in out[1] and "too large for a float" in out[1]
 
 
 def test_json_outputs_escape_strings_and_write_nan_as_null(tmp_path):

@@ -15,11 +15,11 @@ from dualflow.dualmap import (
     verify_duality,
 )
 from dualflow import curvfn
-from dualflow.dualmap import _unwrap
+from dualflow.dualmap import _gauss_map
 from dualflow.flow import FlowConfig, FlowState, make_initial, run_both
-from dualflow.hgeom import Graph, geometry_of
+from dualflow.hgeom import Graph, embed_arrays, geometry_of
 from dualflow.sphere_grid import make_grid, refine_extremum
-from oracles import oracle_dual_point, oracle_ds_geometry
+from oracles import boosted_slice, oracle_dual_point, oracle_ds_geometry, translated_sphere
 
 
 def test_convention_flag():
@@ -215,11 +215,8 @@ def test_gauss_dual_rejects_a_primal_not_strictly_convex():
 
 def test_dual_of_offcenter_sphere():
     # translated sphere: dual eigentime extrema still reflect u extrema
-    R, s = 0.8, 0.2
     grid = make_grid(2, 128)
-    A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
-    C = np.sqrt(A * A - B * B)
-    u = np.arctanh(B / A) + np.arccosh(math.cosh(R) / C)
+    u = translated_sphere(grid, 0.8, 0.2)
     pair = gauss_dual(Graph(grid, u))
     assert verify_duality(pair).worst() < 1e-7
     _, umax = refine_extremum(grid, u, "max")
@@ -255,18 +252,44 @@ def test_gauss_image_is_an_involution_at_fourth_order(seed, n, m):
     assert verify_duality(pair).worst() <= 20.0 * h4
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(rows=st.sampled_from([(), (1,), (3,)]), m=st.integers(2, 60),
-       step=st.sampled_from([0.05, 0.5, 2.0, 5.0]), wrap=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_unwrap_matches_numpy(rows, m, step, wrap, seed):
-    # the Gauss map's unwrap is np.unwrap along the last axis, bit for bit:
-    # angles that rise or fall by any step, folded into (-pi, pi] or not,
-    # with jumps of exactly pi either way
-    rng = np.random.default_rng(seed)
-    a = np.cumsum(rng.uniform(-step, step, size=rows + (m,)), axis=-1)
-    if wrap:
-        a = np.arctan2(np.sin(a), np.cos(a))
-    if m > 2:
-        a[..., 1] = a[..., 0] + math.pi * rng.choice([-1.0, 1.0])
-    assert _unwrap(a).tobytes() == np.unwrap(a, axis=-1).tobytes()
+@pytest.mark.parametrize("n", [1, 2])
+def test_matching_angle_is_the_unwrapped_normal_direction(n):
+    # the angle read in each node's own frame, theta - arctan(slope / eps C),
+    # is np.unwrap of the global normal's direction on both sides, also on
+    # the circle's seeds 8 and 18 at m = 256, whose primal normals wrap
+    # past 2 pi and below 0
+    tol, wrapped = 4.0 * np.spacing(2.0 * math.pi), []
+    for m in (64, 128, 256):
+        grid = make_grid(n, m)
+        for seed in (3, 8, 11, 18):
+            pair = gauss_dual(Graph(grid, make_initial("random_fourier", (1.0, 0.05, 4), grid,
+                                                       seed=seed)))
+            _, nu = embed_arrays(pair.primal)
+            ref = np.unwrap(np.arctan2(nu[:, 1], nu[:, -1]))
+            assert np.abs(pair.matching - ref).max() <= tol
+            if ref[0] < 0.0 or ref[-1] >= 2.0 * math.pi:
+                wrapped.append((m, seed))
+            # the dual's normal, sinh and cosh traded and eps = -1
+            us, geo = pair.dual.u, pair.dual.geometry
+            c, slope, v = -np.sinh(us), geo.slope, geo.v
+            ref = np.unwrap(np.arctan2((c * grid.sin - slope * grid.cos) / v,
+                                       (c * grid.cos + slope * grid.sin) / v))
+            assert np.abs(_gauss_map([pair.dual])[1][0] - ref).max() <= tol
+    assert {(256, 8), (256, 18)} <= set(wrapped) if n == 1 else not wrapped
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_offcenter_sphere_maps_to_its_boosted_slice(n):
+    # a sphere of radius 1 about a point 0.2 along the axis has nonzero
+    # slope, and its Gauss image is a boosted slice: the map and its
+    # inverse meet the closed forms at fourth order
+    R, s = 1.0, 0.2
+    fwd, back = [], []
+    for m in (48, 96, 192):
+        grid = make_grid(n, m)
+        u, us = translated_sphere(grid, R, s), boosted_slice(grid, R, s)
+        fwd.append(np.abs(gauss_dual(Graph(grid, u)).dual.u - us).max())
+        back.append(np.abs(dual_to_primal(Graph(grid, us, -1.0)).u - u).max())
+    for errs in (fwd, back):
+        assert errs[1] < 5e-8
+        assert 0.5 * math.log2(errs[0] / errs[2]) >= 3.3

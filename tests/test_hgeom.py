@@ -17,7 +17,7 @@ from dualflow.hgeom import (
 )
 from dualflow.sphere_grid import make_grid
 from oracles import (dense_inradius_scan, euclidean_compare, minkowski_inner, oracle_curve_geometry,
-                     oracle_h_geometry)
+                     oracle_h_geometry, translated_sphere)
 
 COTH1 = 1.3130352854993312  # cosh(1)/sinh(1)
 
@@ -148,17 +148,10 @@ def test_inball_perturbed_sphere_vs_dense_scan():
     assert not res.dense_fallback
 
 
-def _translated_sphere(grid, R, s):
-    # graph of a sphere of radius R centered at distance s along the axis,
-    # from cosh R = cosh u cosh s - sinh u sinh s cos(theta)
-    A, B = math.cosh(s), math.sinh(s) * np.cos(grid.theta)
-    return np.arctanh(B / A) + np.arccosh(math.cosh(R) / np.sqrt(A * A - B * B))
-
-
 def test_inball_translated_sphere():
     R, s = 0.8, 0.25
     grid = make_grid(2, 128)
-    res = inradius_circumradius(Graph(grid, _translated_sphere(grid, R, s)))
+    res = inradius_circumradius(Graph(grid, translated_sphere(grid, R, s)))
     assert res.rho_minus == pytest.approx(R, abs=1e-4)
     assert res.rho_plus == pytest.approx(R, abs=1e-4)
     assert res.center_offset == pytest.approx(s, abs=1e-4)
@@ -203,7 +196,7 @@ def test_stacked_inball_search_equals_one_state_search():
     gs = [Graph(grid, s.u) for s in traj.states]
     gs[3:3] = [Graph(grid, np.full(48, 0.8))]
     gs[17:17] = [Graph(grid, _two_lobes(grid.theta))]
-    gs.append(Graph(grid, _translated_sphere(grid, 0.8, 0.25)))
+    gs.append(Graph(grid, translated_sphere(grid, 0.8, 0.25)))
     assert len(gs) > 2 * (hgeom._BLOCK // (2 * hgeom._SCAN * grid.m))
     stacked = inradius_circumradius(gs)
     assert len(stacked) == len(gs)
@@ -220,7 +213,7 @@ def test_inball_zoom_chunks_leave_each_result_alone(monkeypatch):
     # translated sphere, a perturbed sphere and a two-lobe profile share
     # chunks differently: each state still gets bit for bit its result
     grid = make_grid(2, 48)
-    gs = [Graph(grid, u) for u in (np.full(48, 0.8), _translated_sphere(grid, 0.8, 0.25),
+    gs = [Graph(grid, u) for u in (np.full(48, 0.8), translated_sphere(grid, 0.8, 0.25),
                                    1.0 + 0.1 * np.cos(grid.theta), _two_lobes(grid.theta),
                                    np.full(48, 4.0))]
     alone = [inradius_circumradius(g) for g in gs]
