@@ -132,14 +132,14 @@ def parse_config(text: str) -> RunManifest:
     F_name = seen["F"]
     if not isinstance(F_name, str):
         raise ConfigError("F must be a quoted curvature-function name")
+    try:  # the grid first: it bounds n before the speed builds arrays of size n
+        make_grid(n, m)
+    except ValueError as exc:
+        raise ConfigError(f"grid parameters out of range: {exc}")
     try:
         curvfn.make_function(F_name, n)
     except curvfn.ConstructionError as exc:
         raise ConfigError(f"malformed curvature-function string {F_name!r}: {exc}")
-    try:
-        make_grid(n, m)
-    except ValueError as exc:
-        raise ConfigError(f"grid parameters out of range: {exc}")
 
     for key, kinds in (("sigma", (int, float)), ("u_stop", (int, float)), ("seed", int),
                        ("record_every", int), ("initial.params", (int, float, tuple))):

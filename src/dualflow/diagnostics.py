@@ -1,4 +1,4 @@
-"""Per-state monitors: preserved inequalities, decay functionals, rate fits.
+"""Per-state monitors: preserved inequalities and decay functionals.
 
 Every recorded flow state, primal or dual, is condensed by one function,
 compute_record, which takes a run's states at once, into one
@@ -9,9 +9,6 @@ of the rescaled speed, the roundness functional f_sigma, inradius and
 circumradius, the duality identity error, and the rescaled dual support
 w.  A state brings its own grid and side; a dual state reads its own
 de Sitter geometry and leaves the hyperbolic-only fields NaN.
-Exponential rates are fitted on (tau, log y) by least squares and only
-their signs are asserted anywhere; the continuum statements carry no
-numeric constants.
 """
 
 from __future__ import annotations
@@ -27,19 +24,10 @@ from .hgeom import GraphGeometry, inradius_circumradius
 
 __all__ = [
     "CSV_FIELDS",
-    "C_GRID",
     "DiagnosticsRecord",
     "pinching_epsilon",
     "compute_record",
-    "RateFit",
-    "fit_exponential",
-    "DecayReport",
-    "decay_check",
 ]
-
-# discrete slack multiplier for preserved-sign inequalities: continuum
-# statements are exact, stencil noise scales with h^2
-C_GRID = 5.0
 
 
 @dataclass(frozen=True)
@@ -145,80 +133,3 @@ def compute_record(states, duals=None, Thetas=None,
     return [DiagnosticsRecord(*row)
             for row in zip(*(np.asarray(columns[f], dtype=float).tolist() for f in CSV_FIELDS))]
 
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares exponential fit y ~ C exp(-delta tau)."""
-
-    C: float
-    delta: float
-    residual: float
-    clipped: bool = False
-
-
-def fit_exponential(taus, ys) -> RateFit:
-    """Fit log y = log C - delta tau; residual is the RMS misfit.
-
-    Nonpositive samples are clipped to the smallest positive double and
-    flagged rather than rejected: decaying oscillation data can touch
-    zero at rounding level.
-    """
-    taus = np.asarray(taus, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if taus.ndim != 1 or taus.size < 5 or ys.shape != taus.shape:
-        raise ValueError("need at least five paired samples")
-    clipped = bool(np.any(ys <= 0.0))
-    floor = np.finfo(float).tiny
-    logs = np.log(np.clip(ys, floor, None))
-    A = np.stack([np.ones_like(taus), -taus], axis=1)
-    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
-    fitted = A @ coef
-    residual = float(np.sqrt(np.mean((logs - fitted) ** 2)))
-    return RateFit(C=float(math.exp(coef[0])), delta=float(coef[1]),
-                   residual=residual, clipped=clipped)
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Feasibility report for the nodewise bound gap <= c0 F^(2-delta)."""
-
-    ok: bool
-    c0: float
-    delta: float
-    worst_margin: float
-    n_points: int
-    fitted: bool
-
-
-def decay_check(traj, c0: float | None = None, delta: float | None = None) -> DecayReport:
-    """Check |A|^2 - nF^2 <= c0 F^(2-delta) nodewise over a whole run.
-
-    With (c0, delta) given, just verifies.  With neither, delta comes
-    from the log-log regression of the gap against F over all nodes with
-    a positive gap, and c0 is the smallest constant covering every node
-    (with 1% headroom); the report carries the worst margin
-    c0 F^(2-delta) - gap.  Runs with an identically zero gap (spheres)
-    are feasible for any positive pair and reported as such.  One
-    constant without the other raises ValueError.
-    """
-    if (c0 is None) != (delta is None):
-        raise ValueError("decay_check takes c0 and delta together, or neither")
-    _fill_geometry(traj.states)
-    geos = [s.geometry for s in traj.states]
-    F = np.concatenate([geo.F_value for geo in geos])
-    gap = np.concatenate([geo.normA2 for geo in geos]) - geos[0].kappa.shape[1] * F**2
-    pos = gap > 1e-14 * np.maximum(F * F, 1.0)
-    fitted = False
-    if c0 is None:
-        if pos.sum() < 5:
-            c0, delta = 1.0, 1.0
-        else:
-            fitted = True
-            cov = np.cov(np.log(F[pos]), np.log(gap[pos]))
-            delta = 2.0 - cov[0, 1] / cov[0, 0]
-            c0 = float(np.exp(np.max(np.log(gap[pos]) - (2.0 - delta) * np.log(F[pos])))) * 1.01
-    bound = c0 * F ** (2.0 - delta)
-    margin = float((bound - gap).min())
-    return DecayReport(ok=bool(margin >= 0.0 and delta > 0.0), c0=float(c0),
-                       delta=float(delta), worst_margin=margin,
-                       n_points=int(pos.sum()), fitted=fitted)

@@ -10,9 +10,10 @@ Both flows run through one driver and one implicit Radau IIA integrator
 (three stages, order five, adaptive steps).  The discretized flows are
 stiff: an explicit step is bounded by the grid spacing squared, an
 implicit one by accuracy alone, so the step count does not grow with m.
-Newton takes one of two paths: above m = 64 in flow time its matrices
-are the band of the stencils' reach, solved by blocks around separators
-with no m x m array; otherwise they are dense and held as inverses.
+Newton takes one of two paths, by phase: in flow time its matrices are
+the band of the stencils' reach, solved by blocks around separators
+with no m x m array; in the rescaled phase they are dense and held as
+inverses.
 Once a run has no target time left and no stop time, the same integrator
 switches to the paper's rescaled variables: u~ = u / lambda in tau = -ln
 lambda (counted from the switch), lambda the area mean of |u|, plus the
@@ -59,8 +60,6 @@ __all__ = [
     "run_both",
     "TstarEstimate",
     "estimate_Tstar",
-    "RescaledRecord",
-    "rescale",
 ]
 
 # smallest admissible time step; a smaller step means the surface is too
@@ -444,12 +443,6 @@ class _BandSolver:
         return np.concatenate([x_I - self._V @ x_S, x_S])[self._pos]
 
 
-# the largest m whose Newton matrices have their inverses formed: up to it the
-# two paths tie on whole runs, and above it the O(m^3) inverses cost more than
-# their cheaper solves repay (README, "Time stepping")
-_DENSE_MAX_M = 64
-
-
 class _DenseInverse:
     """A Newton matrix kept as its explicit inverse: a solve is one
     matrix-vector product.  A block lower triangular matrix [[P, 0], [C, D]],
@@ -483,12 +476,14 @@ class RadauIIA:
     Newton matrix factorizations (a real and a complex one each).
 
     It starts in flow time, x = t and y = u.  Its Jacobian is taken by
-    forward differences on one of two paths.  The dense path perturbs one
-    column per row of the stack y + diag(delta) and keeps the inverses of
-    the Newton matrices (_DenseInverse).  The band path, flow time above
-    _DENSE_MAX_M, perturbs one colour of columns per row, so one rhs call
-    gives the band of the stencils' reach (SphereGrid.band), and solves
-    by blocks around separators (_BandSolver, laid out once by _BandPlan).
+    forward differences on one of two paths, picked by the phase.  The
+    band path, flow time at every m, perturbs one colour of columns per
+    row, so one rhs call gives the band of the stencils' reach
+    (SphereGrid.band), and solves by blocks around separators
+    (_BandSolver, laid out once by _BandPlan).  The dense path, the
+    rescaled phase (below), perturbs one column per row of the stack
+    y + diag(delta) and keeps the inverses of the Newton matrices
+    (_DenseInverse).
 
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
@@ -506,9 +501,9 @@ class RadauIIA:
     f_side the du/dt of the block's own side, so dt/dtau = lambda / q.  A
     geodesic sphere, or a dual slice, is a fixed point of its block and of
     E, and E is then its extinction time.  <f> couples every node, so the
-    rescaled phase takes the dense path at every m.  An accepted state is
-    still a FlowState, with t = E - ln cosh lambda and u = lambda u~; the
-    dual state at the same t is kept as well (dual).
+    rescaled phase takes the dense path.  An accepted state is still a
+    FlowState, with t = E - ln cosh lambda and u = lambda u~; the dual
+    state at the same t is kept as well (dual).
 
     The primal rows never read w: their Jacobian entries in the w columns
     are zeroed, and _DenseInverse solves the block lower triangular system.
@@ -531,7 +526,7 @@ class RadauIIA:
 
     @property
     def _banded(self) -> bool:  # the Newton path (class docstring)
-        return not self.rescaled and self.grid.m > _DENSE_MAX_M
+        return not self.rescaled
 
     @cached_property
     def _plan(self) -> _BandPlan:  # built on the band path's first factorization
@@ -962,7 +957,7 @@ def run_both(config: FlowConfig, initial: FlowState, dual) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# extinction time and rescaling
+# extinction time
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -992,34 +987,3 @@ def estimate_Tstar(traj: FlowTrajectory) -> TstarEstimate:
     a = [s.t + math.log(math.cosh(grid.integrate(np.abs(s.u)) / area)) for s in tail]
     spread = max(a) - min(a)
     return TstarEstimate(value=a[-1], spread=spread, warn=spread > 1e-3)
-
-
-@dataclass(frozen=True)
-class RescaledRecord:
-    """One record in barrier-normalized variables."""
-
-    t: float
-    tau: float
-    Theta: float
-    u_tilde: np.ndarray
-    F_tilde: np.ndarray
-    w: np.ndarray | None
-
-
-def rescale(traj: FlowTrajectory, T_star: float, duals=None) -> list:
-    """Normalize recorded states by the spherical barrier with time T_star.
-
-    Theta(t) is the sphere radius extinguishing at T_star; tau = -ln
-    Theta, u~ = u/Theta, F~ = F Theta.  When duals (a stored dual graph
-    or state per record, or None entries) are supplied, w = u*/Theta.
-    """
-    last_t = traj.states[-1].t
-    if T_star <= last_t:
-        raise ValueError(f"T_star = {T_star!r} must exceed the last recorded t = {last_t!r}")
-    out = []
-    for i, s in enumerate(traj.states):
-        Theta = _sphere_theta(s.t, T_star)
-        w = None if duals is None or duals[i] is None else duals[i].u / Theta
-        out.append(RescaledRecord(t=s.t, tau=-math.log(Theta), Theta=Theta, u_tilde=s.u / Theta,
-                                  F_tilde=s.geometry.F_value * Theta, w=w))
-    return out

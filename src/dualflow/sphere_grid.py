@@ -53,7 +53,10 @@ def sphere_area(n: int) -> float:
     """Surface measure of the round unit n-sphere."""
     if n < 0:
         raise ValueError("sphere dimension must be nonnegative")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    try:  # from n = 343 on, the gamma function leaves the float range
+        return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    except OverflowError:
+        raise ValueError(f"the area of the unit {n}-sphere is not a finite float") from None
 
 
 class SphereGrid:
@@ -207,6 +210,7 @@ class AxisymGrid(SphereGrid):
             raise ValueError(f"need at least {MIN_NODES} nodes, got {m}")
         self.n = n
         self.m = m
+        self._area = sphere_area(n - 1)  # the weights' factor; raises past the float range
         self.h = math.pi / m
         self.theta = self.h * (np.arange(m) + 0.5)
         self.sin, self.cos = np.sin(self.theta), np.cos(self.theta)
@@ -227,7 +231,7 @@ class AxisymGrid(SphereGrid):
         w0, w1, w2 = (w * s).sum(axis=1), (w * s * d).sum(axis=1), (w * s * d * d).sum(axis=1)
         eye = np.eye(self.m)
         vp, vpp = self.derivatives(eye)
-        return sphere_area(self.n - 1) * (eye * w0 + vp * w1 + 0.5 * vpp * w2).sum(axis=-1)
+        return self._area * (eye * w0 + vp * w1 + 0.5 * vpp * w2).sum(axis=-1)
 
     def resample(self, x, y):
         """The three samples nearest each pole are mirrored about it (theta

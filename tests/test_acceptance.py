@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from dualflow import curvfn
-from dualflow.diagnostics import C_GRID, decay_check, fit_exponential, pinching_epsilon
+from dualflow.diagnostics import pinching_epsilon
 from dualflow.dualmap import gauss_dual, verify_duality
 from dualflow.flow import (
     FlowConfig,
     estimate_Tstar,
     make_initial,
-    rescale,
     run_dual_flow,
     run_flow,
     spherical_T_star,
@@ -28,7 +27,7 @@ from dualflow.flow import (
 )
 from dualflow.hgeom import Graph
 from dualflow.sphere_grid import make_grid
-from oracles import fd_gradient
+from oracles import C_GRID, decay_check, fd_gradient, fit_exponential, rescale
 
 
 def _verdict(k, name, ok):

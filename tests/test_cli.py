@@ -111,6 +111,10 @@ def test_generated_manifest_round_trip(man):
         ('F="mean" n=2 m=64 initial="sphere" mode="sideways"', "mode must be"),
         ('F="mean" n=2 m=64 initial="sphere" sigma=1.5', "sigma out of range"),
         ('F="mean" n=2 m=7 initial="sphere"', "grid parameters"),
+        # an n whose (n - 1)-sphere has no finite float area is a grid error,
+        # raised before the speed builds an array of size n
+        ('F="mean" n=344 m=64 initial="sphere"', "grid parameters out of range"),
+        (f'F="mean" n={10**20} m=64 initial="sphere"', "grid parameters out of range"),
         ('F="mean" n=2 m=64 initial="sphere" u_stop=-1.0', "parameter out of range"),
         ('F="mean" n=2 m=64 initial="sphere" seed=-1', "parameter out of range"),
         ('F=mean n=2 m=64 initial="sphere"', "quoted"),
@@ -151,6 +155,11 @@ def test_generated_manifest_round_trip(man):
 def test_parse_rejections(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_parse_accepts_the_largest_grid_dimension():
+    # n = 343 is the last n whose (n - 1)-sphere area is a finite float
+    assert parse_config('F="mean" n=343 m=64 initial="sphere"').config.n == 343
 
 
 def test_parse_lets_unexpected_errors_through(monkeypatch):

@@ -6,19 +6,12 @@ import numpy as np
 import pytest
 
 from dualflow import curvfn, diagnostics, flow, hgeom, sphere_grid
-from dualflow.diagnostics import (
-    C_GRID,
-    CSV_FIELDS,
-    compute_record,
-    decay_check,
-    fit_exponential,
-    pinching_epsilon,
-)
+from dualflow.diagnostics import CSV_FIELDS, compute_record, pinching_epsilon
 from dualflow.dualmap import gauss_dual
 from dualflow.flow import FlowConfig, FlowState, make_initial, run_both, run_flow
 from dualflow.hgeom import Graph, geometry_of
 from dualflow.sphere_grid import make_grid
-from oracles import kn_term_gap
+from oracles import C_GRID, decay_check, fit_exponential, kn_term_gap
 
 
 def test_csv_fields_are_frozen():

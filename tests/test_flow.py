@@ -25,7 +25,6 @@ from dualflow.flow import (
     _velocity,
     estimate_Tstar,
     make_initial,
-    rescale,
     run_both,
     run_dual_flow,
     run_flow,
@@ -35,11 +34,14 @@ from dualflow.flow import (
 from dualflow.hgeom import Graph, GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
 from oracles import (
+    boosted_slice,
     oracle_flow_step,
     random_fourier_by_modes,
+    rescale,
     rk4_profiles,
     rk4_step,
     spherical_theta_ref,
+    translated_sphere,
 )
 
 T_STAR_1 = 0.4337808304830271  # ln cosh 1
@@ -179,13 +181,12 @@ def test_trajectory_counts_solver_work():
 @pytest.mark.parametrize("n, m", [(2, 32), (1, 64), (1, 65)])
 def test_coloured_jacobian_matches_dense_differences(monkeypatch, n, m):
     # on the circle the band wraps around; m = 64 needs the extra colours.
-    # The band path is forced at every m here
+    # Flow time takes the band path at every m
     grid = make_grid(n, m)
     F = curvfn.make_function("mean", n)
     u = 1.0 + 0.1 * np.cos(grid.theta) + 0.05 * np.cos(3 * grid.theta)
     solver = RadauIIA(grid, F, 1.0)
     f = solver._rhs(u)
-    monkeypatch.setattr(flow, "_DENSE_MAX_M", 0)
     solver._jacobian(u, f)
     delta = 1e-7
     dense = np.array([(solver._rhs(u + delta * np.eye(m)[j]) - f) / delta for j in range(m)]).T
@@ -198,7 +199,7 @@ def test_coloured_jacobian_matches_dense_differences(monkeypatch, n, m):
     assert np.abs(banded - dense).max() < 1e-5 * np.abs(dense).max()
     # the dense path perturbs one column per row of its stack; no node reads
     # two columns of one colour, so its Jacobian is the scattered band
-    monkeypatch.setattr(flow, "_DENSE_MAX_M", 10**6)
+    monkeypatch.setattr(RadauIIA, "_banded", False)
     solver._jacobian(u, f)
     assert np.array_equal(banded, solver._jac)
 
@@ -510,7 +511,8 @@ def test_band_plan_cuts_every_stencil_at_separators(cyclic):
                     assert block_of[j % m] in (-1, block_of[i]), (m, i, j)
 
 
-@pytest.mark.parametrize("n, m", [(2, 48), (1, 64), (2, 128), (1, 129)])
+@pytest.mark.parametrize("n, m", [(2, 16), (1, 16), (1, 17), (2, 48), (1, 64), (2, 128),
+                                  (1, 129)])
 def test_newton_paths_agree(monkeypatch, n, m):
     # the explicit inverses and the block band solver solve the same Newton systems:
     # the same steps, Jacobians and factorizations, and landed states equal
@@ -524,8 +526,8 @@ def test_newton_paths_agree(monkeypatch, n, m):
     d0 = gauss_dual(Graph(grid, make_initial(cfg.initial, cfg.initial_params, grid)))
     targets = [0.04, 0.08, 0.12, 0.16, 0.2]
     runs = []
-    for max_m in (0, 10**6):
-        monkeypatch.setattr(flow, "_DENSE_MAX_M", max_m)
+    for banded in (True, False):
+        monkeypatch.setattr(RadauIIA, "_banded", banded)
         runs.append([run_flow(cfg, t_targets=targets, t_stop=0.2),
                      run_dual_flow(cfg, d0.dual, t_targets=targets, t_stop=0.2)])
     for band, dense in zip(*runs):
@@ -602,12 +604,14 @@ def test_joint_newton_matrix_is_block_triangular():
     assert np.isfinite(solver._jac).all() and solver._jac[k:, :k].any()
 
 
-def test_joint_jacobian_w_block_is_the_dual_flow_jacobian():
+def test_joint_jacobian_w_block_is_the_dual_flow_jacobian(monkeypatch):
     # dw/dtau = w + f*(lambda w) / q with lambda and q from the primal rows,
     # so the w block of the joint Jacobian is I + (lambda / q) J*, J* the
     # dual's flow-time Jacobian at u* = lambda w; a radius of about 2 keeps
     # lambda away from one, so a misplaced factor of lambda shows, and both
-    # routes then perturb u* by about the same sqrt(eps) |u*|
+    # routes then perturb u* by about the same sqrt(eps) |u*|; the dual's
+    # flow-time Jacobian is taken on the dense path, as a full matrix
+    monkeypatch.setattr(RadauIIA, "_banded", False)
     cfg = dataclasses.replace(CLI_BOTH, initial_params=(2.0, 0.1, 2))
     state0, d0 = _joint_start(cfg)
     grid, m, k = state0.grid, cfg.m, cfg.m + 2
@@ -976,6 +980,38 @@ def test_dual_slice_run_matches_primal_solution():
     est = estimate_Tstar(dtraj)
     assert abs(est.value - T_STAR_1) < 1e-6
     assert dtraj.T_star_estimate == est.value
+
+
+@pytest.mark.parametrize("F, n", [("mean", 1), ("mean", 2), ("mean", 3), ("mean", 4),
+                                  ("quotient:2:1", 2), ("quotient:2:1", 3), ("quotient:2:1", 4)])
+def test_offcentre_sphere_and_its_boosted_slice_move_in_closed_form(F, n):
+    # the geodesic sphere of radius R0 about a point at distance s along the
+    # axis shrinks about that point, R(t) = spherical_theta(t, R0), and its
+    # Gauss image is the boosted slice of radius R(t): an exact solution on
+    # each side whose slope is not 0.  On an umbilic sphere every normalized
+    # speed equals kappa, so mean and quotient:2:1 read the same errors.
+    # Flow time takes the band path at every m, so this is that path's
+    # closed-form reference.  At 0.8 T* the error falls at order 3.95 to 4.00,
+    # and at m = 48 it read at most 3.12e-7 (primal) and 2.02e-7 (dual) at
+    # n = 2 to 4, and 2.02e-6 and 9.2e-7 at n = 1
+    R0, s = 1.0, 0.2
+    T = 0.8 * spherical_T_star(R0)
+    R = spherical_theta(T, R0)
+    primal, dual = [], []
+    for m in (24, 48, 96):
+        grid = make_grid(n, m)
+        cfg = FlowConfig(F=F, n=n, m=m, initial="sphere", initial_params=(R0,))
+        runs = ((run_flow(cfg, t_stop=T, u0=translated_sphere(grid, R0, s)),
+                 translated_sphere(grid, R, s)),
+                (run_dual_flow(cfg, Graph(grid, boosted_slice(grid, R0, s), -1.0), t_stop=T),
+                 boosted_slice(grid, R, s)))
+        for (traj, exact), errs in zip(runs, (primal, dual)):
+            assert traj.failure is None and traj.states[-1].t == T
+            errs.append(np.abs(traj.states[-1].u - exact).max())
+    bound = 2.5e-6 if n == 1 else 4e-7
+    for errs in (primal, dual):
+        assert min(math.log2(a / b) for a, b in zip(errs, errs[1:])) >= 3.5, errs
+        assert errs[1] < bound, errs
 
 
 def test_flows_commute_with_duality():
