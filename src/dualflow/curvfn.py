@@ -207,10 +207,16 @@ class CurvatureFunction:
         """value of a kappa block (or _Jet) the caller has checked, without _check."""
         return self._scale * self._raw_value(kappa)
 
-    def _side_value(self, kappa, eps: float):
+    def _side_value(self, kappa, eps):
         """F(kappa^eps)^eps, the speed of side eps, on a checked kappa block (or
         _Jet): F on the primal side, 1 / F(1 / kappa) on the dual side, as the
-        Gauss map sends each principal curvature to its reciprocal."""
+        Gauss map sends each principal curvature to its reciprocal.  eps may
+        be an array of signs that broadcasts against the block's rows, which
+        then takes one value call for both sides."""
+        if isinstance(eps, np.ndarray):
+            dual = eps < 0
+            value = self._value(np.divide(1.0, kappa, out=kappa.copy(), where=dual[..., None]))
+            return np.divide(1.0, value, out=value, where=dual)
         return self._value(kappa) if eps > 0 else 1.0 / self._value(1.0 / kappa)
 
     def gradient(self, kappa):

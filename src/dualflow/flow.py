@@ -23,8 +23,8 @@ extinction.  A primal run to extinction can carry its dual in the same
 vector, rescaled by the primal's lambda (run_both): the two take one
 step sequence in the primal's tau, and each Newton solve is block lower
 triangular.  Each Newton iteration and each Jacobian is one call of the
-masked rhs kernel on a stack of trial states; a trial row reports
-failure by NaN.  Every state of either flow is a FlowState that carries
+masked rhs kernel on a stack of trial states, a carried dual being the
+second side of the stack; a trial row reports failure by NaN.  Every state of either flow is a FlowState that carries
 the run's F and its side eps, and builds its GraphGeometry on first
 read.  Geodesic spheres solve the primal flow in closed form and serve
 as the exact reference and as extinction-time barriers.
@@ -323,22 +323,28 @@ def _fill_geometry(states) -> None:
             vars(s)["geometry"] = geo
 
 
-def _velocity(F_value: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+def _velocity(F_value: np.ndarray, v: np.ndarray, eps) -> np.ndarray:
     """Graph form of the normal speed, F_value the side's F(kappa^eps)^eps:
     du/dt = -F v contracting the primal, du*/dt = +v~ / F~ expanding the dual
-    toward the equatorial slice (on slices d(-Theta)/dt = +coth Theta)."""
+    toward the equatorial slice (on slices d(-Theta)/dt = +coth Theta).  eps
+    is a float or an array of signs, one side per row (_masked_rhs)."""
+    if isinstance(eps, np.ndarray):
+        return np.multiply(-F_value, v, out=v / F_value, where=eps > 0)
     return -F_value * v if eps > 0 else v / F_value
 
 
-def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps: float, u: np.ndarray):
+def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps, u: np.ndarray):
     """The admissibility mask and du/dt of a profile (m,) or of each row of a
     stack (..., m): a row with a node across u = 0 or a curvature that is not
-    finite and positive (not convex, or a dual not spacelike) fails, du/dt NaN."""
+    finite and positive (not convex, or a dual not spacelike) fails, du/dt NaN.
+    The side eps is a float, or an array of signs broadcasting against u's
+    rows, each row then bit for bit its one-sided call."""
     with np.errstate(all="ignore"):
         _, v, kappa = _kappa(grid, u, eps)
         ok = ((eps * u > 0.0).all(axis=-1)
               & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
-        F_value = F._side_value(np.where(ok[..., None, None], kappa, 1.0), eps)
+        np.copyto(kappa, 1.0, where=~ok[..., None, None])  # F reads no failed row
+        F_value = F._side_value(kappa, eps)
         return ok, np.where(ok[..., None], _velocity(F_value, v, eps), np.nan)
 
 
@@ -548,19 +554,27 @@ class RadauIIA:
     def _eval(self, y: np.ndarray):
         """The admissibility mask and dy/dx of a state vector (m,), (m + 2,)
         or (2m + 2,), or of each row of a stack: _masked_rhs in flow time,
-        the rescaled equations (class docstring) after enter_rescaled()."""
+        the rescaled equations (class docstring) after enter_rescaled().
+        The profile blocks stack on a leading side axis, so a carried w is
+        the second side of one _masked_rhs call, signed -eps."""
         if not self.rescaled:
             return _masked_rhs(self.grid, self.F, self.eps, y)
         m = self.grid.m
         lam = np.exp(y[..., m:m + 1])
-        ok, f = _masked_rhs(self.grid, self.F, self.eps, lam * y[..., :m])
-        q = -self.eps * (f @ self._weights)[..., None]
-        parts = [y[..., :m] + f / q, np.full_like(q, -1.0), lam / q - lam * np.tanh(lam)]
-        if self.dual is not None:  # the same rule for w, at the primal's lambda and q
-            w = y[..., m + 2:]
-            ok_w, f_w = _masked_rhs(self.grid, self.F, -self.eps, lam * w)
-            ok, parts = ok & ok_w, parts + [w + f_w / q]
-        return ok, np.concatenate(parts, axis=-1)
+        if self.dual is None:
+            b, eps = y[None, ..., :m], self.eps
+        else:
+            b = np.concatenate((y[None, ..., :m], y[None, ..., m + 2:]))
+            eps = np.array([self.eps, -self.eps]).reshape((2,) + (1,) * y.ndim)
+        ok, f = _masked_rhs(self.grid, self.F, eps, lam * b)
+        q = -self.eps * (f[0] @ self._weights)[..., None]
+        rule = b + f / q  # one rule for every block, at the primal's lambda and q
+        out = np.empty(y.shape)
+        out[..., :m], out[..., m] = rule[0], -1.0
+        out[..., m + 1:m + 2] = lam / q - lam * np.tanh(lam)
+        if self.dual is not None:
+            out[..., m + 2:] = rule[1]
+        return ok.all(axis=0), out
 
     def _rhs(self, y: np.ndarray) -> np.ndarray:
         """dy/dx by _eval, NaN on a failed row (the step is then retried
@@ -616,7 +630,7 @@ class RadauIIA:
         if self._banded:
             A[len(A) // 2] += shift  # the middle band is the diagonal
             return _BandSolver(A, self._plan)
-        A[np.diag_indices_from(A)] += shift
+        A.flat[::len(A) + 1] += shift  # the diagonal
         return _DenseInverse(A, None if self.dual is None else self.grid.m + 2)
 
     def _factor(self, h: float) -> None:

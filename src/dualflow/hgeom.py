@@ -132,13 +132,17 @@ class GraphGeometry:
     F_value: np.ndarray | None = None
 
 
-def _warp(u, eps: float):
+def _warp(u, eps):
     """Warping factor S and its derivative C: (sinh u, cosh u) for eps = +1,
-    (cosh u*, sinh u*) for eps = -1."""
+    (cosh u*, sinh u*) for eps = -1.  eps is a float, or an array of signs
+    that broadcasts against u, one side per row of a stack."""
+    if isinstance(eps, np.ndarray):
+        sh, ch, primal = np.sinh(u), np.cosh(u), eps > 0
+        return np.where(primal, sh, ch), np.where(primal, ch, sh)
     return (np.sinh(u), np.cosh(u)) if eps > 0 else (np.cosh(u), np.sinh(u))
 
 
-def _curvatures(u, u_th, u_thth, cot, eps: float, n: int):
+def _curvatures(u, u_th, u_thth, cot, eps, n: int):
     """Slope, graph factor and principal curvatures of a warped radial graph.
 
     eps = +1 is a radial graph u in H^{n+1}; eps = -1 a stored spacelike
@@ -152,7 +156,8 @@ def _curvatures(u, u_th, u_thth, cot, eps: float, n: int):
 
     Returns (slope, v, kappa), kappa of shape u.shape + (n,): column 0
     the profile curvature, the other n-1 the angular one (cot is unused
-    for curves, n = 1).  Nothing is checked; the caller reads kappa.
+    for curves, n = 1).  With an array of signs (_warp) each row is read
+    on its own side, bit for bit its one-sided call.  Nothing is checked.
     """
     S, C = _warp(u, eps)
     slope = u_th / S
@@ -166,7 +171,7 @@ def _curvatures(u, u_th, u_thth, cot, eps: float, n: int):
     return slope, v, kappa
 
 
-def _kappa(grid: SphereGrid, u: np.ndarray, eps: float):
+def _kappa(grid: SphereGrid, u: np.ndarray, eps):
     """_curvatures of one profile (m,) or of a stack (..., m) on the grid."""
     return _curvatures(u, *grid.derivatives(u), grid.cot, eps, grid.n)
 

@@ -539,8 +539,9 @@ def spherical_theta_ref(t, r0):
 # ----------------------------------------------------------------------
 # helpers only the tests call, on the package's own kernels
 # ----------------------------------------------------------------------
-# Unlike the oracles above, these read the package's own geometry or
-# symmetric-polynomial recursion, so their tests still check src.
+# Unlike the oracles above, these read the package's own geometry,
+# symmetric-polynomial recursion or one-sided velocity kernel, so their
+# tests still check src.
 
 
 def elementary_symmetric(kappa, k):
@@ -554,6 +555,23 @@ def elementary_symmetric(kappa, k):
         raise ConstructionError(f"elementary symmetric degree {k} needs 0 <= k <= {n}")
     out = np.full(arr.shape[:-1], _esp(arr, n)[k])
     return float(out) if out.ndim == 0 else out
+
+
+def joint_eval_by_sides(solver, y):
+    """RadauIIA._eval of a joint rescaled vector (u~, s, E, w), or of each
+    row of a stack, by two one-sided kernel calls: flow._masked_rhs on
+    lambda u~ at the primal's eps, then on lambda w at -eps, the parts
+    joined by concatenation.  The reference for the one signed call."""
+    from dualflow.flow import _masked_rhs
+
+    m = solver.grid.m
+    lam = np.exp(y[..., m:m + 1])
+    ok, f = _masked_rhs(solver.grid, solver.F, solver.eps, lam * y[..., :m])
+    q = -solver.eps * (f @ solver._weights)[..., None]
+    parts = [y[..., :m] + f / q, np.full_like(q, -1.0), lam / q - lam * np.tanh(lam)]
+    w = y[..., m + 2:]
+    ok_w, f_w = _masked_rhs(solver.grid, solver.F, -solver.eps, lam * w)
+    return ok & ok_w, np.concatenate(parts + [w + f_w / q], axis=-1)
 
 
 def kn_term_gap(F, kappa):

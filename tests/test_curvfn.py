@@ -286,6 +286,25 @@ def test_row_value_is_its_block_row(n, rows, seed):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 4), rows=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_side_value_takes_a_sign_per_row(n, rows, seed):
+    # for every speed of the battery, inverse ones included, an array of
+    # signs gives each row of a kappa block what the float sign of its side
+    # gives, bit for bit: with the two sides on a leading axis, and with
+    # one random side per row
+    rng = np.random.default_rng(seed)
+    kappa = np.exp(rng.uniform(-3.0, 3.0, size=(2, rows, n)))
+    sides = np.array([1.0, -1.0])[:, None]
+    signs = rng.choice([1.0, -1.0], size=rows)
+    for name in curvfn.builtin_battery(n):
+        F = make_function(name, n)
+        primal, dual = F._side_value(kappa[0], 1.0), F._side_value(kappa[1], -1.0)
+        assert F._side_value(kappa, sides).tobytes() == np.stack([primal, dual]).tobytes(), name
+        mixed = np.where(signs > 0, primal, F._side_value(kappa[0], -1.0))
+        assert F._side_value(kappa[0], signs).tobytes() == mixed.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), rows=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
 def test_side_value_is_the_inverse_speed_on_the_dual_side(n, rows, seed):
     # F(kappa^eps)^eps is F on the primal side and 1 / F(1 / kappa) on the
     # dual side; there it is the value of curvfn.invert(F), bit for bit

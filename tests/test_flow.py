@@ -35,6 +35,7 @@ from dualflow.hgeom import Graph, GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
 from oracles import (
     boosted_slice,
+    joint_eval_by_sides,
     oracle_flow_step,
     random_fourier_by_modes,
     rescale,
@@ -628,6 +629,73 @@ def test_joint_jacobian_w_block_is_the_dual_flow_jacobian(monkeypatch):
     block = solver._jac[k:, k:]
     expected = np.eye(m) + lam / q * dual._jac
     assert np.abs(block - expected).max() < 1e-6 * np.abs(block).max()
+
+
+def _joint_solver(cfg):
+    # a joint solver entered at the config's initial state, w its Gauss dual
+    state0, d0 = _joint_start(cfg)
+    solver = RadauIIA(state0.grid, state0.F, 1.0)
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, state0.F, -1.0))
+    return solver
+
+
+@pytest.mark.parametrize("F, n, m", [("power_mean:0.5", 1, 40), ("sigma_k:2", 2, 48),
+                                     ("inverse:sigma_k:2", 3, 33), ("quotient:2:1", 4, 24)])
+def test_joint_eval_is_the_two_one_sided_calls(F, n, m):
+    # one signed kernel call on the stacked sides gives what one call per
+    # side gives, bit for bit and NaN positions included: on one vector, a
+    # stage stack, the Jacobian stack, and a stack whose rows fail on one
+    # side only, which leaves the other rows as they are in a stack of
+    # admissible rows
+    cfg = FlowConfig(F=F, n=n, m=m, initial="perturbed_sphere", initial_params=(1.0, 0.1, 2))
+    solver = _joint_solver(cfg)
+    y, k = solver._y, m + 2
+    stages = y + np.random.default_rng(n).uniform(-1e-3, 1e-3, (3, y.size))
+    delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
+    above, collapsed = y.copy(), y.copy()
+    above[k + 5] = 0.01  # a dual node above u* = 0
+    collapsed[5] = 0.0  # a primal node at u = 0
+    mixed = np.array([y, above, stages[0], collapsed, stages[1]])
+    for stack in (y, stages, y + np.diag(delta), mixed):
+        ok, f = solver._eval(stack)
+        ok_ref, f_ref = joint_eval_by_sides(solver, stack)
+        assert f.shape == stack.shape
+        assert ok.tobytes() == ok_ref.tobytes() and f.tobytes() == f_ref.tobytes()
+    assert ok.tolist() == [True, False, True, False, True]
+    # the dual's failure leaves the primal rows; the primal's takes all but ds/dtau
+    assert np.isfinite(f[1, :k]).all() and np.isnan(f[1, k:]).all()
+    assert np.isnan(f[3]).sum() == 2 * m + 1 and f[3, m] == -1.0
+    admissible = solver._eval(np.array([y, y, stages[0], y, stages[1]]))[1]
+    assert f[[0, 2, 4]].tobytes() == admissible[[0, 2, 4]].tobytes()
+
+
+def test_joint_eval_makes_one_kernel_call(monkeypatch):
+    # the primal and its carried dual are two sides of one stack, so each
+    # joint evaluation, a vector or a stage stack, is one kernel call
+    solver = _joint_solver(CLI_BOTH)
+    m, calls, kernel = CLI_BOTH.m, [], flow._masked_rhs
+    monkeypatch.setattr(flow, "_masked_rhs", lambda *a: calls.append(a[-1].shape) or kernel(*a))
+    solver._eval(solver._y)
+    solver._eval(np.tile(solver._y, (3, 1)))
+    assert calls == [(2, m), (2, 3, m)]
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_newton_matrix_shifts_the_diagonal(monkeypatch, carried):
+    # shift - J on the dense path, the shift written through a flat stride,
+    # is the diag_indices_from form bit for bit, for the real and the
+    # complex shift, and in the block form when the dual is carried
+    state0, d0 = _joint_start(CLI_BOTH)
+    solver = RadauIIA(state0.grid, state0.F, 1.0)
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, state0.F, -1.0)
+                          if carried else None)
+    monkeypatch.setattr(flow, "_DenseInverse", lambda A, k=None: (A, k))
+    for shift in (flow._MU_REAL / 0.01, flow._MU_COMPLEX / 0.01):
+        A, k = solver._newton_matrix(shift)
+        ref = -solver._jac.astype(type(shift))
+        ref[np.diag_indices_from(ref)] += shift
+        assert A.dtype == ref.dtype and A.tobytes() == ref.tobytes()
+        assert k == (CLI_BOTH.m + 2 if carried else None)
 
 
 def test_joint_run_drops_a_dead_dual():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualflow import curvfn, hgeom
 from dualflow.dualmap import gauss_dual
@@ -37,6 +39,31 @@ def test_slice_scalar_invariants():
         c = 1.0 / math.tanh(r)
         assert np.abs(geo.H - 3.0 * c).max() < 1e-11
         assert np.abs(geo.normA2 - 3.0 * c * c).max() < 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), m=st.integers(16, 64), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_curvatures_take_a_sign_per_row(n, m, rows, seed):
+    # slope, graph factor and curvatures under an array of signs, one side
+    # per row, are each row's under the float sign of its side, bit for bit
+    # (a side's NaN included), on a stack and with the sides on a leading axis
+    grid = make_grid(n, m)
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([1.0, -1.0], size=(rows, 1))
+    waves = np.cos(np.arange(1, 4)[:, None] * grid.theta)
+    u = signs * (rng.uniform(0.3, 2.0, (rows, 1)) + rng.uniform(-0.1, 0.1, (rows, 3)) @ waves)
+    d = grid.derivatives(u)
+    with np.errstate(all="ignore"):
+        got = hgeom._curvatures(u, *d, grid.cot, signs, n)
+        primal, dual = (hgeom._curvatures(u, *d, grid.cot, e, n) for e in (1.0, -1.0))
+        sides = np.array([1.0, -1.0])[:, None, None]
+        stacked = hgeom._curvatures(np.stack([u, u]), *(np.stack([x, x]) for x in d),
+                                    grid.cot, sides, n)
+    for x, p, q, s in zip(got, primal, dual, stacked):
+        side = signs.reshape(signs.shape + (1,) * (x.ndim - 2))
+        assert x.tobytes() == np.where(side > 0, p, q).tobytes()
+        assert s.tobytes() == np.stack([p, q]).tobytes()
 
 
 def test_kappa_against_embedding_oracle():
