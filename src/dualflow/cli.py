@@ -12,13 +12,11 @@ machine-readable failure.json).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -413,7 +411,7 @@ def _cmd_sweep(args) -> int:
         print(f"DUALFLOW_THREADS must be a positive integer, got {cap!r}", file=sys.stderr)
         return 2
     worst = 0
-    with ProcessPoolExecutor(max_workers=min(len(paths), int(cap))) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(len(paths), int(cap))) as pool:
         for path, code, msg in pool.map(_sweep_one, paths):
             suffix = f"  ({msg})" if msg else ""
             print(f"{path}: exit {code}{suffix}")
@@ -421,7 +419,19 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
+def __getattr__(name: str):
+    """The sweep's process pool, imported on first read (PEP 562), so that
+    importing the package loads neither concurrent.futures nor
+    multiprocessing."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dualflow",
         description="contracting curvature flows in hyperbolic space and their de Sitter duals",

@@ -551,12 +551,15 @@ class RadauIIA:
         self.dual = None
         self._start(self.x, self._y[:self.grid.m + 2])
 
-    def _eval(self, y: np.ndarray):
+    def _eval(self, y: np.ndarray, primal_rows: int | None = None):
         """The admissibility mask and dy/dx of a state vector (m,), (m + 2,)
         or (2m + 2,), or of each row of a stack: _masked_rhs in flow time,
         the rescaled equations (class docstring) after enter_rescaled().
         The profile blocks stack on a leading side axis, so a carried w is
-        the second side of one _masked_rhs call, signed -eps."""
+        the second side of one _masked_rhs call, signed -eps.  primal_rows
+        k, on a joint stack whose rows from k on differ from row k - 1 in w
+        alone (the dense Jacobian's), takes the primal side of the first k
+        rows only, in one ragged call, and gives the later rows row k - 1's."""
         if not self.rescaled:
             return _masked_rhs(self.grid, self.F, self.eps, y)
         m = self.grid.m
@@ -566,7 +569,14 @@ class RadauIIA:
         else:
             b = np.concatenate((y[None, ..., :m], y[None, ..., m + 2:]))
             eps = np.array([self.eps, -self.eps]).reshape((2,) + (1,) * y.ndim)
-        ok, f = _masked_rhs(self.grid, self.F, eps, lam * b)
+        if primal_rows is None:
+            ok, f = _masked_rhs(self.grid, self.F, eps, lam * b)
+        else:  # the primal side of the first k rows, the dual side of every row
+            k, rows = primal_rows, np.arange(len(y))
+            ok, f = _masked_rhs(self.grid, self.F, np.repeat(eps[:, 0], (k, len(y)), axis=0),
+                                np.concatenate((lam[:k] * b[0, :k], lam * b[1])))
+            rows = np.stack((np.minimum(rows, k - 1), k + rows))
+            ok, f = ok[rows], f[rows]
         q = -self.eps * (f[0] @ self._weights)[..., None]
         rule = b + f / q  # one rule for every block, at the primal's lambda and q
         out = np.empty(y.shape)
@@ -615,12 +625,16 @@ class RadauIIA:
             df = self._rhs(y + np.where(self._perturb, delta, 0.0)) - f
             jac = np.where(self._inside,
                            df[self._band_rows, np.arange(y.size)] / delta[self._cols], 0.0)
-        else:
+        elif self.dual is None:
             jac = (self._rhs(y + np.diag(delta)) - f).T / delta
-            if self.dual is not None:
-                # the primal rows never read w: their w columns hold only the
-                # rounding of the stacked <f>, and the block solve never reads them
-                jac[:self.grid.m + 2, self.grid.m + 2:] = 0.0
+        else:
+            # the rows past m + 1 perturb w alone: one ragged call (_eval's
+            # primal_rows), still counted as 2m + 2 state vectors
+            k, self.rhs_evals = self.grid.m + 2, self.rhs_evals + y.size
+            jac = (self._eval(y + np.diag(delta), k)[1] - f).T / delta
+            # the primal rows never read w: their w columns hold only the
+            # rounding of the stacked <f>, and the block solve never reads them
+            jac[:k, k:] = 0.0
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):

@@ -245,10 +245,8 @@ _SCAN, _DENSE, _TOL = 41, 2001, 1e-9
 # doubles in one stacked distance array: a block of states scans together as
 # long as its (states, 2 sides, _SCAN offsets, m nodes) array fits, and a
 # chunk of states zooms together as long as its (states, 2 sides, m nodes)
-# array of one new offset per side does
+# array of each new offset does
 _BLOCK = 1 << 15
-# the golden-section step, as a fraction of the bracket's longer side
-_GOLD = 0.5 * (3.0 - 5.0 ** 0.5)
 
 
 def _hoist(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
@@ -259,29 +257,46 @@ def _hoist(grid: SphereGrid, u: np.ndarray) -> np.ndarray:
                            np.stack(grid.axis_values(u), axis=1)], axis=1)
 
 
-def _score(grid: SphereGrid, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _score(grid: SphereGrid, c: np.ndarray, s: np.ndarray):
     """Least distance (side 0) and minus the largest (side 1) from the
     offsets s (S, 2, K) to the profiles of the _hoist rows c, both to be
     maximized, in one refine call; s (S, 1, K) gives both sides one set of
     offsets and one distance array.  The least is capped by the distances
-    to the two axis crossings, which the nodes miss where sinh(u) h is large."""
+    to the two axis crossings, which the nodes miss where sinh(u) h is large.
+    Each score (S, 2, K) comes with its slope in s and the refined angle of
+    its winner, NaN on an active cap (of slope -1 or +1).  The slope is the
+    winner's quartic through the distances' slopes, d/ds cosh d = cosh u
+    sinh s - sinh u cos(theta) cosh s over sinh d: the refined score's own
+    slope, as the winner is stationary in theta (the envelope theorem)."""
     (S, sides, K), m = s.shape, grid.m
     x = s.reshape(S, sides * K, 1)
-    coshd = c[:, None, :m] * np.cosh(x) - c[:, None, m:2 * m] * np.sinh(x)
-    d = np.arccosh(np.clip(coshd, 1.0, None)).reshape(S, sides, K, m)
-    d = np.concatenate([d[:, :1], -d[:, -1:]], axis=1)  # the least, and minus the largest
-    f = refine_extremum(grid, d.reshape(-1, m), "min")[1].reshape(S, 2, K)
-    f[:, 0] = np.minimum(f[:, 0], np.minimum(c[:, -2, None] - s[:, 0], c[:, -1, None] + s[:, 0]))
-    return f
+    ch, sh = np.cosh(x), np.sinh(x)
+    coshd = np.clip(c[:, None, :m] * ch - c[:, None, m:2 * m] * sh, 1.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a node on the axis point
+        slope = (c[:, None, :m] * sh - c[:, None, m:2 * m] * ch) / np.sqrt(coshd * coshd - 1.0)
+    d, slope = (np.concatenate([y[:, :1], -y[:, -1:]], axis=1).reshape(-1, m)  # the least, and
+                for y in (np.arccosh(coshd).reshape(S, sides, K, m),  # minus the largest
+                          slope.reshape(S, sides, K, m)))
+    t, f, g = (y.reshape(S, 2, K) for y in refine_extremum(grid, d, "min", carry=slope))
+    top, bottom = c[:, -2, None] - s[:, 0], c[:, -1, None] + s[:, 0]
+    cap = np.minimum(top, bottom)
+    on = cap < f[:, 0]
+    f[:, 0] = np.minimum(f[:, 0], cap)
+    g[:, 0] = np.where(on, np.where(top < bottom, -1.0, 1.0), g[:, 0])
+    t[:, 0] = np.where(on, np.nan, t[:, 0])
+    return f, g, t
 
 
-def _bracket(s: np.ndarray, f: np.ndarray):
-    """Per state and side of scans s, f (S, 2, K): the best score, its
-    offset, and the offsets of its two neighbours (clamped at the ends)."""
+def _bracket(s: np.ndarray, f: np.ndarray, g: np.ndarray, t: np.ndarray):
+    """Per state and side of scans s, f and their slopes g and angles t (S,
+    2, K): the best score and its offset, and the zoom's two ends (S, 2, 2,
+    4), each an (offset, score, slope, angle): the best offset and the
+    neighbour its slope points to (the best one alone at a scan's end)."""
     k = np.argmax(f, axis=-1)[..., None]
-    top = s.shape[-1] - 1
-    return [np.take_along_axis(x, j, -1)[..., 0]
-            for x, j in ((f, k), (s, k), (s, np.maximum(k - 1, 0)), (s, np.minimum(k + 1, top)))]
+    up = np.take_along_axis(g, k, -1) >= 0.0
+    j = np.clip(np.concatenate([k - ~up, k + up], axis=-1), 0, s.shape[-1] - 1)
+    ends = np.stack([np.take_along_axis(x, j, -1) for x in (s, f, g, t)], axis=-1)
+    return np.take_along_axis(f, k, -1)[..., 0], np.take_along_axis(s, k, -1)[..., 0], ends
 
 
 def _coarse_scan(grid: SphereGrid, c: np.ndarray):
@@ -291,39 +306,58 @@ def _coarse_scan(grid: SphereGrid, c: np.ndarray):
     scan was not unimodal, which takes the _DENSE-point scan alone."""
     lo, hi = 1e-9 - c[:, -1], c[:, -2] - 1e-9  # inside the axis crossings
     s = np.linspace(lo, hi, _SCAN, axis=-1)[:, None, :]
-    f = _score(grid, c, s)
+    f, g, t = _score(grid, c, s)
     rise = np.diff(f, axis=-1)
     fallback = ~np.where(np.arange(_SCAN - 1) < np.argmax(f, axis=-1)[..., None],
                          rise >= -1e-7, rise <= 1e-7).all(axis=(1, 2))
-    found = _bracket(s, f)
+    found = _bracket(s, f, g, t)
     for i in np.flatnonzero(fallback):
         sd = np.linspace(lo[i], hi[i], _DENSE)[None, None, :]
-        for x, y in zip(found, _bracket(sd, _score(grid, c[i:i + 1], sd))):
+        for x, y in zip(found, _bracket(sd, *_score(grid, c[i:i + 1], sd))):
             x[i] = y[0]
     return (*found, fallback)
 
 
-def _golden_zoom(grid: SphereGrid, c: np.ndarray, best, at, a, b) -> None:
+def _zoom(grid: SphereGrid, c: np.ndarray, best, at, ends) -> None:
     """Zoom each side of the _hoist rows c in on its best offset, in place,
-    one chunk of states together: per round one new offset per side, a
-    golden-section step from at into the longer side of its bracket (a, b).
-    at and best keep the best offset seen and its score; a state leaves
-    once both its brackets are below _TOL (Kiefer 1953)."""
-    live = np.flatnonzero((b - a).max(axis=1) > _TOL)
+    one chunk of states together, closing its bracket ends (_bracket) by
+    the sign of the slope: a left end of slope >= 0, a right end of slope
+    < 0.  Each round proposes the model's optimum: where the ends' tangents
+    cross if they sit on different lobes (angles more than 2h apart, or a
+    cap), else the zero of the slope secant, clamped into the bracket; or
+    the midpoint, once a round has not halved the bracket.  A second offset
+    beyond it, toward the farther end, by as far as the model point moved
+    since the last model round or overshot the bracket, closes the bracket
+    from the other side (after Brent 1973, ch. 5).  Both take one refine
+    call.  at and best keep the best offset seen and its score; a state
+    leaves once both its brackets are below _TOL."""
+    prev, bisect = at.copy(), np.zeros(at.shape, dtype=bool)
+    live = np.flatnonzero(np.ptp(ends[..., 0], axis=-1).max(axis=1) > _TOL)
     while live.size:
-        x, lo, hi, fx = at[live], a[live], b[live], best[live]
-        step = _GOLD * np.where(x - lo > hi - x, lo - x, hi - x)
-        s = x + step
-        f = _score(grid, c[live], s[..., None])[..., 0]
-        better, right = f > fx, step > 0.0
-        # a better offset moves the bound behind it up to the old best one,
-        # a worse one becomes the bound on its own side
-        moved = np.where(better, x, s)
-        a[live] = np.where(better == right, moved, lo)
-        b[live] = np.where(better != right, moved, hi)
-        at[live] = np.where(better, s, x)
-        best[live] = np.where(better, f, fx)
-        live = live[(b[live] - a[live]).max(axis=1) > _TOL]
+        e = ends[live]
+        (L, R), (fL, fR), (gL, gR), (tL, tR) = np.moveaxis(e, (-1, -2), (0, 1))  # views of e
+        half = 0.5 * (R - L)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(np.abs(tL - tR) <= 2.0 * grid.h, (L * gR - R * gL) / (gR - gL),
+                         (fR - fL + gL * L - gR * R) / (gL - gR))
+        x = np.where(bisect[live] | np.isnan(x), 0.5 * (L + R), x)
+        x, over = np.clip(x, L, R), x  # the model's overshoot bounds its error
+        step = np.maximum(np.maximum(np.abs(x - prev[live]), np.abs(over - x)), 0.5 * _TOL)
+        s = np.stack([x, np.clip(x + np.copysign(step, L + R - 2.0 * x), L, R)], axis=-1)
+        f, g, t = _score(grid, c[live], s)
+        for p in np.moveaxis(np.stack([s, f, g, t], axis=-1), 2, 0):  # model, then closing
+            inside = ((e[..., 0, 0] <= p[..., 0]) & (p[..., 0] <= e[..., 1, 0]))[..., None]
+            right = (p[..., 2] < 0.0)[..., None]
+            e[..., 0, :] = np.where(inside & ~right, p, e[..., 0, :])
+            e[..., 1, :] = np.where(inside & right, p, e[..., 1, :])
+        k = np.argmax(f, axis=-1)[..., None]
+        fk, sk = (np.take_along_axis(y, k, -1)[..., 0] for y in (f, s))
+        better = fk > best[live]
+        at[live], best[live] = np.where(better, sk, at[live]), np.where(better, fk, best[live])
+        ends[live], prev[live] = e, np.where(bisect[live], prev[live], x)
+        width = np.ptp(e[..., 0], axis=-1)
+        bisect[live] = ~bisect[live] & (width > half)
+        live = live[width.max(axis=1) > _TOL]
 
 
 def inradius_circumradius(g):
@@ -333,11 +367,11 @@ def inradius_circumradius(g):
     nodes, the circumradius minimizes the largest; each distance is
     refined below grid resolution by local interpolation.  One _SCAN-point
     scan of the offsets between the surface's two axis crossings serves
-    both sides and brackets each side's best offset; then a golden-section
-    search zooms each side in, one new offset per round, keeping the best
-    offset seen, until the bracket is below _TOL.  dense_fallback flags
-    that a side's coarse scan was not unimodal; a _DENSE-point scan then
-    picks the basins before the zoom.
+    both sides and brackets each side's best offset by its slope; then
+    _zoom closes each bracket from both ends, two new offsets per side and
+    round, keeping the best offset seen, until it is below _TOL.
+    dense_fallback flags that a side's coarse scan was not unimodal; a
+    _DENSE-point scan then picks the basins before the zoom.
 
     g is one graph (or state), which gives one InballResult, or a sequence
     of them on one grid, which gives a list.  A sequence takes its coarse
@@ -355,11 +389,11 @@ def inradius_circumradius(g):
     grid = gs[0].grid
     c = _hoist(grid, np.stack([x.u for x in gs]))
     size = max(1, _BLOCK // (2 * _SCAN * grid.m))
-    best, at, a, b, fallback = map(np.concatenate, zip(*(
+    best, at, ends, fallback = map(np.concatenate, zip(*(
         _coarse_scan(grid, c[i:i + size]) for i in range(0, len(c), size))))
     size = max(1, _BLOCK // (2 * grid.m))
     for i in range(0, len(c), size):
-        _golden_zoom(grid, c[i:i + size], *(x[i:i + size] for x in (best, at, a, b)))
+        _zoom(grid, c[i:i + size], *(x[i:i + size] for x in (best, at, ends)))
     out = [InballResult(rho_minus=float(f[0]), rho_plus=float(-f[1]),
                         center_offset=float(s[0]), dense_fallback=bool(d))
            for f, s, d in zip(best, at, fallback)]

@@ -426,7 +426,7 @@ def _quartic_extremum(win: np.ndarray, want: float):
     return cand[rows, best], vals[rows, best]
 
 
-def refine_extremum(grid: SphereGrid, values, mode: str):
+def refine_extremum(grid: SphereGrid, values, mode: str, *, carry=None):
     """Sub-grid extremum of a profile by local quartic interpolation.
 
     mode is "max" or "min".  One profile (m,) gives (theta, value), where
@@ -435,7 +435,9 @@ def refine_extremum(grid: SphereGrid, values, mode: str):
     order accurate in h; the refined one tracks the smooth extremum to
     the interpolation order.  Every discrete local extremum is refined,
     because two lobes can rank otherwise once refined; the best refined
-    one wins, the first on ties.
+    one wins, the first on ties.  A batch may carry rows (..., S, m) of
+    other even fields, read at each row's winner through the winner's own
+    quartic window; they come third, (..., S).
     """
     v = grid._check(np.asarray(values, dtype=float))
     if v.ndim not in (1, 2):
@@ -453,4 +455,8 @@ def refine_extremum(grid: SphereGrid, values, mode: str):
     k = np.lexsort((-want * val, r))
     k = k[np.concatenate(([True], r[k][1:] != r[k][:-1]))]
     theta = grid.theta[i[k]] + off[k] * grid.h
+    if carry is not None:  # the quartic's Lagrange weights at each winner's offset
+        lagrange = np.vander(off[k], 5, increasing=True) @ _QUARTIC_24 / 24.0
+        win = np.asarray(carry)[..., r[k, None], grid._pad_index[i[k, None] + _FIVE]]
+        return theta, val[k], (win * lagrange).sum(axis=-1)
     return (float(theta[0]), float(val[k][0])) if v.ndim == 1 else (theta, val[k])

@@ -574,6 +574,58 @@ def joint_eval_by_sides(solver, y):
     return ok & ok_w, np.concatenate(parts + [w + f_w / q], axis=-1)
 
 
+def jacobian_by_full_stack(solver, y, f):
+    """RadauIIA._jacobian on its dense path by the two-sided stack: both
+    sides of every row of y + diag(delta) through _eval, the primal side of
+    the rows that perturb w alone included, and the primal rows' w columns
+    zeroed when the dual is carried.  The reference for the ragged call."""
+    m = solver.grid.m
+    delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
+    jac = (solver._eval(y + np.diag(delta))[1] - f).T / delta
+    if solver.dual is not None:
+        jac[:m + 2, m + 2:] = 0.0
+    return jac
+
+
+def golden_inball(g, tol=1e-9):
+    """hgeom.inradius_circumradius of a graph or a list of them by the
+    golden-section zoom it once took (Kiefer 1953), state by state, until
+    both brackets are below tol: the same coarse scans on hgeom._score's
+    values, then per round one new offset per side, a golden step from the
+    best offset into the longer side of its bracket, keeping the best offset
+    seen.  At tol = 1e-9 it is the former zoom; at 1e-14 the reference."""
+    from dualflow import hgeom
+
+    gs = [g] if hasattr(g, "grid") else list(g)
+    grid, gold = gs[0].grid, 0.5 * (3.0 - 5.0 ** 0.5)
+    out = []
+    for c in hgeom._hoist(grid, np.stack([x.u for x in gs]))[:, None]:
+        lo, hi = 1e-9 - c[:, -1], c[:, -2] - 1e-9
+        s = np.linspace(lo, hi, hgeom._SCAN, axis=-1)[:, None, :]
+        f = hgeom._score(grid, c, s)[0]
+        rise = np.diff(f, axis=-1)
+        dense = not np.where(np.arange(hgeom._SCAN - 1) < np.argmax(f, axis=-1)[..., None],
+                             rise >= -1e-7, rise <= 1e-7).all()
+        if dense:
+            s = np.linspace(lo[0], hi[0], hgeom._DENSE)[None, None, :]
+            f = hgeom._score(grid, c, s)[0]
+        s, f, k = np.broadcast_to(s, f.shape)[0], f[0], np.argmax(f[0], axis=-1)
+        sides, top = np.arange(2), s.shape[-1] - 1
+        best, at = f[sides, k], s[sides, k]
+        a, b = s[sides, np.maximum(k - 1, 0)], s[sides, np.minimum(k + 1, top)]
+        while (b - a).max() > tol:
+            step = gold * np.where(at - a > b - at, a - at, b - at)
+            x = at + step
+            fx = hgeom._score(grid, c, x[None, :, None])[0][0, :, 0]
+            better, right = fx > best, step > 0.0
+            moved = np.where(better, at, x)
+            a, b = np.where(better == right, moved, a), np.where(better != right, moved, b)
+            at, best = np.where(better, x, at), np.where(better, fx, best)
+        out.append(hgeom.InballResult(rho_minus=float(best[0]), rho_plus=float(-best[1]),
+                                      center_offset=float(at[0]), dense_fallback=dense))
+    return out[0] if hasattr(g, "grid") else out
+
+
 def kn_term_gap(F, kappa):
     """Left side and curvature spread of the gradient-trace inequality.
 

@@ -35,6 +35,7 @@ from dualflow.hgeom import Graph, GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
 from oracles import (
     boosted_slice,
+    jacobian_by_full_stack,
     joint_eval_by_sides,
     oracle_flow_step,
     random_fourier_by_modes,
@@ -678,6 +679,39 @@ def test_joint_eval_makes_one_kernel_call(monkeypatch):
     solver._eval(solver._y)
     solver._eval(np.tile(solver._y, (3, 1)))
     assert calls == [(2, m), (2, 3, m)]
+
+
+@pytest.mark.parametrize("F, n, m", [("power_mean:0.5", 1, 41), ("sigma_k:2", 2, 48),
+                                     ("inverse:sigma_k:2", 3, 33), ("quotient:2:1", 4, 25)])
+@pytest.mark.parametrize("carried", [False, True])
+def test_dense_jacobian_is_the_full_stack_jacobian(F, n, m, carried):
+    # the rows of the Jacobian stack past m + 1 perturb w alone, so the joint
+    # Jacobian takes their primal side from the E row in one ragged kernel
+    # call; joint or single-side, at odd m too, it is bit for bit the
+    # Jacobian of the full two-sided stack
+    cfg = FlowConfig(F=F, n=n, m=m, initial="perturbed_sphere", initial_params=(1.0, 0.1, 2))
+    state0, d0 = _joint_start(cfg)
+    solver = RadauIIA(state0.grid, state0.F, 1.0)
+    solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, state0.F, -1.0)
+                          if carried else None)
+    y = solver._y + np.random.default_rng(n).uniform(-1e-3, 1e-3, solver._y.size)
+    f = solver._rhs(y)
+    solver._jacobian(y, f)
+    assert solver._jac.shape == (y.size, y.size)
+    assert solver._jac.tobytes() == jacobian_by_full_stack(solver, y, f).tobytes()
+
+
+def test_joint_jacobian_is_one_ragged_kernel_call(monkeypatch):
+    # the joint Jacobian's kernel call holds the primal side of rows 0..m + 1
+    # and the dual side of all 2m + 2 rows, 3m + 4 rows where the two-sided
+    # stack held 2 (2m + 2); rhs_evals still counts 2m + 2 state vectors
+    solver = _joint_solver(CLI_BOTH)
+    m, calls, kernel = CLI_BOTH.m, [], flow._masked_rhs
+    monkeypatch.setattr(flow, "_masked_rhs", lambda *a: calls.append(a[-1].shape) or kernel(*a))
+    evals = solver.rhs_evals
+    solver._jacobian(solver._y, solver._f)
+    assert calls == [(3 * m + 4, m)]
+    assert solver.rhs_evals - evals == 2 * m + 2
 
 
 @pytest.mark.parametrize("carried", [False, True])

@@ -1,5 +1,6 @@
 """Radial-graph geometry: curvatures, embedding, comparison maps, inball."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualflow import curvfn, hgeom
+from dualflow import cli, curvfn, hgeom
 from dualflow.dualmap import gauss_dual
 from dualflow.flow import FlowConfig, FlowState, make_initial, run_both
 from dualflow.hgeom import (
@@ -18,8 +19,8 @@ from dualflow.hgeom import (
     inradius_circumradius,
 )
 from dualflow.sphere_grid import make_grid
-from oracles import (dense_inradius_scan, euclidean_compare, minkowski_inner, oracle_curve_geometry,
-                     oracle_h_geometry, translated_sphere)
+from oracles import (dense_inradius_scan, euclidean_compare, golden_inball, minkowski_inner,
+                     oracle_curve_geometry, oracle_h_geometry, translated_sphere)
 
 COTH1 = 1.3130352854993312  # cosh(1)/sinh(1)
 
@@ -247,6 +248,70 @@ def test_inball_zoom_chunks_leave_each_result_alone(monkeypatch):
     monkeypatch.setattr(hgeom, "_BLOCK", 2 * 2 * grid.m)
     assert inradius_circumradius(gs) == alone
     assert inradius_circumradius(gs[1:]) == alone[1:]
+
+
+# the primal records of five both-mode runs: the cli_both datum, an n = 3
+# ellipsoid, the k = 3 perturbation, an n = 2 random Fourier datum, and the
+# n = 1 random Fourier run of seed 2 that ends in a convexity abort
+_ZOOM_DATA = {
+    "cli_both": ("sigma_k:2", 2, 48, "perturbed_sphere", (1.0, 0.1, 2), 0),
+    "ellipsoid_n3": ("sigma_k:2", 3, 48, "ellipsoid", (0.6, 0.8), 0),
+    "k3": ("sigma_k:2", 2, 48, "perturbed_sphere", (1.0, 0.1, 3), 0),
+    "fourier_n2": ("sigma_k:2", 2, 48, "random_fourier", (1.0, 0.05, 4), 1),
+    "fourier_n1": ("mean", 1, 80, "random_fourier", (1.0, 0.05, 4), 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _zoom_states(name):
+    F, n, m, initial, params, seed = _ZOOM_DATA[name]
+    cfg = FlowConfig(F=F, n=n, m=m, initial=initial, initial_params=params, seed=seed)
+    state0 = cli._initial_state(cfg)
+    traj, _ = run_both(cfg, state0, gauss_dual(state0).dual)
+    return [Graph(state0.grid, s.u) for s in traj.states]
+
+
+@pytest.mark.parametrize("name", list(_ZOOM_DATA))
+def test_inball_zoom_closes_each_bracket_in_few_rounds(name, monkeypatch):
+    # every state alone: its coarse scan is one refine call (and its dense
+    # scan one more), every zoom round one; no state takes more than 16
+    # rounds, where the golden-section search took 39, and the coarse scan's
+    # verdict (dense_fallback) is the former search's
+    gs = _zoom_states(name)
+    calls, refine = [0], hgeom.refine_extremum
+    monkeypatch.setattr(hgeom, "refine_extremum",
+                        lambda *a, **k: calls.__setitem__(0, calls[0] + 1) or refine(*a, **k))
+    rounds = []
+    for g, ref in zip(gs, golden_inball(gs, math.inf)):  # the coarse scans alone
+        calls[0] = 0
+        res = inradius_circumradius(g)
+        assert res.dense_fallback == ref.dense_fallback
+        rounds.append(calls[0] - 1 - res.dense_fallback)
+    assert len(gs) > 20 and max(rounds) <= 16, rounds
+
+
+@pytest.mark.parametrize("name", ["cli_both", "ellipsoid_n3"])
+def test_inball_zoom_matches_a_fine_golden_search(name):
+    # the golden-section search run to a bracket of 1e-14 is the reference:
+    # on smooth optima and on kinks where two lobes or a cap meet, each
+    # radius lands within 1e-12 of it
+    gs = _zoom_states(name)
+    for res, ref in zip(inradius_circumradius(gs), golden_inball(gs, 1e-14)):
+        assert abs(res.rho_minus - ref.rho_minus) <= 1e-12
+        assert abs(res.rho_plus - ref.rho_plus) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["k3", "fourier_n2", "fourier_n1"])
+def test_inball_zoom_stays_near_the_golden_search(name):
+    # against the golden-section search at the package's own _TOL, each
+    # radius moves by 1e-8 at most: the refined score of the n = 1 run jumps
+    # by up to about 1e-8 where a discrete local extremum of a distance row
+    # appears; the golden search ends on the jump's upper edge, the zoom at
+    # the smooth optimum beside it
+    gs = _zoom_states(name)
+    for res, ref in zip(inradius_circumradius(gs), golden_inball(gs, hgeom._TOL)):
+        assert abs(res.rho_minus - ref.rho_minus) <= 1e-8
+        assert abs(res.rho_plus - ref.rho_plus) <= 1e-8
 
 
 def test_nonconvex_flagged():

@@ -28,3 +28,17 @@ def test_package_imports_no_test_dependency():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_package_imports_no_process_pool_nor_argument_parser():
+    # only `dualflow sweep` starts a process pool and only the console
+    # script parses arguments: a fresh interpreter that imports every module
+    # loads neither, and the sweep's pool class still resolves on first read
+    src = str(Path(dualflow.__file__).resolve().parent.parent)
+    code = (f"import sys; import {', '.join(f'dualflow.{m}' for m in MODULES)}; "
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'argparse'} & set(sys.modules)));"
+            "print(dualflow.cli.ProcessPoolExecutor.__name__)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["[]", "ProcessPoolExecutor"], out.stdout
