@@ -37,8 +37,8 @@ from .flow import (
     FlowState,
     StiffnessError,
     _ABORTS,
-    _draw_initial,
     _sphere_theta,
+    make_initial,
     run_both,
     run_dual_flow,
     run_flow,
@@ -263,18 +263,15 @@ def _theta_of(t: float, T_star) -> float:
 
 
 def _initial_state(cfg: FlowConfig) -> FlowState:
-    """The configured initial datum as the primal's state at t = 0, the
-    start of every mode; parameters it rejects are a setup error.  A drawn
-    datum keeps the curvatures its convexity test took."""
+    """The configured initial datum (make_initial) as the primal's state at
+    t = 0, the start of every mode; parameters it rejects are a setup
+    error."""
     grid = make_grid(cfg.n, cfg.m)
     try:
-        u0, curv = _draw_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
+        u0 = make_initial(cfg.initial, cfg.initial_params, grid, cfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    state = FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
-    if curv is not None:
-        vars(state)["curvatures"] = curv
-    return state
+    return FlowState(0.0, u0, grid, curvfn.make_function(cfg.F, cfg.n), 1.0)
 
 
 def _execute_run(man: RunManifest, out_dir: Path) -> int:
@@ -402,6 +399,8 @@ def _sweep_one(path: str) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor
+
     paths = sorted(str(p) for p in Path(args.dir).glob("*.cfg"))
     if not paths:
         print(f"no .cfg files under {args.dir!r}", file=sys.stderr)
@@ -411,22 +410,12 @@ def _cmd_sweep(args) -> int:
         print(f"DUALFLOW_THREADS must be a positive integer, got {cap!r}", file=sys.stderr)
         return 2
     worst = 0
-    with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(len(paths), int(cap))) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(paths), int(cap))) as pool:
         for path, code, msg in pool.map(_sweep_one, paths):
             suffix = f"  ({msg})" if msg else ""
             print(f"{path}: exit {code}{suffix}")
             worst = max(worst, code)
     return worst
-
-
-def __getattr__(name: str):
-    """The sweep's process pool, imported on first read (PEP 562), so that
-    importing the package loads neither concurrent.futures nor
-    multiprocessing."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:

@@ -208,11 +208,11 @@ class CurvatureFunction:
         return self._scale * self._raw_value(kappa)
 
     def _side_value(self, kappa, eps):
-        """F(kappa^eps)^eps, the speed of side eps, on a checked kappa block (or
-        _Jet): F on the primal side, 1 / F(1 / kappa) on the dual side, as the
-        Gauss map sends each principal curvature to its reciprocal.  eps may
-        be an array of signs that broadcasts against the block's rows, which
-        then takes one value call for both sides."""
+        """F(kappa^eps)^eps, the speed of side eps, on a checked kappa block:
+        F on the primal side, 1 / F(1 / kappa) on the dual side, as the Gauss
+        map sends each principal curvature to its reciprocal.  eps may be an
+        array of signs that broadcasts against the block's rows, which then
+        takes one value call for both sides."""
         if isinstance(eps, np.ndarray):
             dual = eps < 0
             value = self._value(np.divide(1.0, kappa, out=kappa.copy(), where=dual[..., None]))
@@ -299,7 +299,7 @@ class InverseOf(CurvatureFunction):
         super().__init__(inner.n, f"inverse:{inner.name}")
 
     def _raw_value(self, kappa):
-        return self.inner._side_value(kappa, -1.0)
+        return 1.0 / self.inner._value(1.0 / kappa)
 
 
 # ----------------------------------------------------------------------

@@ -114,8 +114,7 @@ class FlowState(_Profile):
     and eps alone is the side (+1 primal, -1 dual).  geometry, with the
     values of the side's speed F(kappa^eps)^eps, is built on first read
     and kept; it raises as _geometry does for a profile the flow cannot
-    continue from.  Its derivative pair and curvatures are taken once
-    (_Profile).
+    continue from.
     """
 
     t: float
@@ -216,17 +215,10 @@ def make_initial(name: str, params, grid: SphereGrid, seed: int = 0) -> np.ndarr
     sphere [r0]; perturbed_sphere [r0, a, k] giving r0 + a cos(k theta)
     (any integer k keeps the right pole parity); ellipsoid [a, b];
     random_fourier [r0, amp, kmax] with seeded coefficients up to the
-    integer frequency kmax <= m // 2, resampled until strictly convex.
-    A profile reaching U_MAX, where sinh^2 u overflows, is rejected.
+    integer frequency kmax <= m // 2, resampled until strictly convex
+    (each draw's curvatures by _kappa).  A profile reaching U_MAX, where
+    sinh^2 u overflows, is rejected.
     """
-    return _draw_initial(name, params, grid, seed)[0]
-
-
-def _draw_initial(name: str, params, grid: SphereGrid, seed: int = 0):
-    """make_initial's profile, and the curvatures (_curvatures) the
-    convexity test of a random_fourier draw took of it (None for the other
-    data), which the initial state's geometry reads instead of taking them
-    again."""
     params = tuple(float(p) for p in params)
     names = {"sphere": "r0", "perturbed_sphere": "r0, a, k", "ellipsoid": "a, b",
              "random_fourier": "r0, amp, kmax"}.get(name)
@@ -234,7 +226,6 @@ def _draw_initial(name: str, params, grid: SphereGrid, seed: int = 0):
         raise ValueError(f"unknown initial datum {name!r}")
     if len(params) != names.count(",") + 1:
         raise ValueError(f"{name} takes [{names}], got {len(params)} parameters")
-    curv = None
     if name == "sphere":
         (r0,) = params
         if r0 <= 0:
@@ -271,15 +262,13 @@ def _draw_initial(name: str, params, grid: SphereGrid, seed: int = 0):
             u = np.concatenate([(r0 + 0.0 * grid.theta)[None], modes]).sum(axis=0)
             if u.max() >= U_MAX:
                 break
-            if u.min() > 0.05:
-                curv = _kappa(grid, u, 1.0)
-                if (curv[2] > 0.0).all():
-                    break
+            if u.min() > 0.05 and (_kappa(grid, u, 1.0)[2] > 0.0).all():
+                break
         else:
             raise ValueError("could not draw a convex random profile; lower amp")
     if u.max() >= U_MAX:
         raise ValueError(f"initial radius {u.max():.6g} reaches {U_MAX:.6g}, where sinh^2 overflows")
-    return u, curv
+    return u
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ The same kernel, with sinh and cosh trading places under a sign eps,
 gives the curvatures of a stored de Sitter graph, so both sides of the
 Gauss-map duality share one copy of each formula and one type,
 Graph(grid, u, eps); the Gauss map (dualmap) reads each unit normal in
-its node's own frame from the same warp factors (_warp).
+its node's own frame from the same warp factors (_warp).  Every geometry,
+of one graph or of a stack, is one call of that kernel (_kappa) on a
+stack, and a graph or flow state keeps only its geometry.
 
 Computations run on the profile's grid; the Minkowski embedding into
 R^{n+1,1} (time coordinate first, rotation axis last among the spatial
@@ -43,30 +45,19 @@ class CausalityError(RuntimeError):
 
 
 class _Profile:
-    """A profile u on a grid, of side eps (a Graph or a flow state): its
-    stencil derivative pair, and the slope, graph factor and principal
-    curvatures built on it (_curvatures), are each taken once, on first
-    read, and shared by the side's checks (_check_side) and its geometry
-    (geometry_of)."""
+    """A profile u on a grid, of side eps: a Graph or a flow state, each of
+    which builds and keeps its own geometry."""
 
     @property
     def u_star(self) -> np.ndarray:
         """The stored profile under its dual-side name."""
         return self.u
 
-    @cached_property
-    def derivatives(self):
-        return self.grid.derivatives(self.u)
-
-    @cached_property
-    def curvatures(self):
-        return _curvatures(self.u, *self.derivatives, self.grid.cot, self.eps, self.grid.n)
-
 
 def _check_side(g) -> None:
     """The bounds of g's side on its profile: a finite positive radius, or a
     finite eigentime below the equatorial slice whose graph is spacelike,
-    |u*'| / cosh u* < 1, read off g's derivative pair."""
+    |u*'| / cosh u* < 1, read off its stencil derivative."""
     v = g.u
     if g.eps > 0:
         if not (np.isfinite(v).all() and (v > 0.0).all()):
@@ -76,7 +67,7 @@ def _check_side(g) -> None:
         raise ValueError("eigentime profile must be finite")
     if not (v < 0.0).all():
         raise ValueError("stored duals lie below the equatorial slice (u_star < 0)")
-    slope = np.abs(g.derivatives[0]) / np.cosh(v)
+    slope = np.abs(g.grid.derivatives(v)[0]) / np.cosh(v)
     if slope.max() >= 1.0:
         raise CausalityError(f"graph is not spacelike: |D u_star| = {slope.max():.6f} "
                              f"at node {int(np.argmax(slope))}")
@@ -185,21 +176,16 @@ def geometry_of(g, F=None):
     attached (only if the graph is strictly convex): F on a primal graph,
     the dual speed 1 / F(1 / kappa) on a de Sitter graph.
 
-    One graph gives one GraphGeometry, on its own curvatures (_Profile);
-    a sequence of them on one grid and one side gives a list, built as one
-    stack: one _kappa call, and one speed call on the convex rows.
+    One graph gives one GraphGeometry, and a sequence of them on one grid
+    and one side a list; either is one stack: one _kappa call, and one
+    speed call on the convex rows.
     """
     one = hasattr(g, "grid")
     gs = [g] if one else list(g)
     if not gs:
         return []
     grid, eps = gs[0].grid, gs[0].eps
-    if len(gs) == 1:
-        u, curv = gs[0].u, gs[0].curvatures
-    else:
-        u = np.stack([x.u for x in gs])
-        curv = _kappa(grid, u, eps)
-    slope, v, kappa = (x.reshape(-1, *x.shape[u.ndim - 1:]) for x in curv)
+    slope, v, kappa = _kappa(grid, np.stack([x.u for x in gs]), eps)
     convex = (kappa > 0.0).all(axis=(1, 2))
     speed = iter(F._side_value(F._check(kappa[convex]), eps)
                  if F is not None and convex.any() else ())

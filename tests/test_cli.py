@@ -1,5 +1,6 @@
 """Config parsing, the four subcommands, output files, exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from dualflow.flow import (
     FlowConfig,
     RadauIIA,
     StiffnessError,
+    make_initial,
     run_flow,
     spherical_theta,
 )
@@ -455,6 +457,33 @@ def _count_geometry_builds(monkeypatch):
     return calls
 
 
+def test_every_mode_draws_its_datum_through_make_initial(tmp_path, monkeypatch):
+    # each run, of any mode, builds its initial state from one
+    # flow.make_initial call, and a random_fourier state holds the drawn
+    # profile bit for bit
+    drawn = []
+    real = cli.make_initial
+
+    def counted(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "make_initial", counted)
+    for mode in cli.MODES:
+        drawn.clear()
+        cfg = _write_cfg(
+            tmp_path, f"{mode}.cfg",
+            f'F="mean" n=2 m=32 initial="perturbed_sphere" initial.params=[1.0,0.1,2] '
+            f'mode="{mode}" out="{tmp_path / mode}"',
+        )
+        assert main(["run", cfg]) == 0
+        assert len(drawn) == 1, mode
+    cfg = FlowConfig("mean", 2, 32, "random_fourier", (1.0, 0.05, 4), seed=3)
+    state = cli._initial_state(cfg)
+    expected = make_initial("random_fourier", [1.0, 0.05, 4], make_grid(2, 32), 3)
+    assert state.u.tobytes() == expected.tobytes()
+
+
 def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
     # verify: the primal graph and its dual, one build each (the drawn datum
     # is tested for convexity on bare curvatures);
@@ -487,14 +516,14 @@ def test_each_profile_builds_its_geometry_once(tmp_path, monkeypatch):
         assert len(calls) == records + extra
 
 
-def test_verify_takes_one_kernel_pass_per_profile(tmp_path, monkeypatch):
-    # one verify run of the benchmark's datum: the stencils run once on each
-    # of the four profiles that carry information (the drawn primal, whose
-    # convexity test and geometry share the pass; the matching angle and the
-    # dual's node values in the duality check; the resampled dual, whose
-    # spacelike check and geometry share the pass), the Gauss map runs there
-    # and back with one resample each, one refine call takes all four
-    # extrema, and the primal and the dual build one geometry each
+def test_verify_takes_one_stencil_pass_per_check_and_geometry(tmp_path, monkeypatch):
+    # one verify run of the benchmark's datum: the stencils run six times,
+    # once for each check and each geometry (the drawn primal's convexity
+    # test and its state's geometry; the matching angle and the dual's node
+    # values in the duality check; the resampled dual's spacelike check and
+    # its geometry), the Gauss map runs there and back with one resample
+    # each, one refine call takes all four extrema, and the primal and the
+    # dual build one geometry each
     counts = {}
 
     def spy(owner, name):
@@ -517,7 +546,7 @@ def test_verify_takes_one_kernel_pass_per_profile(tmp_path, monkeypatch):
         f'seed=3 out="{tmp_path / "v"}"',
     )
     assert main(["verify", cfg]) == 0
-    assert counts == {"derivatives": 4, "_gauss_map": 2, "resample_monotone": 2,
+    assert counts == {"derivatives": 6, "_gauss_map": 2, "resample_monotone": 2,
                       "refine_extremum": 1}
     assert len(builds) == 2
 
@@ -654,7 +683,7 @@ def test_sweep_directory(tmp_path, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("pool created")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for cap in ("0", "-1", "abc"):
         monkeypatch.setenv("DUALFLOW_THREADS", cap)
         assert main(["sweep", str(tmp_path)]) == 2
