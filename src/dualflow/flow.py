@@ -22,12 +22,13 @@ sphere is a fixed point there, so the steps no longer crowd at
 extinction.  A primal run to extinction can carry its dual in the same
 vector, rescaled by the primal's lambda (run_both): the two take one
 step sequence in the primal's tau, and each Newton solve is block lower
-triangular.  Each Newton iteration and each Jacobian is one call of the
-masked rhs kernel on a stack of trial states, a carried dual being the
-second side of the stack; a trial row reports failure by NaN.  Every state of either flow is a FlowState that carries
-the run's F and its side eps, and builds its GraphGeometry on first
-read.  Geodesic spheres solve the primal flow in closed form and serve
-as the exact reference and as extinction-time barriers.
+triangular.  Each Newton iteration, and each Jacobian in either phase, is
+one call of the masked rhs kernel on a stack of trial rows, a carried
+dual being the second side of the stack; a trial row reports failure by
+NaN.  Every state of either flow is a FlowState that carries the run's F
+and its side eps, and builds its GraphGeometry on first read.  Geodesic
+spheres solve the primal flow in closed form and serve as the exact
+reference and as extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class FlowTrajectory:
     partial run.  landed holds the indices into states of the states
     that landed on a target time, in time order; for a dual carried by
     its primal (run_both), of the states recorded with a primal record.
-    rhs_evals, jac_evals and factorizations count the integrator's work
-    (see RadauIIA), shared by the two sides of a joint run.
+    rhs_evals (a Jacobian adds its kernel call's rows), jac_evals and
+    factorizations count the integrator's work, shared by a joint run's sides.
     """
 
     states: list = field(default_factory=list)
@@ -471,14 +472,13 @@ class RadauIIA:
     Newton matrix factorizations (a real and a complex one each).
 
     It starts in flow time, x = t and y = u.  Its Jacobian is taken by
-    forward differences on one of two paths, picked by the phase.  The
-    band path, flow time at every m, perturbs one colour of columns per
-    row, so one rhs call gives the band of the stencils' reach
-    (SphereGrid.band), and solves by blocks around separators
-    (_BandSolver, laid out once by _BandPlan).  The dense path, the
-    rescaled phase (below), perturbs one column per row of the stack
-    y + diag(delta) and keeps the inverses of the Newton matrices
-    (_DenseInverse).
+    forward differences in one kernel call on colour-perturbed rows, each
+    row one rhs evaluation (_jacobian).  Newton takes one of two paths.  The
+    band path, flow time at every m, reads the band of the stencils' reach
+    off those rows and solves by blocks around separators (_BandSolver, laid
+    out once by _BandPlan).  The dense path, the rescaled phase (below),
+    builds the full Jacobian from the same rows and keeps the inverses of
+    the Newton matrices (_DenseInverse).
 
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,
@@ -498,10 +498,8 @@ class RadauIIA:
     E, and E is then its extinction time.  <f> couples every node, so the
     rescaled phase takes the dense path.  An accepted state is still a
     FlowState, with t = E - ln cosh lambda and u = lambda u~; the dual
-    state at the same t is kept as well (dual).
-
-    The primal rows never read w: their Jacobian entries in the w columns
-    are zeroed, and _DenseInverse solves the block lower triangular system.
+    state at the same t is kept as well (dual).  The primal rows never
+    read w: the joint Newton matrices are block lower triangular.
     """
 
     def __init__(self, grid: SphereGrid, F: CurvatureFunction, eps: float):
@@ -540,32 +538,25 @@ class RadauIIA:
         self.dual = None
         self._start(self.x, self._y[:self.grid.m + 2])
 
-    def _eval(self, y: np.ndarray, primal_rows: int | None = None):
+    def _eval(self, y: np.ndarray, f: np.ndarray | None = None):
         """The admissibility mask and dy/dx of a state vector (m,), (m + 2,)
         or (2m + 2,), or of each row of a stack: _masked_rhs in flow time,
         the rescaled equations (class docstring) after enter_rescaled().
         The profile blocks stack on a leading side axis, so a carried w is
-        the second side of one _masked_rhs call, signed -eps.  primal_rows
-        k, on a joint stack whose rows from k on differ from row k - 1 in w
-        alone (the dense Jacobian's), takes the primal side of the first k
-        rows only, in one ragged call, and gives the later rows row k - 1's."""
+        the second side of one _masked_rhs call, signed -eps.  f, the
+        blocks' du/dt (sides, ..., m) when known (the dense Jacobian's),
+        takes the place of that call, and the mask is then None."""
         if not self.rescaled:
             return _masked_rhs(self.grid, self.F, self.eps, y)
-        m = self.grid.m
+        m, ok = self.grid.m, None
         lam = np.exp(y[..., m:m + 1])
         if self.dual is None:
             b, eps = y[None, ..., :m], self.eps
         else:
             b = np.concatenate((y[None, ..., :m], y[None, ..., m + 2:]))
             eps = np.array([self.eps, -self.eps]).reshape((2,) + (1,) * y.ndim)
-        if primal_rows is None:
+        if f is None:
             ok, f = _masked_rhs(self.grid, self.F, eps, lam * b)
-        else:  # the primal side of the first k rows, the dual side of every row
-            k, rows = primal_rows, np.arange(len(y))
-            ok, f = _masked_rhs(self.grid, self.F, np.repeat(eps[:, 0], (k, len(y)), axis=0),
-                                np.concatenate((lam[:k] * b[0, :k], lam * b[1])))
-            rows = np.stack((np.minimum(rows, k - 1), k + rows))
-            ok, f = ok[rows], f[rows]
         q = -self.eps * (f[0] @ self._weights)[..., None]
         rule = b + f / q  # one rule for every block, at the primal's lambda and q
         out = np.empty(y.shape)
@@ -573,7 +564,7 @@ class RadauIIA:
         out[..., m + 1:m + 2] = lam / q - lam * np.tanh(lam)
         if self.dual is not None:
             out[..., m + 2:] = rule[1]
-        return ok.all(axis=0), out
+        return None if ok is None else ok.all(axis=0), out
 
     def _rhs(self, y: np.ndarray) -> np.ndarray:
         """dy/dx by _eval, NaN on a failed row (the step is then retried
@@ -608,22 +599,33 @@ class RadauIIA:
         return scale
 
     def _jacobian(self, y: np.ndarray, f: np.ndarray) -> None:
+        """The Jacobian at y, f = dy/dx there, by one _masked_rhs call: row c
+        moves each profile block's columns of colour c (README).  A dense
+        column is bit for bit its row of y + diag(delta)."""
         self.jac_evals += 1
+        m, r = self.grid.m, np.arange(self.grid.m)
+        blocks = np.add.outer([0] if self.dual is None else [0, m + 2], r)  # u~, w in y
         delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
-        if self._banded:
-            df = self._rhs(y + np.where(self._perturb, delta, 0.0)) - f
-            jac = np.where(self._inside,
-                           df[self._band_rows, np.arange(y.size)] / delta[self._cols], 0.0)
-        elif self.dual is None:
-            jac = (self._rhs(y + np.diag(delta)) - f).T / delta
-        else:
-            # the rows past m + 1 perturb w alone: one ragged call (_eval's
-            # primal_rows), still counted as 2m + 2 state vectors
-            k, self.rhs_evals = self.grid.m + 2, self.rhs_evals + y.size
-            jac = (self._eval(y + np.diag(delta), k)[1] - f).T / delta
-            # the primal rows never read w: their w columns hold only the
-            # rounding of the stacked <f>, and the block solve never reads them
-            jac[:k, k:] = 0.0
+        if not self.rescaled:  # the colour rows alone, a 2-D stack like every flow-time call
+            trial = y + np.where(self._perturb, delta, 0.0)
+            g, rows = _masked_rhs(self.grid, self.F, self.eps, trial)[1][None], self._band_rows
+        else:  # each block's state and its state at the moved s come first
+            b, lam = y[blocks][:, None], np.exp(y[m:m + 1])
+            trial = np.concatenate((lam * b, np.exp(y[m:m + 1] + delta[m:m + 1]) * b, lam * (
+                b + np.where(self._perturb, delta[blocks][:, None], 0.0))), axis=1)
+            eps = self.eps if self.dual is None else np.array([self.eps, -self.eps])[:, None, None]
+            g, rows = _masked_rhs(self.grid, self.F, eps, trial)[1], 2 + self._band_rows
+        self.rhs_evals += trial.shape[-2]
+        if self._banded:  # the band: entry (k, i) reads its column's colour row at node i
+            jac = np.where(self._inside, (g[0][rows, r] - f) / delta[self._cols], 0.0)
+        else:  # y + diag(delta)'s du/dt: the state's, but its colour row's on its column's band
+            du = (g[:, (np.arange(len(y)) == m).astype(int)] if self.rescaled  # s's row: moved s
+                  else np.repeat(f[None, None], len(y), axis=1))
+            for block, du_b, g_b in zip(blocks, du, g):
+                du_b[block[self._cols], r] = g_b[rows, r]
+            dy = self._eval(y + np.diag(delta), du)[1] if self.rescaled else du[0]
+            jac = (dy - f).T / delta
+            jac[:m + 2, m + 2:] = 0.0  # primal rows, w columns: rounding of the stacked <f>
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):
@@ -982,9 +984,6 @@ class TstarEstimate:
     value: float
     spread: float
     warn: bool
-
-    def __float__(self):
-        return self.value
 
 
 def estimate_Tstar(traj: FlowTrajectory) -> TstarEstimate:

@@ -279,8 +279,10 @@ def test_step_makes_at_most_three_rhs_calls(monkeypatch):
     traj = run_flow(cfg, t_stop=0.2)
     assert traj.failure is None
     assert len(calls) <= 3 * traj.steps_taken
-    # rhs_evals counts profiles, one per row of each call
-    assert traj.rhs_evals == sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+    # rhs_evals counts profiles, one per row of each call, and a Jacobian's
+    # rows, one per colour of the meridian's band
+    assert traj.rhs_evals == (sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+                              + 5 * traj.jac_evals)
 
 
 def test_rescaled_run_makes_fewer_rhs_calls(monkeypatch):
@@ -291,8 +293,10 @@ def test_rescaled_run_makes_fewer_rhs_calls(monkeypatch):
                      initial_params=(1.0, 0.1, 2))
     traj = run_flow(cfg)
     assert traj.failure is None
-    # rhs_evals counts state vectors, one per row of each call
-    assert traj.rhs_evals == sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+    # rhs_evals counts state vectors, one per row of each call, and a
+    # Jacobian's rows: the state, the state at the moved s and five colours
+    assert traj.rhs_evals == (sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
+                              + 7 * traj.jac_evals)
     n_rescaled = len(calls)
     calls.clear()
     t_run = run_flow(cfg, t_targets=[s.t for s in traj.states[1:]])
@@ -518,9 +522,8 @@ def test_band_plan_cuts_every_stencil_at_separators(cyclic):
 def test_newton_paths_agree(monkeypatch, n, m):
     # the explicit inverses and the block band solver solve the same Newton systems:
     # the same steps, Jacobians and factorizations, and landed states equal
-    # to rounding; a dense Jacobian takes m rhs evaluations, a band one per
-    # colour, five plus one for each of a circle's last m % 5 columns
-    colours = 5 + (m % 5 if n == 1 else 0)
+    # to rounding; either path's Jacobian takes one row per colour, so the
+    # rhs evaluations are equal too
     cfg = FlowConfig(F="sigma_k:2" if n == 2 else "mean", n=n, m=m,
                      initial="perturbed_sphere", initial_params=(1.0, 0.1, 2),
                      record_every=10**9)
@@ -534,9 +537,8 @@ def test_newton_paths_agree(monkeypatch, n, m):
                      run_dual_flow(cfg, d0.dual, t_targets=targets, t_stop=0.2)])
     for band, dense in zip(*runs):
         assert band.failure is None and dense.failure is None
-        for counter in ("steps_taken", "jac_evals", "factorizations"):
+        for counter in ("steps_taken", "jac_evals", "factorizations", "rhs_evals"):
             assert getattr(band, counter) == getattr(dense, counter), counter
-        assert dense.rhs_evals - band.rhs_evals == band.jac_evals * (m - colours)
         assert band.landed == dense.landed and len(band.landed) == len(targets)
         for i in band.landed:
             assert band.states[i].t == dense.states[i].t
@@ -682,13 +684,14 @@ def test_joint_eval_makes_one_kernel_call(monkeypatch):
 
 
 @pytest.mark.parametrize("F, n, m", [("power_mean:0.5", 1, 41), ("sigma_k:2", 2, 48),
-                                     ("inverse:sigma_k:2", 3, 33), ("quotient:2:1", 4, 25)])
+                                     ("inverse:sigma_k:2", 3, 33), ("quotient:2:1", 4, 25),
+                                     ("power_mean:0.5", 1, 64), ("power_mean:0.5", 1, 65)])
 @pytest.mark.parametrize("carried", [False, True])
 def test_dense_jacobian_is_the_full_stack_jacobian(F, n, m, carried):
-    # the rows of the Jacobian stack past m + 1 perturb w alone, so the joint
-    # Jacobian takes their primal side from the E row in one ragged kernel
-    # call; joint or single-side, at odd m too, it is bit for bit the
-    # Jacobian of the full two-sided stack
+    # each column's du/dt is its colour row's on the column's band and the
+    # state's elsewhere; joint or single-side, at odd m and with a circle's
+    # extra colours too, it is bit for bit the Jacobian of the full
+    # two-sided stack y + diag(delta)
     cfg = FlowConfig(F=F, n=n, m=m, initial="perturbed_sphere", initial_params=(1.0, 0.1, 2))
     state0, d0 = _joint_start(cfg)
     solver = RadauIIA(state0.grid, state0.F, 1.0)
@@ -701,17 +704,41 @@ def test_dense_jacobian_is_the_full_stack_jacobian(F, n, m, carried):
     assert solver._jac.tobytes() == jacobian_by_full_stack(solver, y, f).tobytes()
 
 
-def test_joint_jacobian_is_one_ragged_kernel_call(monkeypatch):
-    # the joint Jacobian's kernel call holds the primal side of rows 0..m + 1
-    # and the dual side of all 2m + 2 rows, 3m + 4 rows where the two-sided
-    # stack held 2 (2m + 2); rhs_evals still counts 2m + 2 state vectors
-    solver = _joint_solver(CLI_BOTH)
-    m, calls, kernel = CLI_BOTH.m, [], flow._masked_rhs
+@pytest.mark.parametrize("n, m", [(2, 48), (1, 41)])
+@pytest.mark.parametrize("phase", ["band", "dense", "rescaled", "joint"])
+def test_every_jacobian_is_one_coloured_kernel_call(monkeypatch, n, m, phase):
+    # in flow time on either Newton path, and rescaled with one side or
+    # with the carried dual, a Jacobian is one kernel call: one row per
+    # colour of the band, (colours, m) in flow time, and rescaled (sides,
+    # colours + 2, m), each block's state and its state at the moved s
+    # first; the circle at m = 41 takes a sixth colour.  rhs_evals grows by
+    # the rows
+    cfg = FlowConfig(F="sigma_k:2" if n == 2 else "mean", n=n, m=m,
+                     initial="perturbed_sphere", initial_params=(1.0, 0.1, 2))
+    if phase in ("band", "dense"):
+        monkeypatch.setattr(RadauIIA, "_banded", phase == "band")
+        grid = make_grid(n, m)
+        solver = RadauIIA(grid, curvfn.make_function(cfg.F, n), 1.0)
+        y = make_initial(cfg.initial, cfg.initial_params, grid)
+        f = solver._rhs(y)
+    else:
+        state0, d0 = _joint_start(cfg)
+        solver = RadauIIA(state0.grid, state0.F, 1.0)
+        solver.enter_rescaled(state0, FlowState(0.0, d0.u, d0.grid, state0.F, -1.0)
+                              if phase == "joint" else None)
+        y, f = solver._y, solver._f
+    calls, kernel = [], flow._masked_rhs
     monkeypatch.setattr(flow, "_masked_rhs", lambda *a: calls.append(a[-1].shape) or kernel(*a))
     evals = solver.rhs_evals
-    solver._jacobian(solver._y, solver._f)
-    assert calls == [(3 * m + 4, m)]
-    assert solver.rhs_evals - evals == 2 * m + 2
+    solver._jacobian(y, f)
+    rows = 5 + (m % 5 if n == 1 else 0)
+    if phase in ("band", "dense"):
+        assert calls == [(rows, m)]
+    else:
+        rows += 2
+        assert calls == [(2 if phase == "joint" else 1, rows, m)]
+    assert solver.rhs_evals - evals == rows
+    assert solver._jac.shape == ((5, m) if phase == "band" else (y.size, y.size))
 
 
 @pytest.mark.parametrize("carried", [False, True])
@@ -1014,7 +1041,6 @@ def test_estimate_Tstar_spherical():
         traj = run_flow(cfg)
         est = estimate_Tstar(traj)
         assert abs(est.value - T) < 1e-6
-        assert float(est) == est.value
         assert not est.warn
         assert traj.T_star_estimate == pytest.approx(T, abs=1e-6)
 
