@@ -699,8 +699,9 @@ class RadauIIA:
         self._start(x, y)
 
     def _start(self, x: float, y: np.ndarray) -> None:
-        """dy/dx, Jacobian and first step size at the state vector y
-        (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+        """dy/dx, Jacobian and first step size at the state vector y (Hairer,
+        Norsett & Wanner, Solving ODEs I, II.4), unbounded at a fixed point to
+        the tolerance: advance clips it to the cap, its error estimate decides."""
         f = self._rhs(y)
         self.x, self._y, self._f = x, y, f
         self._jacobian(y, f)
@@ -708,11 +709,12 @@ class RadauIIA:
         self._ramp = True  # the controller grows h by _MAX_FACTOR from here
         scale = self._scale(np.abs(y))
         d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = 1e-6 if min(d0, d1) < 1e-5 else 0.01 * d0 / d1
+        if d1 < 1e-5:  # a rescaled sphere or slice: the probe below would read rounding
+            self.h = math.inf
+            return
+        h0 = 1e-6 if d0 < 1e-5 else 0.01 * d0 / d1
         d2 = _rms((self._rhs(y + h0 * f) - f) / scale) / h0
-        # max(d1, d2) is zero at a fixed point of the rescaled variables
-        h1 = max(1e-6, 1e-3 * h0) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.25
-        self.h = min(100.0 * h0, h1)
+        self.h = min(100.0 * h0, (0.01 / max(d1, d2)) ** 0.25)
 
     def advance(self, state: FlowState, cap: float) -> FlowState:
         """One accepted step from state; a step that would reach x = cap (t,
@@ -723,7 +725,7 @@ class RadauIIA:
         relative.  The step is clipped to the cap instead without tile, and
         during the controller's start-up ramp (before the first accepted
         step, and while the last step's growth was capped at _MAX_FACTOR),
-        where tiling would change the steps of a sphere at its fixed point.
+        where tiling would cut the controller's own growing steps into tiles.
         A step size below DT_MIN, or NaN, raises StiffnessError, and an
         accepted state the flow cannot continue from raises ConvexityError
         or CausalityError."""

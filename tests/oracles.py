@@ -578,7 +578,8 @@ def jacobian_by_full_stack(solver, y, f):
     """RadauIIA._jacobian on its dense path by the two-sided stack: both
     sides of every row of y + diag(delta) through _eval, the primal side of
     the rows that perturb w alone included, and the primal rows' w columns
-    zeroed when the dual is carried.  The reference for the ragged call."""
+    zeroed when the dual is carried.  The reference for the colour-row
+    assembly, which must equal it bit for bit."""
     m = solver.grid.m
     delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
     jac = (solver._eval(y + np.diag(delta))[1] - f).T / delta

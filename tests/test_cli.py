@@ -799,3 +799,76 @@ def test_run_both_mode_dual_dying_first_exits_clean(tmp_path, monkeypatch):
     assert math.isfinite(rows[0]["duality_err"]) and math.isnan(rows[1]["duality_err"])
     snaps = json.loads((out / "snapshots.json").read_text())
     assert snaps["records"][1]["u_star"] is None
+
+
+_KNOWN_ERRORS = {"ConvexityError", "StiffnessError", "CausalityError", "DualityBrokenError",
+                 "ReparametrizationError", "DomainError"}
+
+
+@st.composite
+def _small_configs(draw, initial, mode):
+    # small grids, battery speeds and u_stop up to 0.5, so each run is
+    # short; one parameter of the datum moves just past its range when past
+    n, m = draw(st.integers(1, 4)), draw(st.integers(16, 32))
+    past = draw(st.booleans())
+    r0 = -0.1 if past and initial == "sphere" else draw(st.floats(0.3, 1.5))
+    params = {
+        "sphere": [r0],
+        "perturbed_sphere": [r0, 1.01 * r0 if past else draw(st.floats(0.0, 0.15)) * r0,
+                             draw(st.integers(1, 4))],
+        "ellipsoid": [1.0 if past else draw(st.floats(0.3, 0.95)), draw(st.floats(0.3, 0.95))],
+        "random_fourier": [r0, draw(st.floats(0.0, 0.2)),
+                           m // 2 + 1 if past else draw(st.integers(1, 4))],
+    }[initial]
+    return "\n".join([
+        f'F="{draw(st.sampled_from(curvfn.builtin_battery(n)))}"', f"n={n}", f"m={m}",
+        f'initial="{initial}"', "initial.params=[" + ",".join(map(repr, params)) + "]",
+        f"u_stop={draw(st.floats(0.25, 0.5))!r}", f"record_every={draw(st.sampled_from([10, 50]))}",
+        f'mode="{mode}"', f"seed={draw(st.integers(0, 9))}",
+    ])
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize("initial", ["sphere", "perturbed_sphere", "ellipsoid", "random_fourier"])
+def test_every_small_run_exits_cleanly(initial, mode):
+    # the product end to end, every datum in every mode: exit 0, 2 or 3; a
+    # setup error is one stderr line, an abort a failure.json naming its
+    # error, a clean run outputs that agree with each other, and no warning
+    # escapes on any path.  derandomize fixes the examples by the test's name
+    import contextlib
+    import io
+    import tempfile
+    import warnings
+
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(text=_small_configs(initial, mode))
+    def run(text):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = Path(tmp) / "out"
+            path = Path(tmp) / "run.cfg"
+            path.write_text(text + f'\nout="{out}"\n')
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", str(path)])
+            stderr = err.getvalue()
+            assert code in (0, 2, 3) and "Traceback" not in stderr, (text, code, stderr)
+            failure = out / "failure.json"
+            if code == 2 and not failure.exists():
+                assert len(stderr.splitlines()) == 1, (text, stderr)
+            elif code != 0:  # an abort, or verify's broken duality
+                assert json.loads(failure.read_text())["error"] in _KNOWN_ERRORS, text
+            elif mode == "verify":
+                assert "duality_err" in json.loads((out / "verify.json").read_text())
+            else:
+                lines = (out / "diagnostics.csv").read_text().splitlines()
+                assert lines[0] == ",".join(CSV_FIELDS) and len(lines) > 1, text
+                rows = [dict(zip(CSV_FIELDS, map(float, line.split(",")))) for line in lines[1:]]
+                snaps = json.loads((out / "snapshots.json").read_text())["records"]
+                assert [r["t"] for r in rows] == [s["t"] for s in snaps], text
+                plot = [line.split() for line in (out / "plot.dat").read_text().splitlines()[1:]]
+                assert [float(p[0]) for p in plot] == [r["tau"] for r in rows
+                                                        if math.isfinite(r["tau"])], text
+            assert caught == [], (text, [str(w.message) for w in caught])
+
+    run()

@@ -918,21 +918,77 @@ def test_flow_time_targets_cost_few_factorizations():
 
 
 def test_start_up_ramp_takes_the_controllers_steps():
-    # a sphere is a fixed point of the rescaled variables, so h grows by the
-    # cap _MAX_FACTOR each step; those steps stay the controller's own, not
-    # tiles of the way to the record: tiling them moved the steps of the
-    # battery spheres and raised their worst closed-form error from 7.9e-15
-    # to 1.6e-14
+    # a sphere is a fixed point of the rescaled variables: its scaled dy/dx
+    # is rounding, so its first step is unbounded and lands on the record at
+    # tau = 0.5 in one step, with no probe of the starting rule.  Just off
+    # it (a mode of 1e-6, scaled dy/dx 7.7) the rule's first step, 0.19,
+    # stays the controller's own, not one of three tiles of the way to the
+    # record; tiling the start-up ramp moved the steps of the battery spheres
+    # and raised their worst closed-form error from 7.9e-15 to 1.6e-14
     grid = make_grid(2, 32)
-    state = FlowState(0.0, np.full(32, 1.0), grid, curvfn.make_function("sigma_k:2", 2), 1.0)
-    solver = RadauIIA(grid, state.F, 1.0)
-    solver.enter_rescaled(state)
-    own = []
-    while solver.x < 0.5:
-        x, h = solver.x, solver.h
-        state = solver.advance(state, 0.5)
-        own.append(solver.x == x + h)
-    assert own == [True] * 4 + [False] and solver.x == 0.5
+    F = curvfn.make_function("sigma_k:2", 2)
+    for params, expected in (((1.0,), [False]), ((1.0, 1e-6, 2), [True, False])):
+        u0 = make_initial("perturbed_sphere" if len(params) > 1 else "sphere", params, grid)
+        state = FlowState(0.0, u0, grid, F, 1.0)
+        solver = RadauIIA(grid, F, 1.0)
+        solver.enter_rescaled(state)
+        # the state, then the Jacobian's state, moved s and five colour rows
+        assert solver.rhs_evals == 1 + 7 + (len(params) > 1)
+        own = []
+        while solver.x < 0.5:
+            x, h = solver.x, solver.h
+            state = solver.advance(state, 0.5)
+            own.append(solver.x == x + h)
+        assert own == expected and solver.x == 0.5
+
+
+@pytest.mark.parametrize("F_name", curvfn.builtin_battery(2))
+def test_battery_sphere_steps_from_record_to_record(F_name):
+    # from its fixed point a sphere steps straight to each record and then
+    # to u_stop: 8 steps, 5 factorizations and 92 rhs evaluations per speed,
+    # where the x10 start-up ramp from h = 1e-4 took 12-14, 10-12 and 121-135.
+    # The worst closed-form error over the battery reads 7.869e-15 either way
+    cfg = FlowConfig(F=F_name, n=2, m=32, initial="sphere", initial_params=(1.0,),
+                     record_every=50)
+    traj = run_flow(cfg)
+    assert traj.failure is None
+    assert (traj.steps_taken, traj.factorizations, traj.rhs_evals) == (8, 5, 92)
+    err = max(np.abs(s.u - spherical_theta(s.t, 1.0)).max() for s in traj.states)
+    assert err <= 7.9e-15
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_sphere_reaches_u_stop_in_one_step(side):
+    # with no record on the way the fixed point's one step goes to the aim
+    # just below u_stop; the ramp took 6 steps (primal) and 8 (dual).  T*
+    # from the integrated E measured 8.7e-15 (primal) and 3.3e-16 (dual)
+    # from ln cosh 1
+    cfg = FlowConfig(F="sigma_k:2", n=2, m=32, initial="sphere", initial_params=(1.0,),
+                     record_every=10**9)
+    if side == "primal":
+        traj = run_flow(cfg)
+    else:
+        traj = run_dual_flow(cfg, _joint_start(cfg)[1])
+    assert traj.failure is None and traj.steps_taken == 1
+    assert cfg.u_stop * (1.0 - 1e-8) < np.abs(traj.states[-1].u).max() < cfg.u_stop
+    assert abs(traj.T_star_estimate - T_STAR_1) < 2e-14
+
+
+def test_runs_off_a_fixed_point_keep_their_steps():
+    # the fixed-point start is never taken off a fixed point: the cli_both
+    # config's joint run and the commuting square's m = 128 pair keep their
+    # steps, Jacobians and factorizations
+    def counters(tr):
+        return tr.steps_taken, tr.jac_evals, tr.factorizations
+
+    state0, d0 = _joint_start(CLI_BOTH)
+    traj, dtraj = run_both(CLI_BOTH, state0, d0)
+    assert counters(traj) == counters(dtraj) == (75, 6, 13)
+    cfg = dataclasses.replace(CLI_BOTH, m=128, record_every=10**9)
+    targets = (0.04, 0.08, 0.12, 0.16, 0.2)
+    traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
+    dtraj = run_dual_flow(cfg, gauss_dual(traj.states[0]).dual, t_targets=targets, t_stop=0.2)
+    assert counters(traj) == (24, 5, 8) and counters(dtraj) == (23, 6, 7)
 
 
 @pytest.mark.parametrize("cap", [math.inf, 0.1])
