@@ -1,12 +1,16 @@
 """Config parsing, the four subcommands, output files, exit codes."""
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -835,11 +839,6 @@ def test_every_small_run_exits_cleanly(initial, mode):
     # setup error is one stderr line, an abort a failure.json naming its
     # error, a clean run outputs that agree with each other, and no warning
     # escapes on any path.  derandomize fixes the examples by the test's name
-    import contextlib
-    import io
-    import tempfile
-    import warnings
-
     @settings(max_examples=6, deadline=None, derandomize=True, database=None)
     @given(text=_small_configs(initial, mode))
     def run(text):

@@ -922,18 +922,17 @@ def test_start_up_ramp_takes_the_controllers_steps():
     # is rounding, so its first step is unbounded and lands on the record at
     # tau = 0.5 in one step, with no probe of the starting rule.  Just off
     # it (a mode of 1e-6, scaled dy/dx 7.7) the rule's first step, 0.19,
-    # stays the controller's own, not one of three tiles of the way to the
-    # record; tiling the start-up ramp moved the steps of the battery spheres
-    # and raised their worst closed-form error from 7.9e-15 to 1.6e-14
+    # stays the controller's own during the start-up ramp, not one of three
+    # tiles of 0.167 on the way to the record
     grid = make_grid(2, 32)
     F = curvfn.make_function("sigma_k:2", 2)
-    for params, expected in (((1.0,), [False]), ((1.0, 1e-6, 2), [True, False])):
-        u0 = make_initial("perturbed_sphere" if len(params) > 1 else "sphere", params, grid)
-        state = FlowState(0.0, u0, grid, F, 1.0)
+    cases = (("sphere", (1.0,), 0, [False]), ("perturbed_sphere", (1.0, 1e-6, 2), 1, [True, False]))
+    for initial, params, probes, expected in cases:
+        state = FlowState(0.0, make_initial(initial, params, grid), grid, F, 1.0)
         solver = RadauIIA(grid, F, 1.0)
         solver.enter_rescaled(state)
         # the state, then the Jacobian's state, moved s and five colour rows
-        assert solver.rhs_evals == 1 + 7 + (len(params) > 1)
+        assert solver.rhs_evals == 1 + 7 + probes
         own = []
         while solver.x < 0.5:
             x, h = solver.x, solver.h
