@@ -779,10 +779,10 @@ class RadauIIA:
         m = self.grid.m
         moved = np.abs(y_new[:m] - self._y_jac[:m]).max() > 0.1 * np.abs(y_new[:m]).min()
         if self.rescaled:
-            # the rescaled Jacobian drifts with lambda as well as with u~; a
-            # slow Newton iteration is cheaper here than a dense refresh
-            recompute_jac = (moved or y_new[m] < self._y_jac[m] - math.log(2.0)  # lambda halved
-                             or n_iter > 4 and rate > 1e-2)
+            # lambda alone triggers no refresh: a Jacobian gone stale as lambda
+            # shrinks slows Newton, which the rate test catches, and a slow
+            # Newton iteration is cheaper here than a dense refresh
+            recompute_jac = moved or n_iter > 4 and rate > 1e-2
         else:
             # the stiff eigenvalues scale like 1/u^2; with a Jacobian from a
             # profile a tenth away, Newton contracts the stiff modes slowly,

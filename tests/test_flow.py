@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dualflow import curvfn, flow
 from dualflow.cli import _theta_of
+from dualflow.diagnostics import compute_record
 from dualflow.dualmap import CausalityError, gauss_dual
 from dualflow.flow import (
     ConvexityError,
@@ -944,14 +945,18 @@ def test_start_up_ramp_takes_the_controllers_steps():
 @pytest.mark.parametrize("F_name", curvfn.builtin_battery(2))
 def test_battery_sphere_steps_from_record_to_record(F_name):
     # from its fixed point a sphere steps straight to each record and then
-    # to u_stop: 8 steps, 5 factorizations and 92 rhs evaluations per speed,
-    # where the x10 start-up ramp from h = 1e-4 took 12-14, 10-12 and 121-135.
-    # The worst closed-form error over the battery reads 7.869e-15 either way
+    # to u_stop: 8 steps, 1 Jacobian, 2 factorizations and 64 rhs evaluations
+    # per speed, as Newton stays at its rounding floor and so never asks for
+    # a refresh (a refresh each time lambda halved took 5 Jacobians, 5
+    # factorizations and 92 rhs; the x10 start-up ramp from h = 1e-4 took
+    # 12-14 steps).  The worst closed-form error over the battery reads
+    # 7.869e-15 either way
     cfg = FlowConfig(F=F_name, n=2, m=32, initial="sphere", initial_params=(1.0,),
                      record_every=50)
     traj = run_flow(cfg)
     assert traj.failure is None
-    assert (traj.steps_taken, traj.factorizations, traj.rhs_evals) == (8, 5, 92)
+    counters = traj.steps_taken, traj.jac_evals, traj.factorizations, traj.rhs_evals
+    assert counters == (8, 1, 2, 64)
     err = max(np.abs(s.u - spherical_theta(s.t, 1.0)).max() for s in traj.states)
     assert err <= 7.9e-15
 
@@ -976,13 +981,29 @@ def test_sphere_reaches_u_stop_in_one_step(side):
 def test_runs_off_a_fixed_point_keep_their_steps():
     # the fixed-point start is never taken off a fixed point: the cli_both
     # config's joint run and the commuting square's m = 128 pair keep their
-    # steps, Jacobians and factorizations
+    # steps.  Once rescaled, Newton's rate and u~'s drift alone refresh the
+    # Jacobian: 3 Jacobians and 10 factorizations on cli_both (6 and 13 with
+    # a refresh each time lambda halved).  Flow time never reads lambda
     def counters(tr):
         return tr.steps_taken, tr.jac_evals, tr.factorizations
 
     state0, d0 = _joint_start(CLI_BOTH)
     traj, dtraj = run_both(CLI_BOTH, state0, d0)
-    assert counters(traj) == counters(dtraj) == (75, 6, 13)
+    assert counters(traj) == counters(dtraj) == (75, 3, 10)
+    # u_stop = 1e-3: lambda falls about 1000x after the switch, and the rate
+    # test keeps the Jacobian fresh enough: 139 steps, 3 Jacobians and 15
+    # factorizations (139, 10 and 22 with the lambda refresh).  Every one of
+    # the 70 records pairs with its dual, and the last one's duality error
+    # reads 8.216e-11 either way
+    cfg = dataclasses.replace(CLI_BOTH, u_stop=1e-3)
+    traj, dtraj = run_both(cfg, state0, d0)
+    assert traj.failure is None and dtraj.failure is None
+    assert counters(traj) == counters(dtraj) == (139, 3, 15)
+    assert len(traj.states) == 70 and [0] + dtraj.landed == list(range(70))
+    assert [s.t for s in dtraj.states] == [s.t for s in traj.states]
+    assert np.abs(traj.states[-1].u).max() < cfg.u_stop
+    [last] = compute_record(traj.states[-1:], dtraj.states[-1:], [1.0])
+    assert last.duality_err <= 1e-10
     cfg = dataclasses.replace(CLI_BOTH, m=128, record_every=10**9)
     targets = (0.04, 0.08, 0.12, 0.16, 0.2)
     traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
