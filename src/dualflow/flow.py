@@ -467,9 +467,10 @@ class RadauIIA:
     It keeps what carries over from one accepted step to the next: the
     independent variable x and the state vector y of the last accepted
     state, the proposed step size, the Jacobian, the factored Newton
-    matrices and the last step's collocation polynomial, which predicts
-    the next stages.  It counts rhs evaluations, Jacobian evaluations and
-    Newton matrix factorizations (a real and a complex one each).
+    matrices, the last step's collocation polynomial, which predicts the
+    next stages, and Newton's contraction factor (_newton).  It counts
+    rhs evaluations, Jacobian evaluations and Newton matrix
+    factorizations (a real and a complex one each).
 
     It starts in flow time, x = t and y = u.  Its Jacobian is taken by
     forward differences in one kernel call on colour-perturbed rows, each
@@ -647,10 +648,16 @@ class RadauIIA:
     def _newton(self, y: np.ndarray, h: float, Z: np.ndarray, scale: np.ndarray):
         """Simplified Newton iteration on the stage increments Z, (3, m).
 
-        Returns (converged, iterations, Z, contraction rate)."""
+        Returns (converged, iterations, Z, contraction rate), the rate None
+        after one iteration.  Rescaled, a call starts from the last call's
+        factor eta = rate / (1 - rate), raised to 0.8 (Hairer & Wanner, IV.8),
+        so its first increment can converge; in flow time from eta = inf."""
         W = _TI @ Z
         mu_real, mu_complex = _MU_REAL / h, _MU_COMPLEX / h
-        norm_old = rate = None
+        norm_old, rate, floor = None, None, False
+        # flow time carries no factor: its rate, led by the smooth modes, says
+        # nothing of the stiff ones (as in advance's flow-time refresh rule)
+        eta = max(self._eta, np.finfo(float).eps) ** 0.8 if self.rescaled else math.inf
         for k in range(_NEWTON_MAXITER):
             F = self._rhs(y + Z)
             if not np.isfinite(F).all():
@@ -671,10 +678,11 @@ class RadauIIA:
                 if not floor and (rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate)
                                   * dW_norm > self._newton_tol):
                     break
+                eta = rate / (1.0 - rate) if rate < 1.0 else math.inf  # rate >= 1: the floor
             W += dW
             Z = _T @ W
-            if dW_norm == 0.0 or rate is not None and (
-                    floor or rate / (1.0 - rate) * dW_norm < self._newton_tol):
+            if dW_norm == 0.0 or floor or eta * dW_norm < self._newton_tol:
+                self._eta = eta
                 return True, k + 1, Z, rate
             norm_old = dW_norm
         return False, k + 1, Z, rate
@@ -707,6 +715,7 @@ class RadauIIA:
         self._jacobian(y, f)
         self._Z = self._h_old = self._err_old = None
         self._ramp = True  # the controller grows h by _MAX_FACTOR from here
+        self._eta = 1.0  # Newton's carried contraction factor (_newton)
         scale = self._scale(np.abs(y))
         d0, d1 = _rms(y / scale), _rms(f / scale)
         if d1 < 1e-5:  # a rescaled sphere or slice: the probe below would read rounding

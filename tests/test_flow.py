@@ -945,20 +945,43 @@ def test_start_up_ramp_takes_the_controllers_steps():
 @pytest.mark.parametrize("F_name", curvfn.builtin_battery(2))
 def test_battery_sphere_steps_from_record_to_record(F_name):
     # from its fixed point a sphere steps straight to each record and then
-    # to u_stop: 8 steps, 1 Jacobian, 2 factorizations and 64 rhs evaluations
-    # per speed, as Newton stays at its rounding floor and so never asks for
-    # a refresh (a refresh each time lambda halved took 5 Jacobians, 5
-    # factorizations and 92 rhs; the x10 start-up ramp from h = 1e-4 took
-    # 12-14 steps).  The worst closed-form error over the battery reads
-    # 7.869e-15 either way
+    # to u_stop: 8 steps, 1 Jacobian, 2 factorizations and 40 rhs evaluations
+    # per speed.  Newton stays at its rounding floor, so it never asks for a
+    # refresh, and with the contraction factor carried from the last step
+    # each step's first increment converges: the state, 7 for the Jacobian
+    # and one 3-stage call per step.  Testing the rate of the current call
+    # alone took a second call per step, 64 rhs, at a worst closed-form error
+    # over the battery of 7.869e-15; carried, it reads 7.876e-15
     cfg = FlowConfig(F=F_name, n=2, m=32, initial="sphere", initial_params=(1.0,),
                      record_every=50)
     traj = run_flow(cfg)
     assert traj.failure is None
     counters = traj.steps_taken, traj.jac_evals, traj.factorizations, traj.rhs_evals
-    assert counters == (8, 1, 2, 64)
+    assert counters == (8, 1, 2, 40)
     err = max(np.abs(s.u - spherical_theta(s.t, 1.0)).max() for s in traj.states)
     assert err <= 7.9e-15
+
+
+def test_rescaled_sphere_converges_on_its_first_increment():
+    # a sphere is a fixed point of the rescaled variables, so Newton's
+    # carried contraction factor accepts each step's first increment: one
+    # 3-stage call per step beside the state, the Jacobians' colour rows,
+    # their states and moved s, and each accepted state.  Over n = 1-4, three
+    # radii and every battery speed (135 runs) the worst max |u - closed
+    # form| / r0 read 1.825e-14 (1.705e-14 with a second call per step)
+    for n in (1, 2, 3, 4):
+        grid = make_grid(n, 64 if n == 1 else 32)
+        colours = grid.band()[2].max() + 1
+        for r0 in (0.3, 1.0, 3.0):
+            for F_name in curvfn.builtin_battery(n):
+                cfg = FlowConfig(F=F_name, n=n, m=grid.m, initial="sphere",
+                                 initial_params=(r0,), record_every=50)
+                traj = run_flow(cfg)
+                assert traj.failure is None
+                assert traj.rhs_evals == (1 + traj.jac_evals * (colours + 2)
+                                          + 4 * traj.steps_taken), (n, r0, F_name)
+                err = max(np.abs(s.u - spherical_theta(s.t, r0)).max() for s in traj.states)
+                assert err <= 2e-14 * r0, (n, r0, F_name)
 
 
 @pytest.mark.parametrize("side", ["primal", "dual"])
@@ -983,22 +1006,25 @@ def test_runs_off_a_fixed_point_keep_their_steps():
     # config's joint run and the commuting square's m = 128 pair keep their
     # steps.  Once rescaled, Newton's rate and u~'s drift alone refresh the
     # Jacobian: 3 Jacobians and 10 factorizations on cli_both (6 and 13 with
-    # a refresh each time lambda halved).  Flow time never reads lambda
+    # a refresh each time lambda halved).  Flow time never reads lambda.
+    # Off a fixed point no first increment is small enough for Newton's
+    # carried contraction factor, and flow time carries none, so the rhs
+    # evaluations stay as with the current call's rate alone
     def counters(tr):
-        return tr.steps_taken, tr.jac_evals, tr.factorizations
+        return tr.steps_taken, tr.jac_evals, tr.factorizations, tr.rhs_evals
 
     state0, d0 = _joint_start(CLI_BOTH)
     traj, dtraj = run_both(CLI_BOTH, state0, d0)
-    assert counters(traj) == counters(dtraj) == (75, 3, 10)
+    assert counters(traj) == counters(dtraj) == (75, 3, 10, 701)
     # u_stop = 1e-3: lambda falls about 1000x after the switch, and the rate
-    # test keeps the Jacobian fresh enough: 139 steps, 3 Jacobians and 15
-    # factorizations (139, 10 and 22 with the lambda refresh).  Every one of
-    # the 70 records pairs with its dual, and the last one's duality error
-    # reads 8.216e-11 either way
+    # test keeps the Jacobian fresh enough: 139 steps, 3 Jacobians, 15
+    # factorizations and 1167 rhs (139, 10 and 22 with the lambda refresh).
+    # Every one of the 70 records pairs with its dual, and the last one's
+    # duality error reads 8.216e-11 either way
     cfg = dataclasses.replace(CLI_BOTH, u_stop=1e-3)
     traj, dtraj = run_both(cfg, state0, d0)
     assert traj.failure is None and dtraj.failure is None
-    assert counters(traj) == counters(dtraj) == (139, 3, 15)
+    assert counters(traj) == counters(dtraj) == (139, 3, 15, 1167)
     assert len(traj.states) == 70 and [0] + dtraj.landed == list(range(70))
     assert [s.t for s in dtraj.states] == [s.t for s in traj.states]
     assert np.abs(traj.states[-1].u).max() < cfg.u_stop
@@ -1008,7 +1034,7 @@ def test_runs_off_a_fixed_point_keep_their_steps():
     targets = (0.04, 0.08, 0.12, 0.16, 0.2)
     traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
     dtraj = run_dual_flow(cfg, gauss_dual(traj.states[0]).dual, t_targets=targets, t_stop=0.2)
-    assert counters(traj) == (24, 5, 8) and counters(dtraj) == (23, 6, 7)
+    assert counters(traj) == (24, 5, 8, 201) and counters(dtraj) == (23, 6, 7, 199)
 
 
 @pytest.mark.parametrize("cap", [math.inf, 0.1])
