@@ -36,7 +36,9 @@ second-order jet.  Evaluation is vectorized: kappa may have shape
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -144,22 +146,24 @@ def _esp(kappa, n: int) -> list:
     """[H_0, ..., H_n] of the n entries of kappa's trailing axis (an array
     or a _Jet), multiplying out prod_i (1 + kappa_i t) one factor at a
     time: additive in the kappa_i and stable on the positive cone."""
-    e = [1.0] + [0.0] * n
+    e = [1.0] + [None] * n
     for i in range(n):
         x = kappa[..., i]
         for j in range(i + 1, 0, -1):
-            e[j] = e[j] + x * e[j - 1]
+            t = x * e[j - 1] if j > 1 else x  # x H_0 = x
+            e[j] = e[j] + t if j <= i else t  # H_{i+1} starts at 0
     return e
 
 
 def _chs(kappa, n: int, k: int) -> list:
     """[h_0, ..., h_k], the complete homogeneous symmetric polynomials of
     the n entries of kappa's trailing axis; kappa is an array or a _Jet."""
-    h = [1.0] + [0.0] * k
+    h = [1.0] + [None] * k
     for i in range(n):
         x = kappa[..., i]
         for j in range(1, k + 1):
-            h[j] = h[j] + x * h[j - 1]
+            t = x * h[j - 1] if j > 1 else x  # x h_0 = x
+            h[j] = h[j] + t if i else t  # h_j starts at 0
     return h
 
 
@@ -205,7 +209,8 @@ class CurvatureFunction:
 
     def _value(self, kappa):
         """value of a kappa block (or _Jet) the caller has checked, without _check."""
-        return self._scale * self._raw_value(kappa)
+        raw = self._raw_value(kappa)
+        return raw if self._scale == 1.0 else self._scale * raw
 
     def _side_value(self, kappa, eps):
         """F(kappa^eps)^eps, the speed of side eps, on a checked kappa block:
@@ -268,11 +273,8 @@ class WeightedGeometric(CurvatureFunction):
 
     def _raw_value(self, kappa):
         e = _esp(kappa, self.n)
-        out = 1.0
-        for k, b in enumerate(self._beta, start=1):
-            if b != 0.0:
-                out = out * e[k] ** b
-        return out
+        return functools.reduce(operator.mul, [e[k] ** b for k, b in enumerate(self._beta, start=1)
+                                               if b != 0.0])
 
 
 class CompleteSymmetric(CurvatureFunction):

@@ -328,11 +328,14 @@ def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps, u: np.ndarray):
     stack (..., m): a row with a node across u = 0 or a curvature that is not
     finite and positive (not convex, or a dual not spacelike) fails, du/dt NaN.
     The side eps is a float, or an array of signs broadcasting against u's
-    rows, each row then bit for bit its one-sided call."""
+    rows, each row then bit for bit its one-sided call.  When every row is
+    admissible, du/dt is the velocity as it stands."""
     with np.errstate(all="ignore"):
         _, v, kappa = _kappa(grid, u, eps)
-        ok = ((eps * u > 0.0).all(axis=-1)
-              & (np.isfinite(kappa) & (kappa > 0.0)).all(axis=(-2, -1)))
+        side = eps * u > 0.0 if isinstance(eps, np.ndarray) else u > 0.0 if eps > 0 else u < 0.0
+        ok = ((kappa > 0.0) & (kappa < math.inf) & side[..., None]).all(axis=(-2, -1))
+        if ok.all():
+            return ok, _velocity(F._side_value(kappa, eps), v, eps)
         np.copyto(kappa, 1.0, where=~ok[..., None, None])  # F reads no failed row
         F_value = F._side_value(kappa, eps)
         return ok, np.where(ok[..., None], _velocity(F_value, v, eps), np.nan)
@@ -398,8 +401,10 @@ class _BandPlan:
             return np.where(band, k * m + i, np.where((i == j) & (i >= m), 5 * m + 1, 5 * m))
 
         b, s, flat = blocks[:, :, None], self.seps, blocks.ravel()
-        self.gather = np.concatenate([entry(b, blocks[:, None, :]).ravel(), entry(b, s).ravel(),
-                                      entry(s[:, None], flat).ravel(), entry(s[:, None], s).ravel()])
+        parts = [entry(b, blocks[:, None, :]), entry(b, s), entry(s[:, None], flat), entry(s[:, None], s)]
+        self.gather = np.concatenate([a.ravel() for a in parts])
+        ends = np.cumsum([a.size for a in parts])
+        self.parts = [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]  # D, A_IS, A_SI, A_SS
         # a dummy's rhs may be any node's: its row and column of D^-1 are the identity's
         self.order = np.concatenate([flat % m, s])
         self.pos = np.argsort(np.concatenate([flat, s]))[:m]  # each node's place in x_I, x_S
@@ -421,7 +426,7 @@ class _BandSolver:
     def __init__(self, bands: np.ndarray, plan: _BandPlan):
         (p, w), s = plan.blocks.shape, plan.seps.size
         vals = np.concatenate([bands.ravel(), [0.0, 1.0]])[plan.gather]
-        D, A_IS, A_SI, A_SS = np.split(vals, np.cumsum([p * w * w, p * w * s, s * p * w]))
+        D, A_IS, A_SI, A_SS = (vals[part] for part in plan.parts)
         self._A_SI, self._order, self._pos = A_SI.reshape(s, p * w), plan.order, plan.pos
         try:
             self._inv_D = np.linalg.inv(D.reshape(p, w, w))

@@ -153,8 +153,12 @@ def _curvatures(u, u_th, u_thth, cot, eps, n: int):
     S, C = _warp(u, eps)
     slope = u_th / S
     slope_th = u_thth / S - u_th * u_th * C / (S * S)
-    v = np.sqrt(1.0 + eps * slope * slope)
-    eps_C, v_S = eps * C, v * S
+    if isinstance(eps, np.ndarray):
+        v, eps_C = np.sqrt(1.0 + eps * slope * slope), eps * C
+    else:  # eps = +-1.0: the products by it are exact, and go
+        v = np.sqrt(1.0 + slope * slope if eps > 0 else 1.0 - slope * slope)
+        eps_C = C if eps > 0 else -C
+    v_S = v * S
     kappa = np.empty(np.shape(u) + (n,))
     kappa[..., 0] = (eps_C - slope_th / (v * v)) / v_S
     if n > 1:
