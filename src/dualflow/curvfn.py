@@ -209,8 +209,7 @@ class CurvatureFunction:
 
     def _value(self, kappa):
         """value of a kappa block (or _Jet) the caller has checked, without _check."""
-        raw = self._raw_value(kappa)
-        return raw if self._scale == 1.0 else self._scale * raw
+        return self._raw_value(kappa) if self._scale == 1.0 else self._scale * self._raw_value(kappa)
 
     def _side_value(self, kappa, eps):
         """F(kappa^eps)^eps, the speed of side eps, on a checked kappa block:

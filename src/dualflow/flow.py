@@ -22,10 +22,10 @@ sphere is a fixed point there, so the steps no longer crowd at
 extinction.  A primal run to extinction can carry its dual in the same
 vector, rescaled by the primal's lambda (run_both): the two take one
 step sequence in the primal's tau, and each Newton solve is block lower
-triangular.  Each Newton iteration, and each Jacobian in either phase, is
-one call of the masked rhs kernel on a stack of trial rows, a carried
-dual being the second side of the stack; a trial row reports failure by
-NaN.  Every state of either flow is a FlowState that carries the run's F
+triangular.  Each Newton iteration, and each Jacobian in either phase
+(by central differences), is one call of the masked rhs kernel on a stack
+of trial rows, a carried dual being the second side of the stack; a trial
+row reports failure by NaN.  Every state of either flow is a FlowState that carries the run's F
 and its side eps, and builds its GraphGeometry on first read.  Geodesic
 spheres solve the primal flow in closed form and serve as the exact
 reference and as extinction-time barriers.
@@ -337,8 +337,7 @@ def _masked_rhs(grid: SphereGrid, F: CurvatureFunction, eps, u: np.ndarray):
         if ok.all():
             return ok, _velocity(F._side_value(kappa, eps), v, eps)
         np.copyto(kappa, 1.0, where=~ok[..., None, None])  # F reads no failed row
-        F_value = F._side_value(kappa, eps)
-        return ok, np.where(ok[..., None], _velocity(F_value, v, eps), np.nan)
+        return ok, np.where(ok[..., None], _velocity(F._side_value(kappa, eps), v, eps), np.nan)
 
 
 # Radau IIA, three stages, order five (Hairer & Wanner, Solving ODEs II,
@@ -374,6 +373,13 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(x * x, axis=None) / x.size)  # np.mean, unwrapped
 
 
+# the Jacobian's central difference step, relative to max(|y|, 1): against the
+# complex step (n = 1-3, m = 32-512, both sides) it reads at most 6.1e-8 of the
+# largest entry; at m = 512, 1e-8 reads 4.2e-7, 3e-8 3.8e-6, 1e-7 4.2e-5 and
+# 1e-9 1.6e-7, forward differences 6.8e-4 (README, "Time stepping")
+_JAC_STEP = 3e-9
+
+
 # the most interior nodes in one block of the band solve (README, "Time stepping")
 _BAND_BLOCK = 16
 
@@ -384,7 +390,8 @@ class _BandPlan:
     circle m - 2 and m - 1, are separators; the runs between them are the
     blocks, whose empty slots hold dummy nodes m, m + 1, ... with identity
     rows.  Blocks are two separators apart or more, so no stencil couples
-    two.  gather indexes [bands.ravel(), 0, 1] for D, A_IS, A_SI and A_SS."""
+    two.  gather indexes [bands.ravel(), 0, 1] for D, A_IS, A_SI and A_SS,
+    and parts slices each from the gathered values."""
 
     def __init__(self, m: int, cyclic: bool):
         sep = np.arange(m) % (_BAND_BLOCK + 2) >= _BAND_BLOCK
@@ -401,10 +408,11 @@ class _BandPlan:
             return np.where(band, k * m + i, np.where((i == j) & (i >= m), 5 * m + 1, 5 * m))
 
         b, s, flat = blocks[:, :, None], self.seps, blocks.ravel()
-        parts = [entry(b, blocks[:, None, :]), entry(b, s), entry(s[:, None], flat), entry(s[:, None], s)]
+        parts = [entry(b, blocks[:, None, :]), entry(b, s), entry(s[:, None], flat),
+                 entry(s[:, None], s)]
         self.gather = np.concatenate([a.ravel() for a in parts])
         ends = np.cumsum([a.size for a in parts])
-        self.parts = [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]  # D, A_IS, A_SI, A_SS
+        self.parts = [slice(end - a.size, end) for a, end in zip(parts, ends)]
         # a dummy's rhs may be any node's: its row and column of D^-1 are the identity's
         self.order = np.concatenate([flat % m, s])
         self.pos = np.argsort(np.concatenate([flat, s]))[:m]  # each node's place in x_I, x_S
@@ -478,8 +486,8 @@ class RadauIIA:
     factorizations (a real and a complex one each).
 
     It starts in flow time, x = t and y = u.  Its Jacobian is taken by
-    forward differences in one kernel call on colour-perturbed rows, each
-    row one rhs evaluation (_jacobian).  Newton takes one of two paths.  The
+    central differences in one kernel call on colour rows moved each way,
+    each row one rhs evaluation (_jacobian).  Newton takes one of two paths.  The
     band path, flow time at every m, reads the band of the stencils' reach
     off those rows and solves by blocks around separators (_BandSolver, laid
     out once by _BandPlan).  The dense path, the rescaled phase (below),
@@ -605,33 +613,38 @@ class RadauIIA:
         return scale
 
     def _jacobian(self, y: np.ndarray, f: np.ndarray) -> None:
-        """The Jacobian at y, f = dy/dx there, by one _masked_rhs call: row c
-        moves each profile block's columns of colour c (README).  A dense
-        column is bit for bit its row of y + diag(delta)."""
+        """The Jacobian at y, f = dy/dx there, by central differences in one
+        _masked_rhs call: a row y + delta and a row y - delta per colour c
+        move each profile block's columns of colour c (README).  A dense
+        column is bit for bit the difference of its rows of y +- diag(delta)."""
         self.jac_evals += 1
-        m, r = self.grid.m, np.arange(self.grid.m)
+        m, r, c = self.grid.m, np.arange(self.grid.m), len(self._perturb)
         blocks = np.add.outer([0] if self.dual is None else [0, m + 2], r)  # u~, w in y
-        delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
+        delta = _JAC_STEP * np.maximum(np.abs(y), 1.0)
         if not self.rescaled:  # the colour rows alone, a 2-D stack like every flow-time call
-            trial = y + np.where(self._perturb, delta, 0.0)
+            P = np.where(self._perturb, delta, 0.0)
+            trial = np.concatenate((y + P, y - P))
             g, rows = _masked_rhs(self.grid, self.F, self.eps, trial)[1][None], self._band_rows
-        else:  # each block's state and its state at the moved s come first
-            b, lam = y[blocks][:, None], np.exp(y[m:m + 1])
-            trial = np.concatenate((lam * b, np.exp(y[m:m + 1] + delta[m:m + 1]) * b, lam * (
-                b + np.where(self._perturb, delta[blocks][:, None], 0.0))), axis=1)
+        else:  # each block's state and its states at s + delta and s - delta come first
+            b, s, lam = y[blocks][:, None], y[m:m + 1], np.exp(y[m:m + 1])
+            P = np.where(self._perturb, delta[blocks][:, None], 0.0)
+            trial = np.concatenate((lam * b, np.exp(s + delta[m]) * b, np.exp(s - delta[m]) * b,
+                                    lam * (b + P), lam * (b - P)), axis=1)
             eps = self.eps if self.dual is None else np.array([self.eps, -self.eps])[:, None, None]
-            g, rows = _masked_rhs(self.grid, self.F, eps, trial)[1], 2 + self._band_rows
+            g, rows = _masked_rhs(self.grid, self.F, eps, trial)[1], 3 + self._band_rows
         self.rhs_evals += trial.shape[-2]
-        if self._banded:  # the band: entry (k, i) reads its column's colour row at node i
-            jac = np.where(self._inside, (g[0][rows, r] - f) / delta[self._cols], 0.0)
-        else:  # y + diag(delta)'s du/dt: the state's, but its colour row's on its column's band
-            du = (g[:, (np.arange(len(y)) == m).astype(int)] if self.rescaled  # s's row: moved s
-                  else np.repeat(f[None, None], len(y), axis=1))
-            for block, du_b, g_b in zip(blocks, du, g):
-                du_b[block[self._cols], r] = g_b[rows, r]
-            dy = self._eval(y + np.diag(delta), du)[1] if self.rescaled else du[0]
-            jac = (dy - f).T / delta
-            jac[:m + 2, m + 2:] = 0.0  # primal rows, w columns: rounding of the stacked <f>
+        if self._banded:  # the band: entry (k, i) reads its column's colour rows at node i
+            jac = np.where(self._inside, (g[0][rows, r] - g[0][rows + c, r])
+                           / (2.0 * delta[self._cols]), 0.0)
+        else:  # y +- diag(delta)'s du/dt: the state's, but its colour row's on its column's band
+            dy = []
+            for sign, moved, at in ((1.0, 1, rows), (-1.0, 2, rows + c)):  # s's row: moved s
+                du = (g[:, np.where(np.arange(len(y)) == m, moved, 0)] if self.rescaled
+                      else np.repeat(f[None, None], len(y), axis=1))
+                for block, du_b, g_b in zip(blocks, du, g):
+                    du_b[block[self._cols], r] = g_b[at, r]
+                dy.append(self._eval(y + sign * np.diag(delta), du)[1] if self.rescaled else du[0])
+            jac = (dy[0] - dy[1]).T / (2.0 * delta)
         self._jac, self._jac_current, self._lu_h, self._y_jac = jac, True, None, y
 
     def _newton_matrix(self, shift):
@@ -659,7 +672,7 @@ class RadauIIA:
         so its first increment can converge; in flow time from eta = inf."""
         W = _TI @ Z
         mu_real, mu_complex = _MU_REAL / h, _MU_COMPLEX / h
-        norm_old, rate, floor = None, None, False
+        norm_old, rate = None, None
         # flow time carries no factor: its rate, led by the smooth modes, says
         # nothing of the stiff ones (as in advance's flow-time refresh rule)
         eta = max(self._eta, np.finfo(float).eps) ** 0.8 if self.rescaled else math.inf
@@ -676,17 +689,14 @@ class RadauIIA:
                 break
             if norm_old is not None:
                 rate = dW_norm / norm_old
-                # two increments below the tolerance are converged whatever
-                # their ratio: at a fixed point it is a ratio of rounding noise
-                floor = max(norm_old, dW_norm) < self._newton_tol
                 # diverging, or too slow to converge within the iteration cap
-                if not floor and (rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate)
-                                  * dW_norm > self._newton_tol):
+                if rate >= 1.0 or (rate ** (_NEWTON_MAXITER - k) / (1.0 - rate)
+                                   * dW_norm > self._newton_tol):
                     break
-                eta = rate / (1.0 - rate) if rate < 1.0 else math.inf  # rate >= 1: the floor
+                eta = rate / (1.0 - rate)
             W += dW
             Z = _T @ W
-            if dW_norm == 0.0 or floor or eta * dW_norm < self._newton_tol:
+            if dW_norm == 0.0 or eta * dW_norm < self._newton_tol:
                 self._eta = eta
                 return True, k + 1, Z, rate
             norm_old = dW_norm

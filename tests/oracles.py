@@ -574,18 +574,39 @@ def joint_eval_by_sides(solver, y):
     return ok & ok_w, np.concatenate(parts + [w + f_w / q], axis=-1)
 
 
-def jacobian_by_full_stack(solver, y, f):
-    """RadauIIA._jacobian on its dense path by the two-sided stack: both
-    sides of every row of y + diag(delta) through _eval, the primal side of
-    the rows that perturb w alone included, and the primal rows' w columns
-    zeroed when the dual is carried.  The reference for the colour-row
+def jacobian_by_full_stack(solver, y):
+    """RadauIIA._jacobian on its dense path by the two-sided stack: central
+    differences of both sides of every row of y + diag(delta) and of
+    y - diag(delta) through _eval, the primal side of the rows that move w
+    alone included, with no block zeroed.  The reference for the colour-row
     assembly, which must equal it bit for bit."""
-    m = solver.grid.m
-    delta = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
-    jac = (solver._eval(y + np.diag(delta))[1] - f).T / delta
-    if solver.dual is not None:
-        jac[:m + 2, m + 2:] = 0.0
-    return jac
+    from dualflow.flow import _JAC_STEP
+
+    delta = _JAC_STEP * np.maximum(np.abs(y), 1.0)
+    dy = solver._eval(y + np.diag(delta))[1] - solver._eval(y - np.diag(delta))[1]
+    return dy.T / (2.0 * delta)
+
+
+def band_jacobian_by_complex_step(grid, F, eps, u, step=1e-30):
+    """The flow-time band of d(du/dt)/du at the profile u, (5, m) as
+    RadauIIA._jacobian keeps it, by the complex step (Squire & Trapp 1998):
+    each colour of grid.band() moves by i step, the padded complex profile
+    goes through padded_stencils, this copy of the warped-graph curvatures
+    and F._value (1 / F(1 / kappa) on the dual side, eps = -1), and entry
+    (k, i) reads Im(du/dt) / step at its column's colour.  It takes no
+    difference, so it is exact to rounding."""
+    cols, inside, colour = grid.band()
+    z = u + 1j * step * (colour == np.arange(colour.max() + 1)[:, None])
+    d1, d2 = padded_stencils(z.take(grid._pad_index, axis=-1), grid.h)
+    S, C = (np.sinh(z), np.cosh(z)) if eps > 0 else (np.cosh(z), np.sinh(z))
+    slope = d1 / S
+    v = np.sqrt(1.0 + eps * slope * slope)
+    profile = (eps * C - (d2 / S - d1 * d1 * C / (S * S)) / (v * v)) / (v * S)
+    angular = [(eps * C - grid.cot * slope) / (v * S)] * (grid.n - 1) if grid.n > 1 else []
+    kappa = np.stack([profile] + angular, axis=-1)
+    F_value = F._value(kappa) if eps > 0 else 1.0 / F._value(1.0 / kappa)
+    g = (-F_value * v if eps > 0 else v / F_value).imag / step
+    return np.where(inside, g[colour[cols], np.arange(grid.m)], 0.0)
 
 
 def golden_inball(g, tol=1e-9):

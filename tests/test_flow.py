@@ -35,6 +35,7 @@ from dualflow.flow import (
 from dualflow.hgeom import Graph, GraphGeometry, HyperbolicGraph, geometry_of
 from dualflow.sphere_grid import make_grid
 from oracles import (
+    band_jacobian_by_complex_step,
     boosted_slice,
     jacobian_by_full_stack,
     joint_eval_by_sides,
@@ -281,9 +282,9 @@ def test_step_makes_at_most_three_rhs_calls(monkeypatch):
     assert traj.failure is None
     assert len(calls) <= 3 * traj.steps_taken
     # rhs_evals counts profiles, one per row of each call, and a Jacobian's
-    # rows, one per colour of the meridian's band
+    # rows, two per colour of the meridian's band
     assert traj.rhs_evals == (sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
-                              + 5 * traj.jac_evals)
+                              + 10 * traj.jac_evals)
 
 
 def test_rescaled_run_makes_fewer_rhs_calls(monkeypatch):
@@ -295,9 +296,10 @@ def test_rescaled_run_makes_fewer_rhs_calls(monkeypatch):
     traj = run_flow(cfg)
     assert traj.failure is None
     # rhs_evals counts state vectors, one per row of each call, and a
-    # Jacobian's rows: the state, the state at the moved s and five colours
+    # Jacobian's rows: the state, the states at s +- delta and five colours
+    # moved each way
     assert traj.rhs_evals == (sum(math.prod(c[:-1]) for c in calls) + traj.steps_taken
-                              + 7 * traj.jac_evals)
+                              + 13 * traj.jac_evals)
     n_rescaled = len(calls)
     calls.clear()
     t_run = run_flow(cfg, t_targets=[s.t for s in traj.states[1:]])
@@ -689,10 +691,11 @@ def test_joint_eval_makes_one_kernel_call(monkeypatch):
                                      ("power_mean:0.5", 1, 64), ("power_mean:0.5", 1, 65)])
 @pytest.mark.parametrize("carried", [False, True])
 def test_dense_jacobian_is_the_full_stack_jacobian(F, n, m, carried):
-    # each column's du/dt is its colour row's on the column's band and the
-    # state's elsewhere; joint or single-side, at odd m and with a circle's
-    # extra colours too, it is bit for bit the Jacobian of the full
-    # two-sided stack y + diag(delta)
+    # each column's du/dt at y + delta and at y - delta is its colour row's
+    # on the column's band and the state's elsewhere; joint or single-side,
+    # at odd m and with a circle's extra colours too, it is bit for bit the
+    # central Jacobian of the full two-sided stacks y +- diag(delta), and the
+    # primal rows, which do not read w, hold exact zeros in w's columns
     cfg = FlowConfig(F=F, n=n, m=m, initial="perturbed_sphere", initial_params=(1.0, 0.1, 2))
     state0, d0 = _joint_start(cfg)
     solver = RadauIIA(state0.grid, state0.F, 1.0)
@@ -702,18 +705,19 @@ def test_dense_jacobian_is_the_full_stack_jacobian(F, n, m, carried):
     f = solver._rhs(y)
     solver._jacobian(y, f)
     assert solver._jac.shape == (y.size, y.size)
-    assert solver._jac.tobytes() == jacobian_by_full_stack(solver, y, f).tobytes()
+    assert solver._jac.tobytes() == jacobian_by_full_stack(solver, y).tobytes()
+    assert not solver._jac[:m + 2, m + 2:].any()
 
 
 @pytest.mark.parametrize("n, m", [(2, 48), (1, 41)])
 @pytest.mark.parametrize("phase", ["band", "dense", "rescaled", "joint"])
 def test_every_jacobian_is_one_coloured_kernel_call(monkeypatch, n, m, phase):
     # in flow time on either Newton path, and rescaled with one side or
-    # with the carried dual, a Jacobian is one kernel call: one row per
-    # colour of the band, (colours, m) in flow time, and rescaled (sides,
-    # colours + 2, m), each block's state and its state at the moved s
-    # first; the circle at m = 41 takes a sixth colour.  rhs_evals grows by
-    # the rows
+    # with the carried dual, a Jacobian is one kernel call: two rows per
+    # colour of the band, y + delta and y - delta, (2 colours, m) in flow
+    # time, and rescaled (sides, 2 colours + 3, m), each block's state and
+    # its states at s + delta and s - delta first; the circle at m = 41
+    # takes a sixth colour.  rhs_evals grows by the rows
     cfg = FlowConfig(F="sigma_k:2" if n == 2 else "mean", n=n, m=m,
                      initial="perturbed_sphere", initial_params=(1.0, 0.1, 2))
     if phase in ("band", "dense"):
@@ -732,14 +736,50 @@ def test_every_jacobian_is_one_coloured_kernel_call(monkeypatch, n, m, phase):
     monkeypatch.setattr(flow, "_masked_rhs", lambda *a: calls.append(a[-1].shape) or kernel(*a))
     evals = solver.rhs_evals
     solver._jacobian(y, f)
-    rows = 5 + (m % 5 if n == 1 else 0)
+    rows = 2 * (5 + (m % 5 if n == 1 else 0))
     if phase in ("band", "dense"):
         assert calls == [(rows, m)]
     else:
-        rows += 2
+        rows += 3
         assert calls == [(2 if phase == "joint" else 1, rows, m)]
     assert solver.rhs_evals - evals == rows
     assert solver._jac.shape == ((5, m) if phase == "band" else (y.size, y.size))
+
+
+@pytest.mark.parametrize("n, F_name", [(1, "mean"), (2, "sigma_k:2"), (3, "quotient:2:1")])
+@pytest.mark.parametrize("m", [32, 128, 512])
+def test_band_jacobian_matches_the_complex_step(n, F_name, m):
+    # the flow-time band by central differences, primal and its Gauss dual,
+    # against the complex step, which takes no difference: within 2e-7 of
+    # the largest entry (worst measured 6.1e-8, at n = 2 and m = 512, where
+    # forward differences read 6.8e-4)
+    grid, F = make_grid(n, m), curvfn.make_function(F_name, n)
+    u = 1.0 + 0.1 * np.cos(2.0 * grid.theta) + 0.03 * np.cos(5.0 * grid.theta)
+    for eps, x in ((1.0, u), (-1.0, gauss_dual(HyperbolicGraph(grid, u)).dual.u_star)):
+        solver = RadauIIA(grid, F, eps)
+        solver._jacobian(x, solver._rhs(x))
+        ref = band_jacobian_by_complex_step(grid, F, eps, x)
+        assert np.abs(solver._jac - ref).max() <= 2e-7 * np.abs(ref).max(), eps
+
+
+@pytest.mark.parametrize("m, fd_mismatch", [(384, 1.810e-10), (512, 5.585e-11)])
+def test_square_at_large_m_takes_few_jacobians(m, fd_mismatch):
+    # the commuting square's datum, primal and dual to t = 0.2 through five
+    # targets: with forward differences Newton contracted slowly on the
+    # stiff modes and flow time refreshed the Jacobian nearly every step, 26
+    # and 28 Jacobians a side at m = 384, 28 and 30 at m = 512.  Central
+    # differences take 5 a side at both m, and the square's mismatch stays
+    # within 10% of the forward differences' (1.701e-10 and 5.393e-11)
+    cfg = dataclasses.replace(CLI_BOTH, m=m, record_every=10**9)
+    targets = (0.04, 0.08, 0.12, 0.16, 0.2)
+    traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
+    dtraj = run_dual_flow(cfg, gauss_dual(traj.states[0]).dual, t_targets=targets, t_stop=0.2)
+    assert traj.failure is None and dtraj.failure is None
+    assert traj.jac_evals <= 8 and dtraj.jac_evals <= 8
+    pairs = zip(traj.landed, dtraj.landed, strict=True)
+    mismatch = max(np.abs(gauss_dual(traj.states[i]).dual.u_star - dtraj.states[j].u_star).max()
+                   for i, j in pairs)
+    assert abs(mismatch - fd_mismatch) <= 0.1 * fd_mismatch
 
 
 @pytest.mark.parametrize("carried", [False, True])
@@ -932,8 +972,8 @@ def test_start_up_ramp_takes_the_controllers_steps():
         state = FlowState(0.0, make_initial(initial, params, grid), grid, F, 1.0)
         solver = RadauIIA(grid, F, 1.0)
         solver.enter_rescaled(state)
-        # the state, then the Jacobian's state, moved s and five colour rows
-        assert solver.rhs_evals == 1 + 7 + probes
+        # the state, then the Jacobian's state, two moved s and ten colour rows
+        assert solver.rhs_evals == 1 + 13 + probes
         own = []
         while solver.x < 0.5:
             x, h = solver.x, solver.h
@@ -945,10 +985,10 @@ def test_start_up_ramp_takes_the_controllers_steps():
 @pytest.mark.parametrize("F_name", curvfn.builtin_battery(2))
 def test_battery_sphere_steps_from_record_to_record(F_name):
     # from its fixed point a sphere steps straight to each record and then
-    # to u_stop: 8 steps, 1 Jacobian, 2 factorizations and 40 rhs evaluations
+    # to u_stop: 8 steps, 1 Jacobian, 2 factorizations and 46 rhs evaluations
     # per speed.  Newton stays at its rounding floor, so it never asks for a
     # refresh, and with the contraction factor carried from the last step
-    # each step's first increment converges: the state, 7 for the Jacobian
+    # each step's first increment converges: the state, 13 for the Jacobian
     # and one 3-stage call per step.  Testing the rate of the current call
     # alone took a second call per step, 64 rhs, at a worst closed-form error
     # over the battery of 7.869e-15; carried, it reads 7.876e-15
@@ -957,7 +997,7 @@ def test_battery_sphere_steps_from_record_to_record(F_name):
     traj = run_flow(cfg)
     assert traj.failure is None
     counters = traj.steps_taken, traj.jac_evals, traj.factorizations, traj.rhs_evals
-    assert counters == (8, 1, 2, 40)
+    assert counters == (8, 1, 2, 46)
     err = max(np.abs(s.u - spherical_theta(s.t, 1.0)).max() for s in traj.states)
     assert err <= 7.9e-15
 
@@ -978,7 +1018,7 @@ def test_rescaled_sphere_converges_on_its_first_increment():
                                  initial_params=(r0,), record_every=50)
                 traj = run_flow(cfg)
                 assert traj.failure is None
-                assert traj.rhs_evals == (1 + traj.jac_evals * (colours + 2)
+                assert traj.rhs_evals == (1 + traj.jac_evals * (2 * colours + 3)
                                           + 4 * traj.steps_taken), (n, r0, F_name)
                 err = max(np.abs(s.u - spherical_theta(s.t, r0)).max() for s in traj.states)
                 assert err <= 2e-14 * r0, (n, r0, F_name)
@@ -1005,8 +1045,9 @@ def test_runs_off_a_fixed_point_keep_their_steps():
     # the fixed-point start is never taken off a fixed point: the cli_both
     # config's joint run and the commuting square's m = 128 pair keep their
     # steps.  Once rescaled, Newton's rate and u~'s drift alone refresh the
-    # Jacobian: 3 Jacobians and 10 factorizations on cli_both (6 and 13 with
-    # a refresh each time lambda halved).  Flow time never reads lambda.
+    # Jacobian: 3 Jacobians and 9 factorizations on cli_both (6 and 13 with
+    # a refresh each time lambda halved, 75 steps and 10 factorizations with
+    # forward differences).  Flow time never reads lambda.
     # Off a fixed point no first increment is small enough for Newton's
     # carried contraction factor, and flow time carries none, so the rhs
     # evaluations stay as with the current call's rate alone
@@ -1015,16 +1056,17 @@ def test_runs_off_a_fixed_point_keep_their_steps():
 
     state0, d0 = _joint_start(CLI_BOTH)
     traj, dtraj = run_both(CLI_BOTH, state0, d0)
-    assert counters(traj) == counters(dtraj) == (75, 3, 10, 701)
+    assert counters(traj) == counters(dtraj) == (74, 3, 9, 718)
     # u_stop = 1e-3: lambda falls about 1000x after the switch, and the rate
-    # test keeps the Jacobian fresh enough: 139 steps, 3 Jacobians, 15
-    # factorizations and 1167 rhs (139, 10 and 22 with the lambda refresh).
+    # test keeps the Jacobian fresh enough: 138 steps, 3 Jacobians, 14
+    # factorizations and 1184 rhs (139, 10 and 22 with the lambda refresh,
+    # 139, 3 and 15 with forward differences).
     # Every one of the 70 records pairs with its dual, and the last one's
     # duality error reads 8.216e-11 either way
     cfg = dataclasses.replace(CLI_BOTH, u_stop=1e-3)
     traj, dtraj = run_both(cfg, state0, d0)
     assert traj.failure is None and dtraj.failure is None
-    assert counters(traj) == counters(dtraj) == (139, 3, 15, 1167)
+    assert counters(traj) == counters(dtraj) == (138, 3, 14, 1184)
     assert len(traj.states) == 70 and [0] + dtraj.landed == list(range(70))
     assert [s.t for s in dtraj.states] == [s.t for s in traj.states]
     assert np.abs(traj.states[-1].u).max() < cfg.u_stop
@@ -1034,7 +1076,7 @@ def test_runs_off_a_fixed_point_keep_their_steps():
     targets = (0.04, 0.08, 0.12, 0.16, 0.2)
     traj = run_flow(cfg, t_targets=targets, t_stop=0.2)
     dtraj = run_dual_flow(cfg, gauss_dual(traj.states[0]).dual, t_targets=targets, t_stop=0.2)
-    assert counters(traj) == (24, 5, 8, 201) and counters(dtraj) == (23, 6, 7, 199)
+    assert counters(traj) == (24, 5, 8, 223) and counters(dtraj) == (23, 6, 7, 226)
 
 
 @pytest.mark.parametrize("cap", [math.inf, 0.1])
