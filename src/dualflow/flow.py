@@ -25,10 +25,10 @@ step sequence in the primal's tau, and each Newton solve is block lower
 triangular.  Each Newton iteration, and each Jacobian in either phase
 (by central differences), is one call of the masked rhs kernel on a stack
 of trial rows, a carried dual being the second side of the stack; a trial
-row reports failure by NaN.  Every state of either flow is a FlowState that carries the run's F
-and its side eps, and builds its GraphGeometry on first read.  Geodesic
-spheres solve the primal flow in closed form and serve as the exact
-reference and as extinction-time barriers.
+row reports failure by NaN.  Every state of either flow is a FlowState
+that carries the run's F and its side eps, and builds its GraphGeometry
+on first read.  Geodesic spheres solve the primal flow in closed form and
+serve as the exact reference and as extinction-time barriers.
 """
 
 from __future__ import annotations
@@ -487,12 +487,12 @@ class RadauIIA:
 
     It starts in flow time, x = t and y = u.  Its Jacobian is taken by
     central differences in one kernel call on colour rows moved each way,
-    each row one rhs evaluation (_jacobian).  Newton takes one of two paths.  The
-    band path, flow time at every m, reads the band of the stencils' reach
-    off those rows and solves by blocks around separators (_BandSolver, laid
-    out once by _BandPlan).  The dense path, the rescaled phase (below),
-    builds the full Jacobian from the same rows and keeps the inverses of
-    the Newton matrices (_DenseInverse).
+    each row one rhs evaluation (_jacobian).  Newton takes one of two
+    paths.  The band path, flow time at every m, reads the band of the
+    stencils' reach off those rows and solves by blocks around separators
+    (_BandSolver, laid out once by _BandPlan).  The dense path, the
+    rescaled phase (below), builds the full Jacobian from the same rows
+    and keeps the inverses of the Newton matrices (_DenseInverse).
 
     enter_rescaled() moves it, for the rest of the run, to the paper's
     rescaled variables (dynamic rescaling, Berger & Kohn 1988): x = tau,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualflow.flow import FlowTrajectory, _fill_geometry, _sphere_theta
+from dualflow.flow import _JAC_STEP, FlowTrajectory, _fill_geometry, _sphere_theta
 
 # fourth order five-point differences on a callable, step chosen so
 # truncation ~1e-12 and rounding ~1e-11 balance
@@ -300,6 +300,20 @@ def fd_hessian(fval, kappa, h=1e-4):
     return H
 
 
+def symmetric_by_full_recursion(kappa, n, k=None):
+    """[H_0, ..., H_n] of kappa's trailing axis (an array or a _Jet) by the
+    recursion with every term written out, e = [1, 0, ..., 0] and e_j +=
+    kappa_i e_(j-1); with k given, [h_0, ..., h_k], the complete ones.  The
+    bitwise reference for curvfn._esp and _chs, which skip the product by
+    e_0 = 1 and the sum into 0."""
+    e = [1.0] + [0.0] * (n if k is None else k)
+    for i in range(n):
+        x = kappa[..., i]
+        for j in range(i + 1, 0, -1) if k is None else range(1, k + 1):
+            e[j] = e[j] + x * e[j - 1]
+    return e
+
+
 # ----------------------------------------------------------------------
 # grid stencils: the padded copy by concatenation
 # ----------------------------------------------------------------------
@@ -580,23 +594,21 @@ def jacobian_by_full_stack(solver, y):
     y - diag(delta) through _eval, the primal side of the rows that move w
     alone included, with no block zeroed.  The reference for the colour-row
     assembly, which must equal it bit for bit."""
-    from dualflow.flow import _JAC_STEP
-
     delta = _JAC_STEP * np.maximum(np.abs(y), 1.0)
     dy = solver._eval(y + np.diag(delta))[1] - solver._eval(y - np.diag(delta))[1]
     return dy.T / (2.0 * delta)
 
 
-def band_jacobian_by_complex_step(grid, F, eps, u, step=1e-30):
+def band_jacobian_by_complex_step(grid, F, eps, u):
     """The flow-time band of d(du/dt)/du at the profile u, (5, m) as
     RadauIIA._jacobian keeps it, by the complex step (Squire & Trapp 1998):
-    each colour of grid.band() moves by i step, the padded complex profile
+    each colour of grid.band() moves by i 1e-30, the padded complex profile
     goes through padded_stencils, this copy of the warped-graph curvatures
     and F._value (1 / F(1 / kappa) on the dual side, eps = -1), and entry
-    (k, i) reads Im(du/dt) / step at its column's colour.  It takes no
+    (k, i) reads Im(du/dt) / 1e-30 at its column's colour.  It takes no
     difference, so it is exact to rounding."""
     cols, inside, colour = grid.band()
-    z = u + 1j * step * (colour == np.arange(colour.max() + 1)[:, None])
+    z = u + 1e-30j * (colour == np.arange(colour.max() + 1)[:, None])
     d1, d2 = padded_stencils(z.take(grid._pad_index, axis=-1), grid.h)
     S, C = (np.sinh(z), np.cosh(z)) if eps > 0 else (np.cosh(z), np.sinh(z))
     slope = d1 / S
@@ -605,7 +617,7 @@ def band_jacobian_by_complex_step(grid, F, eps, u, step=1e-30):
     angular = [(eps * C - grid.cot * slope) / (v * S)] * (grid.n - 1) if grid.n > 1 else []
     kappa = np.stack([profile] + angular, axis=-1)
     F_value = F._value(kappa) if eps > 0 else 1.0 / F._value(1.0 / kappa)
-    g = (-F_value * v if eps > 0 else v / F_value).imag / step
+    g = (-F_value * v if eps > 0 else v / F_value).imag / 1e-30
     return np.where(inside, g[colour[cols], np.arange(grid.m)], 0.0)
 
 

@@ -18,7 +18,7 @@ from dualflow.curvfn import (
     make_function,
 )
 from oracles import (brute_chs, brute_esp, elementary_symmetric, fd_gradient, fd_hessian,
-                     power_mean_gradient, power_mean_hessian)
+                     power_mean_gradient, power_mean_hessian, symmetric_by_full_recursion)
 
 
 def test_sigma2_n2_value():
@@ -168,6 +168,25 @@ def test_esp_jet_matches_brute_derivatives(k):
         np.testing.assert_allclose(e[d].v, brute_esp(k, d), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(e[d].g, grad, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(e[d].H, hess, rtol=1e-12, atol=0.0)
+
+
+def _bits(x):
+    """The bytes of an array, a float, or a _Jet's value, gradient and Hessian."""
+    parts = (x.v, x.g, x.H) if isinstance(x, curvfn._Jet) else (x,)
+    return b"".join(np.asarray(p).tobytes() for p in parts)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(k=KAPPA_4)
+def test_symmetric_recursions_skip_only_exact_terms(k):
+    # skipping the product by H_0 = 1 and the sum into 0 is exact on the
+    # positive cone: every value, gradient and Hessian is bit for bit the
+    # written-out recursion's, on an array block and on a _Jet
+    n = k.size
+    for block in (np.stack([k, 1.5 * k[::-1]]), curvfn._Jet.of(k)):
+        for ours, ref in ((curvfn._esp(block, n), symmetric_by_full_recursion(block, n)),
+                          (curvfn._chs(block, n, 4), symmetric_by_full_recursion(block, n, 4))):
+            assert [_bits(x) for x in ours] == [_bits(x) for x in ref]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
